@@ -11,7 +11,7 @@
 // compare_and_swap variants INVd and INVs, and the auxiliary instructions
 // load_exclusive and drop_copy.
 //
-// Application code runs one goroutine per simulated processor against the
+// Application code runs one coroutine per simulated processor against the
 // Proc interface, exactly as the paper drives its back end with MINT:
 //
 //	m := dsm.New64()

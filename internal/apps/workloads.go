@@ -151,8 +151,7 @@ func workVal(round, procs, id, it int) arch.Word {
 }
 
 // record appends one op to h (nil h skips recording). Histories are
-// written from proc goroutines; the engine's single-runnable discipline
-// serializes them.
+// written from processor programs, which run one at a time.
 func record(h *check.History, p *machine.Proc, kind check.Kind, invoke sim.Time, v arch.Word) {
 	if h != nil {
 		h.Record(check.Op{Proc: p.ID(), Invoke: invoke, Respond: p.Now(), Kind: kind, Value: v})

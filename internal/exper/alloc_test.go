@@ -12,8 +12,8 @@ import (
 // The core-level TestHotPathZeroAlloc pins the protocol/engine loop at zero
 // steady-state allocations. These tests pin the *benchmarked* path — the
 // full machine stack exactly as hostbench.MachineRun drives it — so a
-// regression anywhere above the engine (machine reset, proc goroutine
-// launch, barrier release, app closures, tracker reuse) fails CI rather
+// regression anywhere above the engine (machine reset, program start,
+// barrier release, app closures, tracker reuse) fails CI rather
 // than silently re-inflating HostMachine's allocs/op, as happened between
 // PR 3 and PR 7.
 

@@ -132,7 +132,7 @@ func TestCASPanicsForFAP(t *testing.T) {
 	a := m.AllocSync(core.PolicyINV)
 	opts := Options{Prim: PrimFAP}
 	panicked := false
-	// The panic fires on the processor goroutine; recover there.
+	// Recover inside the program, so the run itself completes.
 	m.RunEach([]func(*machine.Proc){
 		func(p *machine.Proc) {
 			defer func() { panicked = recover() != nil }()

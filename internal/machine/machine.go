@@ -1,19 +1,26 @@
 // Package machine assembles the simulated multiprocessor and provides the
 // execution-driven front end that plays the role MINT plays in the paper:
-// application code runs as one goroutine per simulated processor and issues
+// application code runs as one coroutine per simulated processor and issues
 // timed memory references to the back end (internal/core) through a Proc
 // handle.
 //
-// Determinism: the simulation engine and at most one processor goroutine
-// are runnable at any instant. The engine resumes a processor and then
-// blocks until that processor submits its next action (a memory operation,
-// a compute delay, a barrier arrival, or termination). All back-end
-// activity happens in the engine's event loop, so a given program and
-// configuration always produce the same cycle-for-cycle execution.
+// Determinism: the simulation engine and the processor programs take turns,
+// one running at a time. The engine resumes a processor by switching to its
+// coroutine, and the program runs until it yields its next action (a
+// memory operation, a compute delay, a barrier arrival, or termination),
+// which switches back. All back-end activity happens in the engine's event
+// loop, so a given program and configuration always produce the same
+// cycle-for-cycle execution.
+//
+// Each processor's coroutine is resident: created at its first program and
+// kept across runs and Resets. A panic in a program reaches RunEach's
+// caller, and a machine that is dropped rather than run to completion
+// releases its coroutines when it is garbage collected.
 package machine
 
 import (
 	"fmt"
+	"runtime"
 
 	"dsm/internal/arch"
 	"dsm/internal/core"
@@ -28,6 +35,7 @@ type Machine struct {
 	net   *mesh.Mesh
 	sys   *core.System
 	procs []*Proc
+	coros []coro // procs[i].co is &coros[i]
 
 	allocNext arch.Addr
 	seed      uint64
@@ -107,10 +115,15 @@ func New(cfg core.Config) *Machine {
 	}
 	ps := make([]Proc, cfg.Nodes)
 	m.procs = make([]*Proc, cfg.Nodes)
+	m.coros = make([]coro, cfg.Nodes)
 	for i := range m.procs {
 		m.procs[i] = &ps[i]
-		m.procs[i].init(m, mesh.NodeID(i))
+		m.procs[i].init(m, mesh.NodeID(i), &m.coros[i])
 	}
+	// A machine dropped between runs (by a pool, a slot eviction, or a
+	// caller's panic path) is still collected, because the coroutine slab
+	// does not reach m; this then stops its parked coroutines.
+	runtime.AddCleanup(m, haltAll, m.coros)
 	return m
 }
 
@@ -295,7 +308,10 @@ func (m *Machine) AppScratch() any { return m.appScratch }
 func (m *Machine) SetAppScratch(v any) { m.appScratch = v }
 
 // RunEach executes programs[i] on processor i (nil entries idle). It
-// returns the elapsed simulated time.
+// returns the elapsed simulated time. A panic in a program, or a deadlock,
+// panics out of RunEach after every processor's coroutine is stopped (its
+// program unwound, deferred calls run); the machine may then be Reset and
+// reused.
 func (m *Machine) RunEach(programs []func(p *Proc)) sim.Time {
 	if len(programs) != m.Procs() {
 		panic(fmt.Sprintf("machine: %d programs for %d processors", len(programs), m.Procs()))
@@ -313,6 +329,14 @@ func (m *Machine) RunEach(programs []func(p *Proc)) sim.Time {
 	if m.running == 0 {
 		return 0
 	}
+	// A panic or Goexit out of the event loop leaves programs suspended
+	// mid-run, their coroutines holding the machine; unwind them all.
+	finished := false
+	defer func() {
+		if !finished {
+			haltAll(m.coros)
+		}
+	}()
 	m.scheduleContextSwitches()
 	for i, prog := range programs {
 		if prog == nil {
@@ -325,6 +349,7 @@ func (m *Machine) RunEach(programs []func(p *Proc)) sim.Time {
 			panic(fmt.Sprintf("machine: deadlock with %d processors unfinished", m.running))
 		}
 	}
+	finished = true
 	elapsed := m.eng.Now() - start
 	// Drain in-flight fire-and-forget traffic (write-backs, drop hints) so
 	// Peek and the coherence invariants see a quiescent machine. This does

@@ -1,13 +1,15 @@
 package machine
 
 import (
+	"iter"
+
 	"dsm/internal/arch"
 	"dsm/internal/core"
 	"dsm/internal/mesh"
 	"dsm/internal/sim"
 )
 
-// actionKind classifies what a processor goroutine asks of the engine.
+// actionKind classifies what a processor program asks of the engine.
 type actionKind uint8
 
 const (
@@ -39,10 +41,12 @@ type ProcStats struct {
 type Proc struct {
 	m    *Machine
 	node mesh.NodeID
+	co   *coro
 
-	resume chan core.Result
-	action chan action
-	rng    sim.RNG
+	// res is the result the engine hands the program on resumption: step
+	// stores it, then switches to the coroutine, which reads it.
+	res core.Result
+	rng sim.RNG
 
 	// done and resumeFn are preallocated once per Proc so the per-operation
 	// hot path (one Done callback per memory reference, one resume callback
@@ -50,56 +54,92 @@ type Proc struct {
 	done     func(core.Result)
 	resumeFn func()
 
-	// prog is the program the current (or next) goroutine runs, and runFn
-	// the preallocated `func() { p.run() }` bound-method value begin
-	// spawns: `go p.run()` would allocate that binding per launch.
-	prog  func(*Proc)
-	runFn func()
-
 	lastSerial arch.Word // serial returned by the most recent load_linked
 	stats      ProcStats
 }
 
-func (p *Proc) init(m *Machine, n mesh.NodeID) {
-	p.m = m
-	p.node = n
-	p.resume = make(chan core.Result)
-	p.action = make(chan action)
-	p.done = func(res core.Result) { p.step(res) }
-	p.resumeFn = func() { p.step(core.Result{}) }
-	p.runFn = p.run
+// coro is a processor's resident coroutine: one iter.Pull coroutine whose
+// body runs program after program, so it is created once and keeps its
+// grown stack across runs and Resets. The suspended coroutine reaches only
+// this box, never the Machine: p and prog are set only while a program
+// runs, so a machine dropped between runs becomes unreachable, and the
+// cleanup New registers can stop its coroutines.
+type coro struct {
+	next  func() (action, bool) // engine side: run the program to its next action
+	stop  func()
+	yield func(action) bool // program side: hand an action to the engine
+
+	p    *Proc
+	prog func(*Proc)
 }
 
-// begin prepares the processor for a program and starts its goroutine. The
-// goroutine waits for the engine's first resume before touching anything.
-// The rendezvous channels are reused across programs (the previous program's
-// goroutine has exited and left them empty).
+// stopped is the panic that unwinds a program whose coroutine was stopped
+// mid-run; the coroutine body recovers it.
+type stopped struct{}
+
+func (c *coro) body(yield func(action) bool) {
+	c.yield = yield
+	for {
+		c.runProgram()
+		if !yield(action{kind: actDone}) {
+			return
+		}
+	}
+}
+
+func (c *coro) runProgram() {
+	defer func() {
+		c.p, c.prog = nil, nil
+		if r := recover(); r != nil {
+			if _, ok := r.(stopped); !ok {
+				panic(r)
+			}
+		}
+	}()
+	c.prog(c.p)
+}
+
+// haltAll stops every coroutine in the slab, unwinding any suspended
+// program, and clears the boxes; each Proc's next begin starts a fresh
+// coroutine. It is the cleanup New registers on each Machine, and RunEach's
+// unwind path.
+func haltAll(cs []coro) {
+	for i := range cs {
+		if cs[i].stop != nil {
+			cs[i].stop()
+		}
+		cs[i] = coro{}
+	}
+}
+
+func (p *Proc) init(m *Machine, n mesh.NodeID, co *coro) {
+	p.m = m
+	p.node = n
+	p.co = co
+	p.done = func(res core.Result) { p.step(res) }
+	p.resumeFn = func() { p.step(core.Result{}) }
+}
+
+// begin prepares the processor for a program. The program starts at the
+// engine's first resume.
 func (p *Proc) begin(prog func(*Proc), seed uint64) {
 	var base sim.RNG
 	base.Seed(seed)
 	base.ForkInto(&p.rng, uint64(p.node))
 	p.lastSerial = 0
-	// Writing prog here is ordered before the new goroutine's read; the
-	// previous goroutine read it once at startup and has since signalled
-	// actDone, so no concurrent reader remains.
-	p.prog = prog
-	go p.runFn()
+	if p.co.next == nil {
+		p.co.next, p.co.stop = iter.Pull(p.co.body)
+	}
+	p.co.p, p.co.prog = p, prog
 }
 
-// run is the processor goroutine's body. It waits for the engine's first
-// resume before touching anything.
-func (p *Proc) run() {
-	<-p.resume
-	p.prog(p)
-	p.action <- action{kind: actDone}
-}
-
-// step transfers control to the processor goroutine, waits for its next
-// action, and dispatches it. It runs on the engine goroutine, inside an
-// event; exactly one goroutine is runnable at any instant.
+// step hands r to the program, runs it on its coroutine until its next
+// action, and dispatches that action. It runs on the engine's goroutine,
+// inside an event; control passes by direct coroutine switch, so exactly
+// one of engine and program runs at any instant.
 func (p *Proc) step(r core.Result) {
-	p.resume <- r
-	act := <-p.action
+	p.res = r
+	act, _ := p.co.next()
 	switch act.kind {
 	case actIssue:
 		req := act.req
@@ -114,12 +154,21 @@ func (p *Proc) step(r core.Result) {
 	}
 }
 
+// await suspends the program until the engine resumes it and returns the
+// result the engine handed over. If the coroutine was stopped instead, the
+// program unwinds.
+func (p *Proc) await(a action) core.Result {
+	if !p.co.yield(a) {
+		panic(stopped{})
+	}
+	return p.res
+}
+
 // do issues one memory operation and blocks (in simulated time) until it
 // completes.
 func (p *Proc) do(req core.Request) core.Result {
 	start := p.m.eng.Now()
-	p.action <- action{kind: actIssue, req: req}
-	r := <-p.resume
+	r := p.await(action{kind: actIssue, req: req})
 	p.stats.Ops++
 	p.stats.MemoryCycles += p.m.eng.Now() - start
 	return r
@@ -144,8 +193,7 @@ func (p *Proc) Compute(n sim.Time) {
 		return
 	}
 	p.stats.ComputeCycles += n
-	p.action <- action{kind: actCompute, cycles: n}
-	<-p.resume
+	p.await(action{kind: actCompute, cycles: n})
 }
 
 // Barrier joins the MINT-style constant-time barrier across all processors
@@ -154,8 +202,7 @@ func (p *Proc) Compute(n sim.Time) {
 // after the last arrival).
 func (p *Proc) Barrier() {
 	start := p.m.eng.Now()
-	p.action <- action{kind: actBarrier}
-	<-p.resume
+	p.await(action{kind: actBarrier})
 	p.stats.Barriers++
 	p.stats.BarrierCycles += p.m.eng.Now() - start
 }
