@@ -50,7 +50,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	o := figures.RunOpts{Procs: *procs, Rounds: *rounds, TCSize: *tcsize, Par: *par}
+	o := exper.RunOpts{Procs: *procs, Rounds: *rounds, TCSize: *tcsize, Par: *par}
 
 	// Timing goes to stderr so stdout carries only the artifacts and is
 	// byte-identical for every -par value.
@@ -77,8 +77,8 @@ func main() {
 	}
 	section(*tceff, func() {
 		// UNC fetch_and_add: the paper's recommendation for counters.
-		bar := figures.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
-		eff := figures.TCEfficiency(o, bar)
+		bar := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
+		eff := exper.TCEfficiency(o, bar)
 		fmt.Printf("Transitive Closure parallel efficiency at p=%d, n=%d: %.1f%%\n",
 			o.Procs, o.TCSize, 100*eff)
 	})

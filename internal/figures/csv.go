@@ -20,7 +20,7 @@ func WriteTable1CSVPar(w io.Writer, par int) {
 
 // WriteSyntheticCSV renders one of figures 3-5 as CSV rows of
 // (bar,pattern,avg_cycles_per_update).
-func WriteSyntheticCSV(w io.Writer, name string, app exper.App, o RunOpts) {
+func WriteSyntheticCSV(w io.Writer, name string, app exper.App, o exper.RunOpts) {
 	grid, bars, pats := SyntheticFigure(app, o)
 	fmt.Fprintln(w, "figure,bar,pattern,avg_cycles")
 	for pi, pat := range pats {
@@ -31,7 +31,7 @@ func WriteSyntheticCSV(w io.Writer, name string, app exper.App, o RunOpts) {
 }
 
 // WriteFig6CSV renders figure 6 as CSV rows of (app,bar,elapsed_cycles).
-func WriteFig6CSV(w io.Writer, o RunOpts) {
+func WriteFig6CSV(w io.Writer, o exper.RunOpts) {
 	grid, bars, realApps := fig6Grid(o)
 	fmt.Fprintln(w, "app,bar,elapsed_cycles")
 	for bi, bar := range bars {

@@ -42,7 +42,7 @@ func WriteTable1Par(w io.Writer, par int) {
 // pattern, returning average cycles per counter update indexed as
 // [pattern][bar]. The pattern x bar grid is one exper plan fanned across
 // o.Par workers; results land in plan order regardless of completion order.
-func SyntheticFigure(app exper.App, o RunOpts) ([][]float64, []Bar, []Pattern) {
+func SyntheticFigure(app exper.App, o exper.RunOpts) ([][]float64, []exper.Bar, []exper.Pattern) {
 	bars := exper.SyntheticBars()
 	pats := exper.Patterns(o)
 	res := exper.Run(exper.SyntheticPlan(app, o))
@@ -58,7 +58,7 @@ func SyntheticFigure(app exper.App, o RunOpts) ([][]float64, []Bar, []Pattern) {
 
 // WriteSyntheticFigure renders one of figures 3-5 as a bar-label by
 // pattern matrix of average cycles per update.
-func WriteSyntheticFigure(w io.Writer, title string, app exper.App, o RunOpts) {
+func WriteSyntheticFigure(w io.Writer, title string, app exper.App, o exper.RunOpts) {
 	grid, bars, pats := SyntheticFigure(app, o)
 	fmt.Fprintf(w, "%s (p=%d, avg cycles per counter update)\n", title, o.Procs)
 	fmt.Fprintf(w, "%-18s", "")
@@ -76,17 +76,17 @@ func WriteSyntheticFigure(w io.Writer, title string, app exper.App, o RunOpts) {
 }
 
 // Fig3 runs figure 3 (lock-free counter).
-func Fig3(w io.Writer, o RunOpts) {
+func Fig3(w io.Writer, o exper.RunOpts) {
 	WriteSyntheticFigure(w, "Figure 3: lock-free counter", exper.AppCounter, o)
 }
 
 // Fig4 runs figure 4 (counter under test-and-test-and-set lock).
-func Fig4(w io.Writer, o RunOpts) {
+func Fig4(w io.Writer, o exper.RunOpts) {
 	WriteSyntheticFigure(w, "Figure 4: TTS-lock counter", exper.AppTTS, o)
 }
 
 // Fig5 runs figure 5 (counter under MCS lock).
-func Fig5(w io.Writer, o RunOpts) {
+func Fig5(w io.Writer, o exper.RunOpts) {
 	WriteSyntheticFigure(w, "Figure 5: MCS-lock counter", exper.AppMCS, o)
 }
 
@@ -95,7 +95,7 @@ func Fig5(w io.Writer, o RunOpts) {
 // fig2Plan is the figure-2 grid: each real application under each policy,
 // app-major, with full reports collected (the histogram and write-run
 // numbers render from the report, not the machine).
-func fig2Plan(o RunOpts) (exper.Plan, []RealApp, []core.Policy) {
+func fig2Plan(o exper.RunOpts) (exper.Plan, []exper.App, []core.Policy) {
 	realApps := exper.RealApps()
 	pols := []core.Policy{core.PolicyINV, core.PolicyUNC, core.PolicyUPD}
 	pl := exper.Plan{Par: o.Par, Collect: true,
@@ -103,7 +103,7 @@ func fig2Plan(o RunOpts) (exper.Plan, []RealApp, []core.Policy) {
 	for _, app := range realApps {
 		for _, pol := range pols {
 			pl.Points = append(pl.Points, exper.Point{
-				App: app, Bar: Bar{Policy: pol, Prim: locks.PrimFAP}, Scale: o,
+				App: app, Bar: exper.Bar{Policy: pol, Prim: locks.PrimFAP}, Scale: o,
 			})
 		}
 	}
@@ -114,7 +114,7 @@ func fig2Plan(o RunOpts) (exper.Plan, []RealApp, []core.Policy) {
 // real applications under the three coherence policies (figure 2 plus the
 // write-run numbers of section 4.2). The primitive is FAP, as in the
 // paper's baseline runs.
-func Fig2(w io.Writer, o RunOpts) {
+func Fig2(w io.Writer, o exper.RunOpts) {
 	fmt.Fprintf(w, "Figure 2: contention histograms (p=%d; %% of accesses at each level)\n", o.Procs)
 	levels := []int{1, 2, 3, 4, 8, 16, 32, 48, 64}
 	pl, realApps, pols := fig2Plan(o)
@@ -148,7 +148,7 @@ func bucketPercent(h *stats.Histogram, levels []int, level int) float64 {
 
 // fig6Grid runs every bar x application combination, returning total
 // elapsed cycles indexed as [bar][app].
-func fig6Grid(o RunOpts) ([][]uint64, []Bar, []RealApp) {
+func fig6Grid(o exper.RunOpts) ([][]uint64, []exper.Bar, []exper.App) {
 	bars := exper.SyntheticBars()
 	realApps := exper.RealApps()
 	pl := exper.Plan{Par: o.Par, Points: make([]exper.Point, 0, len(bars)*len(realApps))}
@@ -170,7 +170,7 @@ func fig6Grid(o RunOpts) ([][]uint64, []Bar, []RealApp) {
 
 // Fig6 renders the total elapsed time of the real applications under every
 // bar configuration.
-func Fig6(w io.Writer, o RunOpts) {
+func Fig6(w io.Writer, o exper.RunOpts) {
 	grid, bars, realApps := fig6Grid(o)
 	fmt.Fprintf(w, "Figure 6: total elapsed cycles, real applications (p=%d)\n", o.Procs)
 	fmt.Fprintf(w, "%-18s", "")

@@ -13,7 +13,7 @@ import (
 )
 
 func TestTable1MatchesPaperExactly(t *testing.T) {
-	for _, r := range Table1() {
+	for _, r := range exper.Table1() {
 		if r.Got != r.Paper {
 			t.Errorf("%s: measured %d serialized messages, paper says %d", r.Case, r.Got, r.Paper)
 		}
@@ -30,7 +30,7 @@ func TestWriteTable1Renders(t *testing.T) {
 }
 
 func TestSyntheticBarsMatchPaperCount(t *testing.T) {
-	bars := SyntheticBars()
+	bars := exper.SyntheticBars()
 	if len(bars) != 21 {
 		t.Fatalf("bar count = %d, want 21 (3 UNC + 12 INV + 6 UPD)", len(bars))
 	}
@@ -44,7 +44,7 @@ func TestSyntheticBarsMatchPaperCount(t *testing.T) {
 }
 
 func TestPatternsMatchPaperGrid(t *testing.T) {
-	pats := Patterns(Defaults())
+	pats := exper.Patterns(exper.Defaults())
 	if len(pats) != 10 {
 		t.Fatalf("pattern count = %d, want 10", len(pats))
 	}
@@ -52,7 +52,7 @@ func TestPatternsMatchPaperGrid(t *testing.T) {
 		t.Fatalf("patterns = %v", pats)
 	}
 	// Small machines clamp and deduplicate contention levels.
-	small := Patterns(RunOpts{Procs: 8, Rounds: 2})
+	small := exper.Patterns(exper.RunOpts{Procs: 8, Rounds: 2})
 	for _, p := range small {
 		if p.Contention > 8 {
 			t.Fatalf("pattern %v exceeds machine size", p)
@@ -63,17 +63,17 @@ func TestPatternsMatchPaperGrid(t *testing.T) {
 // TestFig3Shapes validates the paper's headline qualitative results on a
 // reduced configuration of the lock-free counter figure.
 func TestFig3Shapes(t *testing.T) {
-	o := RunOpts{Procs: 16, Rounds: 8}
-	run := func(bar Bar, pat Pattern) float64 {
-		m := NewMachine(o, bar)
+	o := exper.RunOpts{Procs: 16, Rounds: 8}
+	run := func(bar exper.Bar, pat exper.Pattern) float64 {
+		m := exper.NewMachine(o, bar)
 		return apps.CounterApp(m, bar.Policy, bar.Opts(), pat).AvgCycles
 	}
-	uncFAP := Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
-	invFAP := Bar{Policy: core.PolicyINV, Prim: locks.PrimFAP}
-	updFAP := Bar{Policy: core.PolicyUPD, Prim: locks.PrimFAP}
+	uncFAP := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
+	invFAP := exper.Bar{Policy: core.PolicyINV, Prim: locks.PrimFAP}
+	updFAP := exper.Bar{Policy: core.PolicyUPD, Prim: locks.PrimFAP}
 
 	// With contention, UNC fetch_and_add beats the INV and UPD versions.
-	hot := Pattern{Contention: 16, Rounds: o.Rounds}
+	hot := exper.Pattern{Contention: 16, Rounds: o.Rounds}
 	unc, inv, upd := run(uncFAP, hot), run(invFAP, hot), run(updFAP, hot)
 	if unc >= inv {
 		t.Errorf("contention c=16: UNC FAA (%.0f) should beat INV FAA (%.0f)", unc, inv)
@@ -83,7 +83,7 @@ func TestFig3Shapes(t *testing.T) {
 	}
 
 	// With long write runs, INV wins: later updates in a run are hits.
-	longRun := Pattern{Contention: 1, WriteRun: 10, Rounds: o.Rounds}
+	longRun := exper.Pattern{Contention: 1, WriteRun: 10, Rounds: o.Rounds}
 	unc, inv = run(uncFAP, longRun), run(invFAP, longRun)
 	if inv >= unc {
 		t.Errorf("a=10: INV FAA (%.0f) should beat UNC FAA (%.0f)", inv, unc)
@@ -91,8 +91,8 @@ func TestFig3Shapes(t *testing.T) {
 
 	// CAS under INV benefits from load_exclusive (fewer failed CASes /
 	// upgrade misses).
-	invCAS := Bar{Policy: core.PolicyINV, Prim: locks.PrimCAS}
-	invCASldex := Bar{Policy: core.PolicyINV, Prim: locks.PrimCAS, LoadEx: true}
+	invCAS := exper.Bar{Policy: core.PolicyINV, Prim: locks.PrimCAS}
+	invCASldex := exper.Bar{Policy: core.PolicyINV, Prim: locks.PrimCAS, LoadEx: true}
 	plain, ldex := run(invCAS, hot), run(invCASldex, hot)
 	if ldex > plain*1.1 {
 		t.Errorf("c=16: CAS+load_exclusive (%.0f) should not lose to plain CAS (%.0f)", ldex, plain)
@@ -100,14 +100,14 @@ func TestFig3Shapes(t *testing.T) {
 }
 
 func TestFig3DropCopyHelpsSingleUpdateRuns(t *testing.T) {
-	o := RunOpts{Procs: 16, Rounds: 12}
-	pat := Pattern{Contention: 1, WriteRun: 1, Rounds: o.Rounds}
-	run := func(bar Bar) float64 {
-		m := NewMachine(o, bar)
+	o := exper.RunOpts{Procs: 16, Rounds: 12}
+	pat := exper.Pattern{Contention: 1, WriteRun: 1, Rounds: o.Rounds}
+	run := func(bar exper.Bar) float64 {
+		m := exper.NewMachine(o, bar)
 		return apps.CounterApp(m, bar.Policy, bar.Opts(), pat).AvgCycles
 	}
-	plain := run(Bar{Policy: core.PolicyINV, Prim: locks.PrimFAP})
-	drop := run(Bar{Policy: core.PolicyINV, Prim: locks.PrimFAP, Drop: true})
+	plain := run(exper.Bar{Policy: core.PolicyINV, Prim: locks.PrimFAP})
+	drop := run(exper.Bar{Policy: core.PolicyINV, Prim: locks.PrimFAP, Drop: true})
 	// With a=1 and no contention, drop_copy turns the 4-message
 	// remote-exclusive transfer into a 2-message fetch from memory. The
 	// drop itself costs the updater a little, but the next updater's
@@ -119,7 +119,7 @@ func TestFig3DropCopyHelpsSingleUpdateRuns(t *testing.T) {
 
 func TestFig2RunsAndReportsPatterns(t *testing.T) {
 	var b bytes.Buffer
-	o := RunOpts{Procs: 8, Rounds: 2, TCSize: 8}
+	o := exper.RunOpts{Procs: 8, Rounds: 2, TCSize: 8}
 	Fig2(&b, o)
 	out := b.String()
 	for _, want := range []string{"LocusRoute", "Cholesky", "TransitiveClosure", "write-run"} {
@@ -132,7 +132,7 @@ func TestFig2RunsAndReportsPatterns(t *testing.T) {
 func TestFig6RunsAllApps(t *testing.T) {
 	// Tiny configuration: just verify the full grid executes and renders.
 	var b bytes.Buffer
-	o := RunOpts{Procs: 4, Rounds: 1, TCSize: 6, Wires: 6, Columns: 6}
+	o := exper.RunOpts{Procs: 4, Rounds: 1, TCSize: 6, Wires: 6, Columns: 6}
 	Fig6(&b, o)
 	out := b.String()
 	if !strings.Contains(out, "UPD CAS+drop") || !strings.Contains(out, "TransitiveClosure") {
@@ -145,8 +145,8 @@ func TestFig6RunsAllApps(t *testing.T) {
 }
 
 func TestRunRealTClosureUsesCounter(t *testing.T) {
-	o := RunOpts{Procs: 4, TCSize: 8}
-	m, elapsed := RunReal(AppTClosure, o, Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP})
+	o := exper.RunOpts{Procs: 4, TCSize: 8}
+	m, elapsed := exper.RunReal(exper.AppTClosure, o, exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP})
 	if elapsed == 0 {
 		t.Fatal("no elapsed time")
 	}
@@ -161,9 +161,9 @@ func TestTCEfficiencyGrowsWithProblemSize(t *testing.T) {
 	// barrier-bound, so we verify the property that drives the paper's
 	// number: efficiency rises as per-phase work grows relative to the
 	// synchronization cost.
-	bar := Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
-	small := TCEfficiency(RunOpts{Procs: 8, TCSize: 10}, bar)
-	large := TCEfficiency(RunOpts{Procs: 8, TCSize: 28}, bar)
+	bar := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
+	small := exper.TCEfficiency(exper.RunOpts{Procs: 8, TCSize: 10}, bar)
+	large := exper.TCEfficiency(exper.RunOpts{Procs: 8, TCSize: 28}, bar)
 	if large <= small {
 		t.Fatalf("efficiency did not grow with size: %.3f (n=10) vs %.3f (n=28)", small, large)
 	}
@@ -173,7 +173,7 @@ func TestTCEfficiencyGrowsWithProblemSize(t *testing.T) {
 }
 
 func TestSyntheticFigureGridShape(t *testing.T) {
-	o := RunOpts{Procs: 4, Rounds: 1}
+	o := exper.RunOpts{Procs: 4, Rounds: 1}
 	grid, bars, pats := SyntheticFigure(exper.AppCounter, o)
 	if len(grid) != len(pats) {
 		t.Fatalf("grid rows = %d, patterns = %d", len(grid), len(pats))
@@ -191,8 +191,8 @@ func TestSyntheticFigureGridShape(t *testing.T) {
 }
 
 func TestReleaseMachineTwicePanics(t *testing.T) {
-	m := NewMachine(Small(), Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP})
-	ReleaseMachine(m)
+	m := exper.NewMachine(exper.Small(), exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP})
+	exper.ReleaseMachine(m)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -202,20 +202,20 @@ func TestReleaseMachineTwicePanics(t *testing.T) {
 			t.Fatalf("panic message = %v", r)
 		}
 	}()
-	ReleaseMachine(m)
+	exper.ReleaseMachine(m)
 }
 
 func TestReleaseMachineNilIsNoop(t *testing.T) {
-	ReleaseMachine(nil) // must not panic
+	exper.ReleaseMachine(nil) // must not panic
 }
 
 func TestReacquiredMachineCanBeReleasedAgain(t *testing.T) {
-	bar := Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
+	bar := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
 	// Churn through the pool a few times: a machine that comes back out of
 	// the pool must be releasable again without tripping the double-release
 	// guard.
 	for i := 0; i < 3; i++ {
-		m := NewMachine(Small(), bar)
-		ReleaseMachine(m)
+		m := exper.NewMachine(exper.Small(), bar)
+		exper.ReleaseMachine(m)
 	}
 }

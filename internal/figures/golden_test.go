@@ -14,8 +14,8 @@ import (
 
 // goldenOpts is the reduced scale the golden output is recorded at
 // (cmd/figures -all -procs 16 -rounds 6 -tcsize 12 -par 1).
-func goldenOpts() RunOpts {
-	return RunOpts{Procs: 16, Rounds: 6, TCSize: 12, Par: 1}
+func goldenOpts() exper.RunOpts {
+	return exper.RunOpts{Procs: 16, Rounds: 6, TCSize: 12, Par: 1}
 }
 
 // writeAll renders every artifact in cmd/figures -all order: the TC
@@ -23,10 +23,10 @@ func goldenOpts() RunOpts {
 // section. If cmd/figures changes its output, the golden must be
 // regenerated and this renderer kept in step — a drift between the two
 // fails the comparison rather than hiding.
-func writeAll(w io.Writer, o RunOpts) {
-	bar := Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
+func writeAll(w io.Writer, o exper.RunOpts) {
+	bar := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
 	fmt.Fprintf(w, "Transitive Closure parallel efficiency at p=%d, n=%d: %.1f%%\n",
-		o.Procs, o.TCSize, 100*TCEfficiency(o, bar))
+		o.Procs, o.TCSize, 100*exper.TCEfficiency(o, bar))
 	fmt.Fprintln(w)
 	WriteTable1Par(w, o.Par)
 	fmt.Fprintln(w)

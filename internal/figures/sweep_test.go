@@ -16,7 +16,7 @@ import (
 // execute serially or fanned across workers.
 func TestParallelSyntheticCSVDeterminism(t *testing.T) {
 	render := func(par int) string {
-		o := RunOpts{Procs: 8, Rounds: 2, Par: par}
+		o := exper.RunOpts{Procs: 8, Rounds: 2, Par: par}
 		var b bytes.Buffer
 		WriteSyntheticCSV(&b, "fig3", exper.AppCounter, o)
 		return b.String()
@@ -33,7 +33,7 @@ func TestParallelSyntheticCSVDeterminism(t *testing.T) {
 // counts (the figure-6 observable) are unaffected by host parallelism.
 func TestParallelFig6CyclesDeterminism(t *testing.T) {
 	render := func(par int) string {
-		o := RunOpts{Procs: 4, Rounds: 1, TCSize: 6, Wires: 6, Columns: 6, Par: par}
+		o := exper.RunOpts{Procs: 4, Rounds: 1, TCSize: 6, Wires: 6, Columns: 6, Par: par}
 		var b bytes.Buffer
 		WriteFig6CSV(&b, o)
 		return b.String()
@@ -47,9 +47,9 @@ func TestParallelFig6CyclesDeterminism(t *testing.T) {
 // TestParallelTable1Determinism checks Table 1 rows come back in case order
 // with the paper's counts regardless of sweep width.
 func TestParallelTable1Determinism(t *testing.T) {
-	serial := Table1Par(1)
+	serial := exper.Table1Par(1)
 	for _, par := range []int{0, 4} {
-		rows := Table1Par(par)
+		rows := exper.Table1Par(par)
 		if len(rows) != len(serial) {
 			t.Fatalf("par=%d: %d rows, want %d", par, len(rows), len(serial))
 		}
@@ -65,7 +65,7 @@ func TestParallelTable1Determinism(t *testing.T) {
 // (whose plan collects whole reports across the sweep) is order-stable.
 func TestParallelFig2Determinism(t *testing.T) {
 	render := func(par int) string {
-		o := RunOpts{Procs: 8, Rounds: 2, TCSize: 8, Par: par}
+		o := exper.RunOpts{Procs: 8, Rounds: 2, TCSize: 8, Par: par}
 		var b bytes.Buffer
 		Fig2(&b, o)
 		return b.String()

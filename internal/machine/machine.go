@@ -6,11 +6,13 @@
 //
 // Determinism: the simulation engine and the processor programs take turns,
 // one running at a time. The engine resumes a processor by switching to its
-// coroutine, and the program runs until it yields its next action (a
-// memory operation, a compute delay, a barrier arrival, or termination),
-// which switches back. All back-end activity happens in the engine's event
-// loop, so a given program and configuration always produce the same
-// cycle-for-cycle execution.
+// coroutine, and the program runs until it yields its next timed action (a
+// memory operation, a barrier arrival, or termination), which switches
+// back. A compute delay does not switch: the program runs past it, and its
+// next action carries the delay and takes effect when the delay has
+// elapsed, as MINT enters the back end only at timed actions. All back-end
+// activity happens in the engine's event loop, so a given program and
+// configuration always produce the same cycle-for-cycle execution.
 //
 // Each processor's coroutine is resident: created at its first program and
 // kept across runs and Resets. A panic in a program reaches RunEach's
@@ -24,6 +26,7 @@ import (
 
 	"dsm/internal/arch"
 	"dsm/internal/core"
+	"dsm/internal/dir"
 	"dsm/internal/mesh"
 	"dsm/internal/sim"
 )
@@ -275,7 +278,7 @@ func (m *Machine) Poke(a arch.Addr, v arch.Word) {
 // cost: the owner's cached copy if the block is dirty, memory otherwise.
 func (m *Machine) Peek(a arch.Addr) arch.Word {
 	h := m.sys.Home(m.sys.HomeOf(a))
-	if e := h.Directory().Peek(a); e != nil && e.State.String() == "exclusive" {
+	if e := h.Directory().Peek(a); e != nil && e.State == dir.Exclusive {
 		if l := m.sys.Cache(e.Owner).CacheArray().Peek(a); l != nil {
 			return l.Word(a)
 		}

@@ -13,16 +13,19 @@ import (
 type actionKind uint8
 
 const (
-	actIssue actionKind = iota
-	actCompute
+	actIssue   actionKind = iota
+	actCompute            // a compute delay flushed by a second Compute
 	actBarrier
 	actDone
 )
 
+// action is what a program yields to the engine. delay is the compute time
+// the program ran past before yielding it; the action takes effect once
+// that has elapsed.
 type action struct {
-	kind   actionKind
-	req    core.Request
-	cycles sim.Time
+	kind  actionKind
+	req   core.Request
+	delay sim.Time
 }
 
 // ProcStats aggregates one processor's activity over its programs.
@@ -36,8 +39,8 @@ type ProcStats struct {
 
 // Proc is a simulated processor as seen by application code. All methods
 // except ID must be called from the program function executing on this
-// processor; each memory operation suspends the program for its simulated
-// duration.
+// processor; each memory operation and barrier suspends the program for its
+// simulated duration, while a compute delay is carried to the next of them.
 type Proc struct {
 	m    *Machine
 	node mesh.NodeID
@@ -48,11 +51,22 @@ type Proc struct {
 	res core.Result
 	rng sim.RNG
 
-	// done and resumeFn are preallocated once per Proc so the per-operation
-	// hot path (one Done callback per memory reference, one resume callback
-	// per compute delay) schedules without allocating a closure.
-	done     func(core.Result)
-	resumeFn func()
+	// done, resumeFn and dispatchFn are preallocated once per Proc so the
+	// per-operation hot path (one Done callback per memory reference, one
+	// dispatch event per compute delay) schedules without allocating a
+	// closure.
+	done       func(core.Result)
+	resumeFn   func()
+	dispatchFn func()
+
+	// lag is the compute delay the program has run past without yielding;
+	// the next action it yields carries it. pending is the action waiting
+	// out its delay, which dispatchFn dispatches.
+	lag     sim.Time
+	pending action
+	// held is a panic the program raised with a compute delay pending; the
+	// dispatch event ending the delay re-raises it.
+	held any
 
 	lastSerial arch.Word // serial returned by the most recent load_linked
 	stats      ProcStats
@@ -80,23 +94,34 @@ type stopped struct{}
 func (c *coro) body(yield func(action) bool) {
 	c.yield = yield
 	for {
-		c.runProgram()
-		if !yield(action{kind: actDone}) {
+		if !yield(c.runProgram()) {
 			return
 		}
 	}
 }
 
-func (c *coro) runProgram() {
+// runProgram runs one program and returns its actDone, which carries any
+// compute delay the program ended with. A panic raised with a delay
+// pending is held for the dispatch event, so it reaches RunEach's caller
+// at the simulated time the delay ends.
+func (c *coro) runProgram() (done action) {
+	p := c.p
 	defer func() {
 		c.p, c.prog = nil, nil
+		done = action{kind: actDone, delay: p.lag}
+		p.lag = 0
 		if r := recover(); r != nil {
-			if _, ok := r.(stopped); !ok {
+			if _, ok := r.(stopped); ok {
+				return
+			}
+			if done.delay == 0 {
 				panic(r)
 			}
+			p.held = r
 		}
 	}()
-	c.prog(c.p)
+	c.prog(p)
+	return
 }
 
 // haltAll stops every coroutine in the slab, unwinding any suspended
@@ -118,6 +143,7 @@ func (p *Proc) init(m *Machine, n mesh.NodeID, co *coro) {
 	p.co = co
 	p.done = func(res core.Result) { p.step(res) }
 	p.resumeFn = func() { p.step(core.Result{}) }
+	p.dispatchFn = func() { p.dispatch(p.pending) }
 }
 
 // begin prepares the processor for a program. The program starts at the
@@ -127,6 +153,7 @@ func (p *Proc) begin(prog func(*Proc), seed uint64) {
 	base.Seed(seed)
 	base.ForkInto(&p.rng, uint64(p.node))
 	p.lastSerial = 0
+	p.held = nil
 	if p.co.next == nil {
 		p.co.next, p.co.stop = iter.Pull(p.co.body)
 	}
@@ -134,30 +161,49 @@ func (p *Proc) begin(prog func(*Proc), seed uint64) {
 }
 
 // step hands r to the program, runs it on its coroutine until its next
-// action, and dispatches that action. It runs on the engine's goroutine,
-// inside an event; control passes by direct coroutine switch, so exactly
-// one of engine and program runs at any instant.
+// action, and dispatches that action, at once or, when it carries a compute
+// delay, from an event once the delay has elapsed. That event takes the
+// time and sequence number a resume event after the delay would, so the
+// simulation is the same as if the program had yielded at the delay. step
+// runs on the engine's goroutine, inside an event; control passes by
+// direct coroutine switch, so exactly one of engine and program runs at
+// any instant.
 func (p *Proc) step(r core.Result) {
 	p.res = r
 	act, _ := p.co.next()
+	if act.delay == 0 {
+		p.dispatch(act)
+		return
+	}
+	p.pending = act
+	p.m.eng.After(act.delay, p.dispatchFn)
+}
+
+// dispatch puts a yielded action into effect.
+func (p *Proc) dispatch(act action) {
 	switch act.kind {
 	case actIssue:
 		req := act.req
 		req.Done = p.done
 		p.m.sys.Cache(p.node).Issue(req)
 	case actCompute:
-		p.m.eng.After(act.cycles, p.resumeFn)
+		p.step(core.Result{})
 	case actBarrier:
 		p.m.arriveBarrier(p)
 	case actDone:
+		if r := p.held; r != nil {
+			p.held = nil
+			panic(r)
+		}
 		p.m.procDone()
 	}
 }
 
-// await suspends the program until the engine resumes it and returns the
-// result the engine handed over. If the coroutine was stopped instead, the
-// program unwinds.
+// await yields a, carrying the pending compute delay, suspends the program
+// until the engine resumes it, and returns the result the engine handed
+// over. If the coroutine was stopped instead, the program unwinds.
 func (p *Proc) await(a action) core.Result {
+	a.delay, p.lag = p.lag, 0
 	if !p.co.yield(a) {
 		panic(stopped{})
 	}
@@ -167,7 +213,7 @@ func (p *Proc) await(a action) core.Result {
 // do issues one memory operation and blocks (in simulated time) until it
 // completes.
 func (p *Proc) do(req core.Request) core.Result {
-	start := p.m.eng.Now()
+	start := p.Now()
 	r := p.await(action{kind: actIssue, req: req})
 	p.stats.Ops++
 	p.stats.MemoryCycles += p.m.eng.Now() - start
@@ -180,20 +226,44 @@ func (p *Proc) Stats() ProcStats { return p.stats }
 // ID returns the processor number.
 func (p *Proc) ID() int { return int(p.node) }
 
-// Now returns the current simulated time.
-func (p *Proc) Now() sim.Time { return p.m.eng.Now() }
+// Now returns the processor's current simulated time: the engine's time
+// plus any compute delay the program has run past (see Compute), which is
+// the time the engine would show had the program waited out the delay.
+// Programs must timestamp with Now, never Machine.Now, which trails it
+// after a Compute; state shared between programs may rely on these
+// timestamps but not on host order (see Compute).
+func (p *Proc) Now() sim.Time { return p.m.eng.Now() + p.lag }
 
 // Rand returns this processor's private deterministic random stream (used
 // for backoff jitter and workload generation).
 func (p *Proc) Rand() *sim.RNG { return &p.rng }
 
-// Compute consumes n cycles of local computation.
+// Compute consumes n cycles of local computation. It does not suspend the
+// program: the delay is recorded and carried by the program's next timed
+// action (memory operation, barrier, a second Compute, or the end of the
+// program), which takes effect n cycles later, exactly as if the program
+// had waited. Like MINT, which enters the back end only at timed actions,
+// the program runs ahead of the engine in host order until that action:
+// its code between a Compute and the next action runs as soon as the
+// Compute is reached, possibly before other processors' code at simulated
+// times inside the delay. Host-side Go state shared between programs must
+// therefore be order-insensitive there (commutative counters, or histories
+// whose checkers use only the recorded timestamps), or be touched only
+// with no compute delay pending. The library's shared state all meets this:
+// check.History.Record appends timestamped ops whose order the checkers
+// ignore; the MS queue workload calls MSQueue.AcquireNode only at the start
+// of a program or after a barrier or a completed dequeue; and the
+// synthetic runner's updates, the workload runner's ops and RCU's torn-read
+// counts are plain increments.
 func (p *Proc) Compute(n sim.Time) {
 	if n == 0 {
 		return
 	}
 	p.stats.ComputeCycles += n
-	p.await(action{kind: actCompute, cycles: n})
+	if p.lag > 0 {
+		p.await(action{kind: actCompute})
+	}
+	p.lag = n
 }
 
 // Barrier joins the MINT-style constant-time barrier across all processors
@@ -201,7 +271,7 @@ func (p *Proc) Compute(n sim.Time) {
 // synthetic applications without perturbing timing (resumes one cycle
 // after the last arrival).
 func (p *Proc) Barrier() {
-	start := p.m.eng.Now()
+	start := p.Now()
 	p.await(action{kind: actBarrier})
 	p.stats.Barriers++
 	p.stats.BarrierCycles += p.m.eng.Now() - start
