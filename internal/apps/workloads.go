@@ -70,6 +70,20 @@ type workRunner struct {
 	procs, c int
 	episode  func(p *machine.Proc, round, runs int)
 	ops      uint64
+
+	// The queue and stack workloads' episode bodies, allocated once, and
+	// what they operate on: the structure's operations, the history being
+	// recorded (nil for none), and under the universal primitives the
+	// resident structures, reinitialized in place every run.
+	queueEp, stackEp     func(p *machine.Proc, round, runs int)
+	put                  func(p *machine.Proc, v arch.Word)
+	take                 func(p *machine.Proc) arch.Word
+	hist                 *check.History
+	msq                  locks.MSQueue
+	treiber              locks.TreiberStack
+	held                 []arch.Word // per processor: the Treiber node it owns
+	msqPut, treiberPut   func(p *machine.Proc, v arch.Word)
+	msqTake, treiberTake func(p *machine.Proc) arch.Word
 }
 
 func workFor(m *machine.Machine) *workRunner {
@@ -79,8 +93,42 @@ func workFor(m *machine.Machine) *workRunner {
 	}
 	r := &workRunner{m: m}
 	r.prog = r.body
+	r.queueEp = func(p *machine.Proc, round, runs int) { r.pairs(p, round, runs, check.Enq, check.Deq) }
+	r.stackEp = func(p *machine.Proc, round, runs int) { r.pairs(p, round, runs, check.Push, check.Pop) }
+	r.msqPut = func(p *machine.Proc, v arch.Word) { r.msq.Enqueue(p, r.msq.AcquireNode(), v) }
+	r.msqTake = func(p *machine.Proc) arch.Word {
+		v, ok := r.msq.Dequeue(p)
+		if !ok {
+			panic("apps: balanced queue workload saw an empty queue")
+		}
+		return v
+	}
+	r.treiberPut = func(p *machine.Proc, v arch.Word) { r.treiber.Push(p, r.held[p.ID()], v) }
+	r.treiberTake = func(p *machine.Proc) arch.Word {
+		node, v, ok := r.treiber.Pop(p, nil)
+		if !ok {
+			panic("apps: balanced stack workload saw an empty stack")
+		}
+		r.held[p.ID()] = node
+		return v
+	}
 	sc.work = r
 	return r
+}
+
+// pairs is the queue and stack episode: runs pairs of a put of a fresh
+// value then a take, each recorded in r.hist under the given kinds.
+func (r *workRunner) pairs(p *machine.Proc, round, runs int, putKind, takeKind check.Kind) {
+	for it := 0; it < runs; it++ {
+		v := workVal(round, r.procs, p.ID(), it)
+		inv := p.Now()
+		r.put(p, v)
+		record(r.hist, p, putKind, inv, v)
+		inv = p.Now()
+		got := r.take(p)
+		record(r.hist, p, takeKind, inv, got)
+		r.ops += 2
+	}
 }
 
 // body mirrors synthRunner.body: barrier-separated rounds with the
@@ -168,37 +216,24 @@ func record(h *check.History, p *machine.Proc, kind check.Kind, invoke sim.Time,
 func QueueApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern, h *check.History) WorkloadResult {
 	r := workFor(m)
 	procs := m.Procs()
-	var enqueue func(p *machine.Proc, v arch.Word)
-	var dequeue func(p *machine.Proc) arch.Word
 	var retries *uint64
 	if opts.Prim == locks.PrimFAP {
 		q := locks.NewQueue(m, policy, procs+1, opts)
-		enqueue = q.Enqueue
-		dequeue = q.Dequeue
+		r.put, r.take = q.Enqueue, q.Dequeue
 	} else {
-		q := locks.NewMSQueue(m, policy, totalEpisodes(pat, procs), opts)
-		enqueue = func(p *machine.Proc, v arch.Word) { q.Enqueue(p, q.AcquireNode(), v) }
-		dequeue = func(p *machine.Proc) arch.Word {
-			v, ok := q.Dequeue(p)
-			if !ok {
-				panic("apps: balanced queue workload saw an empty queue")
-			}
-			return v
-		}
-		retries = &q.Retries
+		r.msq.Init(m, policy, totalEpisodes(pat, procs), opts)
+		r.put, r.take = r.msqPut, r.msqTake
+		retries = &r.msq.Retries
 	}
-	ops, elapsed := r.run(pat, func(p *machine.Proc, round, runs int) {
-		for it := 0; it < runs; it++ {
-			v := workVal(round, r.procs, p.ID(), it)
-			inv := p.Now()
-			enqueue(p, v)
-			record(h, p, check.Enq, inv, v)
-			inv = p.Now()
-			got := dequeue(p)
-			record(h, p, check.Deq, inv, got)
-			r.ops += 2
-		}
-	})
+	return r.runPairs(pat, r.queueEp, h, retries)
+}
+
+// runPairs runs a queue or stack episode body under the pattern and
+// reports its operations, elapsed time and retries (nil for none).
+func (r *workRunner) runPairs(pat Pattern, episode func(p *machine.Proc, round, runs int), h *check.History, retries *uint64) WorkloadResult {
+	r.hist = h
+	ops, elapsed := r.run(pat, episode)
+	r.hist, r.put, r.take = nil, nil, nil
 	res := WorkloadResult{Ops: ops, Elapsed: elapsed}
 	if retries != nil {
 		res.Retries = *retries
@@ -253,50 +288,23 @@ func (s *ttsStack) pop(p *machine.Proc) arch.Word {
 func StackApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern, h *check.History) WorkloadResult {
 	r := workFor(m)
 	procs := m.Procs()
-	var push func(p *machine.Proc, v arch.Word)
-	var pop func(p *machine.Proc) arch.Word
 	var retries *uint64
 	if opts.Prim == locks.PrimFAP {
 		s := newTTSStack(m, policy, procs+1, opts)
-		push = s.push
-		pop = s.pop
+		r.put, r.take = s.push, s.pop
 	} else {
-		s := locks.NewTreiberStack(m, policy, procs, opts)
-		held := make([]arch.Word, procs)
-		for i := range held {
-			held[i] = arch.Word(i + 1)
+		r.treiber.Init(m, policy, procs, opts)
+		if cap(r.held) < procs {
+			r.held = make([]arch.Word, procs)
 		}
-		push = func(p *machine.Proc, v arch.Word) { s.Push(p, held[p.ID()], v) }
-		pop = func(p *machine.Proc) arch.Word {
-			node, v, ok := s.Pop(p, nil)
-			if !ok {
-				panic("apps: balanced stack workload saw an empty stack")
-			}
-			held[p.ID()] = node
-			return v
+		r.held = r.held[:procs]
+		for i := range r.held {
+			r.held[i] = arch.Word(i + 1)
 		}
-		retries = &s.Retries
+		r.put, r.take = r.treiberPut, r.treiberTake
+		retries = &r.treiber.Retries
 	}
-	ops, elapsed := r.run(pat, func(p *machine.Proc, round, runs int) {
-		for it := 0; it < runs; it++ {
-			v := workVal(round, r.procs, p.ID(), it)
-			inv := p.Now()
-			push(p, v)
-			record(h, p, check.Push, inv, v)
-			inv = p.Now()
-			got := pop(p)
-			record(h, p, check.Pop, inv, got)
-			r.ops += 2
-		}
-	})
-	res := WorkloadResult{Ops: ops, Elapsed: elapsed}
-	if retries != nil {
-		res.Retries = *retries
-	}
-	if ops > 0 {
-		res.AvgCycles = float64(elapsed) / float64(ops)
-	}
-	return res
+	return r.runPairs(pat, r.stackEp, h, retries)
 }
 
 // rcuSnapshotWords is the snapshot size the RCU workload publishes.

@@ -31,6 +31,11 @@ func BlockBase(a Addr) Addr { return a &^ (BlockBytes - 1) }
 // BlockNumber returns the index of the block containing a.
 func BlockNumber(a Addr) uint32 { return uint32(a) / BlockBytes }
 
+// LocalBlock returns the index of the block containing a among its home
+// node's blocks, when blocks interleave across nodes homes by block number:
+// the key of the home's per-block state.
+func LocalBlock(a Addr, nodes uint32) uint32 { return BlockNumber(a) / nodes }
+
 // WordIndex returns the index within its block of the word containing a.
 func WordIndex(a Addr) int { return int(a%BlockBytes) / WordBytes }
 

@@ -157,16 +157,6 @@ type Counters struct {
 	SCFailLocal uint64 `json:"sc_fail_local"` // store_conditionals failed without network traffic
 }
 
-// Policy-table geometry: policies are kept in a two-level page table
-// indexed by block number — one pointer load plus one byte load per lookup,
-// replacing a map hash on every memory reference. A page covers 4 KiB of
-// address space (128 blocks); pages materialize on the first SetPolicy that
-// touches them, and absent pages read as PolicyINV.
-const (
-	policyPageShift  = 12
-	policyPageBlocks = (1 << policyPageShift) / arch.BlockBytes
-)
-
 // System is the collection of cache controllers and home controllers over
 // one machine's substrates. All methods must be called from the simulation
 // engine's event loop (or before it starts).
@@ -177,7 +167,7 @@ type System struct {
 	caches []*CacheCtl
 	homes  []*HomeCtl
 
-	policyPages [][]Policy // page -> per-block policy; nil page = PolicyINV
+	policies arch.Table[Policy] // by block number; untouched blocks are PolicyINV
 
 	// msgPool recycles protocol messages (see msg.go); steady-state
 	// request/reply/coherence traffic allocates no *msg.
@@ -187,7 +177,6 @@ type System struct {
 	chains     *stats.ChainRecorder
 	contention *stats.ContentionTracker
 	writeRuns  *stats.WriteRunTracker
-	syncLocs   map[arch.Addr]bool // word addresses ever accessed atomically
 
 	tracer Tracer
 }
@@ -227,7 +216,6 @@ func NewSystem(eng *sim.Engine, net *mesh.Mesh, cfg Config) *System {
 		}),
 		contention: stats.NewContentionTracker(),
 		writeRuns:  stats.NewWriteRunTracker(),
-		syncLocs:   make(map[arch.Addr]bool),
 	}
 	// Controllers live in two slabs; the pointer slices index into them.
 	ccs := make([]CacheCtl, cfg.Nodes)
@@ -245,7 +233,7 @@ func NewSystem(eng *sim.Engine, net *mesh.Mesh, cfg Config) *System {
 
 // Reset returns the system to its post-NewSystem state under cfg, keeping
 // every allocation: controller slabs, cache line storage (invalidated by
-// epoch), directory and memory maps (cleared in place), the message pool,
+// epoch), directory and memory pages (cleared in place), the message pool,
 // and the stats trackers. It reports whether the reset was possible: cfg
 // must match the existing controllers' structure (node count, cache and
 // memory geometry); behavioral fields (CAS variant, retry delay,
@@ -257,14 +245,11 @@ func (s *System) Reset(cfg Config) bool {
 		return false
 	}
 	s.cfg = cfg
-	for _, pg := range s.policyPages {
-		clear(pg) // zero value is PolicyINV, the default
-	}
+	s.policies.Clear() // zero value is PolicyINV, the default
 	s.counters = Counters{}
 	s.chains.Reset()
 	s.contention.Reset()
 	s.writeRuns.Reset()
-	clear(s.syncLocs)
 	s.tracer = nil
 	for n := range s.caches {
 		s.caches[n].reset()
@@ -295,16 +280,7 @@ func (s *System) HomeOf(a arch.Addr) mesh.NodeID {
 // be called before any reference to the block (policy changes with data in
 // flight are not modeled; real machines would flush first).
 func (s *System) SetPolicy(a arch.Addr, p Policy) {
-	page := uint32(a) >> policyPageShift
-	if int(page) >= len(s.policyPages) {
-		grown := make([][]Policy, page+1)
-		copy(grown, s.policyPages)
-		s.policyPages = grown
-	}
-	if s.policyPages[page] == nil {
-		s.policyPages[page] = make([]Policy, policyPageBlocks)
-	}
-	s.policyPages[page][arch.BlockNumber(a)%policyPageBlocks] = p
+	*s.policies.At(arch.BlockNumber(a)) = p
 }
 
 // SetPolicyRange assigns a policy to every block overlapping [a, a+size).
@@ -316,11 +292,10 @@ func (s *System) SetPolicyRange(a arch.Addr, size uint32, p Policy) {
 
 // PolicyOf returns the coherence policy of the block containing a.
 func (s *System) PolicyOf(a arch.Addr) Policy {
-	page := uint32(a) >> policyPageShift
-	if int(page) >= len(s.policyPages) || s.policyPages[page] == nil {
-		return PolicyINV
+	if p := s.policies.Get(arch.BlockNumber(a)); p != nil {
+		return *p
 	}
-	return s.policyPages[page][arch.BlockNumber(a)%policyPageBlocks]
+	return PolicyINV
 }
 
 // Counters returns a snapshot of the protocol counters.
@@ -389,18 +364,12 @@ func (s *System) CheckCoherence() {
 	}
 }
 
-// trackAccess feeds the write-run and sync-location bookkeeping for one
-// completed (or locally performed) access.
+// trackAccess feeds the write-run bookkeeping of synchronization locations
+// (words ever accessed atomically) for one completed (or locally performed)
+// access.
 func (s *System) trackAccess(a arch.Addr, proc mesh.NodeID, op OpKind, wrote bool) {
-	if !s.cfg.Track {
-		return
-	}
-	loc := stats.Location(a)
-	if op.IsAtomic() {
-		s.syncLocs[a] = true
-	}
-	if s.syncLocs[a] {
-		s.writeRuns.Access(loc, int(proc), wrote)
+	if s.cfg.Track {
+		s.writeRuns.SyncAccess(stats.Location(a), int(proc), wrote, op.IsAtomic())
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 // copy already gone. The retained request message (orig) is owned by this
 // record until it is replayed or freed.
 type homeTxn struct {
-	owner mesh.NodeID // node the data must come from
-	orig  *msg        // request to replay when the data arrives; nil for awaitWB
+	active bool        // a transaction is in flight: the block is busy
+	owner  mesh.NodeID // node the data must come from
+	orig   *msg        // request to replay when the data arrives; nil for awaitWB
 }
 
 // HomeCtl is one node's memory/directory controller: the serialization
@@ -32,7 +33,7 @@ type HomeCtl struct {
 	node mesh.NodeID
 	mod  mem.Module
 	dir  dir.Directory
-	busy map[arch.Addr]homeTxn // block base -> in-flight transaction
+	busy arch.Table[homeTxn] // by local block index, as in dir and mod
 
 	// Preallocated hooks: recvHook receives a delivered message (via
 	// Mesh.SendArg); processHook runs it after the memory-bank queue delay
@@ -64,26 +65,25 @@ type HomeCtl struct {
 func (h *HomeCtl) init(s *System, n mesh.NodeID) {
 	h.sys = s
 	h.node = n
-	h.mod.Init(s.eng, s.cfg.Mem)
-	h.dir.Init()
-	h.busy = make(map[arch.Addr]homeTxn)
+	h.mod.Init(s.eng, s.cfg.Mem, s.cfg.Nodes)
+	h.dir.Init(n, s.cfg.Nodes)
 	h.recvHook = func(a any) { h.receive(a.(*msg)) }
 	h.processHook = func(a any) { h.process(a.(*msg)) }
 }
 
 // reset returns the controller to its post-init state for machine reuse,
-// keeping the preallocated hooks and map storage. Any request message still
+// keeping the preallocated hooks and table pages. Any request message still
 // retained by an in-flight transaction goes back to the pool (a quiescent
 // system has none).
 func (h *HomeCtl) reset() {
 	h.mod.Reset()
 	h.dir.Reset()
-	for base, t := range h.busy {
+	h.busy.Each(func(_ uint32, t *homeTxn) {
 		if t.orig != nil {
 			h.sys.freeMsg(t.orig)
 		}
-		delete(h.busy, base)
-	}
+	})
+	h.busy.Clear()
 	h.retained = false
 	h.replay = nil
 }
@@ -96,6 +96,12 @@ func (h *HomeCtl) Memory() *mem.Module { return &h.mod }
 
 // Directory exposes the directory (tests and invariant checks).
 func (h *HomeCtl) Directory() *dir.Directory { return &h.dir }
+
+// txn returns the transient-state record of the block at base, which this
+// home must own.
+func (h *HomeCtl) txn(base arch.Addr) *homeTxn {
+	return h.busy.At(arch.LocalBlock(base, uint32(h.sys.cfg.Nodes)))
+}
 
 // receive queues the message through the memory bank: every home-side
 // action costs one (queued) memory access, which is how memory contention
@@ -137,7 +143,7 @@ func (h *HomeCtl) dispatchRequest(m *msg, base arch.Addr) {
 // picks the row, and the entry invariants are re-checked after the rule's
 // actions run.
 func (h *HomeCtl) handleRequest(m *msg, base arch.Addr) {
-	if _, inFlight := h.busy[base]; inFlight {
+	if h.txn(base).active {
 		h.runRules(proto.HomeReq[proto.HBusy][m.kind], m, base, nil)
 		return
 	}
@@ -173,7 +179,7 @@ func (h *HomeCtl) runRules(rules []proto.HRule, m *msg, base arch.Addr, e *dir.E
 	panic(fmt.Sprintf("core: home %d: no rule for %v", h.node, m.kind))
 }
 
-// guard evaluates one predicate against the directory entry, the busy map,
+// guard evaluates one predicate against the directory entry, the busy table,
 // the incoming message, and the system configuration. Guards a table row
 // cannot reach may be passed a nil entry.
 func (h *HomeCtl) guard(g proto.HomeGuard, m *msg, base arch.Addr, e *dir.Entry) bool {
@@ -189,14 +195,13 @@ func (h *HomeCtl) guard(g proto.HomeGuard, m *msg, base arch.Addr, e *dir.Entry)
 	case proto.HGCASShare:
 		return h.sys.cfg.CAS == CASShare
 	case proto.HGBusyBlock:
-		_, inFlight := h.busy[base]
-		return inFlight
+		return h.txn(base).active
 	case proto.HGFromOwnerOrig:
-		t, inFlight := h.busy[base]
-		return inFlight && t.owner == m.src && t.orig != nil
+		t := h.txn(base)
+		return t.active && t.owner == m.src && t.orig != nil
 	case proto.HGFromOwner:
-		t, inFlight := h.busy[base]
-		return inFlight && t.owner == m.src
+		t := h.txn(base)
+		return t.active && t.owner == m.src
 	}
 	panic(fmt.Sprintf("core: home %d: unknown guard %v", h.node, g))
 }
@@ -293,7 +298,7 @@ func (h *HomeCtl) apply(a proto.HAct, m *msg, base arch.Addr, e *dir.Entry) {
 		h.reply(m, r)
 
 	case proto.HAcceptUnowned, proto.HAcceptShare:
-		t := h.busy[base]
+		t := *h.txn(base)
 		if m.src != t.owner {
 			panic(fmt.Sprintf("core: home %d got %v for busy %#x from %d, expected %d",
 				h.node, m.kind, base, m.src, t.owner))
@@ -311,7 +316,7 @@ func (h *HomeCtl) apply(a proto.HAct, m *msg, base arch.Addr, e *dir.Entry) {
 			ent.Sharers = 0
 			ent.Owner = 0
 		}
-		delete(h.busy, base)
+		*h.txn(base) = homeTxn{}
 		ent.Check(base)
 		h.replay = t.orig
 
@@ -357,19 +362,18 @@ func (h *HomeCtl) apply(a proto.HAct, m *msg, base arch.Addr, e *dir.Entry) {
 		// The owner's copy is already on its way back as a write-back. NAK
 		// the waiting requester (it will retry, per the paper's drop_copy
 		// discussion) and hold the block until the write-back lands.
-		t := h.busy[base]
+		t := h.txn(base)
 		h.nak(t.orig)
 		h.sys.freeMsg(t.orig)
 		t.orig = nil
-		h.busy[base] = t
 
 	case proto.HReleaseBusy:
 		// INVd failure handled entirely at the owner; ownership is unchanged.
-		t := h.busy[base]
+		t := h.txn(base)
 		if t.orig != nil {
 			h.sys.freeMsg(t.orig)
 		}
-		delete(h.busy, base)
+		*t = homeTxn{}
 
 	default:
 		panic(fmt.Sprintf("core: home %d: unknown action %v", h.node, a.Do))
@@ -395,7 +399,7 @@ func (h *HomeCtl) nak(m *msg) {
 // the data (or, for mCASFwd, for an owner-side comparison). It takes
 // ownership of m, holding it for replay when the data arrives.
 func (h *HomeCtl) recall(m *msg, base arch.Addr, owner mesh.NodeID, kind msgKind) {
-	h.busy[base] = homeTxn{owner: owner, orig: m}
+	*h.txn(base) = homeTxn{active: true, owner: owner, orig: m}
 	h.retained = true
 	fwd := h.sys.newMsg()
 	*fwd = msg{

@@ -92,23 +92,35 @@ type Entry struct {
 	Reservations *ResvState
 }
 
-// Directory is the per-home-node collection of entries, keyed by block base
-// address. Entries are created on first reference in the Unowned state.
+// Directory is one home node's collection of entries. A home holds every
+// nodes-th block (blocks interleave across homes by block number), so
+// entries are keyed by the home's local block index (arch.LocalBlock),
+// which packs them densely into the table's pages. Entries are created on
+// first reference in the Unowned state.
 type Directory struct {
-	entries map[arch.Addr]*Entry
+	entries    arch.Table[slot]
+	home       uint32
+	interleave uint32
 }
 
-// New returns an empty directory.
+// slot is one table cell: an entry, and whether it was ever referenced.
+type slot struct {
+	e    Entry
+	used bool
+}
+
+// New returns an empty directory for a one-node machine.
 func New() *Directory {
 	d := &Directory{}
-	d.Init()
+	d.Init(0, 1)
 	return d
 }
 
-// Init (re)initializes a directory in place, for callers that embed
-// Directory by value.
-func (d *Directory) Init() {
-	d.entries = make(map[arch.Addr]*Entry)
+// Init (re)initializes a directory in place as the directory of home in a
+// machine of nodes nodes, for callers that embed Directory by value. Every
+// address passed to the directory must be homed there.
+func (d *Directory) Init(home mesh.NodeID, nodes int) {
+	*d = Directory{home: uint32(home), interleave: uint32(nodes)}
 }
 
 // Reset forgets every entry's contents, returning the directory to a state
@@ -119,40 +131,42 @@ func (d *Directory) Init() {
 // created an identical record on first touch) and to the coherence checker
 // (which only inspects entries for blocks actually cached).
 func (d *Directory) Reset() {
-	for _, e := range d.entries {
-		e.State = Unowned
-		e.Sharers = 0
-		e.Owner = 0
-		if e.Reservations != nil {
-			e.Reservations.Reset()
+	d.entries.Each(func(_ uint32, s *slot) {
+		s.e.State = Unowned
+		s.e.Sharers = 0
+		s.e.Owner = 0
+		if s.e.Reservations != nil {
+			s.e.Reservations.Reset()
 		}
-	}
+	})
 }
 
 // Entry returns the entry for the block containing a, creating it (Unowned)
 // on first reference.
 func (d *Directory) Entry(a arch.Addr) *Entry {
-	base := arch.BlockBase(a)
-	e := d.entries[base]
-	if e == nil {
-		e = &Entry{State: Unowned}
-		d.entries[base] = e
-	}
-	return e
+	s := d.entries.At(arch.LocalBlock(a, d.interleave))
+	s.used = true
+	return &s.e
 }
 
 // Peek returns the entry for the block containing a, or nil if the block
 // has never been referenced.
 func (d *Directory) Peek(a arch.Addr) *Entry {
-	return d.entries[arch.BlockBase(a)]
+	if s := d.entries.Get(arch.LocalBlock(a, d.interleave)); s != nil && s.used {
+		return &s.e
+	}
+	return nil
 }
 
-// ForEach calls fn for every allocated entry. Iteration order is
-// unspecified; callers needing determinism must sort.
+// ForEach calls fn with the base address of every referenced block and its
+// entry. Iteration order is unspecified; callers needing determinism must
+// sort.
 func (d *Directory) ForEach(fn func(arch.Addr, *Entry)) {
-	for a, e := range d.entries {
-		fn(a, e)
-	}
+	d.entries.Each(func(k uint32, s *slot) {
+		if s.used {
+			fn(arch.Addr((k*d.interleave+d.home)*arch.BlockBytes), &s.e)
+		}
+	})
 }
 
 // Check verifies the internal consistency of an entry and panics with a

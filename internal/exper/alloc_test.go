@@ -59,3 +59,29 @@ func TestHotPathZeroAllocMachineSlot(t *testing.T) {
 		t.Fatalf("slot machine run allocates %.1f times per run, want 0", n)
 	}
 }
+
+// TestHotPathZeroAllocMachineSlot64 reruns 64-node points, the sweep's
+// machine size, on one reused slot: the Michael-Scott queue with LL/SC
+// under UPD, and the Treiber stack with CAS under INV. At 64 nodes every
+// home node holds directory, memory and busy-state pages, and the
+// per-word statistics tables see many locations; all of them must be
+// reused across runs rather than allocated again.
+func TestHotPathZeroAllocMachineSlot64(t *testing.T) {
+	o := exper.RunOpts{Procs: 64, Rounds: 2}
+	pat := apps.Pattern{Contention: 64, Rounds: o.Rounds}
+	for _, pt := range []exper.Point{
+		{App: exper.AppMSQueue, Bar: exper.Bar{Policy: core.PolicyUPD, Prim: locks.PrimLLSC}, Scale: o, Pattern: pat},
+		{App: exper.AppStack, Bar: exper.Bar{Policy: core.PolicyINV, Prim: locks.PrimCAS}, Scale: o, Pattern: pat},
+	} {
+		t.Run(pt.App.Name(), func(t *testing.T) {
+			var s exper.MachineSlot
+			run := func() { pt.RunSlot(&s, false) }
+			for i := 0; i < 3; i++ {
+				run()
+			}
+			if n := testing.AllocsPerRun(5, run); n != 0 {
+				t.Fatalf("64-node slot run allocates %.1f times per run, want 0", n)
+			}
+		})
+	}
+}

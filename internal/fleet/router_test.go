@@ -428,11 +428,21 @@ func TestRouterSweepByteIdenticalToSingleBackend(t *testing.T) {
 
 func TestRouterSweepSurvivesBackendFailure(t *testing.T) {
 	f := newTestFleet(t, 2, Config{}, nil)
-	plan := fleetPlan(8)
 
-	// Find which backend owns which points, then kill one backend.
-	var sp serve.Spec
-	_ = sp
+	// The ring hashes the backends' random test ports, so which backend
+	// owns a point varies per run: pick points until each backend is the
+	// primary owner of four, then kill one backend.
+	var points []string
+	var owned [2]int
+	for seed := 1; len(points) < 8; seed++ {
+		pt := fmt.Sprintf(`{"app":"counter","procs":4,"rounds":2,"seed":%d}`, seed)
+		b := f.backendFor(f.rt.Owners(specKey(t, pt))[0])
+		if owned[b] < 4 {
+			owned[b]++
+			points = append(points, pt)
+		}
+	}
+	plan := `{"points":[` + strings.Join(points, ",") + `]}`
 	f.servers[1].Close()
 
 	w := f.do(http.MethodPost, "/v1/sweep", plan)

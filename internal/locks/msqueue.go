@@ -57,16 +57,28 @@ func msID(w arch.Word) arch.Word { return w & (1<<msTagBits - 1) }
 // NewMSQueue allocates a queue and capacity nodes (plus the dummy). The
 // caller acquires nodes with AcquireNode; they are not recycled.
 func NewMSQueue(m *machine.Machine, policy core.Policy, capacity int, opts Options) *MSQueue {
+	q := new(MSQueue)
+	q.Init(m, policy, capacity, opts)
+	return q
+}
+
+// Init (re)initializes q in place as NewMSQueue builds a queue, reusing
+// the node table's storage, so a workload rerun on a reused machine
+// allocates nothing.
+func (q *MSQueue) Init(m *machine.Machine, policy core.Policy, capacity int, opts Options) {
 	if opts.Prim == PrimFAP {
 		panic("locks: the MS queue needs a universal primitive (CAS or LL/SC)")
 	}
 	if capacity < 1 || capacity+1 >= 1<<msTagBits {
 		panic(fmt.Sprintf("locks: MS queue capacity %d out of range", capacity))
 	}
-	q := &MSQueue{
+	if cap(q.node) < capacity+2 {
+		q.node = make([]arch.Addr, capacity+2)
+	}
+	*q = MSQueue{
 		Head: m.AllocSync(policy),
 		Tail: m.AllocSync(policy),
-		node: make([]arch.Addr, capacity+2),
+		node: q.node[:capacity+2],
 		Opts: opts,
 	}
 	for id := 1; id < len(q.node); id++ {
@@ -75,7 +87,6 @@ func NewMSQueue(m *machine.Machine, policy core.Policy, capacity int, opts Optio
 	q.next = 2 // id 1 is the initial dummy
 	m.Poke(q.Head, q.ptr(1, 0))
 	m.Poke(q.Tail, q.ptr(1, 0))
-	return q
 }
 
 // ptr renders a head/tail word for the configured primitive: counted under

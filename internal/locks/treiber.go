@@ -45,22 +45,33 @@ type TreiberStack struct {
 // NewTreiberStack allocates a stack and nodes 1..capacity, with tagging on
 // for the CAS family.
 func NewTreiberStack(m *machine.Machine, policy core.Policy, capacity int, opts Options) *TreiberStack {
+	s := new(TreiberStack)
+	s.Init(m, policy, capacity, opts)
+	return s
+}
+
+// Init (re)initializes s in place as NewTreiberStack builds a stack,
+// reusing the node table's storage, so a workload rerun on a reused
+// machine allocates nothing.
+func (s *TreiberStack) Init(m *machine.Machine, policy core.Policy, capacity int, opts Options) {
 	if opts.Prim == PrimFAP {
 		panic("locks: the Treiber stack needs a universal primitive (CAS or LL/SC)")
 	}
 	if capacity < 1 || capacity >= 1<<msTagBits {
 		panic(fmt.Sprintf("locks: Treiber stack capacity %d out of range", capacity))
 	}
-	s := &TreiberStack{
+	if cap(s.node) < capacity+1 {
+		s.node = make([]arch.Addr, capacity+1)
+	}
+	*s = TreiberStack{
 		Top:    m.AllocSync(policy),
-		node:   make([]arch.Addr, capacity+1),
+		node:   s.node[:capacity+1],
 		Opts:   opts,
 		Tagged: opts.Prim == PrimCAS,
 	}
 	for id := 1; id <= capacity; id++ {
 		s.node[id] = m.AllocSync(policy)
 	}
-	return s
 }
 
 func (s *TreiberStack) nextAddr(id arch.Word) arch.Addr { return s.node[id] }

@@ -32,27 +32,33 @@ type Stats struct {
 }
 
 // Module is one node's memory bank plus its physical storage. Storage is
-// block-granular and sparse; absent blocks read as zero, matching the
-// zero-initialized shared address space the applications expect.
+// block-granular and allocated a page of blocks at a time on first touch;
+// untouched blocks read as zero, matching the zero-initialized shared
+// address space the applications expect. A module holds every nodes-th
+// block (blocks interleave across modules by block number), so storage is
+// keyed by the module's local block index (arch.LocalBlock).
 type Module struct {
-	eng   *sim.Engine
-	cfg   Config
-	busy  sim.Time // next service may start at this time
-	data  map[arch.Addr]*arch.BlockData
-	stats Stats
+	eng        *sim.Engine
+	cfg        Config
+	busy       sim.Time // next service may start at this time
+	data       arch.Table[arch.BlockData]
+	interleave uint32
+	stats      Stats
 }
 
-// New returns an empty module with the given timing.
+// New returns an empty module with the given timing, for a one-node
+// machine.
 func New(eng *sim.Engine, cfg Config) *Module {
 	m := &Module{}
-	m.Init(eng, cfg)
+	m.Init(eng, cfg, 1)
 	return m
 }
 
-// Init (re)initializes a module in place, for callers that embed Module by
-// value.
-func (m *Module) Init(eng *sim.Engine, cfg Config) {
-	*m = Module{eng: eng, cfg: cfg, data: make(map[arch.Addr]*arch.BlockData)}
+// Init (re)initializes a module in place as one of nodes interleaved
+// modules, for callers that embed Module by value. Every address passed to
+// the module must be homed there.
+func (m *Module) Init(eng *sim.Engine, cfg Config, nodes int) {
+	*m = Module{eng: eng, cfg: cfg, interleave: uint32(nodes)}
 }
 
 // Stats returns a snapshot of the activity counters.
@@ -62,16 +68,14 @@ func (m *Module) Stats() Stats { return m.stats }
 func (m *Module) ResetStats() { m.stats = Stats{} }
 
 // Reset returns the module to its post-Init state: bank idle, counters
-// cleared, storage reading as zero everywhere. Block payloads are zeroed in
-// place rather than dropped: a reused machine touches the same blocks every
-// run, and a zeroed block is indistinguishable from an absent one, so
-// refilling after a reset allocates nothing in the steady state.
+// cleared, storage reading as zero everywhere. Pages are zeroed in place
+// rather than dropped: a reused machine touches the same blocks every run,
+// and a zeroed block is indistinguishable from an absent one, so refilling
+// after a reset allocates nothing in the steady state.
 func (m *Module) Reset() {
 	m.busy = 0
 	m.stats = Stats{}
-	for _, b := range m.data {
-		*b = arch.BlockData{}
-	}
+	m.data.Clear()
 }
 
 // Access enqueues one memory access and schedules done when its data is
@@ -101,16 +105,10 @@ func (m *Module) serviceTime() sim.Time {
 	return start + m.cfg.Latency
 }
 
-// block returns the storage for the block containing a, allocating it on
-// first touch.
+// block returns the storage for the block containing a, allocating its
+// page on first touch.
 func (m *Module) block(a arch.Addr) *arch.BlockData {
-	base := arch.BlockBase(a)
-	b := m.data[base]
-	if b == nil {
-		b = new(arch.BlockData)
-		m.data[base] = b
-	}
-	return b
+	return m.data.At(arch.LocalBlock(a, m.interleave))
 }
 
 // ReadBlock returns a copy of the block containing a.

@@ -64,7 +64,7 @@ func TestRawQueryGet(t *testing.T) {
 		{"procs=8&c=4", "rounds", "", false},
 		{"procs=", "procs", "", true},
 		{"procs", "procs", "", true},
-		{"a=1&a=2", "a", "1", true},      // first occurrence wins, like Values.Get
+		{"a=1&a=2", "a", "1", true},                   // first occurrence wins, like Values.Get
 		{"app=counter%20x", "app", "counter x", true}, // percent escape
 		{"app=counter+x", "app", "counter x", true},   // plus escape
 		{"pro%63s=8", "procs", "8", true},             // escaped key still matches

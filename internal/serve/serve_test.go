@@ -251,7 +251,7 @@ func TestQueueFullAnswers429WithRetryAfter(t *testing.T) {
 	if !s.pool.submit(func(*exper.MachineSlot) { close(started); <-gate }) { // park the worker
 		t.Fatal("could not park worker")
 	}
-	<-started                      // the parked job is running, not queued
+	<-started                                        // the parked job is running, not queued
 	if !s.pool.submit(func(*exper.MachineSlot) {}) { // fill the queue
 		t.Fatal("could not fill queue")
 	}

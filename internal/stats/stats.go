@@ -9,48 +9,71 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// Histogram counts occurrences of small integer values.
+// Histogram counts occurrences of small non-negative integer values. The
+// counts are a dense array indexed by value, as long as the largest value
+// recorded since the last Reset; every value is a contention level, a
+// write-run length, or a message-chain length, so the arrays stay short.
 type Histogram struct {
-	counts map[int]uint64
+	counts []uint64 // counts[v]; empty or ending in a non-zero count
 	total  uint64
 	sum    int64
 }
 
+// maxUnmarshalValue bounds the bin values UnmarshalJSON accepts, so an
+// untrusted encoding cannot size the dense array. The only histogram the
+// simulator serializes is the contention histogram, whose values are at
+// most the processor count.
+const maxUnmarshalValue = 1 << 16
+
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int]uint64)}
+	return &Histogram{}
 }
 
-// Reset forgets all samples, keeping the map's buckets allocated.
+// Reset forgets all samples, keeping the count array's storage.
 func (h *Histogram) Reset() {
-	clear(h.counts)
+	h.counts = h.counts[:0]
 	h.total = 0
 	h.sum = 0
 }
 
-// Add records one occurrence of v.
+// Add records one occurrence of v, which must be non-negative.
 func (h *Histogram) Add(v int) {
-	h.counts[v]++
-	h.total++
-	h.sum += int64(v)
+	h.AddN(v, 1)
 }
 
-// AddN records n occurrences of v.
+// AddN records n occurrences of v, which must be non-negative.
 func (h *Histogram) AddN(v int, n uint64) {
 	if n == 0 {
 		return
+	}
+	if v >= len(h.counts) {
+		h.grow(v)
 	}
 	h.counts[v] += n
 	h.total += n
 	h.sum += int64(v) * int64(n)
 }
 
+// grow extends the count array to hold value v, with zero counts above the
+// old maximum.
+func (h *Histogram) grow(v int) {
+	n := len(h.counts)
+	h.counts = slices.Grow(h.counts, v+1-n)[:v+1]
+	clear(h.counts[n:]) // Reset keeps stale counts past the length
+}
+
 // Count returns the number of occurrences of v.
-func (h *Histogram) Count(v int) uint64 { return h.counts[v] }
+func (h *Histogram) Count(v int) uint64 {
+	if v < 0 || v >= len(h.counts) {
+		return 0
+	}
+	return h.counts[v]
+}
 
 // Total returns the number of recorded samples.
 func (h *Histogram) Total() uint64 { return h.total }
@@ -65,15 +88,10 @@ func (h *Histogram) Mean() float64 {
 
 // Max returns the largest recorded value, or 0 for an empty histogram.
 func (h *Histogram) Max() int {
-	max := 0
-	first := true
-	for v := range h.counts {
-		if first || v > max {
-			max = v
-			first = false
-		}
+	if len(h.counts) == 0 {
+		return 0
 	}
-	return max
+	return len(h.counts) - 1
 }
 
 // Percent returns the percentage of samples equal to v.
@@ -81,16 +99,17 @@ func (h *Histogram) Percent(v int) float64 {
 	if h.total == 0 {
 		return 0
 	}
-	return 100 * float64(h.counts[v]) / float64(h.total)
+	return 100 * float64(h.Count(v)) / float64(h.total)
 }
 
 // Values returns the recorded values in increasing order.
 func (h *Histogram) Values() []int {
 	vs := make([]int, 0, len(h.counts))
-	for v := range h.counts {
-		vs = append(vs, v)
+	for v, n := range h.counts {
+		if n != 0 {
+			vs = append(vs, v)
+		}
 	}
-	sort.Ints(vs)
 	return vs
 }
 
@@ -109,27 +128,35 @@ type histogramBin struct {
 
 // MarshalJSON encodes the histogram as an array of {"v":value,"n":count}
 // bins in increasing value order, so the encoding of a given histogram is
-// byte-stable (map iteration order never leaks into the output).
+// byte-stable.
 func (h *Histogram) MarshalJSON() ([]byte, error) {
 	bins := make([]histogramBin, 0, len(h.counts))
-	for _, v := range h.Values() {
-		bins = append(bins, histogramBin{V: v, N: h.counts[v]})
+	for v, n := range h.counts {
+		if n != 0 {
+			bins = append(bins, histogramBin{V: v, N: n})
+		}
 	}
 	return json.Marshal(bins)
 }
 
 // UnmarshalJSON rebuilds the histogram from its bin array, restoring the
-// derived total and sum.
+// derived total and sum. The input is untrusted: bin values must be
+// strictly increasing, as MarshalJSON writes them, and lie in
+// [0, maxUnmarshalValue]; anything else is an error.
 func (h *Histogram) UnmarshalJSON(data []byte) error {
 	var bins []histogramBin
 	if err := json.Unmarshal(data, &bins); err != nil {
 		return err
 	}
-	if h.counts == nil {
-		h.counts = make(map[int]uint64)
-	} else {
-		h.Reset()
+	for i, b := range bins {
+		if b.V < 0 || b.V > maxUnmarshalValue {
+			return fmt.Errorf("stats: histogram value %d outside [0, %d]", b.V, maxUnmarshalValue)
+		}
+		if i > 0 && b.V <= bins[i-1].V {
+			return fmt.Errorf("stats: histogram values not increasing at %d", b.V)
+		}
 	}
+	h.Reset()
 	for _, b := range bins {
 		h.AddN(b.V, b.N)
 	}
@@ -139,11 +166,14 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 // String renders "v:count" pairs in increasing value order.
 func (h *Histogram) String() string {
 	var b strings.Builder
-	for i, v := range h.Values() {
-		if i > 0 {
+	for v, n := range h.counts {
+		if n == 0 {
+			continue
+		}
+		if b.Len() > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%d:%d", v, h.counts[v])
+		fmt.Fprintf(&b, "%d:%d", v, n)
 	}
 	return b.String()
 }

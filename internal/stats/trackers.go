@@ -1,68 +1,84 @@
 package stats
 
-// Location identifies a tracked shared word (its byte address).
+import "dsm/internal/arch"
+
+// Location identifies a tracked shared word (its byte address). Trackers key
+// their per-word records by Location / arch.WordBytes.
 type Location uint32
+
+// word returns the table key of the word at loc.
+func (loc Location) word() uint32 { return uint32(loc) / arch.WordBytes }
+
+// maxProcs bounds the processor ids a ContentionTracker accepts: the
+// largest machine the protocol layer builds.
+const maxProcs = 64
+
+// contended is one word's in-progress atomic accesses: how many distinct
+// processors are inside one, and each processor's nesting depth.
+type contended struct {
+	procs int32
+	nest  [maxProcs]uint8
+}
 
 // ContentionTracker builds the paper's contention histograms: at the
 // beginning of each atomic access to a tracked location it records how many
 // processors (including the newcomer) are concurrently attempting an atomic
 // access to that location.
 type ContentionTracker struct {
-	active map[Location]map[int]int // location -> proc -> nesting count
+	active arch.Table[contended]
 	hist   *Histogram
 }
 
 // NewContentionTracker returns an empty tracker.
 func NewContentionTracker() *ContentionTracker {
-	return &ContentionTracker{
-		active: make(map[Location]map[int]int),
-		hist:   NewHistogram(),
-	}
+	return &ContentionTracker{hist: NewHistogram()}
 }
 
-// Reset forgets all in-progress accesses and accumulated samples. The
-// per-location maps are emptied in place rather than dropped: a reused
-// machine touches the same tracked locations every run, and keeping the
-// inner maps keeps Begin allocation-free in the steady state.
+// Reset forgets all in-progress accesses and accumulated samples, keeping
+// the per-word records' pages: a reused machine touches the same tracked
+// locations every run, which keeps Begin allocation-free in the steady
+// state.
 func (t *ContentionTracker) Reset() {
-	for _, procs := range t.active {
-		clear(procs)
-	}
+	t.active.Clear()
 	t.hist.Reset()
 }
 
-// Begin records that proc started an atomic access to loc and samples the
-// current contention level.
+// Begin records that proc (below 64) started an atomic access to loc and
+// samples the current contention level.
 func (t *ContentionTracker) Begin(loc Location, proc int) {
-	procs := t.active[loc]
-	if procs == nil {
-		procs = make(map[int]int)
-		t.active[loc] = procs
+	c := t.active.At(loc.word())
+	if c.nest[proc] == 0 {
+		c.procs++
+	} else if c.nest[proc] == ^uint8(0) {
+		panic("stats: contention Begin nested too deep")
 	}
-	procs[proc]++
-	t.hist.Add(len(procs))
+	c.nest[proc]++
+	t.hist.Add(int(c.procs))
 }
 
 // End records that proc finished an atomic access to loc. Unmatched Ends
 // indicate a protocol bug and panic.
 func (t *ContentionTracker) End(loc Location, proc int) {
-	procs := t.active[loc]
-	if procs == nil || procs[proc] == 0 {
+	c := t.active.Get(loc.word())
+	if c == nil || c.nest[proc] == 0 {
 		panic("stats: contention End without Begin")
 	}
-	procs[proc]--
-	if procs[proc] == 0 {
-		delete(procs, proc)
+	c.nest[proc]--
+	if c.nest[proc] == 0 {
+		c.procs--
 	}
 }
 
 // Histogram returns the accumulated contention histogram.
 func (t *ContentionTracker) Histogram() *Histogram { return t.hist }
 
-// writeRun is the in-progress run state for one location.
-type writeRun struct {
-	writer int
-	length int
+// written is one word's write-run state: the in-progress run, if live, and
+// whether the word is a synchronization location (see SyncAccess).
+type written struct {
+	writer int32
+	length int32
+	live   bool
+	sync   bool
 }
 
 // WriteRunTracker measures average write-run length: the number of
@@ -70,24 +86,19 @@ type writeRun struct {
 // location without intervening accesses — reads or writes — by any other
 // processor (Eggers & Katz; paper section 4.2).
 type WriteRunTracker struct {
-	// runs holds values, not pointers: a contended location starts a new
-	// run on nearly every write, and value-map updates keep that hot path
-	// allocation-free.
-	runs map[Location]writeRun
-	hist *Histogram
+	words arch.Table[written]
+	hist  *Histogram
 }
 
 // NewWriteRunTracker returns an empty tracker.
 func NewWriteRunTracker() *WriteRunTracker {
-	return &WriteRunTracker{
-		runs: make(map[Location]writeRun),
-		hist: NewHistogram(),
-	}
+	return &WriteRunTracker{hist: NewHistogram()}
 }
 
-// Reset forgets all in-progress runs and accumulated samples.
+// Reset forgets all in-progress runs, synchronization marks and accumulated
+// samples.
 func (t *WriteRunTracker) Reset() {
-	clear(t.runs)
+	t.words.Clear()
 	t.hist.Reset()
 }
 
@@ -95,30 +106,48 @@ func (t *WriteRunTracker) Reset() {
 // writer extend the run; any access by another processor terminates it.
 // Reads by the run's own writer neither extend nor terminate.
 func (t *WriteRunTracker) Access(loc Location, proc int, write bool) {
-	r, live := t.runs[loc]
-	if live && proc != r.writer {
+	t.access(t.words.At(loc.word()), proc, write)
+}
+
+// SyncAccess is Access restricted to synchronization locations, the words
+// the paper measures: an atomic access marks loc as one, and accesses to
+// unmarked words are ignored. One table lookup serves both the mark and the
+// run.
+func (t *WriteRunTracker) SyncAccess(loc Location, proc int, write, atomic bool) {
+	var w *written
+	if atomic {
+		w = t.words.At(loc.word())
+		w.sync = true
+	} else if w = t.words.Get(loc.word()); w == nil || !w.sync {
+		return
+	}
+	t.access(w, proc, write)
+}
+
+func (t *WriteRunTracker) access(w *written, proc int, write bool) {
+	if w.live && int32(proc) != w.writer {
 		// Intervening access by another processor ends the run.
-		t.hist.Add(r.length)
-		delete(t.runs, loc)
-		live = false
+		t.hist.Add(int(w.length))
+		w.live = false
 	}
 	if !write {
 		return
 	}
-	if !live {
-		t.runs[loc] = writeRun{writer: proc, length: 1}
+	if !w.live {
+		w.writer, w.length, w.live = int32(proc), 1, true
 		return
 	}
-	r.length++
-	t.runs[loc] = r
+	w.length++
 }
 
 // Flush terminates all in-progress runs (call at end of simulation).
 func (t *WriteRunTracker) Flush() {
-	for loc, r := range t.runs {
-		t.hist.Add(r.length)
-		delete(t.runs, loc)
-	}
+	t.words.Each(func(_ uint32, w *written) {
+		if w.live {
+			t.hist.Add(int(w.length))
+			w.live = false
+		}
+	})
 }
 
 // Histogram returns the run-length histogram (Flush first for completeness).
