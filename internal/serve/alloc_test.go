@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -25,11 +26,18 @@ func (w *nopResponseWriter) reset() {
 	w.n = 0
 }
 
-// TestHitPathZeroAlloc pins the GET cache-hit path — route, parse, key,
+// reqBody is a request body that can be rewound, so one POST request can
+// be served repeatedly inside AllocsPerRun.
+type reqBody struct{ strings.Reader }
+
+func (*reqBody) Close() error { return nil }
+
+// TestHitPathZeroAlloc pins the cache-hit path — route, parse, key,
 // lookup, headers, body write — at zero allocations per request. This is
 // the property the zero-copy serving work exists for: a hot key must cost
-// a hash and a map probe, never a byte of garbage. The pin covers the
-// identity and the gzip-negotiated variants, and the probe hit.
+// a hash and a map probe, never a byte of garbage. The pin covers GET and
+// POST-JSON requests, the identity and the gzip-negotiated variants (once
+// the first gzip hit has built the entry's variant), and the probe hit.
 func TestHitPathZeroAlloc(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	h := s.Handler()
@@ -38,32 +46,54 @@ func TestHitPathZeroAlloc(t *testing.T) {
 		t.Fatalf("prime = %d: %s", w.Code, w.Body)
 	}
 
+	body := &reqBody{}
+	post := func(gzip bool) *http.Request {
+		r := httptest.NewRequest(http.MethodPost, "/v1/sim", nil)
+		r.Body = body
+		if gzip {
+			r.Header.Set("Accept-Encoding", "gzip")
+		}
+		return r
+	}
+	get := func(method string, gzip bool) *http.Request {
+		r := httptest.NewRequest(method, path, nil)
+		if gzip {
+			r.Header.Set("Accept-Encoding", "gzip")
+		}
+		return r
+	}
 	cases := []struct {
 		name   string
 		req    *http.Request
 		status int
 	}{
-		{"get-identity", httptest.NewRequest(http.MethodGet, path, nil), 0},
-		{"probe-hit", httptest.NewRequest(http.MethodHead, path, nil), http.StatusOK},
+		{"get-identity", get(http.MethodGet, false), 0},
+		{"probe-hit", get(http.MethodHead, false), http.StatusOK},
+		{"get-gzip", get(http.MethodGet, true), 0},
+		{"post-identity", post(false), 0},
+		{"post-gzip", post(true), 0},
 	}
-	gz := httptest.NewRequest(http.MethodGet, path, nil)
-	gz.Header.Set("Accept-Encoding", "gzip")
-	cases = append(cases, cases[0])
-	cases[len(cases)-1].name, cases[len(cases)-1].req = "get-gzip", gz
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := &nopResponseWriter{h: make(http.Header)}
 			run := func() {
 				w.reset()
+				body.Reset(quickSpec)
 				h.ServeHTTP(w, tc.req)
 			}
-			run() // warm the header map's buckets
+			run() // warm the header map's buckets (and build the gzip variant)
 			if tc.status != 0 && w.status != tc.status {
 				t.Fatalf("status = %d, want %d", w.status, tc.status)
 			}
-			if tc.req.Method == http.MethodGet && w.n == 0 {
+			if tc.req.Method != http.MethodHead && w.n == 0 {
 				t.Fatal("hit wrote no body")
+			}
+			if got := w.h.Get("X-Cache"); got != "hit" {
+				t.Fatalf("X-Cache = %q, want hit", got)
+			}
+			if got, want := w.h.Get("Content-Encoding"), tc.req.Header.Get("Accept-Encoding"); got != want {
+				t.Fatalf("Content-Encoding = %q, want %q", got, want)
 			}
 			if n := testing.AllocsPerRun(50, run); n != 0 {
 				t.Fatalf("cache-hit request allocates %.1f times, want 0", n)

@@ -6,13 +6,13 @@ import (
 	"container/list"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // resultCache is the content-addressed result store: canonical spec hash
 // -> encoded outcome bytes, with LRU eviction at a fixed entry budget.
-// Entries are immutable once inserted (the encoded bytes are never
-// modified), so a hit can hand the stored slice to the response writer
-// without copying.
+// An entry's encoded bytes are never modified once inserted, so a hit can
+// hand the stored slice to the response writer without copying.
 //
 // The cache is sharded: the entry budget splits across N independent LRU
 // shards (N = GOMAXPROCS rounded up to a power of two, reduced until every
@@ -39,24 +39,38 @@ type cacheShard struct {
 	_         [24]byte // keep neighboring shards' hot fields off one cache line
 }
 
-// cacheEntry is one immutable cached result. Everything a hit response
-// needs is precomputed at insertion — the gzip variant and the
-// single-element header slice for X-Spec-Key — so serving a hit performs
-// no per-request work beyond map lookup and writes. Entries are never
-// mutated after publication: re-inserting a key replaces the element's
-// entry wholesale, so a reader holding the old pointer keeps a consistent
-// (data, gz) pair.
+// cacheEntry is one cached result. Everything a hit response needs is
+// ready after insertion — the identity bytes and the single-element header
+// slice for X-Spec-Key — so serving a hit performs no per-request work
+// beyond map lookup and writes. The gzip variant is built on the entry's
+// first hit that negotiates gzip, not at insertion: most results are never
+// requested compressed, and compressing at insertion would add ~10µs/KB to
+// every miss's latency. Nothing else about an entry changes after
+// publication: re-inserting a key replaces the element's entry wholesale,
+// so a reader holding the old pointer keeps a consistent (data, gzip) pair.
 type cacheEntry struct {
 	key    string
 	data   []byte   // canonical encoded outcome (identity encoding)
-	gz     []byte   // gzip variant; nil when too small or incompressible
 	keyHdr []string // {key}, preallocated for direct header-map assignment
+	// gz is the gzip variant once built: nil until the first gzip hit,
+	// then a pointer to the compressed bytes, or to nil when the body is
+	// too small or does not shrink.
+	gz atomic.Pointer[[]byte]
 }
 
-// newCacheEntry builds a complete entry, compressing outside any shard
-// lock (gzip costs ~10µs/KB — far too much to hold a cache shard for).
-func newCacheEntry(key string, data []byte) *cacheEntry {
-	return &cacheEntry{key: key, data: data, gz: gzipVariant(data), keyHdr: []string{key}}
+// gzip returns the entry's gzip variant, building it on first use, or nil
+// when compression does not pay. Concurrent first callers may each
+// compress, but the first to publish wins and every caller returns the
+// published bytes, so all responses for one entry are identical.
+func (e *cacheEntry) gzip() []byte {
+	if p := e.gz.Load(); p != nil {
+		return *p
+	}
+	gz := gzipVariant(e.data)
+	if e.gz.CompareAndSwap(nil, &gz) {
+		return gz
+	}
+	return *e.gz.Load()
 }
 
 // minGzipSize is the smallest body worth compressing: below it the gzip
@@ -64,7 +78,7 @@ func newCacheEntry(key string, data []byte) *cacheEntry {
 // saved on a loopback or datacenter link.
 const minGzipSize = 512
 
-// gzipWriterPool recycles gzip compressors across cache insertions (each
+// gzipWriterPool recycles gzip compressors across variant builds (each
 // carries ~256KB of LZ77 window and Huffman state).
 var gzipWriterPool = sync.Pool{New: func() any {
 	w, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed)
@@ -75,7 +89,8 @@ var gzipWriterPool = sync.Pool{New: func() any {
 // is not worthwhile (tiny body, or output not actually smaller). BestSpeed
 // is deliberate: outcome JSON is highly repetitive (long runs of numeric
 // report fields), so even the cheapest setting halves it, and the variant
-// is computed once per distinct result, then served arbitrarily many times.
+// is computed at most once per cached result, then served arbitrarily many
+// times.
 func gzipVariant(data []byte) []byte {
 	if len(data) < minGzipSize {
 		return nil
@@ -183,7 +198,7 @@ func newResultCacheShards(max, shards int) *resultCache {
 }
 
 // get returns the cached entry for key, refreshing its recency within its
-// shard. The entry is immutable; callers may hold it past the lock.
+// shard. Callers may hold the entry past the lock.
 func (c *resultCache) get(key string) (*cacheEntry, bool) {
 	s := &c.shards[shardIndex(key, c.mask)]
 	s.mu.Lock()
@@ -215,10 +230,10 @@ func (c *resultCache) getBytes(key []byte) (*cacheEntry, bool) {
 // put inserts key -> data, evicting the least recently used entry of the
 // key's shard when that shard is at capacity. Re-inserting an existing key
 // refreshes its recency and replaces its entry wholesale — concurrent
-// readers holding the superseded entry still see a consistent immutable
-// (data, gz) pair. The gzip variant is computed before the lock is taken.
+// readers holding the superseded entry still see a consistent (data, gzip)
+// pair. Only the identity bytes are stored; see cacheEntry.gzip.
 func (c *resultCache) put(key string, data []byte) {
-	e := newCacheEntry(key, data)
+	e := &cacheEntry{key: key, data: data, keyHdr: []string{key}}
 	s := &c.shards[shardIndex(key, c.mask)]
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -63,6 +64,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{Procs: -1},
 		{Contention: 20, Procs: 16},
 		{WriteRun: 0.5},
+		{WriteRun: math.NaN()},
 		{Rounds: 1000},
 		{App: "tclosure", Size: 1},
 	}

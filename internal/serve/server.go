@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -345,25 +343,28 @@ var (
 	hdrAcceptEncoding = []string{"Accept-Encoding"}
 )
 
-// writeEntry answers a request from a cached entry: the precompressed gzip
-// variant when the client accepts gzip and one exists, the identity bytes
-// otherwise. Every header value is a preassembled slice (the key header
-// lives on the entry) and the body is the cache's own storage handed to
-// the ResponseWriter — the serve layer neither formats nor copies a byte,
-// which is what pins the hit path at zero allocations.
+// writeEntry answers a request from a cached entry: the entry's gzip
+// variant when the client accepts gzip and the body compresses, the
+// identity bytes otherwise. Every header value is a preassembled slice
+// (the key header lives on the entry) and the body is the cache's own
+// storage handed to the ResponseWriter — the serve layer neither formats
+// nor copies a byte, which is what pins the hit path at zero allocations
+// once the entry's first gzip hit has built its variant.
 func (s *Server) writeEntry(w http.ResponseWriter, r *http.Request, e *cacheEntry, cache []string) {
 	h := w.Header()
 	h["Content-Type"] = hdrJSON
 	h["X-Cache"] = cache
 	h["X-Spec-Key"] = e.keyHdr
 	body := e.data
-	if e.gz != nil {
+	if len(e.data) >= minGzipSize {
 		// The representation varies with the request even when only one
 		// is ever sent, so caches must key on Accept-Encoding.
 		h["Vary"] = hdrAcceptEncoding
 		if AcceptsGzip(r) {
-			h["Content-Encoding"] = hdrGzip
-			body = e.gz
+			if gz := e.gzip(); gz != nil {
+				h["Content-Encoding"] = hdrGzip
+				body = gz
+			}
 		}
 	}
 	if r.Method == http.MethodHead {
@@ -373,12 +374,13 @@ func (s *Server) writeEntry(w http.ResponseWriter, r *http.Request, e *cacheEntr
 	w.Write(body)
 }
 
-// AcceptsGzip reports whether the request advertises gzip support: a token
-// scan over Accept-Encoding values rather than a full quality-value parse.
-// "gzip" as a listed coding counts unless it carries an explicit zero
-// quality ("gzip;q=0", "gzip;q=0.0"), which covers every encoding real
-// clients send without allocating. Exported so the fleet router negotiates
-// content codings exactly the way the backends it fronts do.
+// AcceptsGzip reports whether the request advertises gzip support under
+// RFC 9110: a token scan over Accept-Encoding values rather than a full
+// quality-value parse. "gzip", or its alias "x-gzip", in any letter case,
+// counts as a listed coding unless it carries an explicit zero quality
+// ("gzip;q=0", "GZIP; Q=0.0"), which covers every encoding real clients
+// send without allocating. Exported so the fleet router negotiates content
+// codings exactly the way the backends it fronts do.
 func AcceptsGzip(r *http.Request) bool {
 	for _, v := range r.Header["Accept-Encoding"] {
 		for len(v) > 0 {
@@ -389,7 +391,8 @@ func AcceptsGzip(r *http.Request) bool {
 				item, v = v, ""
 			}
 			name, params, _ := strings.Cut(item, ";")
-			if strings.TrimSpace(name) != "gzip" {
+			name = strings.TrimSpace(name)
+			if !strings.EqualFold(name, "gzip") && !strings.EqualFold(name, "x-gzip") {
 				continue
 			}
 			return !zeroQ(params)
@@ -399,11 +402,11 @@ func AcceptsGzip(r *http.Request) bool {
 }
 
 // zeroQ reports whether an Accept-Encoding parameter string sets an
-// explicit zero quality (q=0, q=0.0, ...), the RFC 9110 way to refuse a
+// explicit zero quality (q=0, Q=0.0, ...), the RFC 9110 way to refuse a
 // coding by name.
 func zeroQ(params string) bool {
 	p := strings.TrimSpace(params)
-	if !strings.HasPrefix(p, "q=0") {
+	if len(p) < len("q=0") || (p[0] != 'q' && p[0] != 'Q') || p[1:3] != "=0" {
 		return false
 	}
 	for _, c := range p[len("q=0"):] {
@@ -471,59 +474,6 @@ func ParseSpecRequest(r *http.Request) (Spec, error) {
 		}
 	}
 	return sp, err
-}
-
-// specParseBufPool recycles POST body read buffers: a spec encodes to well
-// under 200 bytes, so one small pooled buffer per concurrent request
-// replaces the decoder's per-request stream buffering. Buffers grown past
-// the put-back bound (a near-limit body) are dropped to the GC rather than
-// pinned in the pool.
-var specParseBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 2048); return &b }}
-
-const specParseBufMax = 16 << 10
-
-// parseSpecBody decodes the POST form of a spec through a pooled read
-// buffer. It lives apart from the GET path because Decode(&sp) makes the
-// spec escape, and escape analysis is flow-insensitive — one function
-// handling both methods would heap-allocate the spec on every GET too.
-func parseSpecBody(r *http.Request) (Spec, error) {
-	var sp Spec
-	bp := specParseBufPool.Get().(*[]byte)
-	defer func() {
-		if cap(*bp) <= specParseBufMax {
-			specParseBufPool.Put(bp)
-		}
-	}()
-	body, err := appendReadAll((*bp)[:0], http.MaxBytesReader(nil, r.Body, 1<<16))
-	*bp = body[:0]
-	if err != nil {
-		return sp, fmt.Errorf("bad spec JSON: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
-		return sp, fmt.Errorf("bad spec JSON: %w", err)
-	}
-	return sp, nil
-}
-
-// appendReadAll is io.ReadAll into a caller-provided buffer: identical
-// semantics, but the buffer comes back to the caller instead of being
-// freshly allocated per call.
-func appendReadAll(buf []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
 }
 
 // queryInt parses an optional integer query parameter into dst, recording

@@ -10,6 +10,13 @@
 // deadlines, a batch sweep endpoint streaming NDJSON, and a metrics
 // surface. cmd/dsmserve wires it to a listener; cmd/dsmload drives it.
 //
+// The /v1/sim request path does only the work its response uses. A POST
+// spec in the flat form every client in this tree sends is decoded by a
+// one-pass scanner, with encoding/json as the fallback for any other body;
+// a cache hit writes the stored bytes without allocating; and a result's
+// gzip variant is built on its first hit that asks for gzip, not when the
+// result is cached.
+//
 // For fleet deployments (internal/fleet fronts N of these servers behind a
 // consistent-hash router) the cache is also externally visible: HEAD
 // /v1/sim or ?probe=1 answers hit/miss from the cache without ever
@@ -121,7 +128,7 @@ func (s Spec) Normalize() (Spec, error) {
 			if s.WriteRun == 0 {
 				s.WriteRun = 1
 			}
-			if s.WriteRun < 1 || s.WriteRun > maxWrun {
+			if !(s.WriteRun >= 1 && s.WriteRun <= maxWrun) { // NaN fails too
 				return s, fmt.Errorf("write-run %g out of range 1-%d", s.WriteRun, maxWrun)
 			}
 		} else {
