@@ -10,14 +10,12 @@ package dsm_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"dsm/internal/apps"
 	"dsm/internal/core"
 	"dsm/internal/dir"
 	"dsm/internal/exper"
-	"dsm/internal/hostbench"
 	"dsm/internal/locks"
 	"dsm/internal/machine"
 	"dsm/internal/sim"
@@ -134,46 +132,6 @@ func BenchmarkFig6(b *testing.B) {
 			})
 		}
 	}
-}
-
-// ---------------------------------------------------- host-time family ----
-//
-// Unlike the figure benchmarks above (whose observable is simulated cycles),
-// the BenchmarkHost* family measures how fast the simulator itself runs on
-// the host: ns/event and allocs/event for the engine hot path, and the
-// wall-clock effect of fanning independent runs across cores. cmd/benchjson
-// runs the same bodies and records a JSON baseline per PR.
-
-// BenchmarkHostEngine measures the discrete-event core: a self-rescheduling
-// cascade mixing fired and cancelled events.
-func BenchmarkHostEngine(b *testing.B) { hostbench.Engine(b) }
-
-// BenchmarkHostMachine measures an end-to-end contended-counter simulation,
-// reporting the alloc profile of the full machine stack per event.
-func BenchmarkHostMachine(b *testing.B) { hostbench.MachineRun(b) }
-
-// BenchmarkMeshTransit measures a single mesh message across varying
-// Manhattan distances, with and without internal-router modeling. The
-// events/msg metric pins the hop-collapsed transit: one event per message
-// at any distance.
-func BenchmarkMeshTransit(b *testing.B) {
-	for _, routers := range []bool{false, true} {
-		mode := "entry-exit"
-		if routers {
-			mode = "routers"
-		}
-		for _, dist := range []int{1, 4, 7, 14} {
-			b.Run(fmt.Sprintf("%s/hops=%d", mode, dist), hostbench.MeshTransit(dist, routers))
-		}
-	}
-}
-
-// BenchmarkHostSweep measures regenerating a reduced figure-3 grid serially
-// (par=1) and with one worker per host core (par=max); the ratio is the
-// run-level parallel speedup on this host.
-func BenchmarkHostSweep(b *testing.B) {
-	b.Run("par=1", hostbench.Sweep(1))
-	b.Run(fmt.Sprintf("par=%d", runtime.GOMAXPROCS(0)), hostbench.Sweep(0))
 }
 
 // ---------------------------------------------------------- ablations ----

@@ -3,12 +3,14 @@
 // from a fixed working set with probability -dup (these become cache hits
 // once warm) and from never-seen specs otherwise (these cost a real
 // simulation). It prints achieved throughput, latency percentiles, and the
-// client-observed cache-hit ratio, and with -o writes the run as JSON —
-// the serving benchmark of record (BENCH_PR4.json, BENCH_PR5.json).
+// client-observed cache-hit ratio, and with -o writes the run as JSON.
+// It drives a real server over real sockets; the in-process benchmark of
+// record is bench/ (bash bench/run.sh), whose serve_dup90 workload uses
+// dsmload's default profile.
 //
 //	dsmserve &
-//	dsmload -addr http://localhost:8080 -c 32 -d 10s -dup 0.9 -o BENCH_PR4.json
-//	dsmload -sweep -batch 8 -c 32 -d 10s -dup 0.9 -o BENCH_PR5.json
+//	dsmload -addr http://localhost:8080 -c 32 -d 10s -dup 0.9 -o run.json
+//	dsmload -sweep -batch 8 -c 32 -d 10s -dup 0.9 -o sweep.json
 //
 // A 429 rejection is retried up to 5 times, honoring the server's
 // Retry-After with capped exponential backoff; retries are recorded in the
@@ -22,12 +24,10 @@
 // recorded run names the exact request sequence that produced it. -targets
 // takes a comma-separated URL list and round-robins requests across it
 // (client-side spreading without a router in the path); the distribution,
-// seed, and target list land in the -o JSON provenance. With -bench it also runs the
-// in-process serving benchmarks (serve.BenchServe*) and records them
-// alongside the load run. -procs pins the client's GOMAXPROCS for
-// scaling-curve runs; the run record carries both the effective client
+// seed, and target list land in the -o JSON provenance. -procs pins the
+// client's GOMAXPROCS; the run record carries both the effective client
 // gomaxprocs and the server's worker count (from /metrics), so a recorded
-// point states the core budget on both sides of the connection.
+// run states the core budget on both sides of the connection.
 package main
 
 import (
@@ -47,7 +47,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"testing"
 	"time"
 
 	"dsm/internal/serve"
@@ -71,8 +70,8 @@ var traceCtx = httptrace.WithClientTrace(context.Background(), &httptrace.Client
 })
 
 // workingSet builds the duplicate pool: n specs spread across the paper's
-// design space (policy x primitive x contention), all at the reduced scale
-// the host benchmarks use. Every dsmload invocation generates the same
+// design space (policy x primitive x contention), all at a reduced scale
+// (8 processors, 3 rounds). Every dsmload invocation generates the same
 // set, so back-to-back runs against a warm server hit immediately.
 func workingSet(n int) []string {
 	policies := []string{"INV", "UPD", "UNC"}
@@ -179,15 +178,6 @@ type loadStats struct {
 	ClientBytesPerReq  float64 `json:"client_bytes_per_req"`
 }
 
-type benchResult struct {
-	Name        string             `json:"name"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
 type output struct {
 	Date      string `json:"date"`
 	GoVersion string `json:"go_version"`
@@ -199,7 +189,6 @@ type output struct {
 	ServerWorkers int             `json:"server_workers"`
 	Load          loadStats       `json:"load"`
 	ServerMetrics *serve.Snapshot `json:"server_metrics,omitempty"`
-	Benchmarks    []benchResult   `json:"benchmarks,omitempty"`
 }
 
 func main() {
@@ -210,7 +199,6 @@ func main() {
 		dup   = flag.Float64("dup", 0.9, "probability a request repeats the working set")
 		nset  = flag.Int("specs", 16, "working-set size (distinct duplicate specs)")
 		out   = flag.String("o", "", "write the run as JSON to this file (- for stdout)")
-		bench = flag.Bool("bench", false, "also run the in-process serve benchmarks")
 		sweep = flag.Bool("sweep", false, "issue batch plans to /v1/sweep instead of single sims")
 		batch = flag.Int("batch", 8, "points per sweep plan (with -sweep)")
 		procs = flag.Int("procs", 0, "pin client GOMAXPROCS for scaling runs (0: runtime default)")
@@ -355,27 +343,6 @@ func main() {
 	if snap, err := fetchMetrics(client, targets[0]+"/metrics"); err == nil {
 		rep.ServerMetrics = snap
 		rep.ServerWorkers = snap.Workers
-	}
-	if *bench {
-		for _, b := range []struct {
-			name string
-			body func(*testing.B)
-		}{
-			{"ServeHit", serve.BenchServeHit},
-			{"ServeMiss", serve.BenchServeMiss},
-			{"ServeDup90", serve.BenchServeDup90},
-		} {
-			fmt.Fprintf(os.Stderr, "running Benchmark%s...\n", b.name)
-			r := testing.Benchmark(b.body)
-			rep.Benchmarks = append(rep.Benchmarks, benchResult{
-				Name:        b.name,
-				Iterations:  r.N,
-				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-				Metrics:     r.Extra,
-			})
-		}
 	}
 	if *out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")

@@ -10,15 +10,13 @@ import (
 )
 
 // The core-level TestHotPathZeroAlloc pins the protocol/engine loop at zero
-// steady-state allocations. These tests pin the *benchmarked* path — the
-// full machine stack exactly as hostbench.MachineRun drives it — so a
-// regression anywhere above the engine (machine reset, program start,
-// barrier release, app closures, tracker reuse) fails CI rather
-// than silently re-inflating HostMachine's allocs/op, as happened between
-// PR 3 and PR 7.
+// steady-state allocations. These tests pin the full machine stack above
+// it — machine reset, program start, barrier release, app closures,
+// tracker reuse — so a regression anywhere above the engine fails a test
+// rather than silently re-inflating per-run allocations.
 
-// benchPoint is the HostMachine benchmark workload: an 8-proc contended
-// counter under UNC/fetch_add.
+// benchPoint is an 8-proc contended counter under UNC/fetch_add, the
+// scale of serve's small miss-path simulations.
 func benchPoint() (exper.Bar, exper.RunOpts, apps.Pattern) {
 	bar := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
 	o := exper.RunOpts{Procs: 8, Rounds: 3}
@@ -26,8 +24,8 @@ func benchPoint() (exper.Bar, exper.RunOpts, apps.Pattern) {
 	return bar, o, pat
 }
 
-// TestHotPathZeroAllocMachinePool pins the pooled one-off path (what
-// hostbench.MachineRun measures): acquire, run, release.
+// TestHotPathZeroAllocMachinePool pins the pooled one-off path: acquire,
+// run, release.
 func TestHotPathZeroAllocMachinePool(t *testing.T) {
 	bar, o, pat := benchPoint()
 	run := func() {

@@ -175,7 +175,9 @@ func Fig6(w io.Writer, o exper.RunOpts) {
 	fmt.Fprintf(w, "Figure 6: total elapsed cycles, real applications (p=%d)\n", o.Procs)
 	fmt.Fprintf(w, "%-18s", "")
 	for _, app := range realApps {
-		fmt.Fprintf(w, "%14s", app.String())
+		// A name that fits is right-aligned over its 14-wide column; one
+		// that does not (TransitiveClosure) still keeps a separating space.
+		fmt.Fprintf(w, " %13s", app.String())
 	}
 	fmt.Fprintln(w)
 	for bi, bar := range bars {

@@ -3,6 +3,7 @@ package figures
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,6 +138,14 @@ func TestFig6RunsAllApps(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "UPD CAS+drop") || !strings.Contains(out, "TransitiveClosure") {
 		t.Fatalf("Fig6 output:\n%s", out)
+	}
+	// The header line names every app as its own whitespace-separated field.
+	var want []string
+	for _, app := range exper.RealApps() {
+		want = append(want, app.String())
+	}
+	if header := strings.Fields(strings.Split(out, "\n")[1]); !slices.Equal(header, want) {
+		t.Fatalf("Fig6 header fields = %q, want %q", header, want)
 	}
 	if strings.Contains(out, " 0\n") {
 		// every cell must be a positive elapsed time

@@ -214,3 +214,37 @@ func TestDeliveryOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSendOneEventPerMessage pins hop-collapsed transit: a message costs the
+// engine exactly one event whatever its distance, with or without
+// internal-router modeling. Per-hop events creeping back in fails here.
+func TestSendOneEventPerMessage(t *testing.T) {
+	const msgs = 5
+	for _, routers := range []bool{false, true} {
+		for _, dist := range []int{1, 4, 7, 14} {
+			cfg := DefaultConfig()
+			cfg.ModelRouters = routers
+			eng := sim.NewEngine()
+			m := New(eng, cfg)
+			// Exhaust X first, then Y, the dimension-order route shape.
+			dx := min(dist, cfg.Width-1)
+			dst := NodeID((dist-dx)*cfg.Width + dx)
+			if got := m.Hops(0, dst); got != dist {
+				t.Fatalf("destination %d is %d hops away, want %d", dst, got, dist)
+			}
+			delivered := 0
+			deliver := func(any) { delivered++ }
+			for range msgs {
+				m.SendArg(0, dst, m.Flits(8), deliver, nil)
+				for eng.Step() {
+				}
+			}
+			if delivered != msgs {
+				t.Fatalf("routers=%v hops=%d: delivered %d of %d messages", routers, dist, delivered, msgs)
+			}
+			if got := eng.EventsExecuted(); got != uint64(delivered) {
+				t.Errorf("routers=%v hops=%d: %d events for %d messages, want one per message", routers, dist, got, delivered)
+			}
+		}
+	}
+}
