@@ -71,6 +71,16 @@ type (
 	// NodeID identifies a processing node (for placement-aware allocation
 	// with Machine.AllocSyncAt).
 	NodeID = mesh.NodeID
+	// Cmp is the comparison Proc.SpinWhile tests each loaded value
+	// against; the spin continues while it holds.
+	Cmp = machine.Cmp
+)
+
+// Spin comparisons for Proc.SpinWhile.
+const (
+	Less     = machine.Less
+	Equal    = machine.Equal
+	NotEqual = machine.NotEqual
 )
 
 // Raw operation kinds for Proc.Do.

@@ -129,3 +129,22 @@ func TestStackThroughFacade(t *testing.T) {
 		t.Fatalf("popped %d, want 3 (LIFO)", popped)
 	}
 }
+
+func TestSpinWhileThroughFacade(t *testing.T) {
+	m := NewSmall(4)
+	flag := m.AllocSyncAt(1, INV)
+	var got [4]Word
+	m.Run(func(p *Proc) {
+		if p.ID() == 0 {
+			p.Compute(50)
+			p.Store(flag, 7)
+			return
+		}
+		got[p.ID()] = p.SpinWhile(flag, Equal, 0, 2)
+	})
+	for i := 1; i < 4; i++ {
+		if got[i] != 7 {
+			t.Fatalf("proc %d left its spin with %d, want 7", i, got[i])
+		}
+	}
+}

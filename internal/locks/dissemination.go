@@ -52,8 +52,6 @@ func (b *DisseminationBarrier) Wait(p *machine.Proc) {
 	for k := range b.flags[i] {
 		partner := (i + 1<<k) % b.n
 		p.Store(b.flags[partner][k], episode)
-		for p.Load(b.flags[i][k]) < episode {
-			p.Compute(2)
-		}
+		p.SpinWhile(b.flags[i][k], machine.Less, episode, 2)
 	}
 }

@@ -187,6 +187,32 @@ func TestTTSWithDrop(t *testing.T) {
 	})
 }
 
+// TestNextBackoffCapsAtMax: doubling never passes the cap, also from a
+// minimum that is not a power-of-two fraction of it (3 once reached 1536
+// under a cap of 1000), and the defaults still reach their caps exactly.
+func TestNextBackoffCapsAtMax(t *testing.T) {
+	for _, c := range []struct{ min, max, want sim.Time }{
+		{3, 1000, 1000}, {16, 1024, 1024}, {16, 512, 512}, {600, 1000, 1000}, {5, 5, 5},
+	} {
+		b, prev := c.min, sim.Time(0)
+		for i := 0; i < 20; i++ {
+			prev, b = b, nextBackoff(b, c.max)
+			if b > c.max || b < prev {
+				t.Fatalf("min %d max %d: %d after %d", c.min, c.max, b, prev)
+			}
+		}
+		if b != c.want {
+			t.Errorf("min %d max %d: settles at %d, want %d", c.min, c.max, b, c.want)
+		}
+	}
+	if got := nextBackoff(3, 1000); got != 6 {
+		t.Errorf("nextBackoff(3, 1000) = %d, want 6", got)
+	}
+	if got := nextBackoff(768, 1000); got != 1000 {
+		t.Errorf("nextBackoff(768, 1000) = %d, want 1000", got)
+	}
+}
+
 // lock abstracts the two lock types for shared tests.
 type lock interface {
 	Acquire(p *machine.Proc)

@@ -93,9 +93,7 @@ func (l *MCSLock) Acquire(p *machine.Proc) {
 	}
 	p.Store(l.locked[i], 1)
 	p.Store(l.next[pred-1], me)
-	for p.Load(l.locked[i]) != 0 {
-		p.Compute(2)
-	}
+	p.SpinWhile(l.locked[i], machine.NotEqual, 0, 2)
 }
 
 // Release passes the lock to the successor, if any.
@@ -111,9 +109,7 @@ func (l *MCSLock) Release(p *machine.Proc) {
 		}
 		// A successor announced itself between our check and the tail
 		// update attempt; wait for its link.
-		for p.Load(l.next[i]) == 0 {
-			p.Compute(2)
-		}
+		p.SpinWhile(l.next[i], machine.Equal, 0, 2)
 	}
 	succ := p.Load(l.next[i])
 	p.Store(l.locked[succ-1], 0)
@@ -143,9 +139,7 @@ func (l *MCSLock) releaseNoCAS(p *machine.Proc, i int, me arch.Word) bool {
 		return true
 	}
 	usurper := p.FetchStore(l.Tail, oldTail)
-	for p.Load(l.next[i]) == 0 {
-		p.Compute(2)
-	}
+	p.SpinWhile(l.next[i], machine.Equal, 0, 2)
 	succ := p.Load(l.next[i])
 	if usurper != 0 {
 		// Processors entered between the swaps; our successors go behind

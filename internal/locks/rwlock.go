@@ -48,9 +48,7 @@ func (l *RWLock) RLock(p *machine.Proc) {
 		// A writer holds or is draining; retreat and retry.
 		l.Opts.FetchAdd(p, l.Addr, ^arch.Word(rwReaderInc-1)) // -2
 		p.Compute(jitter(p, backoff))
-		if backoff < l.MaxBackoff {
-			backoff *= 2
-		}
+		backoff = nextBackoff(backoff, l.MaxBackoff)
 	}
 }
 
@@ -69,9 +67,7 @@ func (l *RWLock) Lock(p *machine.Proc) {
 			break
 		}
 		p.Compute(jitter(p, backoff))
-		if backoff < l.MaxBackoff {
-			backoff *= 2
-		}
+		backoff = nextBackoff(backoff, l.MaxBackoff)
 	}
 	// Drain readers (including retreating ones).
 	for p.Load(l.Addr)>>1 != 0 {

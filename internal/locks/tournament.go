@@ -67,16 +67,12 @@ func (b *TournamentBarrier) Wait(p *machine.Proc) {
 			// the wakeup broadcast.
 			winner := i &^ (1 << k)
 			p.Store(b.arrive[winner][k], round)
-			for p.Load(b.wake[i]) < round {
-				p.Compute(2)
-			}
+			p.SpinWhile(b.wake[i], machine.Less, round, 2)
 			lost = k
 			break
 		}
 		if loser := i | 1<<k; loser < b.n {
-			for p.Load(b.arrive[i][k]) < round {
-				p.Compute(2)
-			}
+			p.SpinWhile(b.arrive[i][k], machine.Less, round, 2)
 		}
 	}
 	// Wakeup: retrace the matches we won, highest level first.

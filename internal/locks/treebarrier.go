@@ -57,17 +57,13 @@ func (b *TreeBarrier) Wait(p *machine.Proc) {
 		if arrivalArity*i+k+1 >= b.n {
 			break
 		}
-		for p.Load(b.arrive[i][k]) < round {
-			p.Compute(2)
-		}
+		p.SpinWhile(b.arrive[i][k], machine.Less, round, 2)
 	}
 	if i != 0 {
 		parent := (i - 1) / arrivalArity
 		slot := (i - 1) % arrivalArity
 		p.Store(b.arrive[parent][slot], round)
-		for p.Load(b.wake[i]) < round {
-			p.Compute(2)
-		}
+		p.SpinWhile(b.wake[i], machine.Less, round, 2)
 	}
 	// Wakeup: release our binary-tree children.
 	for _, c := range []int{2*i + 1, 2*i + 2} {

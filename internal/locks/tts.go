@@ -38,18 +38,14 @@ func (l *TTSLock) Acquire(p *machine.Proc) {
 		// the lock looks free.
 		for p.Load(l.Addr) != 0 {
 			p.Compute(jitter(p, backoff))
-			if backoff < l.MaxBackoff {
-				backoff *= 2
-			}
+			backoff = nextBackoff(backoff, l.MaxBackoff)
 		}
 		// Test-and-set with the configured primitive.
 		if l.Opts.TestAndSet(p, l.Addr) == 0 {
 			return
 		}
 		p.Compute(jitter(p, backoff))
-		if backoff < l.MaxBackoff {
-			backoff *= 2
-		}
+		backoff = nextBackoff(backoff, l.MaxBackoff)
 	}
 }
 
@@ -61,6 +57,9 @@ func (l *TTSLock) Release(p *machine.Proc) {
 		p.DropCopy(l.Addr)
 	}
 }
+
+// nextBackoff doubles an exponential backoff bound, capped at max.
+func nextBackoff(b, max sim.Time) sim.Time { return min(2*b, max) }
 
 // jitter returns a uniformly random delay in [1, bound], from the
 // processor's private stream.

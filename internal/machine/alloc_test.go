@@ -5,6 +5,7 @@ import (
 
 	"dsm/internal/arch"
 	"dsm/internal/core"
+	"dsm/internal/mesh"
 	"dsm/internal/sim"
 )
 
@@ -40,5 +41,45 @@ func TestHotPathZeroAllocDeferredCompute(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, run); n != 0 {
 		t.Fatalf("deferred-Compute run allocates %.1f times per run, want 0", n)
+	}
+}
+
+// TestHotPathZeroAllocSpin pins the engine-side spin at zero steady-state
+// allocations: a reset-and-rerun machine whose processors pass a token
+// MCS-style, each spinning through SpinWhile on a flag homed at its own
+// node until its predecessor hands over.
+func TestHotPathZeroAllocSpin(t *testing.T) {
+	m := newSmall()
+	cfg := m.cfg
+	var flags [4]arch.Addr
+	var count arch.Addr
+	prog := func(p *Proc) {
+		i := p.ID()
+		if i > 0 {
+			p.SpinWhile(flags[i], Equal, 0, 2)
+		}
+		p.FetchAdd(count, 1)
+		if i+1 < len(flags) {
+			p.Store(flags[i+1], 1)
+		}
+	}
+	run := func() {
+		if !m.Reset(cfg) {
+			t.Fatal("Reset refused the machine's own config")
+		}
+		for i := range flags {
+			flags[i] = m.AllocSyncAt(mesh.NodeID(i), core.PolicyINV)
+		}
+		count = m.AllocSync(core.PolicyINV)
+		m.Run(prog)
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	if got := m.Peek(count); got != 4 {
+		t.Fatalf("count %d after the handoff, want 4", got)
+	}
+	if n := testing.AllocsPerRun(10, run); n != 0 {
+		t.Fatalf("SpinWhile run allocates %.1f times per run, want 0", n)
 	}
 }

@@ -86,6 +86,77 @@ func TestProgramPanicUnwindsEveryCoroutine(t *testing.T) {
 	}
 }
 
+// TestPanicUnwindsSpinningCoroutines: a peer's panic while three programs
+// are suspended mid-SpinWhile, their loads in flight or their next load
+// scheduled, reaches RunEach's caller and unwinds them all; after a Reset
+// no spin state survives into the next run, which matches a fresh machine.
+func TestPanicUnwindsSpinningCoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	m := newSmall()
+	flag := m.AllocSyncAt(1, core.PolicyINV)
+	boom := &struct{ msg string }{"proc 0 failed"}
+	unwound := 0
+	spin := func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Compute(sim.Time(p.ID()))
+		p.SpinWhile(flag, Equal, 0, 2)
+		t.Error("spin ended on a flag nobody set")
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != boom {
+				t.Fatalf("recovered %v, want the program's panic value", r)
+			}
+		}()
+		m.RunEach([]func(*Proc){
+			func(p *Proc) {
+				p.Compute(200)
+				p.Load(flag)
+				panic(boom)
+			},
+			spin, spin, spin,
+		})
+		t.Fatal("RunEach returned normally")
+	}()
+	if unwound != 3 {
+		t.Fatalf("%d of 3 spinning programs unwound", unwound)
+	}
+	for i := 1; i < 4; i++ {
+		if m.ProcStats(i).Ops < 10 {
+			t.Fatalf("proc %d made %d loads before the panic, want a spin in progress", i, m.ProcStats(i).Ops)
+		}
+	}
+
+	cfg := m.cfg
+	if !m.Reset(cfg) {
+		t.Fatal("Reset refused the machine's own config")
+	}
+	release := spinRelease(core.PolicyINV, 2)
+	checked := func(m *Machine, spin spinFunc, r *spinRecord) []func(*Proc) {
+		progs := release(m, spin, r)
+		for i, prog := range progs {
+			progs[i] = func(p *Proc) {
+				if p.pending.kind == actSpin {
+					t.Errorf("proc %d starts its program with a stale spin pending", p.ID())
+				}
+				prog(p)
+			}
+		}
+		return progs
+	}
+	sameSpinRecord(t, "after panic and Reset",
+		runSpinCase(m, checked, spinEngine), runSpinCase(New(cfg), release, spinEngine))
+
+	w := weak.Make(m)
+	m = nil
+	if !goroutinesSettle(baseline) {
+		t.Fatalf("goroutines: %d, baseline %d", runtime.NumGoroutine(), baseline)
+	}
+	if w.Value() != nil {
+		t.Fatal("machine still reachable after its run panicked")
+	}
+}
+
 func TestDeadlockUnwindsEveryCoroutine(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	m := newSmall()

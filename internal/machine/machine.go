@@ -10,9 +10,13 @@
 // memory operation, a barrier arrival, or termination), which switches
 // back. A compute delay does not switch: the program runs past it, and its
 // next action carries the delay and takes effect when the delay has
-// elapsed, as MINT enters the back end only at timed actions. All back-end
-// activity happens in the engine's event loop, so a given program and
-// configuration always produce the same cycle-for-cycle execution.
+// elapsed, as MINT enters the back end only at timed actions. A constant-gap
+// spin-wait is one action too: Proc.SpinWhile hands the engine the address,
+// comparison and gap, and the engine runs the loads, counting each as the
+// Go loop would, until the comparison fails; only then does the program
+// resume. All back-end activity happens in the engine's event loop, so a
+// given program and configuration always produce the same cycle-for-cycle
+// execution.
 //
 // Each processor's coroutine is resident: created at its first program and
 // kept across runs and Resets. A panic in a program reaches RunEach's

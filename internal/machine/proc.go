@@ -14,6 +14,7 @@ type actionKind uint8
 
 const (
 	actIssue   actionKind = iota
+	actSpin               // a SpinWhile episode: loads until the comparison fails
 	actCompute            // a compute delay flushed by a second Compute
 	actBarrier
 	actDone
@@ -21,11 +22,37 @@ const (
 
 // action is what a program yields to the engine. delay is the compute time
 // the program ran past before yielding it; the action takes effect once
-// that has elapsed.
+// that has elapsed. An actSpin's req is the load it repeats, completing
+// through spinDone, and cmp, x and gap are SpinWhile's arguments.
 type action struct {
 	kind  actionKind
+	cmp   Cmp
+	x     arch.Word
 	req   core.Request
 	delay sim.Time
+	gap   sim.Time
+}
+
+// Cmp is the comparison SpinWhile tests each loaded value v against its
+// operand x; the spin continues while it holds.
+type Cmp uint8
+
+const (
+	Less     Cmp = iota // v < x
+	Equal               // v == x
+	NotEqual            // v != x
+)
+
+func (c Cmp) holds(v, x arch.Word) bool {
+	switch c {
+	case Less:
+		return v < x
+	case Equal:
+		return v == x
+	case NotEqual:
+		return v != x
+	}
+	panic("machine: invalid Cmp")
 }
 
 // ProcStats aggregates one processor's activity over its programs.
@@ -51,19 +78,22 @@ type Proc struct {
 	res core.Result
 	rng sim.RNG
 
-	// done, resumeFn and dispatchFn are preallocated once per Proc so the
-	// per-operation hot path (one Done callback per memory reference, one
-	// dispatch event per compute delay) schedules without allocating a
-	// closure.
+	// done, spinDoneFn, resumeFn and dispatchFn are preallocated once per
+	// Proc so the per-operation hot path (one Done callback per memory
+	// reference, one dispatch event per compute delay) schedules without
+	// allocating a closure.
 	done       func(core.Result)
+	spinDoneFn func(core.Result)
 	resumeFn   func()
 	dispatchFn func()
 
 	// lag is the compute delay the program has run past without yielding;
 	// the next action it yields carries it. pending is the action waiting
-	// out its delay, which dispatchFn dispatches.
+	// out its delay, which dispatchFn dispatches; during a spin episode it
+	// is the actSpin, and spinAt is when its current load was issued.
 	lag     sim.Time
 	pending action
+	spinAt  sim.Time
 	// held is a panic the program raised with a compute delay pending; the
 	// dispatch event ending the delay re-raises it.
 	held any
@@ -142,6 +172,7 @@ func (p *Proc) init(m *Machine, n mesh.NodeID, co *coro) {
 	p.node = n
 	p.co = co
 	p.done = func(res core.Result) { p.step(res) }
+	p.spinDoneFn = p.spinDone
 	p.resumeFn = func() { p.step(core.Result{}) }
 	p.dispatchFn = func() { p.dispatch(p.pending) }
 }
@@ -154,6 +185,7 @@ func (p *Proc) begin(prog func(*Proc), seed uint64) {
 	base.ForkInto(&p.rng, uint64(p.node))
 	p.lastSerial = 0
 	p.held = nil
+	p.pending = action{}
 	if p.co.next == nil {
 		p.co.next, p.co.stop = iter.Pull(p.co.body)
 	}
@@ -186,6 +218,9 @@ func (p *Proc) dispatch(act action) {
 		req := act.req
 		req.Done = p.done
 		p.m.sys.Cache(p.node).Issue(req)
+	case actSpin:
+		p.pending, p.spinAt = act, p.m.eng.Now()
+		p.m.sys.Cache(p.node).Issue(act.req)
 	case actCompute:
 		p.step(core.Result{})
 	case actBarrier:
@@ -197,6 +232,26 @@ func (p *Proc) dispatch(act action) {
 		}
 		p.m.procDone()
 	}
+}
+
+// spinDone completes one load of a spin episode, doing on the engine side
+// what SpinWhile's loop would do on resuming: count the load, then either
+// resume the program with the value, or count the gap and reissue the load
+// gap cycles later from the same dispatch event a yielded load would use.
+func (p *Proc) spinDone(r core.Result) {
+	s := &p.pending
+	p.stats.Ops++
+	p.stats.MemoryCycles += p.m.eng.Now() - p.spinAt
+	if !s.cmp.holds(r.Value, s.x) {
+		p.step(r)
+		return
+	}
+	p.stats.ComputeCycles += s.gap
+	if s.gap == 0 {
+		p.dispatch(*s)
+		return
+	}
+	p.m.eng.After(s.gap, p.dispatchFn)
 }
 
 // await yields a, carrying the pending compute delay, suspends the program
@@ -284,6 +339,29 @@ func (p *Proc) Do(req core.Request) core.Result { return p.do(req) }
 // Load performs an ordinary load.
 func (p *Proc) Load(a arch.Addr) arch.Word {
 	return p.do(core.Request{Op: core.OpLoad, Addr: a}).Value
+}
+
+// SpinWhile spins on a until the loaded value v no longer satisfies
+// cmp(v, x), and returns that value. It is exactly
+//
+//	v := p.Load(a)
+//	for cmp(v, x) {
+//		p.Compute(gap)
+//		v = p.Load(a)
+//	}
+//
+// in simulated time, events and ProcStats, but the program yields once per
+// spin episode instead of once per load: the engine issues each load,
+// tests the comparison at its completion, and schedules the next load gap
+// cycles later itself, as the loop's deferred Compute would have. A spin
+// whose gap is drawn from Rand each iteration (backoff, jitter) cannot be
+// expressed this way and stays a Go loop.
+func (p *Proc) SpinWhile(a arch.Addr, cmp Cmp, x arch.Word, gap sim.Time) arch.Word {
+	return p.await(action{
+		kind: actSpin,
+		req:  core.Request{Op: core.OpLoad, Addr: a, Done: p.spinDoneFn},
+		cmp:  cmp, x: x, gap: gap,
+	}).Value
 }
 
 // Store performs an ordinary store.

@@ -112,6 +112,25 @@ var timingCases = []timingCase{
 		}
 		return []func(*Proc){prog, prog, prog, prog}
 	}},
+	{"spin-release", func(m *Machine, now *[4][]sim.Time) []func(*Proc) {
+		flag := m.AllocSyncAt(1, core.PolicyINV)
+		joined := m.AllocSync(core.PolicyUPD)
+		writer := func(p *Proc) {
+			p.Compute(150)
+			p.Store(flag, 1)
+			mark(p, now)
+			p.SpinWhile(joined, Less, 3, 2)
+			mark(p, now)
+		}
+		spinner := func(p *Proc) {
+			p.Compute(sim.Time(3 * p.ID()))
+			v := p.SpinWhile(flag, Equal, 0, 2)
+			mark(p, now)
+			p.FetchAdd(joined, v)
+			mark(p, now)
+		}
+		return []func(*Proc){writer, spinner, spinner, spinner}
+	}},
 }
 
 // timingRecord is everything a timing case pins.
@@ -134,11 +153,13 @@ func runTimingCase(c timingCase) timingRecord {
 }
 
 // pinnedTiming holds each case's record as measured when every Compute
-// yielded to the engine and resumed from its own event. Deferring a compute
-// delay to the next timed action must reproduce all of it: the timed
-// actions still fire at the same simulated times, from events with the
-// same sequence numbers, so readings, elapsed time, event count and stats
-// match exactly.
+// yielded to the engine and resumed from its own event, and, for
+// spin-release, when each SpinWhile was the Go loop of Loads and Computes
+// it stands for. Deferring a compute delay to the next timed action, and
+// running a spin's loads from the engine, must reproduce all of it: the
+// timed actions still fire at the same simulated times, from events with
+// the same sequence numbers, so readings, elapsed time, event count and
+// stats match exactly.
 var pinnedTiming = map[string]timingRecord{
 	"compute-load": {
 		now:     [4][]sim.Time{{31, 134, 522}, {44, 112, 206}, {50, 232, 441}, {58, 341, 467}},
@@ -198,6 +219,16 @@ var pinnedTiming = map[string]timingRecord{
 			{Ops: 12, MemoryCycles: 409, ComputeCycles: 40, BarrierCycles: 0, Barriers: 0},
 			{Ops: 8, MemoryCycles: 177, ComputeCycles: 36, BarrierCycles: 0, Barriers: 0},
 			{Ops: 12, MemoryCycles: 298, ComputeCycles: 50, BarrierCycles: 0, Barriers: 0},
+		},
+	},
+	"spin-release": {
+		now:     [4][]sim.Time{{191, 309}, {225, 266}, {275, 310}, {279, 322}},
+		elapsed: 322, events: 428,
+		stats: [4]ProcStats{
+			{Ops: 31, MemoryCycles: 101, ComputeCycles: 208, BarrierCycles: 0, Barriers: 0},
+			{Ops: 52, MemoryCycles: 163, ComputeCycles: 103, BarrierCycles: 0, Barriers: 0},
+			{Ops: 48, MemoryCycles: 212, ComputeCycles: 98, BarrierCycles: 0, Barriers: 0},
+			{Ops: 47, MemoryCycles: 223, ComputeCycles: 99, BarrierCycles: 0, Barriers: 0},
 		},
 	},
 }
