@@ -16,8 +16,8 @@
 // With -dump-protocol the coherence transition tables (internal/proto)
 // are printed in a stable human-readable form and no simulation runs.
 //
-// Unknown -app/-policy/-prim/-cas values are rejected with a usage message
-// and exit status 2.
+// Unknown -app/-policy/-prim/-cas values and a -procs outside 1-64 are
+// rejected with a usage message and exit status 2.
 package main
 
 import (
@@ -90,6 +90,9 @@ func main() {
 		os.Exit(2)
 	}
 	if err := validateApp(*app); err != nil {
+		fail(err)
+	}
+	if err := exper.CheckProcs(*procs); err != nil {
 		fail(err)
 	}
 	bar, err := parseBar(*policy, *prim, *variant, *ldex, *drop)

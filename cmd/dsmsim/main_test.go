@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"dsm/internal/core"
+	"dsm/internal/exper"
 	"dsm/internal/locks"
 	"dsm/internal/proto"
 )
@@ -58,6 +61,55 @@ func TestValidateApp(t *testing.T) {
 	for _, app := range []string{"", "Counter", "fib", "barnes"} {
 		if err := validateApp(app); err == nil {
 			t.Errorf("validateApp(%q) accepted", app)
+		}
+	}
+}
+
+func TestCheckProcs(t *testing.T) {
+	for _, tc := range []struct {
+		procs   int
+		wantErr string
+	}{
+		{1, ""},
+		{8, ""},
+		{64, ""},
+		{65, "procs 65 out of range 1-64"},
+		{0, "procs 0 out of range 1-64"},
+		{-3, "procs -3 out of range 1-64"},
+	} {
+		err := exper.CheckProcs(tc.procs)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("CheckProcs(%d) = %v", tc.procs, err)
+		case tc.wantErr != "" && (err == nil || err.Error() != tc.wantErr):
+			t.Errorf("CheckProcs(%d) = %v, want %q", tc.procs, err, tc.wantErr)
+		}
+	}
+}
+
+// TestOutOfRangeProcsExitsWithUsage runs main in a child process: an
+// out-of-range -procs must print the error and the usage text and exit 2,
+// not panic.
+func TestOutOfRangeProcsExitsWithUsage(t *testing.T) {
+	if os.Getenv("DSMSIM_MAIN") != "" {
+		os.Args = append([]string{"dsmsim"}, strings.Fields(os.Getenv("DSMSIM_MAIN"))...)
+		main()
+		os.Exit(0)
+	}
+	for _, args := range []string{"-procs 65", "-procs 0", "-procs -3"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestOutOfRangeProcsExitsWithUsage$")
+		cmd.Env = append(os.Environ(), "DSMSIM_MAIN="+args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("dsmsim %s: err %v, want exit status 2; stderr:\n%s", args, err, stderr.String())
+		}
+		out := stderr.String()
+		if !strings.Contains(out, "out of range 1-64") || !strings.Contains(out, "Usage of") ||
+			strings.Contains(out, "panic:") {
+			t.Fatalf("dsmsim %s stderr:\n%s", args, out)
 		}
 	}
 }

@@ -37,7 +37,7 @@ func main() {
 		fig4   = flag.Bool("fig4", false, "Figure 4: TTS-lock counter")
 		fig5   = flag.Bool("fig5", false, "Figure 5: MCS-lock counter")
 		fig6   = flag.Bool("fig6", false, "Figure 6: total elapsed time of the real applications")
-		procs  = flag.Int("procs", 64, "simulated processors")
+		procs  = flag.Int("procs", 64, "simulated processors (1-64)")
 		rounds = flag.Int("rounds", 16, "rounds per synthetic pattern")
 		tcsize = flag.Int("tcsize", 32, "transitive-closure vertices")
 		csv    = flag.Bool("csv", false, "emit CSV instead of text tables")
@@ -47,6 +47,11 @@ func main() {
 	flag.Parse()
 
 	if !(*all || *table1 || *fig2 || *fig3 || *fig4 || *fig5 || *fig6 || *tceff) {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := exper.CheckProcs(*procs); err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -81,20 +81,31 @@ type Stats struct {
 	DirtyEvictions uint64 `json:"dirty_evictions"` // displaced lines that required write-back
 }
 
+// pageBits is log2 of the sets in one line page: 8 sets, which is 32 lines
+// (~1.8 KB) of a default-geometry cache. A cache with fewer sets has one
+// page, holding all of them.
+const (
+	pageBits = 3
+	pageMask = 1<<pageBits - 1
+)
+
 // Cache is one node's cache array. It is a passive structure: the coherence
 // controller in internal/core decides what to insert, invalidate, and write
 // back; Cache only tracks contents and LRU order.
+//
+// Lines live in pages of 1<<pageBits consecutive sets, allocated by the
+// first Insert into one of their sets. A contended run touches a few lines
+// per cache, so a machine pays for those pages rather than for every line.
 type Cache struct {
 	cfg   Config
-	sets  [][]Line
+	pages [][]Line // set si is in pages[si>>pageBits]; nil until an Insert lands in it
 	clock uint64
 	stats Stats
 
 	// epoch is the current line-validity generation: a line is live only
 	// when line.epoch == epoch. Reset advances it instead of zeroing the
-	// line slab, making between-run invalidation O(1) — clearing a
-	// default-geometry cache (512 sets x 4 ways) otherwise costs ~100KB of
-	// writes, which dominates short simulations when machines are pooled.
+	// pages, so between-run invalidation is O(1) and a reused cache keeps
+	// the pages it filled before.
 	epoch uint64
 
 	// Cache-side LL/SC reservation: one bit and one address register.
@@ -117,32 +128,27 @@ func New(cfg Config) *Cache {
 
 // Init (re)initializes a cache in place, for callers that embed Cache by
 // value. It panics on non-positive or non-power-of-two geometry
-// (programming errors in machine assembly).
+// (programming errors in machine assembly). No line is allocated until the
+// first Insert.
 func (c *Cache) Init(cfg Config) {
 	if cfg.Sets <= 0 || cfg.Assoc <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
 		panic(fmt.Sprintf("cache: invalid geometry %+v", cfg))
 	}
-	// All lines live in one slab; sets are full-capacity subslices of it.
-	// A default-geometry cache is two allocations, not Sets+1.
-	lines := make([]Line, cfg.Sets*cfg.Assoc)
-	sets := make([][]Line, cfg.Sets)
-	for i := range sets {
-		sets[i] = lines[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
-	*c = Cache{cfg: cfg, sets: sets}
+	*c = Cache{cfg: cfg, pages: make([][]Line, (cfg.Sets+pageMask)>>pageBits)}
 }
 
-// Reset empties the cache without touching the line slab: it advances the
+// Reset empties the cache without touching its pages: it advances the
 // validity epoch (invalidating every line in O(1)), rewinds the LRU clock,
-// and clears the stats and the LL/SC reservation. A reset cache behaves
-// identically to a freshly initialized one — stale-epoch lines compare as
-// free ways and never reach the LRU victim scan, and LRU timestamps restart
-// from the same clock values a fresh cache would assign.
+// and clears the stats and the LL/SC reservation (bit and address). A reset
+// cache behaves identically to a freshly initialized one — stale-epoch
+// lines compare as free ways and never reach the LRU victim scan, and LRU
+// timestamps restart from the same clock values a fresh cache would assign
+// — and it keeps its pages, so refilling the same sets allocates nothing.
 func (c *Cache) Reset() {
 	c.epoch++
 	c.clock = 0
 	c.stats = Stats{}
-	c.resvValid = false
+	c.resvValid, c.resvAddr = false, 0
 }
 
 // Stats returns a snapshot of the activity counters.
@@ -152,11 +158,31 @@ func (c *Cache) setIndex(base arch.Addr) int {
 	return int(arch.BlockNumber(base)) & (c.cfg.Sets - 1)
 }
 
+// set returns the ways of the set holding base, or nil if that set's page
+// was never filled.
+func (c *Cache) set(base arch.Addr) []Line {
+	si := c.setIndex(base)
+	p := c.pages[si>>pageBits]
+	if p == nil {
+		return nil
+	}
+	i := (si & pageMask) * c.cfg.Assoc
+	return p[i : i+c.cfg.Assoc]
+}
+
+// fill is set for Insert: it allocates the set's page on first touch.
+func (c *Cache) fill(base arch.Addr) []Line {
+	if pi := c.setIndex(base) >> pageBits; c.pages[pi] == nil {
+		c.pages[pi] = make([]Line, min(c.cfg.Sets, pageMask+1)*c.cfg.Assoc)
+	}
+	return c.set(base)
+}
+
 // Lookup returns the line holding the block containing a, or nil on miss.
 // A hit refreshes the line's LRU position.
 func (c *Cache) Lookup(a arch.Addr) *Line {
 	base := arch.BlockBase(a)
-	set := c.sets[c.setIndex(base)]
+	set := c.set(base)
 	for i := range set {
 		l := &set[i]
 		if l.State != Invalid && l.epoch == c.epoch && l.Base == base {
@@ -171,7 +197,7 @@ func (c *Cache) Lookup(a arch.Addr) *Line {
 // Peek is Lookup without the LRU side effect.
 func (c *Cache) Peek(a arch.Addr) *Line {
 	base := arch.BlockBase(a)
-	set := c.sets[c.setIndex(base)]
+	set := c.set(base)
 	for i := range set {
 		l := &set[i]
 		if l.State != Invalid && l.epoch == c.epoch && l.Base == base {
@@ -200,7 +226,7 @@ func (c *Cache) Insert(a arch.Addr, st State, data arch.BlockData) (*Line, *Vict
 		panic("cache: inserting an invalid line")
 	}
 	base := arch.BlockBase(a)
-	set := c.sets[c.setIndex(base)]
+	set := c.fill(base)
 	c.clock++
 
 	// Same-block update in place.
@@ -304,9 +330,9 @@ func (c *Cache) ReservedOn(a arch.Addr) bool {
 // ForEach calls fn for every valid line, in set order. Used by invariant
 // checks and debugging dumps.
 func (c *Cache) ForEach(fn func(*Line)) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
+	for _, p := range c.pages {
+		for i := range p {
+			l := &p[i]
 			if l.State != Invalid && l.epoch == c.epoch {
 				fn(l)
 			}

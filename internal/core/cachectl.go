@@ -67,7 +67,7 @@ type CacheCtl struct {
 func (c *CacheCtl) init(s *System, n mesh.NodeID) {
 	c.sys = s
 	c.node = n
-	c.cache.Init(s.cfg.Cache)
+	c.cache.Init(s.cfg.Cache) // no lines yet: the cache pages them in on first fill
 	c.recvHook = func(a any) { c.receive(a.(*msg)) }
 	c.startFn = func() { c.start(&c.txn) }
 	c.sendHook = func(a any) {
@@ -77,7 +77,7 @@ func (c *CacheCtl) init(s *System, n mesh.NodeID) {
 }
 
 // reset returns the controller to its post-init state for machine reuse.
-// The preallocated hooks and the cache's line slab are kept; the cache is
+// The preallocated hooks and the cache's line pages are kept; the cache is
 // emptied by advancing its validity epoch.
 func (c *CacheCtl) reset() {
 	c.cache.Reset()

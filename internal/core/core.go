@@ -105,6 +105,10 @@ type Result struct {
 	Chain int
 }
 
+// MaxNodes is the largest node count a machine can have: the paper's
+// machine, and the width of the directory's sharer vector (dir.Bitset).
+const MaxNodes = 64
+
 // Config carries the protocol and timing configuration of the system.
 type Config struct {
 	Nodes int // processor/memory node count (must fit the mesh)
@@ -201,8 +205,8 @@ func (s *System) trace(node mesh.NodeID, kind, format string, args ...any) {
 // NewSystem builds the controllers for a machine with the given
 // configuration over the given engine and mesh.
 func NewSystem(eng *sim.Engine, net *mesh.Mesh, cfg Config) *System {
-	if cfg.Nodes <= 0 || cfg.Nodes > 64 {
-		panic(fmt.Sprintf("core: node count %d outside 1..64", cfg.Nodes))
+	if cfg.Nodes <= 0 || cfg.Nodes > MaxNodes {
+		panic(fmt.Sprintf("core: node count %d outside 1..%d", cfg.Nodes, MaxNodes))
 	}
 	if cfg.Nodes > net.Nodes() {
 		panic("core: more nodes than mesh positions")

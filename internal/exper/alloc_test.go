@@ -24,25 +24,6 @@ func benchPoint() (exper.Bar, exper.RunOpts, apps.Pattern) {
 	return bar, o, pat
 }
 
-// TestHotPathZeroAllocMachinePool pins the pooled one-off path: acquire,
-// run, release.
-func TestHotPathZeroAllocMachinePool(t *testing.T) {
-	bar, o, pat := benchPoint()
-	run := func() {
-		m := exper.NewMachine(o, bar)
-		apps.CounterApp(m, bar.Policy, bar.Opts(), pat)
-		exper.ReleaseMachine(m)
-	}
-	// Warm the pool, the engine free lists, and the app runner before
-	// measuring the steady state.
-	for i := 0; i < 3; i++ {
-		run()
-	}
-	if n := testing.AllocsPerRun(10, run); n != 0 {
-		t.Fatalf("pooled machine run allocates %.1f times per run, want 0", n)
-	}
-}
-
 // TestHotPathZeroAllocMachineSlot pins the per-worker slot path — the one
 // the sweep runner and the serving layer actually sit on.
 func TestHotPathZeroAllocMachineSlot(t *testing.T) {
@@ -55,6 +36,20 @@ func TestHotPathZeroAllocMachineSlot(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, run); n != 0 {
 		t.Fatalf("slot machine run allocates %.1f times per run, want 0", n)
+	}
+}
+
+// TestHotPathZeroAllocPointRun pins the one-off path: repeated Point.Run
+// calls reuse the shared slot's machine instead of building one each.
+func TestHotPathZeroAllocPointRun(t *testing.T) {
+	bar, o, pat := benchPoint()
+	pt := exper.Point{App: exper.AppCounter, Bar: bar, Scale: o, Pattern: pat}
+	run := func() { pt.Run(false) }
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	if n := testing.AllocsPerRun(10, run); n != 0 {
+		t.Fatalf("one-off point run allocates %.1f times per run, want 0", n)
 	}
 }
 

@@ -123,6 +123,14 @@ func ParseApp(s string) (App, error) {
 	return 0, fmt.Errorf("unknown app %q (want counter, tts, mcs, tclosure, locusroute, cholesky, msqueue, stack, rcu, tournament, or dissemination)", s)
 }
 
+// CheckProcs rejects a processor count no machine can have.
+func CheckProcs(n int) error {
+	if n < 1 || n > core.MaxNodes {
+		return fmt.Errorf("procs %d out of range 1-%d", n, core.MaxNodes)
+	}
+	return nil
+}
+
 // ParsePolicy maps a wire policy name to the internal coherence policy.
 func ParsePolicy(s string) (core.Policy, error) {
 	switch s {

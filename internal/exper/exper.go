@@ -2,7 +2,7 @@
 // (which workload, under which primitive/policy bar, at what scale and
 // sharing pattern) and executes it. A Point names one simulation, a Plan is
 // an ordered list of points, and Run fans a plan's points across host
-// workers, drawing machines from a reuse pool and returning results — with
+// workers, each reusing its own machine, and returns results — with
 // optional byte-stable measurement reports — in plan order regardless of
 // completion order.
 //

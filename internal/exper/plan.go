@@ -114,28 +114,25 @@ func (p Point) RunOn(m *machine.Machine) Result {
 	return r
 }
 
-// Run executes the point on a pooled machine and releases it. With collect,
-// the result carries the machine's full measurement report (byte-stable
-// under report.WriteJSON); without, only the headline numbers, which keeps
-// grid sweeps free of per-point report allocation.
+// Run executes the point on the machine slot that one-off runs share.
+// With collect, the result carries the machine's full measurement report
+// (byte-stable under report.WriteJSON); without, only the headline
+// numbers, which keeps grid sweeps free of per-point report allocation.
 //
-// Run is the one-off path; a worker executing many points should hold a
-// MachineSlot and call RunSlot instead, which skips the shared pool.
+// Run is the one-off path, and concurrent calls take turns on the shared
+// slot. A worker executing many points should hold its own MachineSlot and
+// call RunSlot instead.
 func (p Point) Run(collect bool) Result {
-	m := NewMachine(p.Scale, p.Bar)
-	defer ReleaseMachine(m)
-	r := p.RunOn(m)
-	if collect {
-		r.Report = report.Collect(m)
-	}
-	return r
+	oneOff.mu.Lock()
+	defer oneOff.mu.Unlock()
+	return p.RunSlot(&oneOff.slot, collect)
 }
 
 // RunSlot executes the point on the slot's resident machine (reset or
 // rebuilt to the point's geometry) and leaves the machine in the slot for
 // the worker's next point. Results are identical to Run's — a reset
-// machine replays a fresh one cycle for cycle — but the shared machine
-// pool is never touched, so concurrent workers stay contention-free.
+// machine replays a fresh one cycle for cycle — and concurrent workers,
+// each with its own slot, share nothing.
 func (p Point) RunSlot(s *MachineSlot, collect bool) Result {
 	m := s.Machine(MachineConfig(p.Scale, p.Bar))
 	r := p.RunOn(m)
@@ -157,7 +154,7 @@ type Plan struct {
 
 // Run executes every point of the plan and returns the results in plan
 // order. Each sweep worker owns a dedicated machine slot it reuses across
-// the plan's points (see SweepSlots), so no shared pool sits on the
+// the plan's points (see SweepSlots), so no shared structure sits on the
 // per-point path.
 //
 // Points are *executed* grouped by machine geometry (groupOrder) so a
@@ -231,7 +228,7 @@ func SyntheticPlan(app App, o RunOpts) Plan {
 // LocusRoute and Cholesky use lock-based synchronization (the paper
 // replaced the SPLASH library locks with TTS locks built on the primitive
 // under study); Transitive Closure uses the lock-free counter. The caller
-// owns the machine; pair with ReleaseMachine when done with its stats.
+// owns the machine.
 func RunReal(app App, o RunOpts, bar Bar) (*machine.Machine, uint64) {
 	m := NewMachine(o, bar)
 	res := Point{App: app, Bar: bar, Scale: o}.RunOn(m)

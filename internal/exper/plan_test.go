@@ -125,8 +125,8 @@ func TestCollectToggle(t *testing.T) {
 }
 
 // TestCollectedReportSurvivesPoolReuse pins the aliasing contract: a
-// collected report must stay valid after its machine returns to the pool
-// and is reused by later points.
+// collected report must stay valid after its machine is reset and reused
+// by later points.
 func TestCollectedReportSurvivesPoolReuse(t *testing.T) {
 	o := RunOpts{Procs: 8, Rounds: 2}
 	hot := Point{
@@ -136,14 +136,14 @@ func TestCollectedReportSurvivesPoolReuse(t *testing.T) {
 	first := hot.Run(true)
 	total := first.Report.Contention.Total()
 	mean := first.Report.Contention.Mean()
-	// Churn the pool with different runs that would clobber a live alias.
+	// Reuse the machine for different runs that would clobber a live alias.
 	cold := hot
 	cold.Pattern = Pattern{Contention: 1, Rounds: o.Rounds}
 	for i := 0; i < 4; i++ {
 		cold.Run(false)
 	}
 	if first.Report.Contention.Total() != total || first.Report.Contention.Mean() != mean {
-		t.Fatalf("report histogram mutated by pool reuse: total %d->%d mean %.3f->%.3f",
+		t.Fatalf("report histogram mutated by machine reuse: total %d->%d mean %.3f->%.3f",
 			total, first.Report.Contention.Total(), mean, first.Report.Contention.Mean())
 	}
 }

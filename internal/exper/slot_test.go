@@ -73,9 +73,9 @@ func TestMachineSlotReusesResidentMachine(t *testing.T) {
 	}
 }
 
-// TestRunSlotMatchesRun checks the slot path and the pooled one-off path
-// produce identical results for the same point — determinism is per run,
-// not per machine-ownership scheme.
+// TestRunSlotMatchesRun checks that a worker's own slot and the slot Run
+// shares produce identical results for the same point: determinism is per
+// run, not per machine.
 func TestRunSlotMatchesRun(t *testing.T) {
 	p := Point{
 		App:     AppCounter,

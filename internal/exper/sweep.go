@@ -10,7 +10,7 @@ import (
 // worker goroutines and returns when all jobs have finished. Each worker
 // owns one MachineSlot for the sweep's lifetime and passes it to every job
 // it executes, so a job that runs its point on the slot's machine reuses
-// that machine across jobs with no pool round-trip and no cross-worker
+// that machine across jobs with no rebuild and no cross-worker
 // contention — the per-worker ownership that lets a sweep actually scale
 // with GOMAXPROCS.
 //

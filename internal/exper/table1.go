@@ -23,8 +23,7 @@ func Table1() []Table1Row { return Table1Par(0) }
 func Table1Par(par int) []Table1Row {
 	cfg := core.DefaultConfig()
 	measureStore := func(policy core.Policy, setup func(m *machine.Machine, a arch.Addr)) int {
-		m := AcquireMachine(cfg)
-		defer ReleaseMachine(m)
+		m := machine.New(cfg)
 		a := m.AllocSyncAt(9, policy) // remote home for nodes 0-2
 		if setup != nil {
 			setup(m, a)

@@ -2,7 +2,6 @@ package figures
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -196,35 +195,5 @@ func TestSyntheticFigureGridShape(t *testing.T) {
 				t.Fatal("empty cell in synthetic grid")
 			}
 		}
-	}
-}
-
-func TestReleaseMachineTwicePanics(t *testing.T) {
-	m := exper.NewMachine(exper.Small(), exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP})
-	exper.ReleaseMachine(m)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("double ReleaseMachine did not panic")
-		}
-		if !strings.Contains(fmt.Sprint(r), "ReleaseMachine called twice") {
-			t.Fatalf("panic message = %v", r)
-		}
-	}()
-	exper.ReleaseMachine(m)
-}
-
-func TestReleaseMachineNilIsNoop(t *testing.T) {
-	exper.ReleaseMachine(nil) // must not panic
-}
-
-func TestReacquiredMachineCanBeReleasedAgain(t *testing.T) {
-	bar := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
-	// Churn through the pool a few times: a machine that comes back out of
-	// the pool must be releasable again without tripping the double-release
-	// guard.
-	for i := 0; i < 3; i++ {
-		m := exper.NewMachine(exper.Small(), bar)
-		exper.ReleaseMachine(m)
 	}
 }

@@ -60,13 +60,6 @@ type Machine struct {
 	// scaffolding only, never simulated state.
 	appScratch any
 
-	// pooled marks a machine currently resident in a reuse pool, mirroring
-	// the freed flag on pooled protocol messages: releasing an
-	// already-released machine would let two callers share one machine and
-	// silently corrupt both runs, so pools use MarkPooled/ClearPooled to
-	// turn that misuse into an immediate panic.
-	pooled bool
-
 	// ctxQuantum, when non-zero, models multiprogramming context switches
 	// as on the MIPS R4000 (paper section 2.1): every quantum, each
 	// processor's LL reservation bit is cleared, so a store_conditional
@@ -127,9 +120,10 @@ func New(cfg core.Config) *Machine {
 		m.procs[i] = &ps[i]
 		m.procs[i].init(m, mesh.NodeID(i), &m.coros[i])
 	}
-	// A machine dropped between runs (by a pool, a slot eviction, or a
-	// caller's panic path) is still collected, because the coroutine slab
-	// does not reach m; this then stops its parked coroutines.
+	// A machine dropped between runs (after a one-off run, by a slot
+	// eviction, or on a caller's panic path) is still collected, because
+	// the coroutine slab does not reach m; this then stops its parked
+	// coroutines.
 	runtime.AddCleanup(m, haltAll, m.coros)
 	return m
 }
@@ -140,7 +134,7 @@ func Default() *Machine { return New(core.DefaultConfig()) }
 // Reset returns the machine to its post-New state under cfg — clock at
 // zero, caches, directories, and memory empty, counters cleared — while
 // keeping every allocation: the engine's event pool, the message pool, the
-// cache line slabs, and the mesh route tables. It reports whether the reset
+// cache line pages filled so far, and the mesh route tables. It reports whether the reset
 // was possible: cfg must structurally match the machine (node count, mesh,
 // cache and memory geometry); behavioral fields (CAS variant, reservation
 // scheme, tracking, delays) may differ. On false the machine is unchanged
@@ -173,20 +167,6 @@ func (m *Machine) Reset(cfg core.Config) bool {
 	}
 	return true
 }
-
-// MarkPooled records that the machine entered a reuse pool. It reports
-// false when the machine is already marked — a double release.
-func (m *Machine) MarkPooled() bool {
-	if m.pooled {
-		return false
-	}
-	m.pooled = true
-	return true
-}
-
-// ClearPooled records that the machine left the pool and is owned by a
-// caller again.
-func (m *Machine) ClearPooled() { m.pooled = false }
 
 // Procs returns the number of simulated processors.
 func (m *Machine) Procs() int { return m.cfg.Nodes }

@@ -15,10 +15,8 @@ import (
 // Each worker goroutine owns one exper.MachineSlot for its lifetime and
 // hands it to every job it runs: a job executes its simulation on the
 // slot's resident machine, which the next job on the same worker resets
-// and reuses. Machines therefore never cross goroutines and never visit
-// the shared sync.Pool — at GOMAXPROCS > 1 the per-request path has no
-// machine-pool lock, no MarkPooled/ClearPooled transitions, and no
-// cross-core machine handoff.
+// and reuses. Machines therefore never cross goroutines: at GOMAXPROCS > 1
+// the per-request path takes no lock and hands no machine between cores.
 type workerPool struct {
 	mu     sync.Mutex // serializes submit against close
 	closed bool

@@ -40,10 +40,10 @@ func (o *Outcome) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Run executes one canonical spec as an exper point on a pooled machine
+// Run executes one canonical spec as an exper point on a fresh machine
 // and returns its outcome. The simulation is deterministic: the same
 // canonical spec always produces the same outcome, on a fresh machine or a
-// recycled one (machine.Reset replays a fresh machine cycle for cycle), so
+// reused one (machine.Reset replays a fresh machine cycle for cycle), so
 // Run is safe to memoize by spec key.
 //
 // The spec must already be normalized; Run panics on enum values
@@ -55,9 +55,8 @@ func Run(sp Spec) *Outcome {
 
 // RunOn executes one canonical spec on the slot's resident machine,
 // resetting or rebuilding it to the spec's geometry. The outcome is
-// byte-identical to Run's — determinism is per run, not per machine — but
-// the shared machine pool is never touched, which is what keeps the serve
-// worker pool contention-free across cores.
+// byte-identical to Run's — determinism is per run, not per machine — and
+// reusing the worker's own machine skips construction on the request path.
 func RunOn(sp Spec, slot *exper.MachineSlot) *Outcome {
 	return outcome(sp, sp.Point().RunSlot(slot, true))
 }

@@ -59,7 +59,7 @@ type Spec struct {
 // Scale limits keep one request's simulation cost bounded: the service is
 // sized for interactive exploration, not unbounded batch jobs.
 const (
-	MaxProcs  = 64 // the paper's machine
+	MaxProcs  = core.MaxNodes // the paper's machine
 	MaxRounds = 256
 	MaxSize   = 64
 	maxWrun   = 64
@@ -114,8 +114,8 @@ func (s Spec) Normalize() (Spec, error) {
 	if s.Procs == 0 {
 		s.Procs = 16
 	}
-	if s.Procs < 1 || s.Procs > MaxProcs {
-		return s, fmt.Errorf("procs %d out of range 1-%d", s.Procs, MaxProcs)
+	if err := exper.CheckProcs(s.Procs); err != nil {
+		return s, err
 	}
 	if patternDriven {
 		if s.Contention == 0 {
