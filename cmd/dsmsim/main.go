@@ -16,8 +16,9 @@
 // With -dump-protocol the coherence transition tables (internal/proto)
 // are printed in a stable human-readable form and no simulation runs.
 //
-// Unknown -app/-policy/-prim/-cas values and a -procs outside 1-64 are
-// rejected with a usage message and exit status 2.
+// Unknown -app/-policy/-prim/-cas values, a -procs outside 1-64, a -c
+// outside 1..procs, and an -a below 1, -rounds below 1 or -size below 2
+// are rejected with a usage message and exit status 2.
 package main
 
 import (
@@ -92,8 +93,16 @@ func main() {
 	if err := validateApp(*app); err != nil {
 		fail(err)
 	}
-	if err := exper.CheckProcs(*procs); err != nil {
-		fail(err)
+	for _, err := range []error{
+		exper.CheckProcs(*procs),
+		exper.CheckContention(*cont, *procs),
+		exper.CheckWriteRun(*wrun),
+		exper.CheckRounds(*rounds),
+		exper.CheckSize(*size),
+	} {
+		if err != nil {
+			fail(err)
+		}
 	}
 	bar, err := parseBar(*policy, *prim, *variant, *ldex, *drop)
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"strings"
@@ -87,16 +88,65 @@ func TestCheckProcs(t *testing.T) {
 	}
 }
 
+// TestCheckScaleFlags pins the lower bounds of the scale and pattern
+// flags, which serve enforces too beside its upper cost limits.
+func TestCheckScaleFlags(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name    string
+		err     error
+		wantErr string
+	}{
+		{"c=1", exper.CheckContention(1, 64), ""},
+		{"c=procs", exper.CheckContention(64, 64), ""},
+		{"c=0", exper.CheckContention(0, 64), "contention 0 out of range 1-64 (procs)"},
+		{"c>procs", exper.CheckContention(65, 64), "contention 65 out of range 1-64 (procs)"},
+		{"c>small procs", exper.CheckContention(5, 4), "contention 5 out of range 1-4 (procs)"},
+		{"rounds=1", exper.CheckRounds(1), ""},
+		{"rounds=0", exper.CheckRounds(0), "rounds 0 below 1"},
+		{"rounds<0", exper.CheckRounds(-2), "rounds -2 below 1"},
+		{"size=2", exper.CheckSize(2), ""},
+		{"size=1", exper.CheckSize(1), "size 1 below 2"},
+		{"size=0", exper.CheckSize(0), "size 0 below 2"},
+		{"size<0", exper.CheckSize(-5), "size -5 below 2"},
+		{"a=1", exper.CheckWriteRun(1), ""},
+		{"a=2.5", exper.CheckWriteRun(2.5), ""},
+		{"a=0.5", exper.CheckWriteRun(0.5), "write-run 0.5 below 1"},
+		{"a=-inf", exper.CheckWriteRun(math.Inf(-1)), "write-run -Inf below 1"},
+		{"a=NaN", exper.CheckWriteRun(nan), "write-run NaN below 1"},
+	} {
+		switch {
+		case tc.wantErr == "" && tc.err != nil:
+			t.Errorf("%s: %v", tc.name, tc.err)
+		case tc.wantErr != "" && (tc.err == nil || tc.err.Error() != tc.wantErr):
+			t.Errorf("%s: %v, want %q", tc.name, tc.err, tc.wantErr)
+		}
+	}
+}
+
 // TestOutOfRangeProcsExitsWithUsage runs main in a child process: an
-// out-of-range -procs must print the error and the usage text and exit 2,
-// not panic.
+// out-of-range -procs, or a scale or pattern flag below its lower bound,
+// must print the error and the usage text and exit 2, not panic.
 func TestOutOfRangeProcsExitsWithUsage(t *testing.T) {
 	if os.Getenv("DSMSIM_MAIN") != "" {
 		os.Args = append([]string{"dsmsim"}, strings.Fields(os.Getenv("DSMSIM_MAIN"))...)
 		main()
 		os.Exit(0)
 	}
-	for _, args := range []string{"-procs 65", "-procs 0", "-procs -3"} {
+	for _, tc := range []struct{ args, want string }{
+		{"-procs 65", "out of range 1-64"},
+		{"-procs 0", "out of range 1-64"},
+		{"-procs -3", "out of range 1-64"},
+		{"-app tclosure -size 0", "size 0 below 2"},
+		{"-app tclosure -size -4", "size -4 below 2"},
+		{"-c 0", "contention 0 out of range 1-64 (procs)"},
+		{"-c 65", "contention 65 out of range 1-64 (procs)"},
+		{"-procs 4 -c 5", "contention 5 out of range 1-4 (procs)"},
+		{"-rounds 0", "rounds 0 below 1"},
+		{"-a 0", "write-run 0 below 1"},
+		{"-a NaN", "write-run NaN below 1"},
+	} {
+		args := tc.args
 		cmd := exec.Command(os.Args[0], "-test.run=^TestOutOfRangeProcsExitsWithUsage$")
 		cmd.Env = append(os.Environ(), "DSMSIM_MAIN="+args)
 		var stderr bytes.Buffer
@@ -107,7 +157,7 @@ func TestOutOfRangeProcsExitsWithUsage(t *testing.T) {
 			t.Fatalf("dsmsim %s: err %v, want exit status 2; stderr:\n%s", args, err, stderr.String())
 		}
 		out := stderr.String()
-		if !strings.Contains(out, "out of range 1-64") || !strings.Contains(out, "Usage of") ||
+		if !strings.Contains(out, tc.want) || !strings.Contains(out, "Usage of") ||
 			strings.Contains(out, "panic:") {
 			t.Fatalf("dsmsim %s stderr:\n%s", args, out)
 		}

@@ -13,6 +13,9 @@
 //	figures -table1 -fig3       # selected artifacts
 //	figures -fig3 -procs 16 -rounds 8   # reduced scale
 //	figures -all -par 1         # force serial execution (output identical)
+//
+// A -procs outside 1-64, a -rounds below 1 or a -tcsize below 2 is
+// rejected with a usage message and exit status 2.
 package main
 
 import (
@@ -50,10 +53,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := exper.CheckProcs(*procs); err != nil {
-		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
+	for _, err := range []error{exper.CheckProcs(*procs), exper.CheckRounds(*rounds), exper.CheckSize(*tcsize)} {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
 	o := exper.RunOpts{Procs: *procs, Rounds: *rounds, TCSize: *tcsize, Par: *par}
 

@@ -286,7 +286,7 @@ func (c *CacheCtl) retry(t *txn) {
 	t.granted = false
 	t.needAcks = 0
 	t.acks = 0
-	c.sys.eng.After(delay, c.startFn)
+	c.sys.network.retry(c, delay)
 }
 
 // receive dispatches an incoming protocol message by interpreting its

@@ -24,8 +24,10 @@
 // coded here: it lives as guarded-action transition tables in
 // internal/proto, and CacheCtl/HomeCtl are interpreters that bind the
 // tables' closed action vocabulary to the simulated machine (cache arrays,
-// directory, memory, mesh). internal/proto/mc binds the same tables to an
-// abstract state instead and model-checks them exhaustively.
+// directory, memory, mesh). This is the only binding: the package's model
+// checker (the TestMC* tests) replaces the mesh with queues whose delivery
+// order it chooses, and explores small configurations exhaustively through
+// these same controllers.
 package core
 
 import (
@@ -165,11 +167,12 @@ type Counters struct {
 // one machine's substrates. All methods must be called from the simulation
 // engine's event loop (or before it starts).
 type System struct {
-	cfg    Config
-	eng    *sim.Engine
-	mesh   *mesh.Mesh
-	caches []*CacheCtl
-	homes  []*HomeCtl
+	cfg     Config
+	eng     *sim.Engine
+	mesh    *mesh.Mesh
+	network network // meshNet{s} outside the model checker
+	caches  []*CacheCtl
+	homes   []*HomeCtl
 
 	policies arch.Table[Policy] // by block number; untouched blocks are PolicyINV
 
@@ -221,6 +224,7 @@ func NewSystem(eng *sim.Engine, net *mesh.Mesh, cfg Config) *System {
 		contention: stats.NewContentionTracker(),
 		writeRuns:  stats.NewWriteRunTracker(),
 	}
+	s.network = meshNet{s}
 	// Controllers live in two slabs; the pointer slices index into them.
 	ccs := make([]CacheCtl, cfg.Nodes)
 	hcs := make([]HomeCtl, cfg.Nodes)

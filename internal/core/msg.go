@@ -6,6 +6,7 @@ import (
 	"dsm/internal/arch"
 	"dsm/internal/mesh"
 	"dsm/internal/proto"
+	"dsm/internal/sim"
 )
 
 // msgKind and its constants are the protocol vocabulary from
@@ -135,6 +136,23 @@ func (s *System) send(src, dst mesh.NodeID, m *msg, toHome bool) {
 	if s.tracer != nil {
 		s.trace(src, "send", "%v -> n%02d addr=%#x chain=%d", m.kind, dst, m.addr, m.chain)
 	}
+	s.network.send(src, dst, m, toHome)
+}
+
+// network is the deferred work whose order the clock decides in the
+// simulator: message delivery and the retry of a NAKed request. The
+// simulator plugs in meshNet; the model checker plugs in per-destination
+// FIFO queues and chooses the order itself, over the same controllers.
+type network interface {
+	send(src, dst mesh.NodeID, m *msg, toHome bool)
+	retry(c *CacheCtl, delay sim.Time)
+}
+
+// meshNet delivers through the mesh and retries on the engine clock.
+type meshNet struct{ s *System }
+
+func (n meshNet) send(src, dst mesh.NodeID, m *msg, toHome bool) {
+	s := n.s
 	flits := s.mesh.Flits(m.payloadBytes())
 	if toHome {
 		s.mesh.SendArg(src, dst, flits, s.homes[dst].recvHook, m)
@@ -142,3 +160,5 @@ func (s *System) send(src, dst mesh.NodeID, m *msg, toHome bool) {
 		s.mesh.SendArg(src, dst, flits, s.caches[dst].recvHook, m)
 	}
 }
+
+func (n meshNet) retry(c *CacheCtl, delay sim.Time) { n.s.eng.After(delay, c.startFn) }

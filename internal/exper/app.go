@@ -131,6 +131,39 @@ func CheckProcs(n int) error {
 	return nil
 }
 
+// CheckContention rejects a contention level no pattern over procs
+// processors can have.
+func CheckContention(c, procs int) error {
+	if c < 1 || c > procs {
+		return fmt.Errorf("contention %d out of range 1-%d (procs)", c, procs)
+	}
+	return nil
+}
+
+// CheckRounds rejects a round count below one.
+func CheckRounds(n int) error {
+	if n < 1 {
+		return fmt.Errorf("rounds %d below 1", n)
+	}
+	return nil
+}
+
+// CheckSize rejects a transitive-closure graph of fewer than two vertices.
+func CheckSize(n int) error {
+	if n < 2 {
+		return fmt.Errorf("size %d below 2", n)
+	}
+	return nil
+}
+
+// CheckWriteRun rejects a mean write-run length below one, or NaN.
+func CheckWriteRun(a float64) error {
+	if !(a >= 1) { // NaN fails too
+		return fmt.Errorf("write-run %g below 1", a)
+	}
+	return nil
+}
+
 // ParsePolicy maps a wire policy name to the internal coherence policy.
 func ParsePolicy(s string) (core.Policy, error) {
 	switch s {

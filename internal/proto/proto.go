@@ -6,10 +6,9 @@
 // kinds — and, in tables.go, the guarded-action transition tables that
 // define what the cache and home controllers do for each (state, event)
 // pair. internal/core interprets the tables against the simulated machine
-// (caches, directory, mesh); internal/proto/mc interprets the same tables
-// against an abstract small-configuration state to model-check the
-// protocol exhaustively. Having one table serve two interpreters is the
-// point: the checked protocol is the simulated protocol.
+// (caches, directory, mesh), and its model checker explores every
+// interleaving of small configurations through those same controllers, so
+// the checked protocol is the simulated protocol.
 package proto
 
 import "fmt"

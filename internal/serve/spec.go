@@ -121,14 +121,14 @@ func (s Spec) Normalize() (Spec, error) {
 		if s.Contention == 0 {
 			s.Contention = 1
 		}
-		if s.Contention < 1 || s.Contention > s.Procs {
-			return s, fmt.Errorf("contention %d out of range 1-%d (procs)", s.Contention, s.Procs)
+		if err := exper.CheckContention(s.Contention, s.Procs); err != nil {
+			return s, err
 		}
 		if s.Contention == 1 {
 			if s.WriteRun == 0 {
 				s.WriteRun = 1
 			}
-			if !(s.WriteRun >= 1 && s.WriteRun <= maxWrun) { // NaN fails too
+			if exper.CheckWriteRun(s.WriteRun) != nil || s.WriteRun > maxWrun {
 				return s, fmt.Errorf("write-run %g out of range 1-%d", s.WriteRun, maxWrun)
 			}
 		} else {
@@ -138,7 +138,7 @@ func (s Spec) Normalize() (Spec, error) {
 		if s.Rounds == 0 {
 			s.Rounds = 6
 		}
-		if s.Rounds < 1 || s.Rounds > MaxRounds {
+		if exper.CheckRounds(s.Rounds) != nil || s.Rounds > MaxRounds {
 			return s, fmt.Errorf("rounds %d out of range 1-%d", s.Rounds, MaxRounds)
 		}
 	} else {
@@ -148,7 +148,7 @@ func (s Spec) Normalize() (Spec, error) {
 		if s.Size == 0 {
 			s.Size = 12
 		}
-		if s.Size < 2 || s.Size > MaxSize {
+		if exper.CheckSize(s.Size) != nil || s.Size > MaxSize {
 			return s, fmt.Errorf("size %d out of range 2-%d", s.Size, MaxSize)
 		}
 	} else {
