@@ -19,8 +19,8 @@
 // from the X-Sweep-* response headers.
 //
 // Working-set draws are uniform by default; -zipf s (s > 1) skews them
-// Zipf-fashion so a few specs dominate — the workload that exercises
-// dsmrouter's hot-key replication. All randomness derives from -seed, so a
+// Zipf-fashion so a few specs dominate, as bench/'s fleet_zipf workload
+// does through dsmrouter. All randomness derives from -seed, so a
 // recorded run names the exact request sequence that produced it. -targets
 // takes a comma-separated URL list and round-robins requests across it
 // (client-side spreading without a router in the path); the distribution,
@@ -28,6 +28,11 @@
 // client's GOMAXPROCS; the run record carries both the effective client
 // gomaxprocs and the server's worker count (from /metrics), so a recorded
 // run states the core budget on both sides of the connection.
+//
+// A flag no run can use (-c or -specs below 1, -batch outside
+// 1..serve.MaxSweepPoints with -sweep, -dup outside [0,1], a -d that is not
+// positive, a -zipf that is neither 0 nor above 1) is rejected with a
+// usage message and exit status 2.
 package main
 
 import (
@@ -207,12 +212,27 @@ func main() {
 		multi = flag.String("targets", "", "comma-separated base URLs to round-robin across (overrides -addr)")
 	)
 	flag.Parse()
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "dsmload: "+format+"\n", args...)
+		flag.Usage()
+		os.Exit(2)
+	}
+	switch {
+	case *conc < 1:
+		fail("-c %d below 1", *conc)
+	case *nset < 1:
+		fail("-specs %d below 1", *nset)
+	case *sweep && (*batch < 1 || *batch > serve.MaxSweepPoints):
+		fail("-batch %d out of range 1-%d", *batch, serve.MaxSweepPoints)
+	case !(*dup >= 0 && *dup <= 1):
+		fail("-dup %v out of range 0-1", *dup)
+	case *dur <= 0:
+		fail("-d %v not positive", *dur)
+	case !(*zipfS == 0 || *zipfS > 1):
+		fail("-zipf %v needs s > 1 (the Zipf exponent)", *zipfS)
+	}
 	if *procs > 0 {
 		runtime.GOMAXPROCS(*procs)
-	}
-	if *zipfS != 0 && *zipfS <= 1 {
-		fmt.Fprintln(os.Stderr, "dsmload: -zipf needs s > 1 (the Zipf exponent)")
-		os.Exit(1)
 	}
 
 	targets := []string{strings.TrimSuffix(*addr, "/")}

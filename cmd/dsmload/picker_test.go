@@ -67,11 +67,6 @@ func TestPickerZipfSkewsWorkingSet(t *testing.T) {
 func TestBackoffEngagesThroughRouter(t *testing.T) {
 	var sims atomic.Int64
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("probe") == "1" {
-			w.Header().Set("X-Cache", "miss")
-			http.Error(w, `{"error":"not cached"}`, http.StatusNotFound)
-			return
-		}
 		switch sims.Add(1) {
 		case 1:
 			w.Header().Set("Retry-After", "1")

@@ -1,8 +1,8 @@
 // Command dsmrouter is the fleet front door: an HTTP router that spreads
 // the spec keyspace across N dsmserve backends with a consistent-hash
-// ring, coalesces concurrent identical misses fleet-wide, rescues primary
-// misses from peer caches, and replicates hot keys to every backend. It
-// exposes the same /v1 surface as a single dsmserve, byte-identical.
+// ring, sends each request to its key's owner in one upstream call, and
+// coalesces concurrent identical requests fleet-wide. It exposes the same
+// /v1 surface as a single dsmserve, byte-identical.
 //
 //	dsmserve -addr :8081 & dsmserve -addr :8082 &
 //	dsmrouter -addr :8080 -backends http://localhost:8081,http://localhost:8082
@@ -36,9 +36,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8090", "listen address")
 		backends = flag.String("backends", "", "comma-separated dsmserve base URLs (required)")
-		vnodes   = flag.Int("vnodes", 0, "virtual nodes per backend on the hash ring (0 = 128)")
-		hot      = flag.Int("hot", 0, "per-key request count that triggers fleet-wide replication (0 = 64, negative disables)")
-		hotTrack = flag.Int("hot-track", 0, "keys the hot counter follows, LRU beyond (0 = 4096)")
 		timeout  = flag.Duration("timeout", 0, "per-upstream-request budget (0 = 60s)")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 		pprof    = flag.String("pprof", "", "serve /debug/pprof on this address (e.g. localhost:6061; empty disables)")
@@ -62,13 +59,7 @@ func main() {
 			list = append(list, b)
 		}
 	}
-	rt, err := fleet.New(fleet.Config{
-		Backends:     list,
-		VNodes:       *vnodes,
-		HotThreshold: *hot,
-		HotTrack:     *hotTrack,
-		Timeout:      *timeout,
-	})
+	rt, err := fleet.New(fleet.Config{Backends: list, Timeout: *timeout})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,6 +93,6 @@ func main() {
 	}
 	m := rt.Metrics()
 	fmt.Fprintf(os.Stderr,
-		"dsmrouter: routed %d requests (%d hits, %d coalesced, %d peer fills, %d replicated, %d misses), clean exit\n",
-		m.Requests, m.Hits, m.Coalesced, m.PeerFills, m.Replications, m.Misses)
+		"dsmrouter: routed %d requests (%d hits, %d coalesced, %d misses), clean exit\n",
+		m.Requests, m.Hits, m.Coalesced, m.Misses)
 }

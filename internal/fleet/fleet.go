@@ -1,20 +1,11 @@
 // Package fleet is the horizontal-scale tier over internal/serve: a
 // front-door HTTP router that spreads the content-addressed spec keyspace
 // across N dsmserve backends with a consistent-hash ring (virtual nodes,
-// bounded remap on membership change), and layers three fleet-wide cache
-// mechanics on top:
-//
-//   - single-flight: concurrent identical misses through the router elect
-//     one leader; one probe/simulate sequence goes upstream, followers
-//     share its response bytes.
-//   - peer cache fill: a primary-owner miss consults the key's secondary
-//     owner via the backends' cheap cache-probe path (?probe=1) before
-//     paying for a simulation, then copies the found bytes back to the
-//     primary via /v1/fill — the serving-tier analogue of fetching a line
-//     from a peer cache instead of home memory.
-//   - hot-key replication: a space-bounded LRU counter spots keys hot
-//     enough to serialize on one shard and fans their bytes to every
-//     backend, after which the router round-robins them fleet-wide.
+// bounded remap on membership change). Each /v1/sim request costs one
+// upstream call to the key's owner, whose own result cache answers hits;
+// the router adds only fleet-wide single-flight on top: concurrent
+// identical requests through the router elect one leader, one request goes
+// upstream, and followers share its response bytes.
 //
 // POST /v1/sweep splits a plan by key owner, streams per-backend
 // sub-sweeps concurrently, and re-interleaves the NDJSON lines back into
@@ -39,16 +30,6 @@ type Config struct {
 	// "http://10.0.0.1:8080". Required, order-insensitive for placement
 	// (the ring hashes the URL strings).
 	Backends []string
-	// VNodes is the virtual-node count per backend on the hash ring.
-	// 0 selects 128.
-	VNodes int
-	// HotThreshold is the per-key request count at which a key is
-	// replicated to every backend and served round-robin. 0 selects 64;
-	// negative disables hot-key handling.
-	HotThreshold int
-	// HotTrack bounds the number of keys the hot counter follows (LRU
-	// beyond it). 0 selects 4096.
-	HotTrack int
 	// Timeout is the per-upstream-request budget. 0 selects 60s — above
 	// the backends' own 30s simulation deadline, so a backend answers its
 	// own 504 before the router gives up on it.
@@ -65,21 +46,21 @@ type Router struct {
 	cfg     Config
 	ring    *ring
 	flight  *flightGroup
-	hot     *hotTracker
 	client  *http.Client
 	met     metrics
 	mux     *http.ServeMux
-	rr      atomic.Uint64 // round-robin cursor for hot keys
 	perBack []atomic.Uint64
 	closing atomic.Bool
 }
 
-// New builds a router over the configured backends.
+// New builds a router over the configured backends. It keeps its own
+// copy of the backend list; the caller's slice is not modified.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("fleet: no backends configured")
 	}
-	seen := make(map[string]bool, len(cfg.Backends))
+	backends := make([]string, len(cfg.Backends))
+	seen := make(map[string]bool, len(backends))
 	for i, b := range cfg.Backends {
 		b = strings.TrimSuffix(b, "/")
 		u, err := url.Parse(b)
@@ -90,22 +71,16 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("fleet: duplicate backend %q", b)
 		}
 		seen[b] = true
-		cfg.Backends[i] = b
+		backends[i] = b
 	}
-	if cfg.HotThreshold == 0 {
-		cfg.HotThreshold = 64
-	}
-	if cfg.HotTrack <= 0 {
-		cfg.HotTrack = 4096
-	}
+	cfg.Backends = backends
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 60 * time.Second
 	}
 	rt := &Router{
 		cfg:     cfg,
-		ring:    newRing(cfg.Backends, cfg.VNodes),
+		ring:    newRing(cfg.Backends),
 		flight:  newFlightGroup(),
-		hot:     newHotTracker(cfg.HotTrack, cfg.HotThreshold),
 		client:  &http.Client{Transport: cfg.Transport, Timeout: cfg.Timeout},
 		mux:     http.NewServeMux(),
 		perBack: make([]atomic.Uint64, len(cfg.Backends)),
@@ -120,16 +95,11 @@ func New(cfg Config) (*Router, error) {
 // Handler returns the router's HTTP handler.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// Owners returns the backend base URLs owning key, primary first then
-// successive fallbacks — exported for tests and operational tooling that
-// need to see the routing decision the ring would make.
-func (rt *Router) Owners(key string) []string {
-	idx := rt.ring.owners(key, len(rt.cfg.Backends))
-	out := make([]string, len(idx))
-	for i, b := range idx {
-		out[i] = rt.cfg.Backends[b]
-	}
-	return out
+// Owner returns the base URL of the backend owning key — exported for
+// tests and operational tooling that need to see the routing decision the
+// ring makes.
+func (rt *Router) Owner(key string) string {
+	return rt.cfg.Backends[rt.ring.owner(key)]
 }
 
 // Metrics returns a point-in-time snapshot of the router counters.
@@ -140,7 +110,6 @@ func (rt *Router) Metrics() Snapshot {
 	for i := range rt.perBack {
 		snap.BackendRequests[i] = rt.perBack[i].Load()
 	}
-	snap.TrackedKeys, snap.HotKeys = rt.hot.stats()
 	return snap
 }
 

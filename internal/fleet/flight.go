@@ -3,12 +3,12 @@ package fleet
 import "sync"
 
 // flightCall is one in-flight upstream resolution shared by every router
-// request for the same key: the leader resolves against the backends and
-// publishes the upstream result; followers wait on done and relay it.
+// request for the same key: the leader resolves against the key's owner
+// and publishes the upstream result; followers wait on done and relay it.
 // This is the fleet-wide single-flight — a burst of N identical misses
-// through the router costs one probe/simulate sequence upstream, not N,
-// on top of whatever coalescing the chosen backend would have done itself
-// (the router version also saves the N-1 upstream connections).
+// through the router costs one upstream request, not N, on top of
+// whatever coalescing the owning backend would have done itself (the
+// router version also saves the N-1 upstream connections).
 type flightCall struct {
 	done      chan struct{}
 	res       *upstream

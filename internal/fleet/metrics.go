@@ -8,12 +8,10 @@ type metrics struct {
 	requests   atomic.Uint64 // /v1/sim requests accepted for routing
 	badRequest atomic.Uint64 // invalid specs/plans rejected with 400
 	coalesced  atomic.Uint64 // requests that joined an in-flight resolution
-	hits       atomic.Uint64 // resolutions served from some backend's cache
-	peerFills  atomic.Uint64 // primary-miss resolutions rescued by a peer's cache
-	misses     atomic.Uint64 // resolutions that paid a full backend simulation
+	hits       atomic.Uint64 // resolutions the owner served from its cache
+	misses     atomic.Uint64 // resolutions the owner simulated
 	probes     atomic.Uint64 // probe-only client requests routed through
 	rejected   atomic.Uint64 // backend 429s propagated to the client
-	replicated atomic.Uint64 // hot-key fill POSTs fanned to non-owner backends
 	upstreamEr atomic.Uint64 // upstream requests that failed at transport level
 	errors     atomic.Uint64 // requests answered 502 (no backend could resolve)
 
@@ -28,16 +26,20 @@ type Snapshot struct {
 	BadRequests uint64 `json:"bad_requests"`
 	Coalesced   uint64 `json:"coalesced"`
 
-	// Hits counts resolutions served from a backend result cache anywhere
-	// in the fleet (primary probe hit or peer fill); Misses counts full
-	// simulations forwarded. Hits/(Hits+Misses) is the fleet-wide hit
-	// ratio as the router sees it.
-	Hits      uint64 `json:"hits"`
+	// Hits and Misses count resolutions by the owning backend's X-Cache
+	// answer: served from its result cache, or simulated there.
+	// Hits/(Hits+Misses) is the fleet-wide hit ratio as the router sees it.
+	Hits uint64 `json:"hits"`
+	// PeerFills is always 0: the router no longer copies results between
+	// backends. The field stays only because the benchmark module (bench/)
+	// still reads it; it goes when the benchmark drops fleet.peer_fills.
 	PeerFills uint64 `json:"peer_fills"`
 	Misses    uint64 `json:"misses"`
 
-	Probes         uint64 `json:"probes"`
-	Rejected       uint64 `json:"rejected"`
+	Probes   uint64 `json:"probes"`
+	Rejected uint64 `json:"rejected"`
+	// Replications is always 0, kept for bench/ like PeerFills; it goes
+	// when the benchmark drops fleet.replications.
 	Replications   uint64 `json:"replications"`
 	UpstreamErrors uint64 `json:"upstream_errors"`
 	Errors         uint64 `json:"errors"`
@@ -48,8 +50,6 @@ type Snapshot struct {
 
 	Backends        int      `json:"backends"`
 	BackendRequests []uint64 `json:"backend_requests"`
-	TrackedKeys     int      `json:"tracked_keys"`
-	HotKeys         int      `json:"hot_keys"`
 }
 
 func (m *metrics) snapshot() Snapshot {
@@ -58,11 +58,9 @@ func (m *metrics) snapshot() Snapshot {
 		BadRequests:    m.badRequest.Load(),
 		Coalesced:      m.coalesced.Load(),
 		Hits:           m.hits.Load(),
-		PeerFills:      m.peerFills.Load(),
 		Misses:         m.misses.Load(),
 		Probes:         m.probes.Load(),
 		Rejected:       m.rejected.Load(),
-		Replications:   m.replicated.Load(),
 		UpstreamErrors: m.upstreamEr.Load(),
 		Errors:         m.errors.Load(),
 		Sweeps:         m.sweeps.Load(),

@@ -1,17 +1,16 @@
 package fleet
 
 import (
-	"hash/fnv"
 	"sort"
 	"strconv"
 )
 
-// defaultVNodes is the virtual-node count per backend. More vnodes smooth
-// the load split (the std-dev of a backend's arc share falls as
+// vnodes is the virtual-node count per backend. More vnodes smooth the
+// load split (the std-dev of a backend's arc share falls as
 // 1/sqrt(vnodes)) at the cost of a larger sorted table; 128 keeps a
 // 4-backend ring's imbalance under a few percent while lookups stay two
 // cache lines of binary search.
-const defaultVNodes = 128
+const vnodes = 128
 
 // ring is a consistent-hash ring over the backend list: each backend owns
 // vnodes points on a uint64 circle, and a key belongs to the first point at
@@ -22,7 +21,6 @@ const defaultVNodes = 128
 // `hash % N` would.
 type ring struct {
 	points []ringPoint // sorted by hash
-	n      int         // distinct backends
 }
 
 // ringPoint is one virtual node: a position on the circle and the index of
@@ -32,17 +30,10 @@ type ringPoint struct {
 	backend int
 }
 
-// newRing places vnodes points per backend (vnodes <= 0 selects the
-// default). Backend names must be distinct; identical names would stack
-// their points and break ownership.
-func newRing(backends []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
-	r := &ring{
-		points: make([]ringPoint, 0, len(backends)*vnodes),
-		n:      len(backends),
-	}
+// newRing places vnodes points per backend. Backend names must be
+// distinct; identical names would stack their points and break ownership.
+func newRing(backends []string) *ring {
+	r := &ring{points: make([]ringPoint, 0, len(backends)*vnodes)}
 	for i, b := range backends {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(b + "#" + strconv.Itoa(v)), backend: i})
@@ -64,11 +55,14 @@ func newRing(backends []string, vnodes int) *ring {
 // partitions on the *top* of the hash space — vnode labels that differ
 // only in their numeric suffix would cluster on one arc. The finalizer
 // spreads every input bit across the word; cryptographic strength is not
-// needed (spec keys are already SHA-256 hex).
+// needed (spec keys are already SHA-256 hex). FNV-1a is inlined (same
+// constants as hash/fnv) so hashing a key allocates nothing.
 func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	x := h.Sum64()
+	x := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		x ^= uint64(s[i])
+		x *= 1099511628211
+	}
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
@@ -77,28 +71,13 @@ func hash64(s string) uint64 {
 	return x
 }
 
-// owners returns up to want distinct backends for key, primary first:
-// the owner of the first vnode clockwise of the key's hash, then the next
-// distinct backends continuing clockwise. The secondary (owners[1]) is the
-// peer-fill target — the backend most likely to have inherited or retained
-// the key across a membership change.
-func (r *ring) owners(key string, want int) []int {
-	if want > r.n {
-		want = r.n
-	}
-	if want <= 0 || len(r.points) == 0 {
-		return nil
-	}
+// owner returns the index of the backend owning key: the owner of the
+// first vnode at or clockwise of the key's hash.
+func (r *ring) owner(key string) int {
 	h := hash64(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]int, 0, want)
-	seen := make(map[int]bool, want)
-	for i := 0; len(out) < want && i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.backend] {
-			seen[p.backend] = true
-			out = append(out, p.backend)
-		}
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		i = 0
 	}
-	return out
+	return r.points[i].backend
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash/fnv"
 	"testing"
 )
 
@@ -25,22 +26,59 @@ func backendNames(n int) []string {
 	return out
 }
 
-func TestRingOwnersDistinctAndStable(t *testing.T) {
+func TestRingOwnerStable(t *testing.T) {
 	backends := backendNames(4)
-	r := newRing(backends, 0)
+	r := newRing(backends)
+	counts := make([]int, len(backends))
 	for _, key := range ringKeys(200) {
-		o := r.owners(key, 2)
-		if len(o) != 2 || o[0] == o[1] {
-			t.Fatalf("owners(%s) = %v", key, o)
+		o := r.owner(key)
+		if o < 0 || o >= len(backends) {
+			t.Fatalf("owner(%s) = %d", key, o)
 		}
-		if again := r.owners(key, 2); o[0] != again[0] || o[1] != again[1] {
-			t.Fatalf("owners(%s) unstable: %v vs %v", key, o, again)
+		if again := newRing(backends).owner(key); again != o {
+			t.Fatalf("owner(%s) unstable: %d vs %d", key, o, again)
+		}
+		counts[o]++
+	}
+	for i, c := range counts {
+		if c == 0 {
+			t.Fatalf("backend %d owns none of 200 keys: %v", i, counts)
 		}
 	}
-	// A single-backend ring still answers, and never repeats.
-	solo := newRing(backendNames(1), 0)
-	if o := solo.owners(ringKeys(1)[0], 2); len(o) != 1 || o[0] != 0 {
-		t.Fatalf("solo owners = %v", o)
+	// A single-backend ring owns every key.
+	solo := newRing(backendNames(1))
+	for _, key := range ringKeys(20) {
+		if o := solo.owner(key); o != 0 {
+			t.Fatalf("solo owner(%s) = %d", key, o)
+		}
+	}
+}
+
+// TestRingOwnerZeroAlloc pins the per-request ring lookup to no heap
+// allocation.
+func TestRingOwnerZeroAlloc(t *testing.T) {
+	r := newRing(backendNames(4))
+	key := ringKeys(1)[0]
+	if n := testing.AllocsPerRun(1000, func() { r.owner(key) }); n != 0 {
+		t.Fatalf("owner allocates %.1f times per call, want 0", n)
+	}
+}
+
+// TestHash64MatchesFNV pins the inlined FNV-1a to hash/fnv: a change here
+// would move every key to a different backend.
+func TestHash64MatchesFNV(t *testing.T) {
+	for _, s := range append(ringKeys(50), "", "http://b0:1#0") {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		x := h.Sum64()
+		x ^= x >> 33
+		x *= 0xff51afd7ed558ccd
+		x ^= x >> 33
+		x *= 0xc4ceb9fe1a85ec53
+		x ^= x >> 33
+		if got := hash64(s); got != x {
+			t.Fatalf("hash64(%q) = %#x, want %#x", s, got, x)
+		}
 	}
 }
 
@@ -49,10 +87,10 @@ func TestRingPlacementIgnoresListOrder(t *testing.T) {
 	// listed in a different order gives every key the same primary.
 	a := []string{"http://b0:1", "http://b1:1", "http://b2:1"}
 	b := []string{"http://b2:1", "http://b0:1", "http://b1:1"}
-	ra, rb := newRing(a, 0), newRing(b, 0)
+	ra, rb := newRing(a), newRing(b)
 	for _, key := range ringKeys(500) {
-		pa := a[ra.owners(key, 1)[0]]
-		pb := b[rb.owners(key, 1)[0]]
+		pa := a[ra.owner(key)]
+		pb := b[rb.owner(key)]
 		if pa != pb {
 			t.Fatalf("key %s: primary %s vs %s after reorder", key, pa, pb)
 		}
@@ -62,13 +100,13 @@ func TestRingPlacementIgnoresListOrder(t *testing.T) {
 func TestRingRemapBoundedOnRemove(t *testing.T) {
 	backends := backendNames(4)
 	keys := ringKeys(2000)
-	before := newRing(backends, 0)
-	after := newRing(backends[:3], 0) // backend 3 removed
+	before := newRing(backends)
+	after := newRing(backends[:3]) // backend 3 removed
 
 	moved := 0
 	for _, key := range keys {
-		pOld := before.owners(key, 1)[0]
-		pNew := after.owners(key, 1)[0]
+		pOld := before.owner(key)
+		pNew := after.owner(key)
 		if pOld != 3 {
 			// Consistent hashing's defining guarantee: a key not owned by
 			// the removed backend must keep its primary exactly.
@@ -89,13 +127,13 @@ func TestRingRemapBoundedOnRemove(t *testing.T) {
 
 func TestRingRemapBoundedOnAdd(t *testing.T) {
 	keys := ringKeys(2000)
-	before := newRing(backendNames(4), 0)
-	after := newRing(backendNames(5), 0) // backend 4 added
+	before := newRing(backendNames(4))
+	after := newRing(backendNames(5)) // backend 4 added
 
 	moved := 0
 	for _, key := range keys {
-		pOld := before.owners(key, 1)[0]
-		pNew := after.owners(key, 1)[0]
+		pOld := before.owner(key)
+		pNew := after.owner(key)
 		if pNew != pOld {
 			// Keys may only move *to* the new backend.
 			if pNew != 4 {
@@ -112,51 +150,16 @@ func TestRingRemapBoundedOnAdd(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	backends := backendNames(4)
-	r := newRing(backends, 0)
+	r := newRing(backends)
 	counts := make([]int, len(backends))
 	keys := ringKeys(4000)
 	for _, key := range keys {
-		counts[r.owners(key, 1)[0]]++
+		counts[r.owner(key)]++
 	}
 	for i, c := range counts {
 		frac := float64(c) / float64(len(keys))
 		if frac < 0.10 || frac > 0.45 {
 			t.Fatalf("backend %d owns %.3f of the keyspace: %v", i, frac, counts)
-		}
-	}
-}
-
-func TestHotTrackerPromotionAndBound(t *testing.T) {
-	h := newHotTracker(4, 3)
-	for i := 0; i < 2; i++ {
-		if hot, promoted := h.touch("k"); hot || promoted {
-			t.Fatalf("touch %d: hot=%v promoted=%v before threshold", i, hot, promoted)
-		}
-	}
-	if hot, promoted := h.touch("k"); !hot || !promoted {
-		t.Fatal("third touch did not promote")
-	}
-	if hot, promoted := h.touch("k"); !hot || promoted {
-		t.Fatal("promotion must fire exactly once")
-	}
-	// The table is space-bounded: churning many cold keys through a cap-4
-	// tracker must not grow it, and the hot key, kept warm, must survive.
-	for i := 0; i < 100; i++ {
-		h.touch(fmt.Sprintf("cold-%d", i))
-		h.touch("k")
-	}
-	tracked, hot := h.stats()
-	if tracked > 4 {
-		t.Fatalf("tracked %d keys, cap 4", tracked)
-	}
-	if hot != 1 {
-		t.Fatalf("hot keys = %d, want the surviving promoted key", hot)
-	}
-	// Disabled tracker (threshold <= 0) is inert.
-	off := newHotTracker(4, -1)
-	for i := 0; i < 10; i++ {
-		if hot, promoted := off.touch("k"); hot || promoted {
-			t.Fatal("disabled tracker promoted a key")
 		}
 	}
 }

@@ -114,7 +114,7 @@ func TestRouterMissThenHitByteIdenticalToBackend(t *testing.T) {
 
 	// The routed response must be byte-identical to what the owning
 	// backend answers directly.
-	owner := f.rt.Owners(specKey(t, quickSpec))[0]
+	owner := f.rt.Owner(specKey(t, quickSpec))
 	resp, err := http.Post(owner+"/v1/sim", "application/json", strings.NewReader(quickSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -155,13 +155,13 @@ func TestRouterGetAndHeadProbe(t *testing.T) {
 }
 
 func TestFleetWideSingleFlight(t *testing.T) {
-	// Park every backend's simulate path (probes stay open) so concurrent
-	// identical router requests must pile onto one flight call: exactly
-	// one upstream simulation request fleet-wide.
+	// Park every backend's /v1/sim path so concurrent identical router
+	// requests must pile onto one flight call: exactly one upstream
+	// request fleet-wide.
 	gate := make(chan struct{})
 	wrap := func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/sim" && r.Method == http.MethodPost && r.URL.Query().Get("probe") != "1" {
+			if r.URL.Path == "/v1/sim" {
 				<-gate
 			}
 			h.ServeHTTP(w, r)
@@ -205,8 +205,8 @@ func TestFleetWideSingleFlight(t *testing.T) {
 	if runs := f.totalRuns(); runs != 1 {
 		t.Fatalf("fleet ran %d simulations for one key, want 1", runs)
 	}
-	// The backends saw exactly one real /v1/sim request (plus probes):
-	// followers never went upstream.
+	// The backends saw exactly one /v1/sim request: followers never went
+	// upstream.
 	var upstreamSims uint64
 	for _, b := range f.backends {
 		upstreamSims += b.Metrics().Requests
@@ -216,100 +216,12 @@ func TestFleetWideSingleFlight(t *testing.T) {
 	}
 }
 
-func TestPeerFillTurnsPrimaryMissIntoHit(t *testing.T) {
-	f := newTestFleet(t, 2, Config{}, nil)
-	key := specKey(t, quickSpec)
-	owners := f.rt.Owners(key)
-	secondary := f.backendFor(owners[1])
-
-	// Seed only the secondary owner's cache, as if the key's primary just
-	// changed in a membership event.
-	resp, err := http.Post(f.urls[secondary]+"/v1/sim", "application/json", strings.NewReader(quickSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seeded bytes.Buffer
-	seeded.ReadFrom(resp.Body)
-	resp.Body.Close()
-
-	// The routed request must be rescued by the peer: a hit, byte-identical,
-	// with no second simulation anywhere in the fleet.
-	w := f.do(http.MethodPost, "/v1/sim", quickSpec)
-	if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "hit" {
-		t.Fatalf("peer-fill request = %d X-Cache=%q", w.Code, w.Header().Get("X-Cache"))
-	}
-	if !bytes.Equal(w.Body.Bytes(), seeded.Bytes()) {
-		t.Fatal("peer-filled body differs from the seeded response")
-	}
-	if runs := f.totalRuns(); runs != 1 {
-		t.Fatalf("peer fill re-simulated: %d runs", runs)
-	}
-	m := f.rt.Metrics()
-	if m.PeerFills != 1 || m.Hits != 1 || m.Misses != 0 {
-		t.Fatalf("router metrics = %+v", m)
-	}
-
-	// The fill must have landed on the primary: a direct probe there now
-	// hits without the router's help.
-	primary := f.backendFor(owners[0])
-	pm := f.backends[primary].Metrics()
-	if pm.Fills != 1 {
-		t.Fatalf("primary fills = %d, want 1", pm.Fills)
-	}
-	preq, err := http.Post(f.urls[primary]+"/v1/sim?probe=1", "application/json", strings.NewReader(quickSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer preq.Body.Close()
-	var filled bytes.Buffer
-	filled.ReadFrom(preq.Body)
-	if preq.StatusCode != http.StatusOK || !bytes.Equal(filled.Bytes(), seeded.Bytes()) {
-		t.Fatalf("primary probe after fill = %d (identical=%v)", preq.StatusCode, bytes.Equal(filled.Bytes(), seeded.Bytes()))
-	}
-}
-
-func TestHotKeyReplicatesToAllBackends(t *testing.T) {
-	f := newTestFleet(t, 3, Config{HotThreshold: 3}, nil)
-	for i := 0; i < 6; i++ {
-		if w := f.do(http.MethodPost, "/v1/sim", quickSpec); w.Code != http.StatusOK {
-			t.Fatalf("request %d = %d: %s", i, w.Code, w.Body)
-		}
-	}
-	if runs := f.totalRuns(); runs != 1 {
-		t.Fatalf("hot key cost %d simulations, want 1", runs)
-	}
-	// After promotion every backend must hold the bytes: probe each
-	// directly, no router in the path.
-	for i, u := range f.urls {
-		resp, err := http.Post(u+"/v1/sim?probe=1", "application/json", strings.NewReader(quickSpec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("backend %d missing the hot key (probe=%d)", i, resp.StatusCode)
-		}
-	}
-	m := f.rt.Metrics()
-	if m.Replications == 0 {
-		t.Fatalf("no replications recorded: %+v", m)
-	}
-	if m.HotKeys != 1 {
-		t.Fatalf("hot keys = %d", m.HotKeys)
-	}
-}
-
 func TestRouter429PropagatesUnchanged(t *testing.T) {
 	// A backend at capacity answers 429 + Retry-After; the router must
 	// relay both untouched so client backoff (dsmload's capped
 	// exponential) engages end-to-end.
 	body := `{"error":"simulation queue full (1 queued); retry shortly"}` + "\n"
 	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("probe") == "1" {
-			w.Header().Set("X-Cache", "miss")
-			http.Error(w, `{"error":"not cached"}`, http.StatusNotFound)
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Retry-After", "7")
 		w.WriteHeader(http.StatusTooManyRequests)
@@ -378,6 +290,90 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+func TestNewLeavesCallerBackendsUnchanged(t *testing.T) {
+	backends := []string{"http://a/"}
+	rt, err := New(Config{Backends: backends})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if backends[0] != "http://a/" {
+		t.Fatalf("New rewrote the caller's slice to %q", backends[0])
+	}
+	if got := rt.Owner("k"); got != "http://a" {
+		t.Fatalf("Owner = %q, want the trimmed URL", got)
+	}
+}
+
+// TestRouterOneUpstreamCallPerRequest pins the route: a miss, an identity
+// hit and a gzip hit each cost exactly one upstream call, to the key's
+// owner, and the router counts each by the owner's X-Cache answer.
+func TestRouterOneUpstreamCallPerRequest(t *testing.T) {
+	f := newTestFleet(t, 2, Config{}, nil)
+	owner := f.backendFor(f.rt.Owner(specKey(t, quickSpec)))
+	steps := []struct {
+		name, cache string
+		do          func() *httptest.ResponseRecorder
+		hits, miss  uint64
+	}{
+		{"miss", "miss", func() *httptest.ResponseRecorder { return f.do(http.MethodPost, "/v1/sim", quickSpec) }, 0, 1},
+		{"identity hit", "hit", func() *httptest.ResponseRecorder { return f.do(http.MethodPost, "/v1/sim", quickSpec) }, 1, 1},
+		{"gzip hit", "hit", func() *httptest.ResponseRecorder { return f.doGzip(http.MethodPost, "/v1/sim", quickSpec) }, 2, 1},
+	}
+	for i, st := range steps {
+		w := st.do()
+		if w.Code != http.StatusOK || w.Header().Get("X-Cache") != st.cache {
+			t.Fatalf("%s = %d X-Cache=%q", st.name, w.Code, w.Header().Get("X-Cache"))
+		}
+		m := f.rt.Metrics()
+		var calls uint64
+		for _, n := range m.BackendRequests {
+			calls += n
+		}
+		if calls != uint64(i+1) || m.BackendRequests[owner] != uint64(i+1) {
+			t.Fatalf("after %s: backend requests %v, want %d in total, all to backend %d",
+				st.name, m.BackendRequests, i+1, owner)
+		}
+		if m.Hits != st.hits || m.Misses != st.miss {
+			t.Fatalf("after %s: hits %d misses %d, want %d and %d", st.name, m.Hits, m.Misses, st.hits, st.miss)
+		}
+	}
+}
+
+// TestRouterAndBackendRejectBadPlansIdentically checks that a bad sweep
+// plan gets the same 400 from the router as from a backend, byte for
+// byte: both decode through serve.ParsePlan.
+func TestRouterAndBackendRejectBadPlansIdentically(t *testing.T) {
+	f := newTestFleet(t, 1, Config{}, nil)
+	tooMany := `{"points":[` + strings.TrimSuffix(strings.Repeat(`{},`, serve.MaxSweepPoints+1), ",") + `]}`
+	for _, tc := range []struct{ name, body string }{
+		{"not JSON", `not json`},
+		{"unknown field", `{"points":[{}],"extra":1}`},
+		{"unknown point field", `{"points":[{"bogus":1}]}`},
+		{"empty", `{"points":[]}`},
+		{"no points", `{}`},
+		{"too many", tooMany},
+		{"bad app", `{"points":[{},{"app":"quicksort"}]}`},
+		{"bad procs", `{"points":[{"procs":65}]}`},
+		{"too large", `{"points":[` + strings.Repeat(" ", serve.MaxPlanBytes) + `]}`},
+	} {
+		routed := f.do(http.MethodPost, "/v1/sweep", tc.body)
+		direct := httptest.NewRecorder()
+		f.backends[0].Handler().ServeHTTP(direct,
+			httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(tc.body)))
+		if routed.Code != http.StatusBadRequest || direct.Code != http.StatusBadRequest {
+			t.Fatalf("%s: router %d, backend %d, want 400 from both", tc.name, routed.Code, direct.Code)
+		}
+		if !bytes.Equal(routed.Body.Bytes(), direct.Body.Bytes()) ||
+			routed.Header().Get("Content-Type") != direct.Header().Get("Content-Type") {
+			t.Fatalf("%s: router answered %q (%s), backend %q (%s)", tc.name,
+				routed.Body, routed.Header().Get("Content-Type"), direct.Body, direct.Header().Get("Content-Type"))
+		}
+	}
+	if m := f.rt.Metrics(); m.BadRequests != 9 || m.BackendRequests[0] != 0 {
+		t.Fatalf("router metrics = %+v", m)
+	}
+}
+
 func fleetPlan(n int) string {
 	points := make([]string, n)
 	for i := range points {
@@ -436,7 +432,7 @@ func TestRouterSweepSurvivesBackendFailure(t *testing.T) {
 	var owned [2]int
 	for seed := 1; len(points) < 8; seed++ {
 		pt := fmt.Sprintf(`{"app":"counter","procs":4,"rounds":2,"seed":%d}`, seed)
-		b := f.backendFor(f.rt.Owners(specKey(t, pt))[0])
+		b := f.backendFor(f.rt.Owner(specKey(t, pt)))
 		if owned[b] < 4 {
 			owned[b]++
 			points = append(points, pt)

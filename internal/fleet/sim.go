@@ -36,7 +36,7 @@ const maxPooledBody = 1 << 20
 
 // release returns the upstream's buffer to the pool. Call it only once the
 // body bytes are dead: after a relay with no coalesced followers, or on a
-// response that will never be relayed (failed probes, fill acks).
+// response that will never be relayed (a failed probe).
 func (u *upstream) release() {
 	bp := u.buf
 	u.buf, u.body = nil, nil
@@ -75,8 +75,7 @@ func readBody(r io.Reader) ([]byte, *[]byte, error) {
 // explicitly: an explicit header disables the transport's transparent
 // gzip handling, which would otherwise decompress (and strip the
 // Content-Encoding from) backend responses the router means to relay
-// compressed — or worse, hand gzip bytes to /v1/fill, which JSON-decodes
-// its body.
+// compressed.
 const (
 	acceptIdentity = "identity"
 	acceptGzip     = "gzip"
@@ -88,9 +87,8 @@ const maxRelayBody = 1 << 22
 
 // post issues one upstream POST carrying the canonical spec JSON and
 // captures the response into a pooled buffer. accept picks the wire
-// representation: acceptIdentity for bodies the router will re-parse or
-// feed to /v1/fill, acceptGzip when relaying to a client that negotiated
-// gzip.
+// representation: acceptGzip when relaying to a client that negotiated
+// gzip, acceptIdentity otherwise.
 func (rt *Router) post(backend int, path string, body []byte, accept string) (*upstream, error) {
 	rt.perBack[backend].Add(1)
 	req, err := http.NewRequest(http.MethodPost, rt.cfg.Backends[backend]+path, bytes.NewReader(body))
@@ -114,93 +112,34 @@ func (rt *Router) post(backend int, path string, body []byte, accept string) (*u
 	return &upstream{status: resp.StatusCode, header: resp.Header, body: data, buf: bp, backend: backend}, nil
 }
 
-// fill copies an outcome's bytes into backend's result cache via its
-// /v1/fill endpoint. Failures are counted but not fatal: a missed fill
-// costs a future peer probe, never correctness.
-func (rt *Router) fill(backend int, body []byte) bool {
-	res, err := rt.post(backend, "/v1/fill", body, acceptIdentity)
-	if err != nil {
-		return false
+// accept is the Accept-Encoding value for an upstream fetch relayed to a
+// client that did (gz) or did not negotiate gzip.
+func accept(gz bool) string {
+	if gz {
+		return acceptGzip
 	}
-	res.release()
-	return res.status == http.StatusNoContent
+	return acceptIdentity
 }
 
-// resolve answers one spec key against the fleet, as the single-flight
-// leader. The route mirrors the paper's memory hierarchy one level up:
-// try the cheap local copy (target's cache probe), then a peer's copy
-// (secondary owner's probe + fill back), and only then pay the full cost
-// of "home memory" — a real simulation on the target. Hot keys route
-// round-robin over all backends instead of pinning to the hash owner, and
-// the touch that promotes a key fans its bytes to the whole fleet.
-//
-// gz selects gzip for the target fetches; the caller must pass false when
-// promoted is true, since a promoted body fans out through /v1/fill and so
-// must stay identity. Peer probes are always identity for the same reason:
-// their bytes fill back into the target.
-func (rt *Router) resolve(key string, specJSON []byte, hot, promoted, gz bool) (*upstream, error) {
-	owners := rt.ring.owners(key, 2)
-	target := owners[0]
-	if hot {
-		target = int(rt.rr.Add(1) % uint64(len(rt.cfg.Backends)))
+// resolve answers one spec key as the single-flight leader with one
+// upstream request: a POST to the key's owner, whose result cache answers
+// a hit and whose worker pool simulates a miss. The owner's X-Cache header
+// says which, and the router counts it. gz selects the gzip representation
+// for a client that negotiated it (a backend answers a fresh simulation
+// identity-encoded either way).
+func (rt *Router) resolve(key string, specJSON []byte, gz bool) (*upstream, error) {
+	res, err := rt.post(rt.ring.owner(key), "/v1/sim", specJSON, accept(gz))
+	if err != nil {
+		return nil, err
 	}
-	accept := acceptIdentity
-	if gz {
-		accept = acceptGzip
-	}
-
-	var served *upstream
-	if res, err := rt.post(target, "/v1/sim?probe=1", specJSON, accept); err == nil && res.status == http.StatusOK {
-		rt.met.hits.Add(1)
-		served = res
-	} else {
-		if res != nil {
-			res.release()
-		}
-		// Target miss: consult the key's other owner(s) before simulating.
-		// A found copy is relayed and filled into the target, turning the
-		// next request's primary miss into a primary hit.
-		for _, peer := range owners {
-			if peer == target {
-				continue
-			}
-			res, err := rt.post(peer, "/v1/sim?probe=1", specJSON, acceptIdentity)
-			if err == nil && res.status == http.StatusOK {
-				rt.met.hits.Add(1)
-				rt.met.peerFills.Add(1)
-				rt.fill(target, res.body)
-				served = res
-				break
-			}
-			if res != nil {
-				res.release()
-			}
-		}
-	}
-	if served == nil {
-		res, err := rt.post(target, "/v1/sim", specJSON, accept)
-		if err != nil {
-			return nil, err
-		}
-		if res.status == http.StatusOK {
+	if res.status == http.StatusOK {
+		if res.header.Get("X-Cache") == "hit" {
+			rt.met.hits.Add(1)
+		} else {
 			rt.met.misses.Add(1)
 		}
-		served = res
 	}
-	if promoted && served.status == http.StatusOK {
-		// The key just crossed the hot threshold: fan its bytes to every
-		// backend that cannot already have them, so the round-robin
-		// routing that follows lands on a warm cache everywhere.
-		for b := range rt.cfg.Backends {
-			if b == target || b == served.backend {
-				continue
-			}
-			if rt.fill(b, served.body) {
-				rt.met.replicated.Add(1)
-			}
-		}
-	}
-	return served, nil
+	return res, nil
 }
 
 func (rt *Router) handleSim(w http.ResponseWriter, r *http.Request) {
@@ -230,25 +169,18 @@ func (rt *Router) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 	gz := serve.AcceptsGzip(r)
 
-	// Probe mode passes through as a fleet-wide probe: hit if any owner
-	// has the bytes, miss otherwise, never simulating — so a router can
-	// itself back a higher tier.
+	// Probe mode passes through to the key's owner: hit if it has the
+	// bytes, miss otherwise, never simulating.
 	if r.Method == http.MethodHead || r.URL.Query().Get("probe") == "1" {
 		rt.met.probes.Add(1)
-		accept := acceptIdentity
-		if gz {
-			accept = acceptGzip
+		res, err := rt.post(rt.ring.owner(key), "/v1/sim?probe=1", specJSON, accept(gz))
+		if err == nil && res.status == http.StatusOK {
+			rt.relay(w, r, res, "hit")
+			res.release()
+			return
 		}
-		for _, b := range rt.ring.owners(key, 2) {
-			res, err := rt.post(b, "/v1/sim?probe=1", specJSON, accept)
-			if err == nil && res.status == http.StatusOK {
-				rt.relay(w, r, res, "hit")
-				res.release()
-				return
-			}
-			if res != nil {
-				res.release()
-			}
+		if res != nil {
+			res.release()
 		}
 		w.Header().Set("X-Cache", "miss")
 		w.Header().Set("X-Spec-Key", key)
@@ -261,20 +193,16 @@ func (rt *Router) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 
 	rt.met.requests.Add(1)
-	hot, promoted := rt.hot.touch(key)
-	// A promoted key resolves identity-encoded — its body fans out through
-	// /v1/fill — so its flight stays on the plain key. Otherwise gzip and
-	// identity requests fly separately: a follower must never inherit a
-	// representation its client did not negotiate.
-	wantGz := gz && !promoted
+	// Gzip and identity requests fly separately: a follower must never
+	// inherit a representation its client did not negotiate.
 	fkey := key
-	if wantGz {
+	if gz {
 		fkey += "+gz"
 	}
 	call, leader := rt.flight.join(fkey)
 	var followers int
 	if leader {
-		res, err := rt.resolve(key, specJSON, hot, promoted, wantGz)
+		res, err := rt.resolve(key, specJSON, gz)
 		followers = rt.flight.complete(fkey, call, res, err)
 	} else {
 		rt.met.coalesced.Add(1)

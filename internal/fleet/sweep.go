@@ -12,7 +12,7 @@ import (
 	"dsm/internal/serve"
 )
 
-// planRequest mirrors the backends' POST /v1/sweep body.
+// planRequest encodes a backend's POST /v1/sweep body.
 type planRequest struct {
 	Points []serve.Spec `json:"points"`
 }
@@ -56,45 +56,22 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusServiceUnavailable, "router draining")
 		return
 	}
-	var req planRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	specs, err := serve.ParsePlan(http.MaxBytesReader(w, r.Body, serve.MaxPlanBytes))
+	if err != nil {
 		rt.met.badRequest.Add(1)
-		rt.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad plan JSON: %v", err))
+		rt.writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if len(req.Points) == 0 {
-		rt.met.badRequest.Add(1)
-		rt.writeError(w, http.StatusBadRequest, "empty plan: need at least one point")
-		return
-	}
-	if len(req.Points) > serve.MaxSweepPoints {
-		rt.met.badRequest.Add(1)
-		rt.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("plan has %d points, limit %d", len(req.Points), serve.MaxSweepPoints))
-		return
-	}
-	specs := req.Points
-	keys := make([]string, len(specs))
-	for i, sp := range specs {
-		var err error
-		if specs[i], err = sp.Normalize(); err != nil {
-			rt.met.badRequest.Add(1)
-			rt.writeError(w, http.StatusBadRequest, fmt.Sprintf("point %d: %v", i, err))
-			return
-		}
-		keys[i] = specs[i].Key()
 	}
 	rt.met.sweeps.Add(1)
 	rt.met.sweepPoints.Add(uint64(len(specs)))
 
-	// Split the plan by primary owner. Sweep points route by ownership
-	// only — hot-key round-robin is a /v1/sim latency concern; a batch
-	// plan wants its duplicates to land together and coalesce.
+	// Split the plan by owner: duplicates within a plan land on the same
+	// backend and coalesce there.
+	keys := make([]string, len(specs))
 	subIdx := make([][]int, len(rt.cfg.Backends))
 	for i := range specs {
-		b := rt.ring.owners(keys[i], 1)[0]
+		keys[i] = specs[i].Key()
+		b := rt.ring.owner(keys[i])
 		subIdx[b] = append(subIdx[b], i)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -120,6 +121,53 @@ func FuzzNormalizeKey(f *testing.F) {
 		}
 		if k := n.Key(); k != n.Key() || k != again.Key() {
 			t.Fatalf("Key of %+v is not stable", n)
+		}
+	})
+}
+
+// FuzzParsePlan feeds arbitrary bodies to the sweep plan decoder: it never
+// panics, an accepted plan has 1..MaxSweepPoints points, every accepted
+// point is a fixed point of Normalize, and every rejection carries one of
+// the decoder's four error forms.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		`{"points":[` + quickSpec + `]}`,
+		`{"points":[{},{"app":"tclosure","size":12},{"app":"msqueue","prim":"CAS","c":4,"a":2.5}]}`,
+		`{"points":[{"app":"counter","policy":"UNC","procs":64,"c":64,"rounds":1,"seed":7}]}`,
+		`{"points":[]}`,
+		`{}`,
+		`null`,
+		`{"points":null}`,
+		`{"points":[{}],"extra":1}`,
+		`{"points":[{"bogus":1}]}`,
+		`{"points":[{"app":"quicksort"}]}`,
+		`{"points":[{"procs":65}]}`,
+		`{"points":[{"c":0,"a":0.5}]}`,
+		`{"points":[{}]}{"points":[{}]}`,
+		`{"points":[{}]`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		specs, err := ParsePlan(bytes.NewReader(body))
+		if err != nil {
+			msg := err.Error()
+			for _, prefix := range []string{"bad plan JSON: ", "empty plan: ", "plan has ", "point "} {
+				if strings.HasPrefix(msg, prefix) {
+					return
+				}
+			}
+			t.Fatalf("rejection %q has none of ParsePlan's error forms", msg)
+		}
+		if len(specs) < 1 || len(specs) > MaxSweepPoints {
+			t.Fatalf("accepted a plan of %d points", len(specs))
+		}
+		for i, sp := range specs {
+			again, err := sp.Normalize()
+			if err != nil || !sameSpec(again, sp) {
+				t.Fatalf("point %d %+v is not a fixed point of Normalize: %+v, %v", i, sp, again, err)
+			}
 		}
 	})
 }

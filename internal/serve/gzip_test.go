@@ -63,33 +63,6 @@ func TestGzipVariantDecompressedIdentity(t *testing.T) {
 	}
 }
 
-// TestGzipVariantServedAfterFill checks that a result stored by /v1/fill
-// serves gzip hits exactly like a locally computed one.
-func TestGzipVariantServedAfterFill(t *testing.T) {
-	src := newTestServer(t, Config{Workers: 1})
-	dst := newTestServer(t, Config{Workers: 1})
-	orig := doJSON(src, quickSpec)
-	if orig.Code != http.StatusOK {
-		t.Fatalf("sim = %d", orig.Code)
-	}
-	if w := doProbe(dst, http.MethodPost, "/v1/fill", orig.Body.String()); w.Code != http.StatusNoContent {
-		t.Fatalf("fill = %d: %s", w.Code, w.Body)
-	}
-	req := httptest.NewRequest(http.MethodPost, "/v1/sim", strings.NewReader(quickSpec))
-	req.Header.Set("Accept-Encoding", "gzip")
-	w := httptest.NewRecorder()
-	dst.Handler().ServeHTTP(w, req)
-	if w.Code != http.StatusOK || w.Header().Get("Content-Encoding") != "gzip" {
-		t.Fatalf("filled gzip hit = %d enc=%q", w.Code, w.Header().Get("Content-Encoding"))
-	}
-	if got := gunzip(t, w.Body.Bytes()); !bytes.Equal(got, orig.Body.Bytes()) {
-		t.Fatal("filled gzip variant does not inflate to the source bytes")
-	}
-	if m := dst.Metrics(); m.Runs != 0 {
-		t.Fatalf("fill-then-hit ran %d simulations", m.Runs)
-	}
-}
-
 // TestSweepStreamsIdentityEncoding pins the batch endpoint to identity
 // bodies regardless of Accept-Encoding: NDJSON lines interleave results as
 // they finish, which cannot be represented as one gzip stream per line.
@@ -129,26 +102,21 @@ func gzipBuilt(s *Server) (built, entries int) {
 }
 
 // TestGzipVariantBuiltOnFirstGzipHit checks that compression waits for a
-// client that asks for it: a miss, identity hits and a /v1/fill store the
-// identity bytes only, and the first gzip hit builds the variant.
+// client that asks for it: misses and identity hits store the identity
+// bytes only, and the first gzip hit builds the variant.
 func TestGzipVariantBuiltOnFirstGzipHit(t *testing.T) {
-	src := newTestServer(t, Config{Workers: 1})
 	s := newTestServer(t, Config{Workers: 1})
 	const other = `{"app":"counter","procs":4,"rounds":3}`
-	filled := doJSON(src, other)
-	if filled.Code != http.StatusOK {
-		t.Fatalf("source sim = %d", filled.Code)
-	}
 	for i := 0; i < 3; i++ {
 		if w := doJSON(s, quickSpec); w.Code != http.StatusOK {
 			t.Fatalf("sim %d = %d: %s", i, w.Code, w.Body)
 		}
 	}
-	if w := doProbe(s, http.MethodPost, "/v1/fill", filled.Body.String()); w.Code != http.StatusNoContent {
-		t.Fatalf("fill = %d: %s", w.Code, w.Body)
+	if w := doJSON(s, other); w.Code != http.StatusOK {
+		t.Fatalf("second sim = %d: %s", w.Code, w.Body)
 	}
 	if built, entries := gzipBuilt(s); entries != 2 || built != 0 {
-		t.Fatalf("after miss, hits and fill: %d of %d entries have a gzip variant, want 0 of 2", built, entries)
+		t.Fatalf("after misses and hits: %d of %d entries have a gzip variant, want 0 of 2", built, entries)
 	}
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/sim", strings.NewReader(quickSpec))

@@ -24,8 +24,8 @@ var keyTestSpecs = []Spec{
 
 // TestKeyTextMatchesFmt pins the strconv-based key rendering to the
 // fmt.Sprintf form the content address originally hashed. A divergence
-// here silently severs every cached result and cross-version fill, so the
-// fmt form stays in the test as the specification.
+// here silently severs every cached result, so the fmt form stays in the
+// test as the specification.
 func TestKeyTextMatchesFmt(t *testing.T) {
 	for _, sp := range keyTestSpecs {
 		want := fmt.Sprintf(

@@ -86,7 +86,6 @@ type metrics struct {
 	runs       atomic.Uint64 // simulations actually executed
 	probes     atomic.Uint64 // cache probes (HEAD or ?probe=1; never simulate)
 	probeHits  atomic.Uint64 // probes answered from the result cache
-	fills      atomic.Uint64 // results inserted via /v1/fill (peer fill / replication)
 
 	sweeps         atomic.Uint64 // /v1/sweep plans accepted for processing
 	sweepPoints    atomic.Uint64 // points across all accepted plans
@@ -111,12 +110,10 @@ type Snapshot struct {
 	Errors      uint64 `json:"errors"`
 	Runs        uint64 `json:"runs"`
 
-	// Fleet-facing counters: cache probes (HEAD /v1/sim or ?probe=1) answer
-	// hit/miss without simulating, and fills are results inserted by a
-	// router via /v1/fill (peer fill and hot-key replication).
+	// Cache probes (HEAD /v1/sim or ?probe=1) answer hit/miss without
+	// simulating.
 	Probes    uint64 `json:"probes"`
 	ProbeHits uint64 `json:"probe_hits"`
-	Fills     uint64 `json:"fills"`
 
 	Sweeps         uint64 `json:"sweeps"`
 	SweepPoints    uint64 `json:"sweep_points"`
@@ -158,7 +155,6 @@ func (m *metrics) snapshot() Snapshot {
 		Runs:           m.runs.Load(),
 		Probes:         m.probes.Load(),
 		ProbeHits:      m.probeHits.Load(),
-		Fills:          m.fills.Load(),
 		Sweeps:         m.sweeps.Load(),
 		SweepPoints:    m.sweepPoints.Load(),
 		SweepHits:      m.sweepHits.Load(),

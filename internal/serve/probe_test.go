@@ -51,55 +51,3 @@ func TestProbeNeverSimulates(t *testing.T) {
 		t.Fatalf("metrics after warm probes = %+v", m)
 	}
 }
-
-func TestFillInsertsServableEntry(t *testing.T) {
-	// Simulate on one server, fill its response bytes into a second: the
-	// second must serve the key as a byte-identical cache hit without ever
-	// running the simulation itself. This is the peer-fill / replication
-	// primitive the fleet router is built on.
-	src := newTestServer(t, Config{Workers: 1})
-	dst := newTestServer(t, Config{Workers: 1})
-	orig := doJSON(src, quickSpec)
-	if orig.Code != http.StatusOK {
-		t.Fatalf("sim = %d: %s", orig.Code, orig.Body)
-	}
-
-	fill := doProbe(dst, http.MethodPost, "/v1/fill", orig.Body.String())
-	if fill.Code != http.StatusNoContent {
-		t.Fatalf("fill = %d: %s", fill.Code, fill.Body)
-	}
-	hit := doJSON(dst, quickSpec)
-	if hit.Code != http.StatusOK || hit.Header().Get("X-Cache") != "hit" {
-		t.Fatalf("post-fill request = %d X-Cache=%q", hit.Code, hit.Header().Get("X-Cache"))
-	}
-	if !bytes.Equal(hit.Body.Bytes(), orig.Body.Bytes()) {
-		t.Fatal("filled entry differs from the source response")
-	}
-	if m := dst.Metrics(); m.Runs != 0 || m.Fills != 1 || m.CacheHits != 1 {
-		t.Fatalf("dst metrics = %+v", m)
-	}
-}
-
-func TestFillRejectsMislabeledBody(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
-	src := newTestServer(t, Config{Workers: 1})
-	orig := doJSON(src, quickSpec)
-
-	// A body whose key does not match its own spec must be rejected: fills
-	// may relocate results between backends, never relabel them.
-	bad := strings.Replace(orig.Body.String(), `"key":"`+orig.Header().Get("X-Spec-Key"),
-		`"key":"`+strings.Repeat("0", 64), 1)
-	w := doProbe(s, http.MethodPost, "/v1/fill", bad)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("mislabeled fill = %d: %s", w.Code, w.Body)
-	}
-	if w := doProbe(s, http.MethodPost, "/v1/fill", "not json"); w.Code != http.StatusBadRequest {
-		t.Fatalf("garbage fill = %d", w.Code)
-	}
-	if w := doProbe(s, http.MethodGet, "/v1/fill", ""); w.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET fill = %d", w.Code)
-	}
-	if m := s.Metrics(); m.Fills != 0 || m.CacheEntries != 0 {
-		t.Fatalf("rejected fills mutated the cache: %+v", m)
-	}
-}

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -65,7 +64,6 @@ func New(cfg Config) *Server {
 		mux:    http.NewServeMux(),
 	}
 	s.mux.HandleFunc("/v1/sim", s.handleSim)
-	s.mux.HandleFunc("/v1/fill", s.handleFill)
 	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -128,9 +126,9 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	// Probe mode (HEAD, or ?probe=1 on GET/POST): answer from the result
 	// cache only, never simulating and never touching the queue. A hit is
 	// the normal 200 response (HEAD drops the body); a miss is 404 with
-	// X-Cache: miss. This is the cheap cache-visibility path the fleet
-	// router uses to ask "do you have this?" before paying for a
-	// simulation — a probe miss must stay O(cache lookup).
+	// X-Cache: miss. Clients ask "do you have this?" here without paying
+	// for a simulation (the fleet router relays probes to a key's owner),
+	// so a probe miss must stay O(cache lookup).
 	if probe, _ := rawQueryGet(r.URL.RawQuery, "probe"); r.Method == http.MethodHead || probe == "1" {
 		s.met.probes.Add(1)
 		e, ok := s.cache.getBytes(key)
@@ -262,57 +260,6 @@ func (s *Server) runEncoded(spec Spec, slot *exper.MachineSlot) (data []byte, er
 }
 
 var errBusy = fmt.Errorf("queue full")
-
-// handleFill inserts an externally obtained result into the cache:
-// POST /v1/fill with a body that is byte-for-byte a /v1/sim response (the
-// canonical Outcome encoding). The fleet router uses this to copy a result
-// from the backend that has it to the backends that should — peer fill
-// after a membership change, and hot-key replication — without re-running
-// the simulation. The body's embedded spec is re-normalized and its content
-// address recomputed; a body whose bytes do not carry the key they claim is
-// rejected, so a fill can relocate results but never relabel them. The
-// endpoint trusts its callers beyond that (it is a fleet-internal surface,
-// like /metrics), so deployments must not expose it publicly.
-func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "use POST with a /v1/sim response body")
-		return
-	}
-	if s.closing.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, "server draining")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<22))
-	if err != nil {
-		s.met.badRequest.Add(1)
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad fill body: %v", err))
-		return
-	}
-	var claim struct {
-		Spec Spec   `json:"spec"`
-		Key  string `json:"key"`
-	}
-	if err := json.Unmarshal(body, &claim); err != nil {
-		s.met.badRequest.Add(1)
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("fill body is not an outcome: %v", err))
-		return
-	}
-	spec, err := claim.Spec.Normalize()
-	if err != nil {
-		s.met.badRequest.Add(1)
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("fill spec: %v", err))
-		return
-	}
-	if key := spec.Key(); key != claim.Key {
-		s.met.badRequest.Add(1)
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("fill key %s does not match its spec (%s)", claim.Key, key))
-		return
-	}
-	s.cache.put(claim.Key, body)
-	s.met.fills.Add(1)
-	w.WriteHeader(http.StatusNoContent)
-}
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")

@@ -17,11 +17,11 @@
 // gzip variant is built on its first hit that asks for gzip, not when the
 // result is cached.
 //
-// For fleet deployments (internal/fleet fronts N of these servers behind a
-// consistent-hash router) the cache is also externally visible: HEAD
-// /v1/sim or ?probe=1 answers hit/miss from the cache without ever
-// simulating, and POST /v1/fill inserts a peer's response bytes so a
-// router can relocate results instead of re-running them.
+// The cache is also externally visible: HEAD /v1/sim or ?probe=1 answers
+// hit/miss from the cache without ever simulating. internal/fleet fronts N
+// of these servers behind a consistent-hash router, which sends each spec
+// to the one server that owns its key. Results enter the cache only
+// through a simulation on this server; no endpoint accepts result bytes.
 package serve
 
 import (
@@ -91,7 +91,7 @@ func (s Spec) Normalize() (Spec, error) {
 	// workload-library structure; the real apps zero them so equivalent
 	// requests share one cache key. Existing apps keep byte-identical
 	// canonical forms (PatternDriven == Synthetic for them), so no cached
-	// result or cross-version fill is invalidated.
+	// result is invalidated.
 	patternDriven := app.PatternDriven()
 	if s.Policy == "" {
 		s.Policy = "INV"
@@ -194,7 +194,7 @@ const keyTextMax = 192
 // field — the preimage of the content address — to dst. The rendering is
 // pinned byte-for-byte to the fmt.Sprintf form earlier releases hashed
 // (TestKeyTextMatchesFmt), because changing a single byte here would
-// silently invalidate every cached result and every cross-version fill.
+// silently invalidate every cached result.
 func (s *Spec) appendKeyText(dst []byte) []byte {
 	dst = append(dst, "app="...)
 	dst = append(dst, s.App...)

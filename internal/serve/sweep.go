@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -14,11 +15,43 @@ import (
 // figure-sized plans (tens to hundreds of points), not unbounded jobs.
 const MaxSweepPoints = 1024
 
+// MaxPlanBytes bounds one POST /v1/sweep body; handlers wrap the request
+// body in http.MaxBytesReader with it before calling ParsePlan.
+const MaxPlanBytes = 1 << 22
+
 // sweepRequest is the POST /v1/sweep body: an ordered list of specs
 // forming one plan. Each point is normalized and resolved independently
 // through the same cache + single-flight + worker pool as /v1/sim.
 type sweepRequest struct {
 	Points []Spec `json:"points"`
+}
+
+// ParsePlan decodes and validates one sweep plan body: JSON with unknown
+// fields refused, 1..MaxSweepPoints points, each normalized. It returns
+// the normalized points in plan order. Every error is a client error; its
+// text is the 400 body both dsmserve and dsmrouter answer, so the two
+// reject a bad plan byte-identically.
+func ParsePlan(body io.Reader) ([]Spec, error) {
+	var req sweepRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, fmt.Errorf("bad plan JSON: %v", err)
+	}
+	if len(req.Points) == 0 {
+		return nil, fmt.Errorf("empty plan: need at least one point")
+	}
+	if len(req.Points) > MaxSweepPoints {
+		return nil, fmt.Errorf("plan has %d points, limit %d", len(req.Points), MaxSweepPoints)
+	}
+	specs := req.Points
+	for i, sp := range specs {
+		var err error
+		if specs[i], err = sp.Normalize(); err != nil {
+			return nil, fmt.Errorf("point %d: %v", i, err)
+		}
+	}
+	return specs, nil
 }
 
 // sweepSlot is one point's dispatch bookkeeping: how it resolved (cached
@@ -79,33 +112,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	var req sweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	specs, err := ParsePlan(http.MaxBytesReader(w, r.Body, MaxPlanBytes))
+	if err != nil {
 		s.met.badRequest.Add(1)
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad plan JSON: %v", err))
+		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if len(req.Points) == 0 {
-		s.met.badRequest.Add(1)
-		s.writeError(w, http.StatusBadRequest, "empty plan: need at least one point")
-		return
-	}
-	if len(req.Points) > MaxSweepPoints {
-		s.met.badRequest.Add(1)
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("plan has %d points, limit %d", len(req.Points), MaxSweepPoints))
-		return
-	}
-	specs := req.Points
-	for i, sp := range specs {
-		var err error
-		if specs[i], err = sp.Normalize(); err != nil {
-			s.met.badRequest.Add(1)
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("point %d: %v", i, err))
-			return
-		}
 	}
 	s.met.sweeps.Add(1)
 	s.met.sweepPoints.Add(uint64(len(specs)))

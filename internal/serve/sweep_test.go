@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"dsm/internal/exper"
 )
 
 func doSweep(s *Server, body string) *httptest.ResponseRecorder {
@@ -90,8 +93,28 @@ func TestSweepRePostAllHits(t *testing.T) {
 // TestSweepDuplicatePointsCoalesce checks duplicates within one cold plan
 // merge on the plan's own single-flight leader: 1 miss, N-1 coalesced.
 func TestSweepDuplicatePointsCoalesce(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2})
-	w := doSweep(s, `{"points":[`+quickSpec+`,`+quickSpec+`,`+quickSpec+`]}`)
+	s := newTestServer(t, Config{Workers: 1})
+	// Park the only worker until the whole plan has dispatched, so the
+	// leader's simulation cannot finish (and turn its duplicates into
+	// cache hits) before they join its flight.
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	if !s.pool.submit(func(*exper.MachineSlot) { close(started); <-gate }) {
+		t.Fatal("could not park worker")
+	}
+	<-started
+	res := make(chan *httptest.ResponseRecorder)
+	go func() { res <- doSweep(s, `{"points":[`+quickSpec+`,`+quickSpec+`,`+quickSpec+`]}`) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for m := s.Metrics(); m.SweepHits+m.SweepMisses+m.SweepCoalesced < 3; m = s.Metrics() {
+		if time.Now().After(deadline) {
+			close(gate)
+			t.Fatalf("plan did not dispatch: %+v", m)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	w := <-res
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body.String())
 	}
