@@ -218,6 +218,8 @@ func main() {
 		os.Exit(2)
 	}
 	switch {
+	case flag.NArg() > 0:
+		fail("unexpected argument %q", flag.Arg(0))
 	case *conc < 1:
 		fail("-c %d below 1", *conc)
 	case *nset < 1:

@@ -10,8 +10,9 @@ import (
 )
 
 // TestBadFlagsExitWithUsage runs main in a child process: a flag no run
-// can use must print the error and the usage text and exit 2, before any
-// request goes out, not panic or start a run.
+// can use, or an argument that is not a flag, must print the error and the
+// usage text and exit 2, before any request goes out, not panic or start a
+// run.
 func TestBadFlagsExitWithUsage(t *testing.T) {
 	if os.Getenv("DSMLOAD_MAIN") != "" {
 		os.Args = append([]string{"dsmload"}, strings.Fields(os.Getenv("DSMLOAD_MAIN"))...)
@@ -32,6 +33,8 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{"-zipf 1", "-zipf 1 needs s > 1"},
 		{"-zipf 0.5", "-zipf 0.5 needs s > 1"},
 		{"-zipf NaN", "-zipf NaN needs s > 1"},
+		{"stray", `unexpected argument "stray"`},
+		{"-c 4 stray -specs 0", `unexpected argument "stray"`},
 	} {
 		// An unroutable address: a flag check that let the run start would
 		// fail on the warm-up probe with exit 1, not 2.

@@ -12,7 +12,9 @@
 //
 // SIGINT/SIGTERM drain gracefully: /healthz flips to 503 (so a balancer
 // stops sending), the listener stops accepting, in-flight relays finish,
-// then the process exits 0. The backends drain themselves.
+// then the process exits 0. The backends drain themselves. A negative
+// -timeout or -drain, or an argument that is not a flag, exits 2 with
+// usage.
 package main
 
 import (
@@ -41,6 +43,19 @@ func main() {
 		pprof    = flag.String("pprof", "", "serve /debug/pprof on this address (e.g. localhost:6061; empty disables)")
 	)
 	flag.Parse()
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "dsmrouter: "+format+"\n", args...)
+		flag.Usage()
+		os.Exit(2)
+	}
+	switch {
+	case flag.NArg() > 0:
+		fail("unexpected argument %q", flag.Arg(0))
+	case *timeout < 0:
+		fail("-timeout %v negative", *timeout)
+	case *drain < 0:
+		fail("-drain %v negative", *drain)
+	}
 	log.SetPrefix("dsmrouter: ")
 	log.SetFlags(0)
 

@@ -9,7 +9,9 @@
 //	curl -s localhost:8080/metrics
 //
 // SIGINT/SIGTERM drain gracefully: the listener stops accepting, in-flight
-// requests and queued simulations complete, then the process exits 0.
+// requests and queued simulations complete, then the process exits 0. A
+// negative -workers, -queue, -cache, -timeout or -drain, or an argument
+// that is not a flag, exits 2 with usage; 0 means the default.
 package main
 
 import (
@@ -39,6 +41,25 @@ func main() {
 		pprof   = flag.String("pprof", "", "serve /debug/pprof on this address (e.g. localhost:6060; empty disables)")
 	)
 	flag.Parse()
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "dsmserve: "+format+"\n", args...)
+		flag.Usage()
+		os.Exit(2)
+	}
+	switch {
+	case flag.NArg() > 0:
+		fail("unexpected argument %q", flag.Arg(0))
+	case *workers < 0:
+		fail("-workers %d negative", *workers)
+	case *queue < 0:
+		fail("-queue %d negative", *queue)
+	case *cache < 0:
+		fail("-cache %d negative", *cache)
+	case *timeout < 0:
+		fail("-timeout %v negative", *timeout)
+	case *drain < 0:
+		fail("-drain %v negative", *drain)
+	}
 	log.SetPrefix("dsmserve: ")
 	log.SetFlags(0)
 

@@ -77,18 +77,20 @@ func main() {
 	)
 	flag.Parse()
 
+	fail := func(err error) {
+		fmt.Fprintf(os.Stderr, "dsmsim: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
+	}
 	if *dumpPro {
 		if err := proto.WriteTables(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "dsmsim: %v\n", err)
 			os.Exit(1)
 		}
 		return
-	}
-
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "dsmsim: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
 	}
 	if err := validateApp(*app); err != nil {
 		fail(err)

@@ -125,8 +125,9 @@ func TestCheckScaleFlags(t *testing.T) {
 }
 
 // TestOutOfRangeProcsExitsWithUsage runs main in a child process: an
-// out-of-range -procs, or a scale or pattern flag below its lower bound,
-// must print the error and the usage text and exit 2, not panic.
+// out-of-range -procs, a scale or pattern flag below its lower bound, or
+// an argument that is not a flag, must print the error and the usage text
+// and exit 2, not panic.
 func TestOutOfRangeProcsExitsWithUsage(t *testing.T) {
 	if os.Getenv("DSMSIM_MAIN") != "" {
 		os.Args = append([]string{"dsmsim"}, strings.Fields(os.Getenv("DSMSIM_MAIN"))...)
@@ -145,6 +146,8 @@ func TestOutOfRangeProcsExitsWithUsage(t *testing.T) {
 		{"-rounds 0", "rounds 0 below 1"},
 		{"-a 0", "write-run 0 below 1"},
 		{"-a NaN", "write-run NaN below 1"},
+		{"-app tts extra -procs 1000", `unexpected argument "extra"`},
+		{"-dump-protocol extra", `unexpected argument "extra"`},
 	} {
 		args := tc.args
 		cmd := exec.Command(os.Args[0], "-test.run=^TestOutOfRangeProcsExitsWithUsage$")

@@ -49,6 +49,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "figures: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	if !(*all || *table1 || *fig2 || *fig3 || *fig4 || *fig5 || *fig6 || *tceff) {
 		flag.Usage()
 		os.Exit(2)

@@ -10,8 +10,9 @@ import (
 )
 
 // TestBadScaleFlagsExitWithUsage runs main in a child process: a -procs,
-// -rounds or -tcsize no run can use must print the error and the usage
-// text and exit 2, not panic or print empty tables.
+// -rounds or -tcsize no run can use, or an argument that is not a flag
+// (which would end flag parsing and hide the flags after it), must print
+// the error and the usage text and exit 2, not panic or print tables.
 func TestBadScaleFlagsExitWithUsage(t *testing.T) {
 	if os.Getenv("FIGURES_MAIN") != "" {
 		os.Args = append([]string{"figures"}, strings.Fields(os.Getenv("FIGURES_MAIN"))...)
@@ -24,6 +25,8 @@ func TestBadScaleFlagsExitWithUsage(t *testing.T) {
 		{"-fig3 -rounds -1", "rounds -1 below 1"},
 		{"-tceff -tcsize 0", "size 0 below 2"},
 		{"-tceff -tcsize 1", "size 1 below 2"},
+		{"-table1 x -procs 1000", `unexpected argument "x"`},
+		{"-table1 x", `unexpected argument "x"`},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBadScaleFlagsExitWithUsage$")
 		cmd.Env = append(os.Environ(), "FIGURES_MAIN="+tc.args)

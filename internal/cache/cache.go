@@ -194,6 +194,15 @@ func (c *Cache) Lookup(a arch.Addr) *Line {
 	return nil
 }
 
+// Touch refreshes the line holding the block containing a, if any, as n
+// consecutive Lookup hits would.
+func (c *Cache) Touch(a arch.Addr, n uint64) {
+	if l := c.Peek(a); l != nil {
+		c.clock += n
+		l.lastUse = c.clock
+	}
+}
+
 // Peek is Lookup without the LRU side effect.
 func (c *Cache) Peek(a arch.Addr) *Line {
 	base := arch.BlockBase(a)

@@ -15,6 +15,7 @@ import (
 // processors are in-order and blocking, as in the simulated machine).
 type txn struct {
 	req     Request
+	policy  Policy // the block's, resolved once at Issue
 	retries int
 
 	granted  bool // grant/reply received and its effect applied
@@ -62,6 +63,12 @@ type CacheCtl struct {
 	// reservation scheme returned a beyond-the-limit hint; the next
 	// store_conditional then fails locally without network traffic.
 	llHintFail bool
+
+	// watchFn, when set, is a parked spin's wake hook: receive calls it,
+	// and clears it, on the first message for the block at watchBase,
+	// before the message takes effect (see Watch).
+	watchBase arch.Addr
+	watchFn   func()
 }
 
 func (c *CacheCtl) init(s *System, n mesh.NodeID) {
@@ -83,6 +90,7 @@ func (c *CacheCtl) reset() {
 	c.cache.Reset()
 	c.pending = nil
 	c.llHintFail = false
+	c.watchFn = nil
 }
 
 // sendLater transmits m to dst one local controller step from now,
@@ -107,6 +115,21 @@ func (c *CacheCtl) Busy() bool { return c.pending != nil }
 // outstanding per processor; a second Issue before Done fires panics.
 // Issue must be called from the engine's event loop.
 func (c *CacheCtl) Issue(req Request) {
+	c.open(req)
+	c.sys.eng.After(c.sys.cfg.CacheHitTime, c.startFn)
+}
+
+// IssueLater is Issue for a caller that runs the start itself: it makes
+// req the outstanding transaction and returns the function that starts
+// it, to run CacheHitTime cycles later from an event of the caller's, as
+// Issue's own event would. A parked spin's wake resumes its load so.
+func (c *CacheCtl) IssueLater(req Request) (start func()) {
+	c.open(req)
+	return c.startFn
+}
+
+// open makes req the outstanding transaction.
+func (c *CacheCtl) open(req Request) {
 	if c.pending != nil {
 		panic(fmt.Sprintf("core: node %d issued %v with a request outstanding", c.node, req.Op))
 	}
@@ -116,13 +139,42 @@ func (c *CacheCtl) Issue(req Request) {
 		c.sys.trace(c.node, "issue", "%v addr=%#x val=%d,%d", req.Op, req.Addr, req.Val, req.Val2)
 	}
 	t := &c.txn
-	*t = txn{req: req}
+	*t = txn{req: req, policy: c.sys.PolicyOf(req.Addr)}
 	if c.sys.cfg.Track && req.Op.IsAtomic() {
 		c.sys.contention.Begin(stats.Location(req.Addr), int(c.node))
 		t.tracking = true
 	}
 	c.pending = t
-	c.sys.eng.After(c.sys.cfg.CacheHitTime, c.startFn)
+}
+
+// Watch parks a spinning load of a, which just returned v: if the cache
+// holds a's block with v at a, so that every load of a until a message for
+// the block arrives would hit and return v, it arranges for wake to run at
+// the next message this controller receives for the block, before the
+// message takes effect, and reports true. With a tracer installed it
+// declines, so traces keep one issue and one completion per load.
+func (c *CacheCtl) Watch(a arch.Addr, v arch.Word, wake func()) bool {
+	if c.sys.tracer != nil {
+		return false
+	}
+	if l := c.cache.Peek(a); l == nil || l.Word(a) != v {
+		return false
+	}
+	c.watchBase, c.watchFn = arch.BlockBase(a), wake
+	return true
+}
+
+// SkipHits accounts n loads of a that hit in the cache without being
+// issued, as a parked spin's wake does for the loads it skipped: the
+// requests, the local hits, their zero-length chains and the line's LRU
+// refreshes. Their write-run accesses are no-ops: the spin's first load
+// already recorded this processor's read, and no other processor wrote
+// the word since, or a message for the block would have woken the spin.
+func (c *CacheCtl) SkipHits(a arch.Addr, n uint64) {
+	c.sys.counters.Requests += n
+	c.sys.counters.LocalHits += n
+	c.sys.chains.RecordNAt(int(OpLoad), int(c.sys.PolicyOf(a)), 0, n)
+	c.cache.Touch(a, n)
 }
 
 // complete finishes the outstanding transaction and delivers the result.
@@ -141,7 +193,7 @@ func (c *CacheCtl) complete(t *txn, r Result) {
 		c.sys.trace(c.node, "complete", "%v addr=%#x value=%d ok=%v chain=%d",
 			t.req.Op, t.req.Addr, r.Value, r.OK, r.Chain)
 	}
-	c.sys.chains.RecordAt(int(t.req.Op), int(c.sys.PolicyOf(t.req.Addr)), r.Chain)
+	c.sys.chains.RecordAt(int(t.req.Op), int(t.policy), r.Chain)
 	if t.req.Done != nil {
 		t.req.Done(r)
 	}
@@ -152,7 +204,7 @@ func (c *CacheCtl) complete(t *txn, r Result) {
 // perform the entry's cache probe, find the first rule whose guard holds,
 // and run its actions in order.
 func (c *CacheCtl) start(t *txn) {
-	spec := &proto.CacheStart[c.sys.PolicyOf(t.req.Addr)][t.req.Op]
+	spec := &proto.CacheStart[t.policy][t.req.Op]
 	var l *cache.Line
 	switch spec.Prep {
 	case proto.PrepLookup:
@@ -294,8 +346,14 @@ func (c *CacheCtl) retry(t *txn) {
 // entry marks the kind as a reply, perform the entry's cache probe, and
 // run the first matching rule. The cache controller consumes every message
 // it is delivered (responses are built eagerly, not captured in
-// callbacks), so the message is recycled when the rule finishes.
+// callbacks), so the message is recycled when the rule finishes. A spin
+// parked on the message's block is woken first (see Watch).
 func (c *CacheCtl) receive(m *msg) {
+	if c.watchFn != nil && arch.BlockBase(m.addr) == c.watchBase {
+		wake := c.watchFn
+		c.watchFn = nil
+		wake()
+	}
 	spec := &proto.CacheRecv[m.kind]
 	if len(spec.Rules) == 0 {
 		panic(fmt.Sprintf("core: cache %d received %v", c.node, m.kind))

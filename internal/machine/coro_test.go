@@ -110,7 +110,10 @@ func TestPanicUnwindsSpinningCoroutines(t *testing.T) {
 		}()
 		m.RunEach([]func(*Proc){
 			func(p *Proc) {
+				// Writing the flag's block wakes the parked spinners,
+				// which account their loads and spin on.
 				p.Compute(200)
+				p.Store(flag+8, 1)
 				p.Load(flag)
 				panic(boom)
 			},

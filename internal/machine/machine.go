@@ -14,7 +14,9 @@
 // spin-wait is one action too: Proc.SpinWhile hands the engine the address,
 // comparison and gap, and the engine runs the loads, counting each as the
 // Go loop would, until the comparison fails; only then does the program
-// resume. All back-end activity happens in the engine's event loop, so a
+// resume. A spin whose load hits its own cache parks until the cache
+// receives a message for the line, its loads passing meanwhile as virtual
+// events of a sim.Chain and counted in bulk at the wake. All back-end activity happens in the engine's event loop, so a
 // given program and configuration always produce the same cycle-for-cycle
 // execution.
 //

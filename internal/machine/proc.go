@@ -86,6 +86,7 @@ type Proc struct {
 	spinDoneFn func(core.Result)
 	resumeFn   func()
 	dispatchFn func()
+	wakeFn     func()
 
 	// lag is the compute delay the program has run past without yielding;
 	// the next action it yields carries it. pending is the action waiting
@@ -94,6 +95,12 @@ type Proc struct {
 	lag     sim.Time
 	pending action
 	spinAt  sim.Time
+	// chain holds a parked spin's events (see park). skipped counts the
+	// engine events parked spins did not run, and ties the wakes on the
+	// cycle of a skipped event or of the event they make real.
+	chain   sim.Chain
+	skipped uint64
+	ties    uint64
 	// held is a panic the program raised with a compute delay pending; the
 	// dispatch event ending the delay re-raises it.
 	held any
@@ -175,6 +182,7 @@ func (p *Proc) init(m *Machine, n mesh.NodeID, co *coro) {
 	p.spinDoneFn = p.spinDone
 	p.resumeFn = func() { p.step(core.Result{}) }
 	p.dispatchFn = func() { p.dispatch(p.pending) }
+	p.wakeFn = p.wake
 }
 
 // begin prepares the processor for a program. The program starts at the
@@ -237,7 +245,8 @@ func (p *Proc) dispatch(act action) {
 // spinDone completes one load of a spin episode, doing on the engine side
 // what SpinWhile's loop would do on resuming: count the load, then either
 // resume the program with the value, or count the gap and reissue the load
-// gap cycles later from the same dispatch event a yielded load would use.
+// gap cycles later from the same dispatch event a yielded load would use,
+// or park the spin until its next load could see a change.
 func (p *Proc) spinDone(r core.Result) {
 	s := &p.pending
 	p.stats.Ops++
@@ -247,11 +256,73 @@ func (p *Proc) spinDone(r core.Result) {
 		return
 	}
 	p.stats.ComputeCycles += s.gap
+	if r.Chain == 0 && p.park(r.Value) {
+		return
+	}
 	if s.gap == 0 {
 		p.dispatch(*s)
 		return
 	}
 	p.m.eng.After(s.gap, p.dispatchFn)
+}
+
+// park stops a spin whose load returned v without leaving the node, if the
+// cache still holds the line: every later load would hit and return v
+// until the cache receives a message for the block, so none is scheduled.
+// The engine runs the spin's events virtually instead (see sim.Chain): a
+// dispatch gap cycles after each load and its load CacheHitTime cycles
+// after that, or with no gap just the loads; and the cache's watch on the
+// block calls wake when a message for it arrives.
+func (p *Proc) park(v arch.Word) bool {
+	h, gap := p.m.cfg.CacheHitTime, p.pending.gap
+	if h == 0 || h >= sim.ChainStepLimit || gap >= sim.ChainStepLimit ||
+		!p.m.sys.Cache(p.node).Watch(p.pending.req.Addr, v, p.wakeFn) {
+		return false
+	}
+	if gap == 0 {
+		p.m.eng.Park(&p.chain, h, h)
+	} else {
+		p.m.eng.Park(&p.chain, gap, h)
+	}
+	return true
+}
+
+// wake resumes a parked spin from inside the delivery of a message for its
+// block, before the message takes effect. The chain events that ran
+// virtually before this delivery are accounted in bulk: their loads all
+// hit and returned the parked value. The chain's next event, due after
+// the delivery, becomes real, and the spin goes on load by load.
+func (p *Proc) wake() {
+	s := &p.pending
+	h, gap := p.m.cfg.CacheHitTime, s.gap
+	n := p.chain.Passed()
+	p.skipped += n
+	loads := n
+	if gap > 0 {
+		loads /= 2
+	}
+	cc := p.m.sys.Cache(p.node)
+	if loads > 0 {
+		p.stats.Ops += loads
+		p.stats.MemoryCycles += sim.Time(loads) * h
+		p.stats.ComputeCycles += sim.Time(loads) * gap
+		cc.SkipHits(s.req.Addr, loads)
+	}
+	// The next event is a load start, CacheHitTime after its dispatch (or
+	// the load before it), or a dispatch, gap cycles after a load.
+	due, now := p.chain.Due(), p.m.eng.Now()
+	if gap == 0 || n%2 == 1 {
+		if due == now || n > 0 && due-h == now {
+			p.ties++
+		}
+		p.spinAt = due - h
+		p.m.eng.Wake(&p.chain, cc.IssueLater(s.req))
+		return
+	}
+	if due == now || n > 0 && due-gap == now {
+		p.ties++
+	}
+	p.m.eng.Wake(&p.chain, p.dispatchFn)
 }
 
 // await yields a, carrying the pending compute delay, suspends the program
@@ -350,12 +421,16 @@ func (p *Proc) Load(a arch.Addr) arch.Word {
 //		v = p.Load(a)
 //	}
 //
-// in simulated time, events and ProcStats, but the program yields once per
-// spin episode instead of once per load: the engine issues each load,
-// tests the comparison at its completion, and schedules the next load gap
-// cycles later itself, as the loop's deferred Compute would have. A spin
-// whose gap is drawn from Rand each iteration (backoff, jitter) cannot be
-// expressed this way and stays a Go loop.
+// in simulated time, ProcStats and every simulated count, but the program
+// yields once per spin episode instead of once per load: the engine issues
+// each load, tests the comparison at its completion, and schedules the
+// next load gap cycles later itself, as the loop's deferred Compute would
+// have. While the loaded line sits unchanged in the cache the spin parks
+// and its loads run as uncounted virtual events (see park), so the engine
+// executes fewer events than the loop; a spin nobody releases then ends
+// the run as a deadlock instead of spinning forever. A spin whose gap is
+// drawn from Rand each iteration (backoff, jitter) cannot be expressed
+// this way and stays a Go loop.
 func (p *Proc) SpinWhile(a arch.Addr, cmp Cmp, x arch.Word, gap sim.Time) arch.Word {
 	return p.await(action{
 		kind: actSpin,

@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
 	"dsm/internal/arch"
 	"dsm/internal/core"
+	"dsm/internal/mesh"
 	"dsm/internal/sim"
 )
 
@@ -29,13 +31,26 @@ func spinLoop(p *Proc, a arch.Addr, c Cmp, x arch.Word, gap sim.Time) arch.Word 
 
 // spinRecord is everything a spin case must reproduce: each processor's
 // Now() readings and spin results, and the run's elapsed time, event count
-// and stats.
+// and stats. events counts the engine events run plus those parked spins
+// skipped; skipped counts the latter, and ties the wakes on the cycle of a
+// chain event.
 type spinRecord struct {
 	now     [4][]sim.Time
 	vals    [4][]arch.Word
 	elapsed sim.Time
 	events  uint64
+	skipped uint64
+	ties    uint64
 	stats   [4]ProcStats
+}
+
+// parkCounts sums the processors' parked-spin counters: the engine events
+// skipped and the wakes on the cycle of a chain event.
+func parkCounts(m *Machine) (skipped, ties uint64) {
+	for _, p := range m.procs {
+		skipped, ties = skipped+p.skipped, ties+p.ties
+	}
+	return skipped, ties
 }
 
 func (r *spinRecord) mark(p *Proc, v arch.Word) {
@@ -67,15 +82,57 @@ func spinRelease(policy core.Policy, gap sim.Time) func(*Machine, spinFunc, *spi
 	}
 }
 
+// spinWrites: processor 0 writes 1, 2, ..., len(delays) to a flag homed
+// at home, computing delays[k] before write k, while processors 1 and 2
+// spin on it under policy until cmp(v, x) fails, x being the last value
+// written; processor 3 idles, its node a third home. A Less or NotEqual
+// spin wakes at every write and spins on until the last.
+func spinWrites(policy core.Policy, cmp Cmp, gap sim.Time, home int, delays []sim.Time) func(*Machine, spinFunc, *spinRecord) []func(*Proc) {
+	return func(m *Machine, spin spinFunc, r *spinRecord) []func(*Proc) {
+		flag := m.AllocSyncAt(mesh.NodeID(home), policy)
+		last := arch.Word(len(delays))
+		x := last
+		if cmp == Equal {
+			x = 0
+		}
+		writer := func(p *Proc) {
+			for k, d := range delays {
+				p.Compute(d)
+				p.Store(flag, arch.Word(k+1))
+				r.mark(p, 0)
+			}
+		}
+		spinner := func(p *Proc) {
+			p.Compute(sim.Time(p.ID()))
+			v := spin(p, flag, cmp, x, gap)
+			r.mark(p, v)
+			if cmp == Equal {
+				r.mark(p, spin(p, flag, Less, last, gap))
+			}
+		}
+		return []func(*Proc){writer, spinner, spinner, nil}
+	}
+}
+
 var spinCases = []struct {
 	name  string
 	setup func(*Machine, spinFunc, *spinRecord) []func(*Proc)
+	parks bool // the engine spin must skip events
 }{
-	{"release-INV", spinRelease(core.PolicyINV, 2)},
-	{"release-UPD", spinRelease(core.PolicyUPD, 2)},
-	{"release-UNC", spinRelease(core.PolicyUNC, 2)},
-	{"release-INV-gap0", spinRelease(core.PolicyINV, 0)},
-	{"release-UNC-gap5", spinRelease(core.PolicyUNC, 5)},
+	{"release-INV", spinRelease(core.PolicyINV, 2), true},
+	{"release-UPD", spinRelease(core.PolicyUPD, 2), true},
+	{"release-UNC", spinRelease(core.PolicyUNC, 2), false},
+	{"release-INV-gap0", spinRelease(core.PolicyINV, 0), true},
+	{"release-UNC-gap5", spinRelease(core.PolicyUNC, 5), false},
+	// Woken by invalidations, by updates, and with the writer at the
+	// flag's home, so its invalidations and updates leave in one local
+	// controller step.
+	{"wake-inval", spinWrites(core.PolicyINV, Less, 2, 3, []sim.Time{90, 40, 7}), true},
+	{"wake-update", spinWrites(core.PolicyUPD, Less, 2, 3, []sim.Time{90, 40, 7}), true},
+	{"local-writer-INV-gap0", spinWrites(core.PolicyINV, NotEqual, 0, 0, []sim.Time{60, 13}), true},
+	{"local-writer-INV-gap2", spinWrites(core.PolicyINV, NotEqual, 2, 0, []sim.Time{60, 13}), true},
+	{"local-writer-UPD-gap0", spinWrites(core.PolicyUPD, Equal, 0, 0, []sim.Time{60, 13}), true},
+	{"local-writer-UPD-gap2", spinWrites(core.PolicyUPD, Equal, 2, 0, []sim.Time{60, 13}), true},
 	// Spins whose first load already fails the comparison, with and
 	// without a compute delay pending, between timed actions on a flag
 	// another processor keeps writing.
@@ -91,7 +148,7 @@ var spinCases = []struct {
 			r.mark(p, spin(p, a, NotEqual, p.Load(a), 1))
 		}
 		return []func(*Proc){prog, prog, prog, nil}
-	}},
+	}, false},
 	// A handoff chain: each processor waits for the counter to reach its
 	// turn, random compute between, the rest idle at a barrier.
 	{"turns", func(m *Machine, spin spinFunc, r *spinRecord) []func(*Proc) {
@@ -106,14 +163,18 @@ var spinCases = []struct {
 			}
 		}
 		return []func(*Proc){prog, prog, prog, prog}
-	}},
+	}, true},
 }
 
 func runSpinCase(m *Machine, setup func(*Machine, spinFunc, *spinRecord) []func(*Proc), spin spinFunc) spinRecord {
 	var r spinRecord
 	start := m.Engine().EventsExecuted()
+	skipped, ties := parkCounts(m)
 	r.elapsed = m.RunEach(setup(m, spin, &r))
-	r.events = m.Engine().EventsExecuted() - start
+	r.skipped, r.ties = parkCounts(m)
+	r.skipped -= skipped
+	r.ties -= ties
+	r.events = m.Engine().EventsExecuted() - start + r.skipped
 	for i := range r.stats {
 		r.stats[i] = m.ProcStats(i)
 	}
@@ -137,16 +198,21 @@ func sameSpinRecord(t *testing.T, what string, got, want spinRecord) {
 }
 
 // TestSpinWhileMatchesLoop: every spin case gives the same readings,
-// values, elapsed time, event count and stats with SpinWhile as with the
-// Go loop it replaces, on fresh machines and on one machine reset between
-// runs.
+// values, elapsed time and stats with SpinWhile as with the Go loop it
+// replaces, on fresh machines and on one machine reset between runs, and
+// the loop's event count is exactly the engine spin's plus the events its
+// parked spins skipped.
 func TestSpinWhileMatchesLoop(t *testing.T) {
 	reused := newSmall()
 	cfg := reused.cfg
 	for round := 0; round < 2; round++ {
 		for _, c := range spinCases {
 			want := runSpinCase(New(cfg), c.setup, spinLoop)
-			sameSpinRecord(t, c.name+" fresh", runSpinCase(New(cfg), c.setup, spinEngine), want)
+			got := runSpinCase(New(cfg), c.setup, spinEngine)
+			sameSpinRecord(t, c.name+" fresh", got, want)
+			if (got.skipped > 0) != c.parks {
+				t.Errorf("%s: engine spin skipped %d events, want parking %v", c.name, got.skipped, c.parks)
+			}
 			for _, spin := range []spinFunc{spinEngine, spinLoop} {
 				if !reused.Reset(cfg) {
 					t.Fatal("Reset refused the machine's own config")
@@ -155,6 +221,69 @@ func TestSpinWhileMatchesLoop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSpinWakeTies: over the writers' phases, some wakes arrive on the
+// cycle of a skipped load or dispatch, with the writer remote from or
+// local to the flag's home and the spinner at it, and every such run
+// matches the loop.
+func TestSpinWakeTies(t *testing.T) {
+	cfg := newSmall().cfg
+	var ties uint64
+	for _, policy := range []core.Policy{core.PolicyINV, core.PolicyUPD} {
+		for _, gap := range []sim.Time{0, 2} {
+			for _, home := range []int{0, 1} {
+				for d := sim.Time(0); d < 6; d++ {
+					setup := spinWrites(policy, Less, gap, home, []sim.Time{70 + d, 20 + 2*d})
+					want := runSpinCase(New(cfg), setup, spinLoop)
+					got := runSpinCase(New(cfg), setup, spinEngine)
+					sameSpinRecord(t, fmt.Sprintf("%v gap %d home %d delay %d", policy, gap, home, d), got, want)
+					ties += got.ties
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no wake arrived on the cycle of a skipped event")
+	}
+}
+
+// FuzzSpinWhileMatchesLoop draws a spin-wait and the writes that release
+// it: the policy, the comparison, a gap in 0-5, the flag's home (the first
+// spinner's node, the writer's or a third node), and the writer's compute
+// delays, one per write. SpinWhile must reproduce the Go loop's record,
+// its events counted with the ones parked spins skipped.
+func FuzzSpinWhileMatchesLoop(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(0), []byte{70, 20})
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(1), []byte{3})
+	f.Add(uint8(0), uint8(2), uint8(5), uint8(2), []byte{0, 1, 2, 200})
+	cfg := newSmall().cfg
+	f.Fuzz(func(t *testing.T, policy, cmp, gap, home uint8, delays []byte) {
+		if len(delays) == 0 || len(delays) > 6 {
+			t.Skip()
+		}
+		pol := []core.Policy{core.PolicyINV, core.PolicyUPD}[policy%2]
+		ds := make([]sim.Time, len(delays))
+		for i, d := range delays {
+			ds[i] = sim.Time(d)
+		}
+		setup := spinWrites(pol, Cmp(cmp%3), sim.Time(gap%6), []int{1, 0, 3}[home%3], ds)
+		sameSpinRecord(t, "fuzz", runSpinCase(New(cfg), setup, spinEngine), runSpinCase(New(cfg), setup, spinLoop))
+	})
+}
+
+// TestUnreleasedSpinDeadlocks: a spin nobody releases parks, leaves the
+// engine nothing to run, and ends the run with the deadlock panic.
+func TestUnreleasedSpinDeadlocks(t *testing.T) {
+	m := newSmall()
+	flag := m.AllocSyncAt(2, core.PolicyINV)
+	defer func() {
+		if r := recover(); fmt.Sprint(r) != "machine: deadlock with 1 processors unfinished" {
+			t.Fatalf("recovered %v, want the deadlock panic", r)
+		}
+	}()
+	m.RunEach([]func(*Proc){func(p *Proc) { p.SpinWhile(flag, Equal, 0, 2) }, nil, nil, nil})
+	t.Fatal("RunEach returned")
 }
 
 // TestCmpHolds checks the comparisons directly: spinLoop shares them with

@@ -145,7 +145,8 @@ func runTimingCase(c timingCase) timingRecord {
 	m := newSmall()
 	var r timingRecord
 	r.elapsed = m.RunEach(c.setup(m, &r.now))
-	r.events = m.Engine().EventsExecuted()
+	skipped, _ := parkCounts(m)
+	r.events = m.Engine().EventsExecuted() + skipped
 	for i := range r.stats {
 		r.stats[i] = m.ProcStats(i)
 	}
@@ -159,7 +160,8 @@ func runTimingCase(c timingCase) timingRecord {
 // running a spin's loads from the engine, must reproduce all of it: the
 // timed actions still fire at the same simulated times, from events with
 // the same sequence numbers, so readings, elapsed time, event count and
-// stats match exactly.
+// stats match exactly. A parked spin's skipped events count as run: the
+// record's events are the engine's plus the skipped ones.
 var pinnedTiming = map[string]timingRecord{
 	"compute-load": {
 		now:     [4][]sim.Time{{31, 134, 522}, {44, 112, 206}, {50, 232, 441}, {58, 341, 467}},

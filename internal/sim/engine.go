@@ -7,7 +7,8 @@
 // total order (time, sequence number) on events.
 //
 // The engine is the simulator's hot path: every memory reference, message
-// delivery, and compute delay becomes at least one event. Scheduling is a
+// delivery, and compute delay becomes at least one event, except the
+// events of a parked chain (see Chain), which pass virtually. Scheduling is a
 // two-level structure: a timing wheel of one-cycle buckets covers the near
 // future (where nearly every delay in the machine model lands — hop, flit,
 // memory, and retry delays are all tens of cycles) at amortized O(1) per
@@ -80,7 +81,7 @@ func (e *Event) Cancel() {
 type Engine struct {
 	now      Time
 	seq      uint64
-	live     int    // scheduled events that have not been cancelled
+	live     int    // scheduled events that have not been cancelled, and woken chains
 	executed uint64 // events fired since construction (or the last Reset)
 	free     *Event // recycled events, chained through Event.next
 
@@ -111,6 +112,13 @@ type Engine struct {
 
 	// Stopped is set by Stop and terminates Run at the next event boundary.
 	stopped bool
+
+	// Parked chains (see Chain): chains counts them, chainTime is the
+	// earliest cycle whose slot may hold one, and slots is their wheel,
+	// made at the first Park so engines that never park do not carry it.
+	chains    int
+	chainTime Time
+	slots     *[chainSpan]chainSlot
 }
 
 // NewEngine returns an empty engine with the clock at zero.
@@ -146,6 +154,7 @@ func (e *Engine) Reset() {
 	e.far = e.far[:0]
 	e.now, e.seq, e.live, e.executed = 0, 0, 0, 0
 	e.wheelTime, e.wheelCount = 0, 0
+	e.resetChains()
 	e.stopped = false
 }
 
@@ -333,6 +342,18 @@ func (e *Engine) next() (ev *Event, fromWheel bool) {
 // its time. It reports whether an event was executed.
 func (e *Engine) Step() bool {
 	ev, fromWheel := e.next()
+	if e.chains > 0 {
+		if c := e.passUntil(ev); c != nil {
+			e.popChain()
+			e.live--
+			e.executed++
+			e.now = c.at
+			fn := c.fn
+			c.fn, c.on = nil, false
+			fn()
+			return true
+		}
+	}
 	if ev == nil {
 		return false
 	}
@@ -356,6 +377,20 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// nextDue reports when the event Step would execute next is due, if any.
+func (e *Engine) nextDue() (Time, bool) {
+	ev, _ := e.next()
+	if e.chains > 0 {
+		if c := e.passUntil(ev); c != nil {
+			return c.at, true
+		}
+	}
+	if ev == nil {
+		return 0, false
+	}
+	return ev.at, true
+}
+
 // Run executes events until the queue drains, Stop is called, or the clock
 // passes limit (limit zero means no limit). It returns the number of events
 // executed.
@@ -364,8 +399,7 @@ func (e *Engine) Run(limit Time) uint64 {
 	e.stopped = false
 	for !e.stopped {
 		if limit != 0 {
-			ev, _ := e.next()
-			if ev == nil || ev.at > limit {
+			if at, ok := e.nextDue(); !ok || at > limit {
 				break
 			}
 		}

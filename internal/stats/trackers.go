@@ -224,7 +224,10 @@ func (c *ChainRecorder) Record(class string, chain int) {
 
 // RecordAt logs a completed transaction of the grid class (row, col). It is
 // the allocation-free hot path: no class string is built or hashed.
-func (c *ChainRecorder) RecordAt(row, col, chain int) {
+func (c *ChainRecorder) RecordAt(row, col, chain int) { c.RecordNAt(row, col, chain, 1) }
+
+// RecordNAt is RecordAt for n transactions of one chain length.
+func (c *ChainRecorder) RecordNAt(row, col, chain int, n uint64) {
 	i := row*c.cols + col
 	h := c.grid[i]
 	if h == nil {
@@ -235,7 +238,7 @@ func (c *ChainRecorder) RecordAt(row, col, chain int) {
 		}
 		c.grid[i] = h
 	}
-	h.Add(chain)
+	h.AddN(chain, n)
 }
 
 // Class returns the histogram for a class, or nil if never recorded.
