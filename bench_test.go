@@ -38,7 +38,7 @@ func BenchmarkTable1(b *testing.B) {
 
 // syntheticBench runs one figure-3/4/5 bar across the paper's sharing
 // patterns and reports the average simulated cycles per counter update.
-func syntheticBench(b *testing.B, app func(*machine.Machine, core.Policy, locks.Options, apps.Pattern) apps.SyntheticResult, bar exper.Bar) {
+func syntheticBench(b *testing.B, app func(*machine.Machine, core.Policy, locks.Options, apps.Pattern) apps.Result, bar exper.Bar) {
 	o := benchOpts()
 	pats := exper.Patterns(o)
 	var cycles, updates float64
@@ -47,7 +47,7 @@ func syntheticBench(b *testing.B, app func(*machine.Machine, core.Policy, locks.
 			m := exper.NewMachine(o, bar)
 			res := app(m, bar.Policy, bar.Opts(), pat)
 			cycles += float64(res.Elapsed)
-			updates += float64(res.Updates)
+			updates += float64(res.Ops)
 		}
 	}
 	if updates > 0 {

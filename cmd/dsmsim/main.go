@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"dsm/internal/exper"
 	"dsm/internal/proto"
@@ -60,7 +61,7 @@ func validateApp(app string) error {
 
 func main() {
 	var (
-		app     = flag.String("app", "counter", "workload: counter, tts, mcs, tclosure, locusroute, cholesky, msqueue, stack, rcu, tournament, dissemination")
+		app     = flag.String("app", "counter", "workload: "+strings.Join(exper.AppNames(), ", "))
 		policy  = flag.String("policy", "INV", "coherence policy for sync data: INV, UPD, UNC")
 		prim    = flag.String("prim", "FAP", "primitive family: FAP, CAS, LLSC")
 		variant = flag.String("cas", "INV", "compare_and_swap variant: INV, INVd, INVs")
@@ -139,26 +140,7 @@ func main() {
 	}
 	res := pt.RunOn(m)
 
-	switch {
-	case workload.Synthetic():
-		fmt.Fprintf(summary, "updates: %d, elapsed: %d cycles, avg cycles/update: %.1f\n",
-			res.Updates, res.Elapsed, res.AvgCycles)
-	case workload == exper.AppRCU:
-		fmt.Fprintf(summary, "reads+updates: %d, elapsed: %d cycles, torn reads: %d, avg cycles/op: %.1f\n",
-			res.Updates, res.Elapsed, res.Work, res.AvgCycles)
-	case workload == exper.AppTournament || workload == exper.AppDissemination:
-		fmt.Fprintf(summary, "episodes: %d, elapsed: %d cycles, avg cycles/barrier round: %.1f\n",
-			res.Updates, res.Elapsed, res.AvgCycles)
-	case workload.Workload(): // msqueue, stack
-		fmt.Fprintf(summary, "ops: %d, elapsed: %d cycles, retries: %d, avg cycles/op: %.1f\n",
-			res.Updates, res.Elapsed, res.Work, res.AvgCycles)
-	case workload == exper.AppTClosure:
-		fmt.Fprintf(summary, "elapsed: %d cycles, reachable pairs: %d\n", res.Elapsed, res.Work)
-	case workload == exper.AppLocusRoute:
-		fmt.Fprintf(summary, "elapsed: %d cycles, wires routed: %d\n", res.Elapsed, res.Work)
-	case workload == exper.AppCholesky:
-		fmt.Fprintf(summary, "elapsed: %d cycles, columns factored: %d\n", res.Elapsed, res.Work)
-	}
+	fmt.Fprintln(summary, workload.Summary(res))
 	r := report.Collect(m)
 	if *asJSON {
 		if err := r.WriteJSON(os.Stdout); err != nil {

@@ -167,6 +167,37 @@ func TestOutOfRangeProcsExitsWithUsage(t *testing.T) {
 	}
 }
 
+// TestSummaryLabels runs main in a child process for each shape of
+// summary line and checks its labels: the barrier apps count counter
+// increments (c per round), not barrier episodes, and average per round.
+func TestSummaryLabels(t *testing.T) {
+	if os.Getenv("DSMSIM_MAIN") != "" {
+		os.Args = append([]string{"dsmsim"}, strings.Fields(os.Getenv("DSMSIM_MAIN"))...)
+		main()
+		os.Exit(0)
+	}
+	const pat = " -procs 8 -c 4 -rounds 3"
+	for _, tc := range []struct{ args, prefix, suffix string }{
+		{"-app tournament" + pat, "increments: 12, elapsed: ", " cycles, avg cycles/barrier round: "},
+		{"-app dissemination" + pat, "increments: 12, elapsed: ", " cycles, avg cycles/barrier round: "},
+		{"-app counter" + pat, "updates: 12, elapsed: ", " cycles, avg cycles/update: "},
+		{"-app stack" + pat, "ops: 24, elapsed: ", ", avg cycles/op: "},
+		{"-app rcu" + pat, "reads+updates: ", ", avg cycles/op: "},
+		{"-app cholesky -procs 4", "elapsed: ", " cycles, columns factored: 12"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSummaryLabels$")
+		cmd.Env = append(os.Environ(), "DSMSIM_MAIN="+tc.args)
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("dsmsim %s: %v", tc.args, err)
+		}
+		line, _, _ := strings.Cut(string(out), "\n")
+		if !strings.HasPrefix(line, tc.prefix) || !strings.Contains(line, tc.suffix) {
+			t.Errorf("dsmsim %s summary %q, want %q...%q", tc.args, line, tc.prefix, tc.suffix)
+		}
+	}
+}
+
 // TestDumpProtocolGolden pins the -dump-protocol output: the tables are
 // the protocol, so any change to them must show up as a reviewed golden
 // diff. Regenerate with:

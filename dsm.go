@@ -115,9 +115,10 @@ type (
 	TreeBarrier = locks.TreeBarrier
 	// RWLock is a counter-based reader-writer lock.
 	RWLock = locks.RWLock
-	// Stack is a Treiber-style lock-free stack (demonstrates the paper's
-	// section-2.2 pointer/ABA problem; see examples/abaproblem).
-	Stack = locks.Stack
+	// Stack is a Treiber lock-free stack with recyclable nodes
+	// (demonstrates the paper's section-2.2 pointer/ABA problem; see
+	// examples/abaproblem).
+	Stack = locks.TreiberStack
 	// Queue is a bounded fetch_and_add FIFO queue.
 	Queue = locks.Queue
 	// CentralBarrier is a sense-reversing centralized barrier.
@@ -127,8 +128,8 @@ type (
 	// Pattern describes a synthetic workload's sharing pattern (the
 	// paper's contention level c and write-run length a).
 	Pattern = apps.Pattern
-	// SyntheticResult reports a synthetic workload run.
-	SyntheticResult = apps.SyntheticResult
+	// PatternResult reports a pattern-driven workload run.
+	PatternResult = apps.Result
 )
 
 // Coherence policies for atomically accessed data.
@@ -219,9 +220,11 @@ func NewRWLock(m *Machine, policy Policy, opts Options) *RWLock {
 	return locks.NewRWLock(m, policy, opts)
 }
 
-// NewStack allocates a lock-free stack with the given node capacity.
+// NewStack allocates a lock-free stack with nodes 1..capacity; under CAS
+// its top is a counted pointer (clear Tagged for the textbook, ABA-prone
+// compare_and_swap).
 func NewStack(m *Machine, policy Policy, capacity int, opts Options) *Stack {
-	return locks.NewStack(m, policy, capacity, opts)
+	return locks.NewTreiberStack(m, policy, capacity, opts)
 }
 
 // NewQueue allocates a bounded fetch_and_add FIFO queue (Gottlieb et al.,
@@ -255,22 +258,22 @@ func AttachTrace(m *Machine, capacity int) *Trace {
 
 // RunSynthetic drives one update function under a sharing pattern, as the
 // paper's synthetic applications do (barrier-separated rounds).
-func RunSynthetic(m *Machine, pat Pattern, update func(p *Proc)) SyntheticResult {
+func RunSynthetic(m *Machine, pat Pattern, update func(p *Proc)) PatternResult {
 	return apps.RunSynthetic(m, pat, update)
 }
 
 // CounterApp, TTSApp, and MCSApp are the paper's three synthetic
 // applications (figures 3, 4, and 5).
-func CounterApp(m *Machine, policy Policy, opts Options, pat Pattern) SyntheticResult {
+func CounterApp(m *Machine, policy Policy, opts Options, pat Pattern) PatternResult {
 	return apps.CounterApp(m, policy, opts, pat)
 }
 
 // TTSApp runs the counter-under-TTS-lock synthetic application.
-func TTSApp(m *Machine, policy Policy, opts Options, pat Pattern) SyntheticResult {
+func TTSApp(m *Machine, policy Policy, opts Options, pat Pattern) PatternResult {
 	return apps.TTSApp(m, policy, opts, pat)
 }
 
 // MCSApp runs the counter-under-MCS-lock synthetic application.
-func MCSApp(m *Machine, policy Policy, opts Options, pat Pattern) SyntheticResult {
+func MCSApp(m *Machine, policy Policy, opts Options, pat Pattern) PatternResult {
 	return apps.MCSApp(m, policy, opts, pat)
 }

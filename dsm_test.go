@@ -67,13 +67,13 @@ func TestMCSAndBarrierThroughFacade(t *testing.T) {
 
 func TestSyntheticAppsThroughFacade(t *testing.T) {
 	pat := Pattern{Contention: 2, Rounds: 3}
-	for name, run := range map[string]func(*Machine, Policy, Options, Pattern) SyntheticResult{
+	for name, run := range map[string]func(*Machine, Policy, Options, Pattern) PatternResult{
 		"counter": CounterApp, "tts": TTSApp, "mcs": MCSApp,
 	} {
 		m := NewSmall(4)
 		res := run(m, INV, Options{Prim: CAS}, pat)
-		if res.Updates != 6 {
-			t.Fatalf("%s: updates = %d, want 6", name, res.Updates)
+		if res.Ops != 6 {
+			t.Fatalf("%s: updates = %d, want 6", name, res.Ops)
 		}
 		if res.AvgCycles <= 0 {
 			t.Fatalf("%s: no cycles", name)

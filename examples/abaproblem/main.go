@@ -30,20 +30,23 @@ func main() {
 }
 
 // stage builds top->1->2->3, starts a pop that stalls in its window, runs
-// the adversary (pop 1, pop 2, push 1), and reports the outcome.
+// the adversary (pop 1, pop 2, push 1), and reports the outcome. The CAS
+// stack's counted-pointer tag is cleared, staging the textbook
+// compare_and_swap pop on a bare node id.
 func stage(prim dsm.Prim) (topAfter, victimPopped dsm.Word) {
 	m := dsm.NewSmall(4)
 	s := dsm.NewStack(m, dsm.INV, 4, dsm.Options{Prim: prim})
+	s.Tagged = false
 	windowOpen := m.Alloc(4)
 	adversaryDone := m.Alloc(4)
 
 	var popped dsm.Word
 	progs := make([]func(*dsm.Proc), m.Procs())
 	progs[0] = func(p *dsm.Proc) {
-		s.Push(p, 3)
-		s.Push(p, 2)
-		s.Push(p, 1)
-		popped = s.Pop(p, func() {
+		for node := dsm.Word(3); node >= 1; node-- {
+			s.Push(p, node, node)
+		}
+		popped, _, _ = s.Pop(p, func() {
 			p.Store(windowOpen, 1)
 			for p.Load(adversaryDone) == 0 {
 				p.Compute(50)
@@ -54,9 +57,9 @@ func stage(prim dsm.Prim) (topAfter, victimPopped dsm.Word) {
 		for p.Load(windowOpen) == 0 {
 			p.Compute(50)
 		}
-		a := s.Pop(p, nil)
-		_ = s.Pop(p, nil) // this node now "belongs" to the adversary
-		s.Push(p, a)
+		a, v, _ := s.Pop(p, nil)
+		s.Pop(p, nil) // this node now "belongs" to the adversary
+		s.Push(p, a, v)
 		p.Store(adversaryDone, 1)
 	}
 	m.RunEach(progs)

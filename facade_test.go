@@ -119,9 +119,9 @@ func TestStackThroughFacade(t *testing.T) {
 	var popped Word
 	m.RunEach([]func(*Proc){
 		func(p *Proc) {
-			s.Push(p, 2)
-			s.Push(p, 3)
-			popped = s.Pop(p, nil)
+			s.Push(p, 2, 20)
+			s.Push(p, 3, 30)
+			popped, _, _ = s.Pop(p, nil)
 		},
 		nil, nil, nil,
 	})

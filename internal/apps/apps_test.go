@@ -54,8 +54,8 @@ func TestCounterAppNoContention(t *testing.T) {
 	m := newM(4)
 	res := CounterApp(m, core.PolicyINV, locks.Options{Prim: locks.PrimFAP},
 		Pattern{Contention: 1, WriteRun: 2, Rounds: 8})
-	if res.Updates != 16 {
-		t.Fatalf("updates = %d, want 16 (8 rounds x run 2)", res.Updates)
+	if res.Ops != 16 {
+		t.Fatalf("updates = %d, want 16 (8 rounds x run 2)", res.Ops)
 	}
 	if res.AvgCycles <= 0 {
 		t.Fatal("no cycles measured")
@@ -66,8 +66,8 @@ func TestCounterAppContention(t *testing.T) {
 	m := newM(4)
 	res := CounterApp(m, core.PolicyUNC, locks.Options{Prim: locks.PrimFAP},
 		Pattern{Contention: 4, Rounds: 5})
-	if res.Updates != 20 {
-		t.Fatalf("updates = %d, want 20", res.Updates)
+	if res.Ops != 20 {
+		t.Fatalf("updates = %d, want 20", res.Ops)
 	}
 }
 
@@ -78,8 +78,8 @@ func TestCounterAppAllPrimsProduceCorrectCount(t *testing.T) {
 			m := newM(4)
 			pat := Pattern{Contention: 2, Rounds: 6}
 			res := CounterApp(m, core.PolicyINV, locks.Options{Prim: prim}, pat)
-			if res.Updates != 12 {
-				t.Fatalf("updates = %d", res.Updates)
+			if res.Ops != 12 {
+				t.Fatalf("updates = %d", res.Ops)
 			}
 		})
 	}
@@ -89,8 +89,8 @@ func TestTTSAppCountsAllUpdates(t *testing.T) {
 	m := newM(4)
 	res := TTSApp(m, core.PolicyINV, locks.Options{Prim: locks.PrimCAS},
 		Pattern{Contention: 4, Rounds: 4})
-	if res.Updates != 16 {
-		t.Fatalf("updates = %d", res.Updates)
+	if res.Ops != 16 {
+		t.Fatalf("updates = %d", res.Ops)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestMCSAppCountsAllUpdates(t *testing.T) {
 	m := newM(4)
 	res := MCSApp(m, core.PolicyINV, locks.Options{Prim: locks.PrimLLSC},
 		Pattern{Contention: 4, Rounds: 4})
-	if res.Updates != 16 {
-		t.Fatalf("updates = %d", res.Updates)
+	if res.Ops != 16 {
+		t.Fatalf("updates = %d", res.Ops)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"dsm/internal/arch"
+	"dsm/internal/check"
 	"dsm/internal/core"
 	"dsm/internal/locks"
 	"dsm/internal/machine"
@@ -40,13 +41,9 @@ func (pat Pattern) String() string {
 	return fmt.Sprintf("c=%d", pat.Contention)
 }
 
-// SyntheticResult reports a synthetic run's measurements.
-type SyntheticResult struct {
-	Updates uint64   // counter updates performed
-	Elapsed sim.Time // simulated cycles for the whole run
-	// AvgCycles is the elapsed time averaged over counter updates — the
-	// y-axis of figures 3, 4, and 5.
-	AvgCycles float64
+// contention returns the pattern's contention level clamped to 1..procs.
+func (pat Pattern) contention(procs int) int {
+	return min(max(pat.Contention, 1), procs)
 }
 
 // runsFor returns how many consecutive updates the active processor
@@ -67,43 +64,80 @@ func (pat Pattern) runsFor(round int) int {
 	return n
 }
 
-// synthRunner is the per-machine scaffolding a synthetic run needs: the
-// program closure handed to machine.Run, the per-application update
-// closures, and the lock/counter values they drive. One runner lives in
-// each machine's app-scratch slot, so a reused machine runs every
-// subsequent synthetic point without allocating closures or lock objects
-// — the sweep and serving hot path. All simulated state (the counter and
-// lock addresses) is still allocated through the machine per run, so a
-// reused runner replays exactly what fresh closures would.
-type synthRunner struct {
+// Result reports a pattern-driven run.
+type Result struct {
+	// Ops counts completed work: counter updates, queue/stack operations,
+	// RCU reads+updates, or barrier-app counter increments.
+	Ops uint64
+	// Retries counts failed atomic swings (CAS misses, SC failures) of the
+	// queue and stack; for RCU it counts torn reads, which must be zero.
+	Retries uint64
+	Elapsed sim.Time // simulated cycles for the whole run
+	// AvgCycles is Elapsed per operation — the y-axis of figures 3, 4,
+	// and 5 — or, for the barrier apps, per barrier round.
+	AvgCycles float64
+}
+
+// runner is the pattern runner: barrier-separated rounds in which the
+// pattern's active processors each run one episode, followed by a wait.
+// One runner lives in each machine's app-scratch slot, holding the program
+// closure handed to machine.Run, every app's episode body, and the values
+// they drive, so a reused machine runs every subsequent point without
+// allocating closures or lock objects — the sweep and serving hot path.
+// All simulated state is still allocated through the machine per run, so
+// a reused runner replays exactly what fresh closures would.
+type runner struct {
 	m    *machine.Machine
 	prog func(p *machine.Proc) // allocated once; body reads the fields below
 
-	pat     Pattern
-	procs   int
-	c       int
-	update  func(p *machine.Proc)
-	updates uint64
+	pat      Pattern
+	procs, c int
+	// episode is an active processor's turn in a round: runs is the write
+	// run the pattern assigns it (1 under contention). wait separates the
+	// rounds.
+	episode func(p *machine.Proc, round, runs int)
+	wait    func(p *machine.Proc)
+	ops     uint64
+	hist    *check.History // per-operation history (nil for none)
 
-	// Preallocated update bodies and the values they operate on, one set
-	// per synthetic application.
+	// The synthetic apps: update runs once per counter update.
+	update                     func(p *machine.Proc)
+	updateEp                   func(p *machine.Proc, round, runs int)
 	counterUpd, ttsUpd, mcsUpd func(p *machine.Proc)
-	counter                    locks.Counter
+	counter                    locks.Counter // also the barrier apps' counter
 	tts                        locks.TTSLock
 	mcs                        locks.MCSLock
 	ctr                        arch.Addr // the plain counter under the TTS/MCS locks
+
+	// The queue and stack apps: put and take are the structure's
+	// operations, and under the universal primitives the resident
+	// structures are reinitialized in place every run.
+	queueEp, stackEp     func(p *machine.Proc, round, runs int)
+	put                  func(p *machine.Proc, v arch.Word)
+	take                 func(p *machine.Proc) arch.Word
+	msq                  locks.MSQueue
+	treiber              locks.TreiberStack
+	held                 []arch.Word // per processor: the Treiber node it owns
+	msqPut, treiberPut   func(p *machine.Proc, v arch.Word)
+	msqTake, treiberTake func(p *machine.Proc) arch.Word
+
+	// The barrier apps: one counter increment per episode.
+	incEp func(p *machine.Proc, round, runs int)
 }
 
-// runnerFor returns m's resident synthetic runner, creating it on first
-// use. Runners live in the machine's scratch container (see scratchFor) so
-// the synthetic and lock-free workload runners coexist on a reused machine.
-func runnerFor(m *machine.Machine) *synthRunner {
-	sc := scratchFor(m)
-	if sc.synth != nil {
-		return sc.synth
+// runnerFor returns m's resident runner, creating it on first use.
+func runnerFor(m *machine.Machine) *runner {
+	if r, ok := m.AppScratch().(*runner); ok {
+		return r
 	}
-	r := &synthRunner{m: m}
+	r := &runner{m: m}
 	r.prog = r.body
+	r.updateEp = func(p *machine.Proc, _, runs int) {
+		for ; runs > 0; runs-- {
+			r.update(p)
+			r.ops++
+		}
+	}
 	r.counterUpd = func(p *machine.Proc) { r.counter.Inc(p) }
 	r.ttsUpd = func(p *machine.Proc) {
 		r.tts.Acquire(p)
@@ -115,89 +149,105 @@ func runnerFor(m *machine.Machine) *synthRunner {
 		p.Store(r.ctr, p.Load(r.ctr)+1)
 		r.mcs.Release(p)
 	}
-	sc.synth = r
+	r.queueEp = func(p *machine.Proc, round, runs int) { r.pairs(p, round, runs, check.Enq, check.Deq) }
+	r.stackEp = func(p *machine.Proc, round, runs int) { r.pairs(p, round, runs, check.Push, check.Pop) }
+	r.msqPut = func(p *machine.Proc, v arch.Word) { r.msq.Enqueue(p, r.msq.AcquireNode(), v) }
+	r.msqTake = func(p *machine.Proc) arch.Word {
+		v, ok := r.msq.Dequeue(p)
+		if !ok {
+			panic("apps: balanced queue workload saw an empty queue")
+		}
+		return v
+	}
+	r.treiberPut = func(p *machine.Proc, v arch.Word) { r.treiber.Push(p, r.held[p.ID()], v) }
+	r.treiberTake = func(p *machine.Proc) arch.Word {
+		node, v, ok := r.treiber.Pop(p, nil)
+		if !ok {
+			panic("apps: balanced stack workload saw an empty stack")
+		}
+		r.held[p.ID()] = node
+		return v
+	}
+	r.incEp = func(p *machine.Proc, _, _ int) {
+		inv := p.Now()
+		fetched := r.counter.Inc(p)
+		record(r.hist, p, check.Inc, inv, fetched)
+		r.ops++
+	}
+	m.SetAppScratch(r)
 	return r
 }
 
-// body is the per-processor program: rounds separated by the MINT
-// constant-time barrier, with the pattern selecting who updates when.
-func (r *synthRunner) body(p *machine.Proc) {
+// body is the per-processor program: rounds separated by wait, with the
+// pattern selecting who runs an episode when.
+func (r *runner) body(p *machine.Proc) {
 	for round := 0; round < r.pat.Rounds; round++ {
 		if r.c == 1 {
 			// No contention: one processor per round, performing a
 			// write run; ownership rotates so data changes hands.
 			if p.ID() == round%r.procs {
-				runs := r.pat.runsFor(round)
-				for u := 0; u < runs; u++ {
-					r.update(p)
-					r.updates++
-				}
+				r.episode(p, round, r.pat.runsFor(round))
 			}
-		} else {
-			// Contention: c processors update concurrently; the active
+		} else if (p.ID()-round*r.c%r.procs+r.procs)%r.procs < r.c {
+			// Contention: c processors run concurrently; the active
 			// window rotates across rounds.
-			if (p.ID()-round*r.c%r.procs+r.procs)%r.procs < r.c {
-				r.update(p)
-				r.updates++
-			}
+			r.episode(p, round, 1)
 		}
-		p.Barrier()
+		r.wait(p)
 	}
 }
 
-// run executes one synthetic point with the given update body.
-func (r *synthRunner) run(pat Pattern, update func(p *machine.Proc)) SyntheticResult {
-	procs := r.m.Procs()
-	c := pat.Contention
-	if c < 1 {
-		c = 1
-	}
-	if c > procs {
-		c = procs
-	}
-	r.pat, r.procs, r.c = pat, procs, c
-	r.update = update
-	r.updates = 0
+// procBarrier is the MINT constant-time barrier the paper's methodology
+// separates rounds with.
+var procBarrier = (*machine.Proc).Barrier
+
+// run executes one point: episode under pat, rounds separated by wait.
+func (r *runner) run(pat Pattern, episode func(p *machine.Proc, round, runs int), wait func(p *machine.Proc)) Result {
+	r.pat, r.procs = pat, r.m.Procs()
+	r.c = pat.contention(r.procs)
+	r.episode, r.wait, r.ops = episode, wait, 0
 	elapsed := r.m.Run(r.prog)
-	res := SyntheticResult{Updates: r.updates, Elapsed: elapsed}
-	if r.updates > 0 {
-		res.AvgCycles = float64(elapsed) / float64(r.updates)
+	res := Result{Ops: r.ops, Elapsed: elapsed}
+	if r.ops > 0 {
+		res.AvgCycles = float64(elapsed) / float64(r.ops)
 	}
-	r.update = nil
+	r.episode, r.wait, r.update, r.put, r.take, r.hist = nil, nil, nil, nil, nil, nil
 	return res
 }
 
 // RunSynthetic drives update on m's processors under the given sharing
 // pattern. Each round is separated by the MINT constant-time barrier, as
 // in the paper's methodology; update is invoked once per counter update.
-func RunSynthetic(m *machine.Machine, pat Pattern, update func(p *machine.Proc)) SyntheticResult {
-	return runnerFor(m).run(pat, update)
+func RunSynthetic(m *machine.Machine, pat Pattern, update func(p *machine.Proc)) Result {
+	r := runnerFor(m)
+	r.update = update
+	return r.run(pat, r.updateEp, procBarrier)
 }
 
 // CounterApp is the paper's first synthetic application: a lock-free
 // counter updated with the primitive family under study.
-func CounterApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern) SyntheticResult {
+func CounterApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern) Result {
 	r := runnerFor(m)
 	r.counter = locks.Counter{Addr: m.AllocSync(policy), Opts: opts}
-	return r.run(pat, r.counterUpd)
+	return RunSynthetic(m, pat, r.counterUpd)
 }
 
 // TTSApp is the second synthetic application: a counter protected by a
 // test-and-test-and-set lock with bounded exponential backoff. The counter
 // itself is ordinary (INV) data; only the lock uses the policy under study.
-func TTSApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern) SyntheticResult {
+func TTSApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern) Result {
 	r := runnerFor(m)
 	r.tts = *locks.NewTTSLock(m, policy, opts)
 	r.ctr = m.Alloc(4)
-	return r.run(pat, r.ttsUpd)
+	return RunSynthetic(m, pat, r.ttsUpd)
 }
 
 // MCSApp is the third synthetic application: a counter protected by an MCS
 // queue lock, exercising the case where load_linked/store_conditional
 // simulates compare_and_swap (the release path).
-func MCSApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern) SyntheticResult {
+func MCSApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern) Result {
 	r := runnerFor(m)
 	r.mcs.Init(m, policy, opts)
 	r.ctr = m.Alloc(4)
-	return r.run(pat, r.mcsUpd)
+	return RunSynthetic(m, pat, r.mcsUpd)
 }

@@ -140,7 +140,7 @@ func TestRCUAppMultipleWriters(t *testing.T) {
 func TestBarrierAppsUnderFullMatrix(t *testing.T) {
 	apps := []struct {
 		name string
-		run  func(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern, h *check.History) WorkloadResult
+		run  func(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern, h *check.History) Result
 	}{
 		{"tournament", TournamentApp},
 		{"dissemination", DisseminationApp},
@@ -165,30 +165,25 @@ func TestBarrierAppsUnderFullMatrix(t *testing.T) {
 	}
 }
 
-// TestWorkloadRunnersCoexistWithSynthetic pins the scratch container: a
-// reused machine must keep both resident runners across alternating
-// synthetic and workload points.
+// TestWorkloadRunnersCoexistWithSynthetic pins the resident runner: a
+// reused machine keeps one pattern runner across alternating synthetic,
+// workload and barrier points, and a rerun replays the first run exactly.
 func TestWorkloadRunnersCoexistWithSynthetic(t *testing.T) {
 	m := newM(4)
 	pat := Pattern{Contention: 2, Rounds: 3}
 	opts := locks.Options{Prim: locks.PrimCAS}
-	CounterApp(m, core.PolicyINV, opts, pat)
-	sc := scratchFor(m)
-	synth := sc.synth
-	if synth == nil {
-		t.Fatal("synthetic runner not resident")
+	first := CounterApp(m, core.PolicyINV, opts, pat)
+	r, ok := m.AppScratch().(*runner)
+	if !ok {
+		t.Fatal("pattern runner not resident")
 	}
 	QueueApp(m, core.PolicyINV, opts, pat, nil)
-	if sc2 := scratchFor(m); sc2.synth != synth {
-		t.Fatal("workload run evicted the synthetic runner")
+	TournamentApp(m, core.PolicyINV, opts, pat, nil)
+	if m.AppScratch() != r {
+		t.Fatal("workload runs replaced the resident runner")
 	}
-	work := scratchFor(m).work
-	if work == nil {
-		t.Fatal("workload runner not resident")
-	}
-	CounterApp(m, core.PolicyINV, opts, pat)
-	if scratchFor(m).work != work {
-		t.Fatal("synthetic run evicted the workload runner")
+	if again := CounterApp(m, core.PolicyINV, opts, pat); again != first {
+		t.Fatalf("counter rerun on the resident runner = %+v, first run %+v", again, first)
 	}
 }
 

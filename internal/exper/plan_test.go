@@ -154,7 +154,7 @@ func TestCollectedReportSurvivesPoolReuse(t *testing.T) {
 func TestWorkloadPlanParallelMatchesSerial(t *testing.T) {
 	o := RunOpts{Procs: 8, Rounds: 3}
 	base := Plan{Collect: true}
-	for _, app := range WorkloadApps() {
+	for _, app := range []App{AppMSQueue, AppStack, AppRCU, AppTournament, AppDissemination} {
 		for _, bar := range SyntheticBars() {
 			base.Points = append(base.Points, Point{
 				App: app, Bar: bar, Scale: o,
@@ -192,11 +192,10 @@ func TestWorkloadPlanParallelMatchesSerial(t *testing.T) {
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	for _, a := range []App{AppCounter, AppTTS, AppMCS, AppTClosure, AppLocusRoute, AppCholesky,
-		AppMSQueue, AppStack, AppRCU, AppTournament, AppDissemination} {
-		got, err := ParseApp(a.Name())
-		if err != nil || got != a {
-			t.Fatalf("ParseApp(%q) = %v, %v", a.Name(), got, err)
+	for i, name := range AppNames() {
+		got, err := ParseApp(name)
+		if err != nil || got != App(i) || got.Name() != name {
+			t.Fatalf("ParseApp(%q) = %v, %v", name, got, err)
 		}
 	}
 	if _, err := ParseApp("nope"); err == nil {

@@ -88,8 +88,7 @@ func TestSlotLRUEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 // mixedGeometryPlan interleaves three processor counts so consecutive plan
-// indices almost never share a geometry — the slot-thrashing shape the
-// grouped execution order exists for.
+// indices almost never share a geometry.
 func mixedGeometryPlan(par int) exper.Plan {
 	bars := exper.SyntheticBars()
 	var pts []exper.Point
@@ -110,24 +109,5 @@ func TestGroupedSweepDeterminism(t *testing.T) {
 	wide := exper.Run(mixedGeometryPlan(8))
 	if !reflect.DeepEqual(serial, wide) {
 		t.Fatalf("mixed-geometry plan results differ between par=1 and par=8:\n%+v\nvs\n%+v", serial, wide)
-	}
-}
-
-// TestGroupedSweepReducesRebuilds checks the point of the grouping: a
-// serial mixed-geometry plan builds each geometry once per worker rather
-// than once per geometry switch.
-func TestGroupedSweepReducesRebuilds(t *testing.T) {
-	pl := mixedGeometryPlan(1)
-	var s exper.MachineSlot
-	order := exper.GroupOrderForTest(pl.Points)
-	for _, i := range order {
-		pl.Points[i].RunSlot(&s, false)
-	}
-	builds, resets := s.Stats()
-	if builds != 3 {
-		t.Fatalf("grouped execution built %d machines for 3 geometries", builds)
-	}
-	if want := uint64(len(pl.Points) - 3); resets != want {
-		t.Fatalf("grouped execution reset %d machines, want %d", resets, want)
 	}
 }

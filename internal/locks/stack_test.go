@@ -8,18 +8,30 @@ import (
 	"dsm/internal/machine"
 )
 
+// drain pops s until empty, returning the node ids in pop order.
+func drain(p *machine.Proc, s *TreiberStack) []arch.Word {
+	var out []arch.Word
+	for {
+		node, _, ok := s.Pop(p, nil)
+		if !ok {
+			return out
+		}
+		out = append(out, node)
+	}
+}
+
 func TestStackPushPopLIFO(t *testing.T) {
 	for _, prim := range []Prim{PrimCAS, PrimLLSC} {
 		prim := prim
 		t.Run(prim.String(), func(t *testing.T) {
 			m := newM(4)
-			s := NewStack(m, core.PolicyINV, 8, Options{Prim: prim})
+			s := NewTreiberStack(m, core.PolicyINV, 8, Options{Prim: prim})
 			m.RunEach([]func(*machine.Proc){
 				func(p *machine.Proc) {
 					for n := arch.Word(1); n <= 3; n++ {
-						s.Push(p, n)
+						s.Push(p, n, n)
 					}
-					got := s.Drain(p)
+					got := drain(p, s)
 					want := []arch.Word{3, 2, 1}
 					if len(got) != 3 {
 						t.Errorf("drained %v", got)
@@ -43,15 +55,16 @@ func TestStackConcurrentPushersNoLoss(t *testing.T) {
 		t.Run(prim.String(), func(t *testing.T) {
 			const procs, each = 4, 4
 			m := newM(procs)
-			s := NewStack(m, core.PolicyINV, procs*each, Options{Prim: prim})
+			s := NewTreiberStack(m, core.PolicyINV, procs*each, Options{Prim: prim})
 			m.Run(func(p *machine.Proc) {
 				for k := 0; k < each; k++ {
-					s.Push(p, arch.Word(p.ID()*each+k+1))
+					node := arch.Word(p.ID()*each + k + 1)
+					s.Push(p, node, node)
 				}
 			})
 			var got []arch.Word
 			m.RunEach([]func(*machine.Proc){
-				func(p *machine.Proc) { got = s.Drain(p) },
+				func(p *machine.Proc) { got = drain(p, s) },
 				nil, nil, nil,
 			})
 			if len(got) != procs*each {
@@ -73,11 +86,13 @@ func TestStackConcurrentPushersNoLoss(t *testing.T) {
 // processor pops A and B and pushes A back. The CAS pop then succeeds —
 // installing B, a node the adversary now owns, corrupting the stack. The
 // identical interleaving with load_linked/store_conditional fails the SC
-// and retries correctly.
+// and retries correctly. The CAS stack's tag is cleared, staging the
+// textbook compare_and_swap on a bare node id.
 func TestStackABAProblem(t *testing.T) {
 	stage := func(prim Prim) (popped arch.Word, topAfter arch.Word, stolen arch.Word) {
 		m := newM(4)
-		s := NewStack(m, core.PolicyINV, 4, Options{Prim: prim})
+		s := NewTreiberStack(m, core.PolicyINV, 4, Options{Prim: prim})
+		s.Tagged = false
 		// Simulated-memory handshake flags between victim and adversary.
 		windowOpen := m.Alloc(4)
 		adversaryDone := m.Alloc(4)
@@ -85,10 +100,10 @@ func TestStackABAProblem(t *testing.T) {
 		m.RunEach([]func(*machine.Proc){
 			func(p *machine.Proc) {
 				// Build stack: top -> A(1) -> B(2) -> C(3).
-				s.Push(p, 3)
-				s.Push(p, 2)
-				s.Push(p, 1)
-				victim = s.Pop(p, func() {
+				s.Push(p, 3, 3)
+				s.Push(p, 2, 2)
+				s.Push(p, 1, 1)
+				victim, _, _ = s.Pop(p, func() {
 					// Delayed after reading top=1, next=2: let the
 					// adversary run to completion before the swing.
 					p.Store(windowOpen, 1)
@@ -101,9 +116,9 @@ func TestStackABAProblem(t *testing.T) {
 				for p.Load(windowOpen) == 0 {
 					p.Compute(50)
 				}
-				a := s.Pop(p, nil) // pops 1
-				_ = s.Pop(p, nil)  // pops 2 — adversary now owns node 2
-				s.Push(p, a)       // pushes 1 back: top=1 -> 3
+				a, v, _ := s.Pop(p, nil) // pops 1
+				s.Pop(p, nil)            // pops 2 — adversary now owns node 2
+				s.Push(p, a, v)          // pushes 1 back: top=1 -> 3
 				p.Store(adversaryDone, 1)
 			},
 			nil, nil,

@@ -22,8 +22,8 @@ import (
 //     top that was popped and re-pushed never compares equal to a stale
 //     read. Clearing Tagged reverts to the textbook compare_and_swap on a
 //     bare id, which corrupts under the staged interleaving
-//     (TestTreiberABACorruptionFlagged) — the regression the stack
-//     history checker must flag.
+//     (TestStackABAProblem, examples/abaproblem) — the regression the
+//     stack history checker must flag.
 //   - PrimLLSC: a bare id; the reservation invalidates on any intervening
 //     write, the hardware countermeasure the paper recommends.
 //
@@ -34,8 +34,8 @@ type TreiberStack struct {
 	node []arch.Addr // per id (index 0 unused): word 0 next, word 1 value
 	Opts Options
 
-	// Tagged selects the counted-pointer encoding under PrimCAS. It must
-	// only be cleared by tests staging the ABA corruption.
+	// Tagged selects the counted-pointer encoding under PrimCAS. Clear it
+	// only to stage the ABA corruption.
 	Tagged bool
 
 	// Retries counts failed top swings (CAS misses and SC failures).

@@ -183,7 +183,7 @@ func TestTreiberStackConcurrentNoLoss(t *testing.T) {
 	}
 }
 
-// TestTreiberTaggedDefeatsABA replays the stack_test.go ABA interleaving
+// TestTreiberTaggedDefeatsABA replays TestStackABAProblem's interleaving
 // against the Treiber stack: with counted pointers (or LL/SC) the delayed
 // pop must not corrupt; with tags stripped it must reproduce the
 // corruption — the raw-protocol ground truth the history checker's ABA

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"dsm/internal/exper"
 )
 
 // specParseBufPool recycles POST body read buffers: a spec encodes to well
@@ -197,20 +199,10 @@ func scanName(b []byte, i int) (string, int, bool) {
 	if !ok {
 		return "", i, false
 	}
-	for _, n := range wireNames {
-		if string(s) == n {
-			return n, i, true
-		}
+	if n, ok := exper.WireName(s); ok {
+		return n, i, true
 	}
 	return string(s), i, true
-}
-
-// wireNames lists every app, policy, primitive and CAS-variant name the
-// spec accepts (exper.ParseApp, ParsePolicy, ParsePrim, ParseVariant).
-var wireNames = [...]string{
-	"counter", "tts", "mcs", "tclosure", "locusroute", "cholesky",
-	"msqueue", "stack", "rcu", "tournament", "dissemination",
-	"INV", "UPD", "UNC", "FAP", "CAS", "LLSC", "INVd", "INVs",
 }
 
 // scanBool scans a true or false literal.
