@@ -101,16 +101,45 @@ func TestNormalizeCanonicalizesIrrelevantFields(t *testing.T) {
 	}
 }
 
+// TestNormalizeWriteRunOnlyWhereRead checks the write run splits cache
+// keys only for the apps that read it: rcu and the barrier apps ignore it,
+// so their a=1 and a=3 specs request one result and share one key, while
+// the counter's and the queue's do not.
+func TestNormalizeWriteRunOnlyWhereRead(t *testing.T) {
+	key := func(app string, a float64) string {
+		sp, err := Spec{App: app, Procs: 8, Rounds: 3, WriteRun: a}.Normalize()
+		if err != nil {
+			t.Fatalf("%s a=%g: %v", app, a, err)
+		}
+		return sp.Key()
+	}
+	for _, app := range []string{"rcu", "tournament", "dissemination"} {
+		if key(app, 1) != key(app, 3) {
+			t.Errorf("%s: a=1 and a=3 have different keys", app)
+		}
+	}
+	for _, app := range []string{"counter", "msqueue"} {
+		if key(app, 1) == key(app, 3) {
+			t.Errorf("%s: a=1 and a=3 share a key", app)
+		}
+	}
+}
+
 // TestNormalizeWorkloadApps checks the lock-free workload structures are
 // pattern-driven specs: the sharing-pattern fields survive normalization
-// (and default like the synthetics), while tclosure's size is zeroed.
+// (and default like the synthetics), while tclosure's size is zeroed and
+// the write run is kept only by the apps that read it.
 func TestNormalizeWorkloadApps(t *testing.T) {
 	for _, app := range []string{"msqueue", "stack", "rcu", "tournament", "dissemination"} {
 		sp, err := Spec{App: app, Size: 20}.Normalize()
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
-		if sp.Contention != 1 || sp.WriteRun != 1 || sp.Rounds != 6 || sp.Size != 0 {
+		wantA := 1.0
+		if app == "rcu" || app == "tournament" || app == "dissemination" {
+			wantA = 0
+		}
+		if sp.Contention != 1 || sp.WriteRun != wantA || sp.Rounds != 6 || sp.Size != 0 {
 			t.Fatalf("%s normalized to %+v", app, sp)
 		}
 		a, _ := Spec{App: app, Contention: 4}.Normalize()
