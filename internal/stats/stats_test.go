@@ -241,18 +241,23 @@ func TestWriteRunLockPatternMeansNearTwo(t *testing.T) {
 }
 
 func TestChainRecorder(t *testing.T) {
-	c := NewChainRecorder()
-	c.Record("inv-store-remote-exclusive", 4)
-	c.Record("inv-store-remote-exclusive", 4)
-	c.Record("unc-store", 2)
+	names := [2][2]string{{"inv-load", "unc-load"}, {"inv-store-remote-exclusive", "unc-store"}}
+	c := NewChainGrid(2, 2, func(row, col int) string { return names[row][col] })
+	c.RecordAt(1, 0, 4)
+	c.RecordAt(1, 0, 4)
+	c.RecordAt(1, 1, 2)
 	if h := c.Class("inv-store-remote-exclusive"); h.Count(4) != 2 {
 		t.Fatalf("class hist = %s", h)
 	}
-	if c.Class("missing") != nil {
-		t.Fatal("missing class not nil")
+	if c.Class("inv-load") != nil || c.Class("missing") != nil {
+		t.Fatal("unrecorded class not nil")
 	}
 	if len(c.Classes()) != 2 {
 		t.Fatalf("Classes = %v", c.Classes())
+	}
+	c.Reset()
+	if len(c.Classes()) != 0 || c.Class("unc-store") != nil {
+		t.Fatalf("Classes after Reset = %v", c.Classes())
 	}
 }
 

@@ -159,38 +159,27 @@ func (t *WriteRunTracker) Mean() float64 { return t.hist.Mean() }
 // ChainRecorder accumulates serialized-network-message chain lengths per
 // operation class, reproducing Table 1.
 //
-// Two recording paths coexist. Record takes an arbitrary class name and is
-// map-backed. RecordAt takes (row, column) indices into a grid declared at
-// construction (NewChainGrid) and is a flat array index — the protocol
-// layer records every completed transaction through it without building a
-// class string or hashing one. The read API (Class, Classes) presents both
-// uniformly, naming grid cells through the grid's name function.
+// Classes are the cells of a rows x cols grid declared at construction
+// (NewChainGrid), and RecordAt is a flat array index — the protocol layer
+// records every completed transaction through it without building a class
+// string or hashing one. The read API (Class, Classes) names grid cells
+// through the grid's name function.
 type ChainRecorder struct {
-	byClass map[string]*Histogram
-
-	// Grid fast path (nil/zero when constructed by NewChainRecorder).
 	rows, cols int
 	name       func(row, col int) string
 	grid       []*Histogram // rows*cols; nil cells never recorded
 	spare      []*Histogram // reset histograms parked for reuse by RecordAt
 }
 
-// NewChainRecorder returns an empty recorder with no grid.
-func NewChainRecorder() *ChainRecorder {
-	return &ChainRecorder{byClass: make(map[string]*Histogram)}
-}
-
-// NewChainGrid returns a recorder whose RecordAt path indexes a rows x cols
-// grid; name renders a cell's class string for the read API. Record still
-// works for out-of-grid classes.
+// NewChainGrid returns a recorder over a rows x cols grid of classes; name
+// renders a cell's class string for the read API.
 func NewChainGrid(rows, cols int, name func(row, col int) string) *ChainRecorder {
 	return &ChainRecorder{
-		byClass: make(map[string]*Histogram),
-		rows:    rows,
-		cols:    cols,
-		name:    name,
-		grid:    make([]*Histogram, rows*cols),
-		spare:   make([]*Histogram, rows*cols),
+		rows:  rows,
+		cols:  cols,
+		name:  name,
+		grid:  make([]*Histogram, rows*cols),
+		spare: make([]*Histogram, rows*cols),
 	}
 }
 
@@ -201,7 +190,6 @@ func NewChainGrid(rows, cols int, name func(row, col int) string) *ChainRecorder
 // safe because reports never alias chain histograms — report.Collect copies
 // out scalar summaries.
 func (c *ChainRecorder) Reset() {
-	clear(c.byClass)
 	for i, h := range c.grid {
 		if h != nil {
 			h.Reset()
@@ -209,17 +197,6 @@ func (c *ChainRecorder) Reset() {
 			c.grid[i] = nil
 		}
 	}
-}
-
-// Record logs a completed transaction of the given class with the given
-// serialized network message count.
-func (c *ChainRecorder) Record(class string, chain int) {
-	h := c.byClass[class]
-	if h == nil {
-		h = NewHistogram()
-		c.byClass[class] = h
-	}
-	h.Add(chain)
 }
 
 // RecordAt logs a completed transaction of the grid class (row, col). It is
@@ -243,9 +220,6 @@ func (c *ChainRecorder) RecordNAt(row, col, chain int, n uint64) {
 
 // Class returns the histogram for a class, or nil if never recorded.
 func (c *ChainRecorder) Class(class string) *Histogram {
-	if h := c.byClass[class]; h != nil {
-		return h
-	}
 	for i, h := range c.grid {
 		if h != nil && c.name(i/c.cols, i%c.cols) == class {
 			return h
@@ -256,10 +230,7 @@ func (c *ChainRecorder) Class(class string) *Histogram {
 
 // Classes returns the recorded class names (unsorted).
 func (c *ChainRecorder) Classes() []string {
-	out := make([]string, 0, len(c.byClass)+len(c.grid))
-	for k := range c.byClass {
-		out = append(out, k)
-	}
+	out := make([]string, 0, len(c.grid))
 	for i, h := range c.grid {
 		if h != nil {
 			out = append(out, c.name(i/c.cols, i%c.cols))
