@@ -70,9 +70,11 @@ type Result struct {
 	// RCU reads+updates, or barrier-app counter increments.
 	Ops uint64
 	// Retries counts failed atomic swings (CAS misses, SC failures) of the
-	// queue and stack; for RCU it counts torn reads, which must be zero.
+	// queue and stack.
 	Retries uint64
-	Elapsed sim.Time // simulated cycles for the whole run
+	// TornReads counts the RCU readers' torn snapshots, which must be zero.
+	TornReads uint64
+	Elapsed   sim.Time // simulated cycles for the whole run
 	// AvgCycles is Elapsed per operation — the y-axis of figures 3, 4,
 	// and 5 — or, for the barrier apps, per barrier round.
 	AvgCycles float64

@@ -177,7 +177,7 @@ const rcuSnapshotWords = 4
 // the rest read and announce quiescent states until the writers finish.
 // This is the read-mostly inverse of every other workload — readers issue
 // only ordinary loads — so UPD/INV/UNC differentiate on the publish
-// fan-out rather than on atomic-op latency. Retries reports torn reads,
+// fan-out rather than on atomic-op latency. TornReads counts torn reads,
 // which grace periods make impossible; a nonzero count is a protocol
 // violation.
 func RCUApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern) Result {
@@ -213,7 +213,7 @@ func RCUApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Patt
 			p.Compute(sim.Time(5 + p.Rand().Intn(10)))
 		}
 	})
-	res := Result{Ops: ops, Retries: torn, Elapsed: elapsed}
+	res := Result{Ops: ops, TornReads: torn, Elapsed: elapsed}
 	if ops > 0 {
 		res.AvgCycles = float64(elapsed) / float64(ops)
 	}

@@ -119,8 +119,8 @@ func TestRCUAppNoTornReadsUnderFullMatrix(t *testing.T) {
 	forEachBar(t, func(t *testing.T, policy core.Policy, opts locks.Options) {
 		m := newM(4)
 		res := RCUApp(m, policy, opts, Pattern{Contention: 1, Rounds: 4})
-		if res.Retries != 0 {
-			t.Fatalf("RCU saw %d torn reads", res.Retries)
+		if res.TornReads != 0 {
+			t.Fatalf("RCU saw %d torn reads", res.TornReads)
 		}
 		if res.Ops == 0 {
 			t.Fatal("RCU performed no operations")
@@ -132,8 +132,8 @@ func TestRCUAppNoTornReadsUnderFullMatrix(t *testing.T) {
 func TestRCUAppMultipleWriters(t *testing.T) {
 	m := newM(8)
 	res := RCUApp(m, core.PolicyINV, locks.Options{Prim: locks.PrimCAS}, Pattern{Contention: 3, Rounds: 3})
-	if res.Retries != 0 {
-		t.Fatalf("RCU saw %d torn reads", res.Retries)
+	if res.TornReads != 0 {
+		t.Fatalf("RCU saw %d torn reads", res.TornReads)
 	}
 }
 

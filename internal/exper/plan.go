@@ -17,18 +17,26 @@ type Point struct {
 	Seed    uint64  // 0 selects the per-app default seeds
 }
 
-// Result is what one point produces. Elapsed is filled for every app;
-// Updates/AvgCycles only for the pattern-driven apps (for the synthetic
-// counters, the figures 3-5 y-axis); Work is a real application's
-// completed work (wires routed, columns factored, reachable pairs) or a
-// workload's retry or torn-read count. Report is non-nil only when the
-// run collected a full measurement report.
+// Result is what one point produces: the run's headline numbers, each
+// with one meaning across every app, and their JSON names, which the
+// service's response body embeds as they are. Elapsed is filled for every
+// app. Ops counts a pattern-driven app's operations: counter updates,
+// queue and stack operations, RCU reads plus updates, or barrier-app
+// counter increments; AvgCycles is Elapsed per operation (the figures 3-5
+// y-axis), or per barrier round for the barrier apps. Retries counts the
+// queue's and stack's failed CAS or SC swings, and TornReads the RCU
+// readers' torn snapshots, which must be zero. Work is a real
+// application's completed work (wires routed, columns factored, reachable
+// pairs). Report is non-nil only when the run collected a full measurement
+// report.
 type Result struct {
-	Elapsed   uint64
-	Updates   uint64
-	AvgCycles float64
-	Work      uint64
-	Report    *report.Report
+	Elapsed   uint64         `json:"elapsed_cycles"`
+	Ops       uint64         `json:"ops,omitempty"`
+	AvgCycles float64        `json:"avg_cycles,omitempty"`
+	Retries   uint64         `json:"retries,omitempty"`
+	TornReads uint64         `json:"torn_reads,omitempty"`
+	Work      uint64         `json:"work,omitempty"`
+	Report    *report.Report `json:"report"`
 }
 
 // RunOn executes the point on a caller-provided machine (built by
@@ -41,11 +49,11 @@ func (p Point) RunOn(m *machine.Machine) Result {
 	}
 	row := p.App.row()
 	if row.pattern == nil {
-		elapsed, work := row.real(p, m)
-		return Result{Elapsed: elapsed, Work: work}
+		return row.real(p, m)
 	}
 	res := row.pattern(m, p.Bar.Policy, p.Bar.Opts(), p.Pattern)
-	return Result{Elapsed: uint64(res.Elapsed), Updates: res.Ops, AvgCycles: res.AvgCycles, Work: res.Retries}
+	return Result{Elapsed: uint64(res.Elapsed), Ops: res.Ops, AvgCycles: res.AvgCycles,
+		Retries: res.Retries, TornReads: res.TornReads}
 }
 
 // Run executes the point on the machine slot that one-off runs share.

@@ -5,29 +5,19 @@ import (
 	"encoding/json"
 
 	"dsm/internal/exper"
-	"dsm/internal/report"
 )
 
 // Outcome is the service's response body: the canonical spec that was run,
-// its content address, the workload's headline numbers, and the full
-// measurement report. Field order is fixed by declaration order and every
-// nested encoder is byte-stable, so encoding a given outcome twice yields
-// identical bytes — the property behind the cache-hit determinism
-// guarantee.
+// its content address, and the point's result — the workload's headline
+// numbers and the full measurement report — embedded so its fields encode
+// in place, under exper.Result's JSON names. Field order is fixed by
+// declaration order and every nested encoder is byte-stable, so encoding a
+// given outcome twice yields identical bytes — the property behind the
+// cache-hit determinism guarantee.
 type Outcome struct {
-	Spec    Spec   `json:"spec"`
-	Key     string `json:"key"`
-	Elapsed uint64 `json:"elapsed_cycles"`
-
-	// Synthetic workloads: counter updates and the figures 3-5 y-axis.
-	Updates   uint64  `json:"updates,omitempty"`
-	AvgCycles float64 `json:"avg_cycles,omitempty"`
-
-	// Real applications: completed work items (wires routed, columns
-	// factored, reachable pairs).
-	Work uint64 `json:"work,omitempty"`
-
-	Report *report.Report `json:"report"`
+	Spec Spec   `json:"spec"`
+	Key  string `json:"key"`
+	exper.Result
 }
 
 // Encode renders the outcome as its canonical JSON bytes (one object plus
@@ -62,13 +52,5 @@ func RunOn(sp Spec, slot *exper.MachineSlot) *Outcome {
 }
 
 func outcome(sp Spec, res exper.Result) *Outcome {
-	return &Outcome{
-		Spec:      sp,
-		Key:       sp.Key(),
-		Elapsed:   res.Elapsed,
-		Updates:   res.Updates,
-		AvgCycles: res.AvgCycles,
-		Work:      res.Work,
-		Report:    res.Report,
-	}
+	return &Outcome{Spec: sp, Key: sp.Key(), Result: res}
 }

@@ -179,7 +179,7 @@ func TestSimMissThenHitByteIdentical(t *testing.T) {
 	if out.Spec.App != "counter" || out.Spec.Procs != 4 {
 		t.Fatalf("echoed spec = %+v", out.Spec)
 	}
-	if out.Elapsed == 0 || out.Updates == 0 || out.Report == nil {
+	if out.Elapsed == 0 || out.Ops == 0 || out.Report == nil {
 		t.Fatalf("outcome incomplete: %+v", out)
 	}
 	if out.Key != first.Header().Get("X-Spec-Key") {
