@@ -113,8 +113,6 @@ type (
 	MCSLock = locks.MCSLock
 	// TreeBarrier is the scalable MCS tree barrier.
 	TreeBarrier = locks.TreeBarrier
-	// RWLock is a counter-based reader-writer lock.
-	RWLock = locks.RWLock
 	// Stack is a Treiber lock-free stack with recyclable nodes
 	// (demonstrates the paper's section-2.2 pointer/ABA problem; see
 	// examples/abaproblem).
@@ -123,8 +121,6 @@ type (
 	Queue = locks.Queue
 	// CentralBarrier is a sense-reversing centralized barrier.
 	CentralBarrier = locks.CentralBarrier
-	// PriorityLock grants the lock to the highest-priority waiter.
-	PriorityLock = locks.PriorityLock
 	// Pattern describes a synthetic workload's sharing pattern (the
 	// paper's contention level c and write-run length a).
 	Pattern = apps.Pattern
@@ -215,11 +211,6 @@ func NewTreeBarrier(m *Machine) *TreeBarrier {
 	return locks.NewTreeBarrier(m)
 }
 
-// NewRWLock allocates a reader-writer lock.
-func NewRWLock(m *Machine, policy Policy, opts Options) *RWLock {
-	return locks.NewRWLock(m, policy, opts)
-}
-
 // NewStack allocates a lock-free stack with nodes 1..capacity; under CAS
 // its top is a counted pointer (clear Tagged for the textbook, ABA-prone
 // compare_and_swap).
@@ -237,11 +228,6 @@ func NewQueue(m *Machine, policy Policy, slots int, opts Options) *Queue {
 // tree barrier's foil in the barrier ablation).
 func NewCentralBarrier(m *Machine, policy Policy, opts Options) *CentralBarrier {
 	return locks.NewCentralBarrier(m, policy, opts)
-}
-
-// NewPriorityLock allocates a priority-granting lock.
-func NewPriorityLock(m *Machine, policy Policy, opts Options) *PriorityLock {
-	return locks.NewPriorityLock(m, policy, opts)
 }
 
 // Trace is a bounded ring buffer of protocol events for debugging and

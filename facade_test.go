@@ -45,40 +45,6 @@ func TestQueueThroughFacade(t *testing.T) {
 	}
 }
 
-func TestRWLockThroughFacade(t *testing.T) {
-	m := NewSmall(4)
-	l := NewRWLock(m, INV, Options{Prim: FAP})
-	shared := m.Alloc(4)
-	m.Run(func(p *Proc) {
-		if p.ID() == 0 {
-			l.Lock(p)
-			p.Store(shared, p.Load(shared)+1)
-			l.Unlock(p)
-		} else {
-			l.RLock(p)
-			p.Load(shared)
-			l.RUnlock(p)
-		}
-	})
-	if m.Peek(shared) != 1 {
-		t.Fatalf("shared = %d", m.Peek(shared))
-	}
-}
-
-func TestPriorityLockThroughFacade(t *testing.T) {
-	m := NewSmall(4)
-	l := NewPriorityLock(m, INV, Options{Prim: CAS})
-	shared := m.Alloc(4)
-	m.Run(func(p *Proc) {
-		l.Acquire(p, Word(p.ID()))
-		p.Store(shared, p.Load(shared)+1)
-		l.Release(p)
-	})
-	if m.Peek(shared) != 4 {
-		t.Fatalf("shared = %d", m.Peek(shared))
-	}
-}
-
 func TestCentralBarrierThroughFacade(t *testing.T) {
 	m := NewSmall(4)
 	b := NewCentralBarrier(m, INV, Options{Prim: FAP})

@@ -153,64 +153,3 @@ func TestStackABAProblem(t *testing.T) {
 		t.Fatalf("LLSC top after interleaving = %d, want 3 (no corruption)", top)
 	}
 }
-
-// TestRWLock exercises the reader-writer lock in all primitive families.
-func TestRWLockWritersExclusive(t *testing.T) {
-	for _, prim := range []Prim{PrimFAP, PrimCAS, PrimLLSC} {
-		prim := prim
-		t.Run(prim.String(), func(t *testing.T) {
-			const procs, iters = 8, 4
-			m := newM(procs)
-			l := NewRWLock(m, core.PolicyINV, Options{Prim: prim})
-			shared := m.Alloc(4)
-			readersIn, writersIn := 0, 0
-			m.Run(func(p *machine.Proc) {
-				for i := 0; i < iters; i++ {
-					if p.ID()%2 == 0 {
-						l.Lock(p)
-						writersIn++
-						if writersIn != 1 || readersIn != 0 {
-							t.Errorf("writer entered with %d writers, %d readers", writersIn, readersIn)
-						}
-						v := p.Load(shared)
-						p.Compute(15)
-						p.Store(shared, v+1)
-						writersIn--
-						l.Unlock(p)
-					} else {
-						l.RLock(p)
-						readersIn++
-						if writersIn != 0 {
-							t.Errorf("reader entered alongside a writer")
-						}
-						p.Load(shared)
-						p.Compute(10)
-						readersIn--
-						l.RUnlock(p)
-					}
-					p.Compute(20)
-				}
-			})
-			want := arch.Word(procs / 2 * iters)
-			if got := m.Peek(shared); got != want {
-				t.Fatalf("writer increments = %d, want %d", got, want)
-			}
-			m.System().CheckCoherence()
-		})
-	}
-}
-
-func TestRWLockReadersShareAccess(t *testing.T) {
-	// With only readers, all should overlap: total elapsed must be far
-	// below the serialized sum of critical sections.
-	m := newM(8)
-	l := NewRWLock(m, core.PolicyINV, Options{Prim: PrimFAP})
-	elapsed := m.Run(func(p *machine.Proc) {
-		l.RLock(p)
-		p.Compute(1000)
-		l.RUnlock(p)
-	})
-	if elapsed > 8*1000/2 {
-		t.Fatalf("readers serialized: %d cycles for 8 overlapping 1000-cycle sections", elapsed)
-	}
-}
