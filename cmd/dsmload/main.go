@@ -54,6 +54,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dsm/internal/exper"
 	"dsm/internal/serve"
 )
 
@@ -79,8 +80,7 @@ var traceCtx = httptrace.WithClientTrace(context.Background(), &httptrace.Client
 // (8 processors, 3 rounds). Every dsmload invocation generates the same
 // set, so back-to-back runs against a warm server hit immediately.
 func workingSet(n int) []string {
-	policies := []string{"INV", "UPD", "UNC"}
-	prims := []string{"FAP", "CAS", "LLSC"}
+	policies, prims := exper.PolicyNames(), exper.PrimNames()
 	conts := []int{1, 2, 4, 8}
 	specs := make([]string, 0, n)
 	for i := 0; len(specs) < n; i++ {

@@ -53,18 +53,12 @@ func parseBar(policy, prim, variant string, ldex, drop bool) (exper.Bar, error) 
 	return exper.Bar{Policy: pol, Prim: pr, Variant: v, LoadEx: ldex, Drop: drop}, nil
 }
 
-// validateApp rejects workload names main does not dispatch on.
-func validateApp(app string) error {
-	_, err := exper.ParseApp(app)
-	return err
-}
-
 func main() {
 	var (
 		app     = flag.String("app", "counter", "workload: "+strings.Join(exper.AppNames(), ", "))
-		policy  = flag.String("policy", "INV", "coherence policy for sync data: INV, UPD, UNC")
-		prim    = flag.String("prim", "FAP", "primitive family: FAP, CAS, LLSC")
-		variant = flag.String("cas", "INV", "compare_and_swap variant: INV, INVd, INVs")
+		policy  = flag.String("policy", "INV", "coherence policy for sync data: "+strings.Join(exper.PolicyNames(), ", "))
+		prim    = flag.String("prim", "FAP", "primitive family: "+strings.Join(exper.PrimNames(), ", "))
+		variant = flag.String("cas", "INV", "compare_and_swap variant: "+strings.Join(exper.VariantNames(), ", "))
 		ldex    = flag.Bool("ldex", false, "pair CAS with load_exclusive")
 		drop    = flag.Bool("drop", false, "issue drop_copy after updates")
 		procs   = flag.Int("procs", 64, "simulated processors (1-64)")
@@ -93,7 +87,8 @@ func main() {
 		}
 		return
 	}
-	if err := validateApp(*app); err != nil {
+	workload, err := exper.ParseApp(*app)
+	if err != nil {
 		fail(err)
 	}
 	for _, err := range []error{
@@ -111,7 +106,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	workload, _ := exper.ParseApp(*app)
 
 	// In -json mode stdout carries exactly one JSON report; the human
 	// summary and trace lines go to stderr so the output stays parseable.
