@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"dsm/internal/core"
@@ -74,5 +75,41 @@ func TestGoldenFiguresParallelIdentical(t *testing.T) {
 				t.Fatalf("pattern %d bar %d: serial %v != parallel %v", pi, bi, serial[pi][bi], par[pi][bi])
 			}
 		}
+	}
+}
+
+// TestExperimentsMatchGolden requires every line of EXPERIMENTS.md's
+// figure code blocks (all but the ```sh command blocks) to appear in the
+// paper-scale golden, so the document cannot drift from what cmd/figures
+// prints.
+func TestExperimentsMatchGolden(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/golden_full.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := make(map[string]bool)
+	for _, line := range strings.Split(string(golden), "\n") {
+		pinned[line] = true
+	}
+	inBlock, figure, checked := false, false, 0
+	for i, line := range strings.Split(string(doc), "\n") {
+		if info, fence := strings.CutPrefix(line, "```"); fence {
+			inBlock = !inBlock
+			figure = inBlock && info == ""
+			continue
+		}
+		if figure && line != "" {
+			checked++
+			if !pinned[line] {
+				t.Errorf("EXPERIMENTS.md:%d is not in testdata/golden_full.txt: %q", i+1, line)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no figure lines found in EXPERIMENTS.md")
 	}
 }
