@@ -138,30 +138,6 @@ func (o Options) FetchAdd(p *machine.Proc, a arch.Addr, delta arch.Word) arch.Wo
 	panic("locks: unknown primitive")
 }
 
-// FetchOr atomically ors in v using the configured primitive family,
-// returning the previous value.
-func (o Options) FetchOr(p *machine.Proc, a arch.Addr, v arch.Word) arch.Word {
-	switch o.Prim {
-	case PrimFAP:
-		return p.FetchOr(a, v)
-	case PrimCAS:
-		for {
-			old := o.read(p, a)
-			if p.CompareAndSwap(a, old, old|v) {
-				return old
-			}
-		}
-	case PrimLLSC:
-		for {
-			old := p.LoadLinked(a)
-			if p.StoreConditional(a, old|v) {
-				return old
-			}
-		}
-	}
-	panic("locks: unknown primitive")
-}
-
 // TestAndSet atomically sets the word to 1 using the configured primitive
 // family, returning the previous value.
 func (o Options) TestAndSet(p *machine.Proc, a arch.Addr) arch.Word {
