@@ -3,9 +3,13 @@
 // across N dsmserve backends with a consistent-hash ring (virtual nodes,
 // bounded remap on membership change). Each /v1/sim request costs one
 // upstream call to the key's owner, whose own result cache answers hits;
-// the router adds only fleet-wide single-flight on top: concurrent
-// identical requests through the router elect one leader, one request goes
-// upstream, and followers share its response bytes.
+// the router adds only fleet-wide single-flight on top, with the same
+// serve.Flight the backends use: concurrent identical requests through the
+// router elect one leader, one request goes upstream, and followers share
+// its response bytes. The leader reads each upstream body into a pooled
+// buffer and recycles it only when Flight.Complete reports no followers.
+// Unlike the sweep paths, which take milliseconds per point and pool
+// nothing, this relay pool pays: every routed request reads a body.
 //
 // POST /v1/sweep splits a plan by key owner, streams per-backend
 // sub-sweeps concurrently, and re-interleaves the NDJSON lines back into
@@ -22,6 +26,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"dsm/internal/serve"
 )
 
 // Config describes the fleet the router fronts.
@@ -45,7 +51,7 @@ type Config struct {
 type Router struct {
 	cfg     Config
 	ring    *ring
-	flight  *flightGroup
+	flight  serve.Flight[*upstream]
 	client  *http.Client
 	met     metrics
 	mux     *http.ServeMux
@@ -80,7 +86,6 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:     cfg,
 		ring:    newRing(cfg.Backends),
-		flight:  newFlightGroup(),
 		client:  &http.Client{Transport: cfg.Transport, Timeout: cfg.Timeout},
 		mux:     http.NewServeMux(),
 		perBack: make([]atomic.Uint64, len(cfg.Backends)),

@@ -199,33 +199,33 @@ func (rt *Router) handleSim(w http.ResponseWriter, r *http.Request) {
 	if gz {
 		fkey += "+gz"
 	}
-	call, leader := rt.flight.join(fkey)
+	call, leader := rt.flight.Join(fkey)
 	var followers int
 	if leader {
 		res, err := rt.resolve(key, specJSON, gz)
-		followers = rt.flight.complete(fkey, call, res, err)
+		followers = rt.flight.Complete(fkey, call, res, err)
 	} else {
 		rt.met.coalesced.Add(1)
 		select {
-		case <-call.done:
+		case <-call.Done():
 		case <-r.Context().Done():
 			return // client gone; nothing useful to write
 		}
 	}
-	if call.err != nil {
+	if call.Err != nil {
 		rt.met.errors.Add(1)
-		rt.writeError(w, http.StatusBadGateway, fmt.Sprintf("no backend could resolve the request: %v", call.err))
+		rt.writeError(w, http.StatusBadGateway, fmt.Sprintf("no backend could resolve the request: %v", call.Err))
 		return
 	}
 	cache := ""
 	if !leader {
 		cache = "coalesced"
 	}
-	rt.relay(w, r, call.res, cache)
+	rt.relay(w, r, call.Val, cache)
 	if leader && followers == 0 {
 		// Sole reader of these bytes; followers, when any joined, keep the
 		// buffer alive past this handler, so it stays off the pool.
-		call.res.release()
+		call.Val.release()
 	}
 }
 

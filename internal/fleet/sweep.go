@@ -200,10 +200,8 @@ func (rt *Router) readSubSweep(sub *subSweep, keys []string, slots []lineSlot) {
 		fail(fmt.Sprintf("backend %s answered %d", base, sub.resp.StatusCode))
 		return
 	}
-	bp := scanBufPool.Get().(*[]byte)
-	defer scanBufPool.Put(bp)
 	sc := bufio.NewScanner(sub.resp.Body)
-	sc.Buffer((*bp)[:0], 16<<20)
+	sc.Buffer(nil, 16<<20)
 	for next < len(sub.idx) && sc.Scan() {
 		line := sc.Bytes()
 		data := make([]byte, len(line)+1)
@@ -220,13 +218,6 @@ func (rt *Router) readSubSweep(sub *subSweep, keys []string, slots []lineSlot) {
 		fail(msg)
 	}
 }
-
-// scanBufPool recycles the sub-sweep scanners' initial line buffers. Every
-// line is copied out into its slot before the scanner advances, so the
-// buffer is dead — and safe to reuse — the moment readSubSweep returns.
-// A line that outgrows 64KB makes the scanner allocate privately; the
-// pooled buffer stays its original size.
-var scanBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
 
 // drainSubs closes any sub-sweep bodies that still have a reader attached;
 // readers own the Close on the happy path, but an aborted relay must not

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"container/list"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -12,31 +11,16 @@ import (
 // resultCache is the content-addressed result store: canonical spec hash
 // -> encoded outcome bytes, with LRU eviction at a fixed entry budget.
 // An entry's encoded bytes are never modified once inserted, so a hit can
-// hand the stored slice to the response writer without copying.
-//
-// The cache is sharded: the entry budget splits across N independent LRU
-// shards (N = GOMAXPROCS rounded up to a power of two, reduced until every
-// shard holds at least minShardEntries), each with its own mutex, recency
-// list, and eviction counter. A key's shard is the first byte of its
-// SHA-256 content address, so placement is uniform and deterministic, and
-// concurrent lookups on different shards never contend — the single global
-// cache mutex was the first serialization point to fall over the moment
-// GOMAXPROCS exceeded 1. Eviction is LRU within a shard (budget/N entries),
-// which approximates global LRU for any working set large enough to spread
-// across shards; caches too small to shard keep one shard and exact LRU.
+// hand the stored slice to the response writer without copying. One mutex
+// guards one recency list and map: a lookup holds it for a map probe and a
+// list move, well under a microsecond, against the milliseconds a request
+// spends in HTTP and simulation.
 type resultCache struct {
-	shards []cacheShard
-	mask   uint32 // len(shards) - 1; shard count is a power of two
-}
-
-// cacheShard is one independently locked LRU unit of the result cache.
-type cacheShard struct {
 	mu        sync.Mutex
 	max       int
 	ll        *list.List // front = most recently used
 	items     map[string]*list.Element
 	evictions uint64
-	_         [24]byte // keep neighboring shards' hot fields off one cache line
 }
 
 // cacheEntry is one cached result. Everything a hit response needs is
@@ -114,100 +98,20 @@ func gzipVariant(data []byte) []byte {
 	return bytes.Clone(buf.Bytes())
 }
 
-// minShardEntries is the smallest per-shard budget worth sharding for:
-// below it, splitting a tiny cache would turn the entry bound and LRU
-// order into per-shard accidents of key placement, so the cache stays
-// single-shard and exactly LRU instead.
-const minShardEntries = 64
-
-// maxShards bounds the shard count to what one address byte can index.
-const maxShards = 256
-
-// shardCount selects the number of shards for a cache of max entries:
-// GOMAXPROCS rounded up to a power of two, halved until each shard's
-// budget reaches minShardEntries (a 2-entry test cache gets 1 shard; the
-// default 1024 entries on a 16-way host get 16 shards of 64).
-func shardCount(max int) int {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) && n < maxShards {
-		n <<= 1
-	}
-	for n > 1 && max/n < minShardEntries {
-		n >>= 1
-	}
-	return n
-}
-
-// shardIndex maps a canonical spec key to its shard: the first byte of the
-// SHA-256 (the key's leading two hex digits), masked to the shard count.
-// SHA-256 output is uniform, so low bits of the first byte spread keys
-// evenly for any power-of-two shard count up to maxShards.
-func shardIndex(key string, mask uint32) uint32 {
-	if mask == 0 || len(key) < 2 {
-		return 0
-	}
-	return uint32(hexNibble(key[0])<<4|hexNibble(key[1])) & mask
-}
-
-// shardIndexBytes is shardIndex for a key still held as bytes (the request
-// path renders keys into a stack buffer and avoids materializing a string
-// until a cache miss makes one necessary).
-func shardIndexBytes(key []byte, mask uint32) uint32 {
-	if mask == 0 || len(key) < 2 {
-		return 0
-	}
-	return uint32(hexNibble(key[0])<<4|hexNibble(key[1])) & mask
-}
-
-// hexNibble decodes one lowercase hex digit (the alphabet hex.EncodeToString
-// emits); any other byte maps to 0 rather than erroring, since a malformed
-// key only costs shard balance, not correctness.
-func hexNibble(c byte) byte {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0'
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10
-	}
-	return 0
-}
-
 func newResultCache(max int) *resultCache {
-	return newResultCacheShards(max, shardCount(max))
+	return &resultCache{max: max, ll: list.New(), items: make(map[string]*list.Element, max)}
 }
 
-// newResultCacheShards builds a cache of max total entries split across an
-// explicit power-of-two shard count (tests pin the count; newResultCache
-// derives it from GOMAXPROCS).
-func newResultCacheShards(max, shards int) *resultCache {
-	c := &resultCache{shards: make([]cacheShard, shards), mask: uint32(shards - 1)}
-	base, extra := max/shards, max%shards
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.max = base
-		if i < extra {
-			s.max++
-		}
-		if s.max < 1 {
-			s.max = 1
-		}
-		s.ll = list.New()
-		s.items = make(map[string]*list.Element, s.max)
-	}
-	return c
-}
-
-// get returns the cached entry for key, refreshing its recency within its
-// shard. Callers may hold the entry past the lock.
+// get returns the cached entry for key, refreshing its recency. Callers
+// may hold the entry past the lock.
 func (c *resultCache) get(key string) (*cacheEntry, bool) {
-	s := &c.shards[shardIndex(key, c.mask)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
 	if !ok {
 		return nil, false
 	}
-	s.ll.MoveToFront(el)
+	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry), true
 }
 
@@ -216,50 +120,42 @@ func (c *resultCache) get(key string) (*cacheEntry, bool) {
 // position does not allocate), so the request hot path can probe the
 // cache straight from its stack key buffer.
 func (c *resultCache) getBytes(key []byte) (*cacheEntry, bool) {
-	s := &c.shards[shardIndexBytes(key, c.mask)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[string(key)]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[string(key)]
 	if !ok {
 		return nil, false
 	}
-	s.ll.MoveToFront(el)
+	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry), true
 }
 
-// put inserts key -> data, evicting the least recently used entry of the
-// key's shard when that shard is at capacity. Re-inserting an existing key
-// refreshes its recency and replaces its entry wholesale — concurrent
-// readers holding the superseded entry still see a consistent (data, gzip)
-// pair. Only the identity bytes are stored; see cacheEntry.gzip.
+// put inserts key -> data, evicting the least recently used entry when
+// the cache is at capacity. Re-inserting an existing key refreshes its
+// recency and replaces its entry wholesale — concurrent readers holding
+// the superseded entry still see a consistent (data, gzip) pair. Only the
+// identity bytes are stored; see cacheEntry.gzip.
 func (c *resultCache) put(key string, data []byte) {
 	e := &cacheEntry{key: key, data: data, keyHdr: []string{key}}
-	s := &c.shards[shardIndex(key, c.mask)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
 		el.Value = e
 		return
 	}
-	if s.ll.Len() >= s.max {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.items, oldest.Value.(*cacheEntry).key)
-		s.evictions++
+	if c.ll.Len() >= c.max {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.items, oldest.Value.(*cacheEntry).key)
+		c.evictions++
 	}
-	s.items[key] = s.ll.PushFront(e)
+	c.items[key] = c.ll.PushFront(e)
 }
 
-// stats returns the entry and lifetime eviction counts summed across
-// shards, plus the shard count.
-func (c *resultCache) stats() (entries int, evictions uint64, shards int) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		entries += s.ll.Len()
-		evictions += s.evictions
-		s.mu.Unlock()
-	}
-	return entries, evictions, len(c.shards)
+// stats returns the entry count and the lifetime eviction count.
+func (c *resultCache) stats() (entries int, evictions uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len(), c.evictions
 }

@@ -1,83 +1,62 @@
 package serve
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
-// flightCall is one in-flight simulation that concurrent identical
-// requests share. The leader fills data/err and closes done; followers
-// block on done and read the shared result.
-type flightCall struct {
-	done chan struct{}
-	data []byte
-	err  error
+// Call is one in-flight piece of work that concurrent callers for the same
+// key share. The leader publishes Val and Err through Flight.Complete;
+// followers wait on Done and then read them.
+type Call[T any] struct {
+	done      chan struct{}
+	Val       T
+	Err       error
+	followers int // joins after the leader's; guarded by the flight mutex
 }
 
-// flightGroup coalesces duplicate work by key: the first request for a key
-// becomes the leader and executes; requests arriving before the leader
-// finishes become followers of the same call. This is the single-flight
-// pattern — under a burst of N identical specs, exactly one simulation
-// runs and N-1 requests pay only the wait.
-//
-// The in-flight table is sharded like the result cache (same power-of-two
-// count derived from GOMAXPROCS, same first-SHA-byte placement), so
-// concurrent joins for unrelated keys lock different shards instead of
-// funneling through one mutex. Coalescing semantics are unchanged: a key
-// lives on exactly one shard, so all requests for it still meet in one
-// calls map.
-type flightGroup struct {
-	shards []flightShard
-	mask   uint32 // len(shards) - 1; shard count is a power of two
-}
+// Done is closed once the leader has published Val and Err.
+func (c *Call[T]) Done() <-chan struct{} { return c.done }
 
-// flightShard is one independently locked slice of the in-flight table.
-type flightShard struct {
+// Flight coalesces duplicate work by key: the first caller for a key
+// becomes the leader and executes; callers arriving before the leader
+// completes become followers of the same call. This is the single-flight
+// pattern — under a burst of N identical requests, the work runs once and
+// N-1 callers pay only the wait. The server coalesces simulations with it,
+// and the fleet router coalesces upstream fetches. One mutex guards the
+// table: a call is joined and completed once per simulation or upstream
+// round trip, which costs milliseconds, so the lock is never the
+// bottleneck. The zero value is ready to use.
+type Flight[T any] struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
-	_     [40]byte // keep neighboring shards' hot fields off one cache line
+	calls map[string]*Call[T]
 }
 
-func newFlightGroup() *flightGroup {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) && n < maxShards {
-		n <<= 1
-	}
-	return newFlightGroupShards(n)
-}
-
-// newFlightGroupShards builds a flight group with an explicit power-of-two
-// shard count (tests pin the count; newFlightGroup derives it).
-func newFlightGroupShards(shards int) *flightGroup {
-	g := &flightGroup{shards: make([]flightShard, shards), mask: uint32(shards - 1)}
-	for i := range g.shards {
-		g.shards[i].calls = make(map[string]*flightCall)
-	}
-	return g
-}
-
-// join returns the call for key, creating it when absent. leader reports
-// whether this caller must execute the work and complete the call.
-func (g *flightGroup) join(key string) (c *flightCall, leader bool) {
-	s := &g.shards[shardIndex(key, g.mask)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.calls[key]; ok {
+// Join returns the call for key, creating it when absent; leader reports
+// whether this caller must execute the work and Complete the call.
+func (f *Flight[T]) Join(key string) (c *Call[T], leader bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok := f.calls[key]; ok {
+		c.followers++
 		return c, false
 	}
-	c = &flightCall{done: make(chan struct{})}
-	s.calls[key] = c
+	if f.calls == nil {
+		f.calls = make(map[string]*Call[T])
+	}
+	c = &Call[T]{done: make(chan struct{})}
+	f.calls[key] = c
 	return c, true
 }
 
-// complete publishes the leader's result and wakes every follower. The key
-// is removed before done closes, so a request arriving after completion
-// starts a fresh call (it will hit the result cache first anyway).
-func (g *flightGroup) complete(key string, c *flightCall, data []byte, err error) {
-	c.data, c.err = data, err
-	s := &g.shards[shardIndex(key, g.mask)]
-	s.mu.Lock()
-	delete(s.calls, key)
-	s.mu.Unlock()
+// Complete publishes the leader's result and wakes every follower. The key
+// is removed before Done closes, so a caller arriving after completion
+// starts a fresh call (which will find the result cached anyway). The
+// returned follower count is final, since no join can reach the call once
+// its key is gone: zero means the leader is the result's only reader.
+func (f *Flight[T]) Complete(key string, c *Call[T], val T, err error) int {
+	c.Val, c.Err = val, err
+	f.mu.Lock()
+	delete(f.calls, key)
+	n := c.followers
+	f.mu.Unlock()
 	close(c.done)
+	return n
 }

@@ -87,16 +87,13 @@ func TestSweepStreamsIdentityEncoding(t *testing.T) {
 
 // gzipBuilt counts the cache entries whose gzip variant has been built.
 func gzipBuilt(s *Server) (built, entries int) {
-	for i := range s.cache.shards {
-		sh := &s.cache.shards[i]
-		sh.mu.Lock()
-		for el := sh.ll.Front(); el != nil; el = el.Next() {
-			entries++
-			if el.Value.(*cacheEntry).gz.Load() != nil {
-				built++
-			}
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
+		entries++
+		if el.Value.(*cacheEntry).gz.Load() != nil {
+			built++
 		}
-		sh.mu.Unlock()
 	}
 	return built, entries
 }

@@ -129,8 +129,6 @@ type Snapshot struct {
 
 	CacheEntries   int    `json:"cache_entries"`
 	CacheEvictions uint64 `json:"cache_evictions"`
-	CacheShards    int    `json:"cache_shards"`
-	FlightShards   int    `json:"flight_shards"`
 	QueueDepth     int    `json:"queue_depth"`
 	Workers        int    `json:"workers"`
 

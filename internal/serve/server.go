@@ -35,7 +35,7 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	cache   *resultCache
-	flight  *flightGroup
+	flight  Flight[[]byte]
 	pool    *workerPool
 	met     metrics
 	mux     *http.ServeMux
@@ -57,11 +57,10 @@ func New(cfg Config) *Server {
 		cfg.Timeout = 30 * time.Second
 	}
 	s := &Server{
-		cfg:    cfg,
-		cache:  newResultCache(cfg.CacheEntries),
-		flight: newFlightGroup(),
-		pool:   newWorkerPool(cfg.Workers, cfg.Queue),
-		mux:    http.NewServeMux(),
+		cfg:   cfg,
+		cache: newResultCache(cfg.CacheEntries),
+		pool:  newWorkerPool(cfg.Workers, cfg.Queue),
+		mux:   http.NewServeMux(),
 	}
 	s.mux.HandleFunc("/v1/sim", s.handleSim)
 	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
@@ -76,8 +75,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics returns a point-in-time snapshot of the service counters.
 func (s *Server) Metrics() Snapshot {
 	snap := s.met.snapshot()
-	snap.CacheEntries, snap.CacheEvictions, snap.CacheShards = s.cache.stats()
-	snap.FlightShards = len(s.flight.shards)
+	snap.CacheEntries, snap.CacheEvictions = s.cache.stats()
 	snap.QueueDepth = s.pool.depth()
 	snap.Workers = s.cfg.Workers
 	return snap
@@ -118,7 +116,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 	// The key lives in a stack buffer until a miss forces a string: the
 	// hit path (cache probe, entry lookup, response headers) never needs
-	// one — getBytes indexes the shard map straight from these bytes and
+	// one — getBytes indexes the cache map straight from these bytes and
 	// the entry carries its own key string for the X-Spec-Key header.
 	var kb [64]byte
 	key := spec.appendKey(kb[:0])
@@ -175,7 +173,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	deadline := time.NewTimer(s.cfg.Timeout)
 	defer deadline.Stop()
 	select {
-	case <-call.done:
+	case <-call.Done():
 	case <-deadline.C:
 		s.met.timeouts.Add(1)
 		s.writeError(w, http.StatusGatewayTimeout,
@@ -186,20 +184,20 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
-	case call.err == errBusy:
+	case call.Err == errBusy:
 		s.met.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("simulation queue full (%d queued); retry shortly", s.cfg.Queue))
-	case call.err != nil:
+	case call.Err != nil:
 		s.met.errors.Add(1)
-		s.writeError(w, http.StatusInternalServerError, call.err.Error())
+		s.writeError(w, http.StatusInternalServerError, call.Err.Error())
 	default:
 		label := "miss"
 		if state == dispatchCoalesced {
 			label = "coalesced"
 		}
-		s.writeOutcome(w, call.data, label, keyStr, start)
+		s.writeOutcome(w, call.Val, label, keyStr, start)
 	}
 }
 
@@ -223,11 +221,11 @@ const (
 // Both the single-sim and the batch sweep handlers dispatch through here,
 // so they share one cache and one in-flight set — a sweep point coalesces
 // with a concurrent /v1/sim request for the same spec and vice versa.
-func (s *Server) start(spec Spec, key string, queueWait time.Duration) (*cacheEntry, *flightCall, dispatchState) {
+func (s *Server) start(spec Spec, key string, queueWait time.Duration) (*cacheEntry, *Call[[]byte], dispatchState) {
 	if e, ok := s.cache.get(key); ok {
 		return e, nil, dispatchHit
 	}
-	call, leader := s.flight.join(key)
+	call, leader := s.flight.Join(key)
 	if !leader {
 		return nil, call, dispatchCoalesced
 	}
@@ -236,9 +234,9 @@ func (s *Server) start(spec Spec, key string, queueWait time.Duration) (*cacheEn
 		if err == nil {
 			s.cache.put(key, data)
 		}
-		s.flight.complete(key, call, data, err)
+		s.flight.Complete(key, call, data, err)
 	}, queueWait) {
-		s.flight.complete(key, call, nil, errBusy)
+		s.flight.Complete(key, call, nil, errBusy)
 	}
 	return nil, call, dispatchMiss
 }

@@ -3,12 +3,14 @@
 // point in the paper's design space), runs them as internal/exper points on
 // a bounded worker pool — each worker owning a dedicated machine it reuses
 // across requests — and returns the measurements as JSON. Around the pool
-// sit a sharded content-addressed LRU result cache (canonical spec hash ->
-// encoded report, one independently locked shard per core), sharded
-// single-flight coalescing so N concurrent identical requests cost one
-// simulation, bounded-queue backpressure (429 + Retry-After), per-request
-// deadlines, a batch sweep endpoint streaming NDJSON, and a metrics
-// surface. cmd/dsmserve wires it to a listener; cmd/dsmload drives it.
+// sit a content-addressed LRU result cache (canonical spec hash -> encoded
+// report), single-flight coalescing (Flight, which the fleet router also
+// uses) so N concurrent identical requests cost one simulation,
+// bounded-queue backpressure (429 + Retry-After), per-request deadlines, a
+// batch sweep endpoint streaming NDJSON, and a metrics surface. The cache
+// and the in-flight table are each one map under one mutex: a request
+// holds either for a map operation, against the milliseconds a simulation
+// takes. cmd/dsmserve wires it to a listener; cmd/dsmload drives it.
 //
 // The /v1/sim request path does only the work its response uses. A POST
 // spec in the flat form every client in this tree sends is decoded by a

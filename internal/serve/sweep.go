@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -59,39 +58,14 @@ func ParsePlan(body io.Reader) ([]Spec, error) {
 type sweepSlot struct {
 	key   string
 	data  []byte // non-nil: served from cache
-	call  *flightCall
+	call  *Call[[]byte]
 	state dispatchState
-}
-
-// sweepSlotPool recycles the per-request dispatch bookkeeping so a busy
-// sweep endpoint does not allocate a slot slice per plan; slices come back
-// with their element references cleared (the encoded results they point at
-// belong to the cache, not the request).
-var sweepSlotPool = sync.Pool{New: func() any { return new([]sweepSlot) }}
-
-func getSweepSlots(n int) *[]sweepSlot {
-	p := sweepSlotPool.Get().(*[]sweepSlot)
-	if cap(*p) < n {
-		*p = make([]sweepSlot, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putSweepSlots(p *[]sweepSlot) {
-	clear(*p)
-	sweepSlotPool.Put(p)
 }
 
 // sweepWriteSize is the per-request output buffer: large enough to batch
 // several NDJSON lines (a counter outcome encodes to ~2KB) into one
-// ResponseWriter write, small enough to be cheap per request.
+// ResponseWriter write.
 const sweepWriteSize = 32 << 10
-
-// sweepWriterPool recycles the 32KB output buffers across sweep requests;
-// a drained buffer is reset off its ResponseWriter before being pooled so
-// it retains no reference to a finished request.
-var sweepWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, sweepWriteSize) }}
 
 // handleSweep runs a batch of specs and streams one NDJSON line per point,
 // in plan order. Each line is byte-identical to the /v1/sim response body
@@ -128,10 +102,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Duplicate points within the plan coalesce on the plan's own leader,
 	// and a plan larger than the queue bound drains through it — dispatch
 	// waits for queue space (workers are consuming) rather than bouncing
-	// the excess points. The bookkeeping slice is pooled across requests.
-	slotsPtr := getSweepSlots(len(specs))
-	defer putSweepSlots(slotsPtr)
-	slots := *slotsPtr
+	// the excess points.
+	slots := make([]sweepSlot, len(specs))
 	var hits, coalesced uint64
 	for i, spec := range specs {
 		key := spec.Key()
@@ -169,12 +141,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// unfinished point reports the timeout in its line (the per-point
 	// framing survives).
 	flusher, _ := w.(http.Flusher)
-	bw := sweepWriterPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	defer func() {
-		bw.Reset(nil) // drop the ResponseWriter reference before pooling
-		sweepWriterPool.Put(bw)
-	}()
+	bw := bufio.NewWriterSize(w, sweepWriteSize)
 	push := func() { // boundary: hand buffered lines to the client now
 		if bw.Buffered() == 0 {
 			return // nothing new for the client; an empty flush still costs a write
@@ -193,13 +160,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if data == nil {
 			if !expired {
 				select {
-				case <-sl.call.done:
+				case <-sl.call.Done():
 				default:
 					// The point is still running: let the client read
 					// everything finished so far, then wait.
 					push()
 					select {
-					case <-sl.call.done:
+					case <-sl.call.Done():
 					case <-deadline.C:
 						expired = true
 						s.met.timeouts.Add(1)
@@ -212,12 +179,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			switch {
 			case expired:
 				err = fmt.Errorf("deadline of %s exceeded (queue wait + simulation)", s.cfg.Timeout)
-			case sl.call.err == errBusy:
+			case sl.call.Err == errBusy:
 				err = fmt.Errorf("simulation queue full (%d queued); retry shortly", s.cfg.Queue)
-			case sl.call.err != nil:
-				err = sl.call.err
+			case sl.call.Err != nil:
+				err = sl.call.Err
 			default:
-				data = sl.call.data
+				data = sl.call.Val
 			}
 		}
 		if err != nil {
