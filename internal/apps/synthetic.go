@@ -64,20 +64,22 @@ func (pat Pattern) runsFor(round int) int {
 	return n
 }
 
-// Result reports a pattern-driven run.
+// Result reports a run's headline numbers under their wire names:
+// exper.Result embeds it, and the service's response body embeds that.
+// Real applications fill only Elapsed.
 type Result struct {
+	Elapsed sim.Time `json:"elapsed_cycles"` // simulated cycles for the whole run
 	// Ops counts completed work: counter updates, queue/stack operations,
 	// RCU reads+updates, or barrier-app counter increments.
-	Ops uint64
-	// Retries counts failed atomic swings (CAS misses, SC failures) of the
-	// queue and stack.
-	Retries uint64
-	// TornReads counts the RCU readers' torn snapshots, which must be zero.
-	TornReads uint64
-	Elapsed   sim.Time // simulated cycles for the whole run
+	Ops uint64 `json:"ops,omitempty"`
 	// AvgCycles is Elapsed per operation — the y-axis of figures 3, 4,
 	// and 5 — or, for the barrier apps, per barrier round.
-	AvgCycles float64
+	AvgCycles float64 `json:"avg_cycles,omitempty"`
+	// Retries counts failed atomic swings (CAS misses, SC failures) of the
+	// queue and stack.
+	Retries uint64 `json:"retries,omitempty"`
+	// TornReads counts the RCU readers' torn snapshots, which must be zero.
+	TornReads uint64 `json:"torn_reads,omitempty"`
 }
 
 // runner is the pattern runner: barrier-separated rounds in which the

@@ -273,7 +273,7 @@ func runTClosure(p Point, m *machine.Machine) Result {
 		cfg.Seed = p.Seed
 	}
 	res := apps.TClosure(m, cfg)
-	return Result{Elapsed: uint64(res.Elapsed), Work: uint64(res.Reachable)}
+	return Result{Result: apps.Result{Elapsed: res.Elapsed}, Work: uint64(res.Reachable)}
 }
 
 // runLocusRoute runs the LocusRoute-like kernel, routing Scale.Wires wires
@@ -288,7 +288,7 @@ func runLocusRoute(p Point, m *machine.Machine) Result {
 		cfg.Seed = p.Seed
 	}
 	res := apps.LocusRoute(m, cfg)
-	return Result{Elapsed: uint64(res.Elapsed), Work: res.Work}
+	return Result{Result: apps.Result{Elapsed: res.Elapsed}, Work: res.Work}
 }
 
 // runCholesky runs the Cholesky-like kernel over Scale.Columns columns
@@ -303,5 +303,5 @@ func runCholesky(p Point, m *machine.Machine) Result {
 		cfg.Seed = p.Seed
 	}
 	res := apps.Cholesky(m, cfg)
-	return Result{Elapsed: uint64(res.Elapsed), Work: res.Work}
+	return Result{Result: apps.Result{Elapsed: res.Elapsed}, Work: res.Work}
 }

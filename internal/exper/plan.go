@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"dsm/internal/apps"
 	"dsm/internal/machine"
 	"dsm/internal/report"
 )
@@ -19,24 +20,15 @@ type Point struct {
 
 // Result is what one point produces: the run's headline numbers, each
 // with one meaning across every app, and their JSON names, which the
-// service's response body embeds as they are. Elapsed is filled for every
-// app. Ops counts a pattern-driven app's operations: counter updates,
-// queue and stack operations, RCU reads plus updates, or barrier-app
-// counter increments; AvgCycles is Elapsed per operation (the figures 3-5
-// y-axis), or per barrier round for the barrier apps. Retries counts the
-// queue's and stack's failed CAS or SC swings, and TornReads the RCU
-// readers' torn snapshots, which must be zero. Work is a real
-// application's completed work (wires routed, columns factored, reachable
-// pairs). Report is non-nil only when the run collected a full measurement
-// report.
+// service's response body embeds as they are. The embedded apps.Result
+// declares the headline fields; a real application fills only its
+// Elapsed. Work is a real application's completed work (wires routed,
+// columns factored, reachable pairs). Report is non-nil only when the run
+// collected a full measurement report.
 type Result struct {
-	Elapsed   uint64         `json:"elapsed_cycles"`
-	Ops       uint64         `json:"ops,omitempty"`
-	AvgCycles float64        `json:"avg_cycles,omitempty"`
-	Retries   uint64         `json:"retries,omitempty"`
-	TornReads uint64         `json:"torn_reads,omitempty"`
-	Work      uint64         `json:"work,omitempty"`
-	Report    *report.Report `json:"report"`
+	apps.Result
+	Work   uint64         `json:"work,omitempty"`
+	Report *report.Report `json:"report"`
 }
 
 // RunOn executes the point on a caller-provided machine (built by
@@ -51,9 +43,7 @@ func (p Point) RunOn(m *machine.Machine) Result {
 	if row.pattern == nil {
 		return row.real(p, m)
 	}
-	res := row.pattern(m, p.Bar.Policy, p.Bar.Opts(), p.Pattern)
-	return Result{Elapsed: uint64(res.Elapsed), Ops: res.Ops, AvgCycles: res.AvgCycles,
-		Retries: res.Retries, TornReads: res.TornReads}
+	return Result{Result: row.pattern(m, p.Bar.Policy, p.Bar.Opts(), p.Pattern)}
 }
 
 // Run executes the point on the machine slot that one-off runs share.
@@ -130,7 +120,7 @@ func SyntheticPlan(app App, o RunOpts) Plan {
 func RunReal(app App, o RunOpts, bar Bar) (*machine.Machine, uint64) {
 	m := NewMachine(o, bar)
 	res := Point{App: app, Bar: bar, Scale: o}.RunOn(m)
-	return m, res.Elapsed
+	return m, uint64(res.Elapsed)
 }
 
 // TCEfficiency measures Transitive Closure's parallel efficiency at the

@@ -162,7 +162,7 @@ func fig6Grid(o exper.RunOpts) ([][]uint64, []exper.Bar, []exper.App) {
 	for bi := range grid {
 		grid[bi] = make([]uint64, len(realApps))
 		for ai := range realApps {
-			grid[bi][ai] = res[bi*len(realApps)+ai].Elapsed
+			grid[bi][ai] = uint64(res[bi*len(realApps)+ai].Elapsed)
 		}
 	}
 	return grid, bars, realApps
