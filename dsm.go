@@ -224,8 +224,8 @@ func NewQueue(m *Machine, policy Policy, slots int, opts Options) *Queue {
 	return locks.NewQueue(m, policy, slots, opts)
 }
 
-// NewCentralBarrier allocates a sense-reversing centralized barrier (the
-// tree barrier's foil in the barrier ablation).
+// NewCentralBarrier allocates a sense-reversing centralized barrier, the
+// tree barrier's unscalable foil.
 func NewCentralBarrier(m *Machine, policy Policy, opts Options) *CentralBarrier {
 	return locks.NewCentralBarrier(m, policy, opts)
 }

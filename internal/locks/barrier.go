@@ -12,8 +12,8 @@ import (
 // and a global release flag all waiters spin on. It is the foil for the
 // scalable tree barrier — under INV every release invalidates every
 // spinner, and the counter is a hot spot, which is exactly why the paper's
-// Transitive Closure uses the tree barrier instead. Kept for the barrier
-// ablation benchmark.
+// Transitive Closure uses the tree barrier instead.
+// TestCentralVsTreeBarrierScaling measures that gap.
 type CentralBarrier struct {
 	count arch.Addr // arrivals this episode
 	sense arch.Addr // release flag: episode number

@@ -130,9 +130,6 @@ func New(cfg core.Config) *Machine {
 	return m
 }
 
-// Default returns a machine with the paper's 64-node configuration.
-func Default() *Machine { return New(core.DefaultConfig()) }
-
 // Reset returns the machine to its post-New state under cfg — clock at
 // zero, caches, directories, and memory empty, counters cleared — while
 // keeping every allocation: the engine's event pool, the message pool, the
