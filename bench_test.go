@@ -92,7 +92,9 @@ func BenchmarkFig2(b *testing.B) {
 			b.Run(app.String()+"/"+pol.String(), func(b *testing.B) {
 				var uncontended, writeRun float64
 				for i := 0; i < b.N; i++ {
-					m, _ := exper.RunReal(app, o, exper.Bar{Policy: pol, Prim: locks.PrimFAP})
+					bar := exper.Bar{Policy: pol, Prim: locks.PrimFAP}
+					m := exper.NewMachine(o, bar)
+					exper.Point{App: app, Bar: bar, Scale: o}.RunOn(m)
 					uncontended = m.System().Contention().Histogram().Percent(1)
 					wr := m.System().WriteRuns()
 					wr.Flush()
@@ -124,9 +126,9 @@ func BenchmarkFig6(b *testing.B) {
 		for _, bar := range bars {
 			app, bar := app, bar
 			b.Run(app.String()+"/"+bar.Label, func(b *testing.B) {
-				var elapsed uint64
+				var elapsed sim.Time
 				for i := 0; i < b.N; i++ {
-					_, elapsed = exper.RunReal(app, o, bar)
+					elapsed = exper.Point{App: app, Bar: bar, Scale: o}.RunOn(exper.NewMachine(o, bar)).Elapsed
 				}
 				b.ReportMetric(float64(elapsed), "sim-cycles")
 			})

@@ -871,9 +871,9 @@ func stressOnce(t *testing.T, p Policy, v CASVariant, seed uint64) {
 	var succIncr int
 	remaining := nodes
 	rng := sim.NewRNG(seed)
-	perNode := make([]*sim.RNG, nodes)
+	perNode := make([]sim.RNG, nodes)
 	for n := range perNode {
-		perNode[n] = rng.Fork(uint64(n))
+		rng.ForkInto(&perNode[n], uint64(n))
 	}
 
 	var step func(n int, left int)
@@ -882,7 +882,7 @@ func stressOnce(t *testing.T, p Policy, v CASVariant, seed uint64) {
 			remaining--
 			return
 		}
-		r := perNode[n]
+		r := &perNode[n]
 		issue := func(req Request, after func(Result)) {
 			req.Done = func(res Result) {
 				if after != nil {
@@ -1022,7 +1022,8 @@ func TestIssueWhileBusyPanics(t *testing.T) {
 		c.Issue(Request{Op: OpLoad, Addr: a})
 		c.Issue(Request{Op: OpLoad, Addr: a})
 	})
-	h.eng.Run(0)
+	for h.eng.Step() {
+	}
 }
 
 func TestSetPolicyRangeCoversBlocks(t *testing.T) {

@@ -111,18 +111,6 @@ func SyntheticPlan(app App, o RunOpts) Plan {
 	return pl
 }
 
-// RunReal executes one real application under one bar configuration and
-// returns the machine (for its statistics) and the total elapsed cycles.
-// LocusRoute and Cholesky use lock-based synchronization (the paper
-// replaced the SPLASH library locks with TTS locks built on the primitive
-// under study); Transitive Closure uses the lock-free counter. The caller
-// owns the machine.
-func RunReal(app App, o RunOpts, bar Bar) (*machine.Machine, uint64) {
-	m := NewMachine(o, bar)
-	res := Point{App: app, Bar: bar, Scale: o}.RunOn(m)
-	return m, uint64(res.Elapsed)
-}
-
 // TCEfficiency measures Transitive Closure's parallel efficiency at the
 // given scale: T(1) / (p * T(p)), the metric behind the paper's "achieves
 // an acceptable efficiency of 45% on 64 processors".

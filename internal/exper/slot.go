@@ -14,8 +14,8 @@ import (
 // Point.Run shares one slot under a lock. machine.Reset replays a fresh
 // machine cycle for cycle, so reuse changes host time and memory only.
 //
-// Callers that own a machine for one run (Table1, RunReal, cmd/dsmsim)
-// build a fresh one with NewMachine. A machine allocates its cache lines page by
+// Callers that own a machine for one run (Table1, cmd/dsmsim) build a
+// fresh one with NewMachine. A machine allocates its cache lines page by
 // page on first fill, so a fresh 64-node machine costs ~0.1 ms and
 // ~0.3 MB. Machines of mismatched geometry (Reset returns false) are
 // simply dropped to the GC.

@@ -154,8 +154,9 @@ func TestFig6RunsAllApps(t *testing.T) {
 
 func TestRunRealTClosureUsesCounter(t *testing.T) {
 	o := exper.RunOpts{Procs: 4, TCSize: 8}
-	m, elapsed := exper.RunReal(exper.AppTClosure, o, exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP})
-	if elapsed == 0 {
+	bar := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
+	m := exper.NewMachine(o, bar)
+	if res := (exper.Point{App: exper.AppTClosure, Bar: bar, Scale: o}).RunOn(m); res.Elapsed == 0 {
 		t.Fatal("no elapsed time")
 	}
 	if m.System().Contention().Histogram().Total() == 0 {

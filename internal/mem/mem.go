@@ -78,16 +78,10 @@ func (m *Module) Reset() {
 	m.data.Clear()
 }
 
-// Access enqueues one memory access and schedules done when its data is
-// available. Queueing and bank occupancy are modeled; the callback performs
-// the actual storage read/update at completion time.
-func (m *Module) Access(done func()) {
-	m.eng.At(m.serviceTime(), done)
-}
-
-// AccessArg is Access delivering via a (handler, payload) pair: done(arg)
-// runs when the data is available. With a preallocated handler and a
-// pointer payload, enqueueing an access allocates nothing.
+// AccessArg enqueues one memory access and runs done(arg) when its data is
+// available. Queueing and bank occupancy are modeled; the handler performs
+// the actual storage read/update at completion time. With a preallocated
+// handler and a pointer payload, enqueueing an access allocates nothing.
 func (m *Module) AccessArg(done func(any), arg any) {
 	m.eng.AtArg(m.serviceTime(), done, arg)
 }

@@ -16,8 +16,9 @@ func newTestModule() (*sim.Engine, *Module) {
 func TestIsolatedAccessLatency(t *testing.T) {
 	eng, m := newTestModule()
 	var at sim.Time
-	m.Access(func() { at = eng.Now() })
-	eng.Run(0)
+	m.AccessArg(func(any) { at = eng.Now() }, nil)
+	for eng.Step() {
+	}
 	if at != 18 {
 		t.Fatalf("access completed at %d, want 18", at)
 	}
@@ -27,9 +28,10 @@ func TestBackToBackAccessesPipeline(t *testing.T) {
 	eng, m := newTestModule()
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
-		m.Access(func() { times = append(times, eng.Now()) })
+		m.AccessArg(func(any) { times = append(times, eng.Now()) }, nil)
 	}
-	eng.Run(0)
+	for eng.Step() {
+	}
 	// Service starts at 0, 6, 12; completions at 18, 24, 30.
 	want := []sim.Time{18, 24, 30}
 	for i := range want {
@@ -45,11 +47,12 @@ func TestBackToBackAccessesPipeline(t *testing.T) {
 func TestAccessAfterIdleStartsImmediately(t *testing.T) {
 	eng, m := newTestModule()
 	var second sim.Time
-	m.Access(func() {
+	m.AccessArg(func(any) {
 		// Module idle again at occupancy end (6); now is 18.
-		m.Access(func() { second = eng.Now() })
-	})
-	eng.Run(0)
+		m.AccessArg(func(any) { second = eng.Now() }, nil)
+	}, nil)
+	for eng.Step() {
+	}
 	if second != 36 {
 		t.Fatalf("second access at %d, want 36", second)
 	}
@@ -58,9 +61,10 @@ func TestAccessAfterIdleStartsImmediately(t *testing.T) {
 func TestStatsCountAccesses(t *testing.T) {
 	eng, m := newTestModule()
 	for i := 0; i < 5; i++ {
-		m.Access(func() {})
+		m.AccessArg(func(any) {}, nil)
 	}
-	eng.Run(0)
+	for eng.Step() {
+	}
 	if m.Stats().Accesses != 5 {
 		t.Fatalf("Accesses = %d, want 5", m.Stats().Accesses)
 	}

@@ -222,18 +222,13 @@ func (m *Mesh) Flits(payloadBytes int) int {
 	return f
 }
 
-// Send transmits a message of the given flit count from src to dst and
-// invokes deliver when the tail flit has been ejected at the destination.
-// Same-node messages bypass the network after LocalDelay. Send panics on an
-// out-of-range node id or non-positive flit count (programming errors).
-func (m *Mesh) Send(src, dst NodeID, flits int, deliver func()) {
-	m.eng.At(m.transit(src, dst, flits), deliver)
-}
-
-// SendArg is Send delivering via a (handler, payload) pair instead of a
-// closure: on arrival it invokes deliver(arg). With a preallocated handler
-// and a pointer payload, a send allocates nothing — this is the protocol
-// layer's hot path.
+// SendArg transmits a message of the given flit count from src to dst and
+// invokes deliver(arg) when the tail flit has been ejected at the
+// destination. Same-node messages bypass the network after LocalDelay. The
+// handler and its payload travel separately, so with a preallocated handler
+// and a pointer payload a send allocates nothing — this is the protocol
+// layer's hot path. SendArg panics on an out-of-range node id or
+// non-positive flit count (programming errors).
 func (m *Mesh) SendArg(src, dst NodeID, flits int, deliver func(any), arg any) {
 	m.eng.AtArg(m.transit(src, dst, flits), deliver, arg)
 }

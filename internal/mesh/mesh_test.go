@@ -82,8 +82,9 @@ func TestFlitsRounding(t *testing.T) {
 func TestSendLocalBypass(t *testing.T) {
 	eng, m := newTestMesh()
 	var at sim.Time
-	m.Send(3, 3, 5, func() { at = eng.Now() })
-	eng.Run(0)
+	m.SendArg(3, 3, 5, func(any) { at = eng.Now() }, nil)
+	for eng.Step() {
+	}
 	if at != DefaultConfig().LocalDelay {
 		t.Fatalf("local delivery at %d, want %d", at, DefaultConfig().LocalDelay)
 	}
@@ -96,8 +97,9 @@ func TestSendUncontendedLatency(t *testing.T) {
 	eng, m := newTestMesh()
 	// 0 -> 1: 1 hop, 1 flit. inject start 0, head arrives at 2, done 3.
 	var at sim.Time
-	m.Send(0, 1, 1, func() { at = eng.Now() })
-	eng.Run(0)
+	m.SendArg(0, 1, 1, func(any) { at = eng.Now() }, nil)
+	for eng.Step() {
+	}
 	want := sim.Time(1)*1 + 2 + 0 // serialize 1 + hop 2, ejStart=2, done=3
 	_ = want
 	if at != 3 {
@@ -108,9 +110,10 @@ func TestSendUncontendedLatency(t *testing.T) {
 func TestSendLatencyScalesWithDistance(t *testing.T) {
 	eng, m := newTestMesh()
 	var near, far sim.Time
-	m.Send(0, 1, 1, func() { near = eng.Now() })
-	m.Send(63, 56, 1, func() { far = eng.Now() }) // 7 hops, disjoint ports
-	eng.Run(0)
+	m.SendArg(0, 1, 1, func(any) { near = eng.Now() }, nil)
+	m.SendArg(63, 56, 1, func(any) { far = eng.Now() }, nil) // 7 hops, disjoint ports
+	for eng.Step() {
+	}
 	if far-near != 6*2 { // 6 extra hops * HopDelay 2
 		t.Fatalf("far-near = %d, want 12 (near=%d far=%d)", far-near, near, far)
 	}
@@ -120,9 +123,10 @@ func TestInjectionPortSerializes(t *testing.T) {
 	eng, m := newTestMesh()
 	var first, second sim.Time
 	// Two 5-flit messages from node 0 to distinct far nodes at t=0.
-	m.Send(0, 1, 5, func() { first = eng.Now() })
-	m.Send(0, 8, 5, func() { second = eng.Now() })
-	eng.Run(0)
+	m.SendArg(0, 1, 5, func(any) { first = eng.Now() }, nil)
+	m.SendArg(0, 8, 5, func(any) { second = eng.Now() }, nil)
+	for eng.Step() {
+	}
 	// first: inj 0..5, head 0+2, done = 2+5 = 7
 	if first != 7 {
 		t.Fatalf("first delivered at %d, want 7", first)
@@ -140,9 +144,10 @@ func TestEjectionPortSerializes(t *testing.T) {
 	eng, m := newTestMesh()
 	var a, b sim.Time
 	// Two 5-flit messages to node 0 from equidistant sources.
-	m.Send(1, 0, 5, func() { a = eng.Now() })
-	m.Send(8, 0, 5, func() { b = eng.Now() })
-	eng.Run(0)
+	m.SendArg(1, 0, 5, func(any) { a = eng.Now() }, nil)
+	m.SendArg(8, 0, 5, func(any) { b = eng.Now() }, nil)
+	for eng.Step() {
+	}
 	// a: head at 2, done 7. b: head at 2, must wait eject until 7, done 12.
 	if a != 7 || b != 12 {
 		t.Fatalf("deliveries at %d,%d; want 7,12", a, b)
@@ -154,9 +159,10 @@ func TestEjectionPortSerializes(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	eng, m := newTestMesh()
-	m.Send(0, 63, 5, func() {})
-	m.Send(63, 0, 2, func() {})
-	eng.Run(0)
+	m.SendArg(0, 63, 5, func(any) {}, nil)
+	m.SendArg(63, 0, 2, func(any) {}, nil)
+	for eng.Step() {
+	}
 	s := m.Stats()
 	if s.Messages != 2 || s.Flits != 7 || s.HopsTotal != 28 {
 		t.Fatalf("stats = %+v", s)
@@ -170,9 +176,9 @@ func TestStatsAccumulate(t *testing.T) {
 func TestSendPanicsOnBadArgs(t *testing.T) {
 	_, m := newTestMesh()
 	for name, fn := range map[string]func(){
-		"bad src":   func() { m.Send(-1, 0, 1, nil) },
-		"bad dst":   func() { m.Send(0, 64, 1, nil) },
-		"bad flits": func() { m.Send(0, 1, 0, nil) },
+		"bad src":   func() { m.SendArg(-1, 0, 1, nil, nil) },
+		"bad dst":   func() { m.SendArg(0, 64, 1, nil, nil) },
+		"bad flits": func() { m.SendArg(0, 1, 0, nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -202,9 +208,10 @@ func TestDeliveryOrderDeterministic(t *testing.T) {
 			i := i
 			src := NodeID(i % 8)
 			dst := NodeID(63 - i%8)
-			m.Send(src, dst, 1+i%5, func() { order = append(order, i) })
+			m.SendArg(src, dst, 1+i%5, func(any) { order = append(order, i) }, nil)
 		}
-		eng.Run(0)
+		for eng.Step() {
+		}
 		return order
 	}
 	a, b := run(), run()

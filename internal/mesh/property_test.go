@@ -24,10 +24,12 @@ func TestPropertyRoutedMatchesSimpleWhenUncontended(t *testing.T) {
 		mB := New(engB, cfgB)
 
 		var a, b sim.Time
-		mA.Send(src, dst, flits, func() { a = engA.Now() })
-		mB.Send(src, dst, flits, func() { b = engB.Now() })
-		engA.Run(0)
-		engB.Run(0)
+		mA.SendArg(src, dst, flits, func(any) { a = engA.Now() }, nil)
+		mB.SendArg(src, dst, flits, func(any) { b = engB.Now() }, nil)
+		for engA.Step() {
+		}
+		for engB.Step() {
+		}
 		return a == b
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -46,12 +48,14 @@ func TestPropertyLatencyMonotonicInDistance(t *testing.T) {
 		var ta, tb sim.Time
 		// Independent meshes would be cleaner, but distinct sources avoid
 		// port interference here.
-		m.Send(0, a, 2, func() { ta = eng.Now() })
-		eng.Run(0)
+		m.SendArg(0, a, 2, func(any) { ta = eng.Now() }, nil)
+		for eng.Step() {
+		}
 		eng2 := sim.NewEngine()
 		m2 := New(eng2, DefaultConfig())
-		m2.Send(0, b, 2, func() { tb = eng2.Now() })
-		eng2.Run(0)
+		m2.SendArg(0, b, 2, func(any) { tb = eng2.Now() }, nil)
+		for eng2.Step() {
+		}
 		if m.Hops(0, a) <= m2.Hops(0, b) {
 			return ta <= tb
 		}

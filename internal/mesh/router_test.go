@@ -19,10 +19,12 @@ func TestRouterModeUncontendedMatchesSimpleModel(t *testing.T) {
 	engA, mA := newTestMesh()
 	engB, mB := newRouterMesh()
 	var a, b sim.Time
-	mA.Send(0, 63, 5, func() { a = engA.Now() })
-	mB.Send(0, 63, 5, func() { b = engB.Now() })
-	engA.Run(0)
-	engB.Run(0)
+	mA.SendArg(0, 63, 5, func(any) { a = engA.Now() }, nil)
+	mB.SendArg(0, 63, 5, func(any) { b = engB.Now() }, nil)
+	for engA.Step() {
+	}
+	for engB.Step() {
+	}
 	if a != b {
 		t.Fatalf("uncontended latency differs: simple %d vs routed %d", a, b)
 	}
@@ -33,9 +35,10 @@ func TestRouterModeSharedLinkSerializes(t *testing.T) {
 	// second head waits for the first message's tail.
 	eng, m := newRouterMesh()
 	var first, second sim.Time
-	m.Send(0, 2, 5, func() { first = eng.Now() })  // route 0->1->2
-	m.Send(1, 2, 5, func() { second = eng.Now() }) // route 1->2
-	eng.Run(0)
+	m.SendArg(0, 2, 5, func(any) { first = eng.Now() }, nil)  // route 0->1->2
+	m.SendArg(1, 2, 5, func(any) { second = eng.Now() }, nil) // route 1->2
+	for eng.Step() {
+	}
 	if m.Stats().LinkWait == 0 {
 		t.Fatal("no link contention recorded on a shared link")
 	}
@@ -47,10 +50,11 @@ func TestRouterModeSharedLinkSerializes(t *testing.T) {
 func TestRouterModeDisjointPathsDoNotInterfere(t *testing.T) {
 	// Messages on disjoint rows never share a link.
 	eng, m := newRouterMesh()
-	m.Send(0, 7, 5, func() {})   // row 0
-	m.Send(8, 15, 5, func() {})  // row 1
-	m.Send(16, 23, 5, func() {}) // row 2
-	eng.Run(0)
+	m.SendArg(0, 7, 5, func(any) {}, nil)   // row 0
+	m.SendArg(8, 15, 5, func(any) {}, nil)  // row 1
+	m.SendArg(16, 23, 5, func(any) {}, nil) // row 2
+	for eng.Step() {
+	}
 	if m.Stats().LinkWait != 0 {
 		t.Fatalf("disjoint paths recorded LinkWait=%d", m.Stats().LinkWait)
 	}
@@ -61,17 +65,19 @@ func TestRouterModeDimensionOrderXFirst(t *testing.T) {
 	// vertical link 1->9. A message 1 -> 9 shares that vertical link; a
 	// message 8 -> 9 (the Y-first alternative's last link) does not.
 	eng, m := newRouterMesh()
-	m.Send(0, 9, 5, func() {})
-	m.Send(1, 9, 5, func() {})
-	eng.Run(0)
+	m.SendArg(0, 9, 5, func(any) {}, nil)
+	m.SendArg(1, 9, 5, func(any) {}, nil)
+	for eng.Step() {
+	}
 	if m.Stats().LinkWait == 0 {
 		t.Fatal("X-first route did not use the 1->9 link")
 	}
 
 	eng2, m2 := newRouterMesh()
-	m2.Send(0, 9, 5, func() {})
-	m2.Send(8, 9, 5, func() {})
-	eng2.Run(0)
+	m2.SendArg(0, 9, 5, func(any) {}, nil)
+	m2.SendArg(8, 9, 5, func(any) {}, nil)
+	for eng2.Step() {
+	}
 	if m2.Stats().LinkWait != 0 {
 		t.Fatal("route unexpectedly used the 8->9 link (Y-first?)")
 	}
@@ -80,9 +86,10 @@ func TestRouterModeDimensionOrderXFirst(t *testing.T) {
 func TestRouterModeOppositeDirectionsIndependent(t *testing.T) {
 	// Links are directed: 0->1 and 1->0 do not contend.
 	eng, m := newRouterMesh()
-	m.Send(0, 1, 5, func() {})
-	m.Send(1, 0, 5, func() {})
-	eng.Run(0)
+	m.SendArg(0, 1, 5, func(any) {}, nil)
+	m.SendArg(1, 0, 5, func(any) {}, nil)
+	for eng.Step() {
+	}
 	if m.Stats().LinkWait != 0 {
 		t.Fatalf("opposite directions contended: LinkWait=%d", m.Stats().LinkWait)
 	}

@@ -99,7 +99,7 @@ func (e *Engine) queueChain(c *Chain) {
 // schedule each other. Each pass takes the sequence
 // number its successor's scheduling would, and moves the chain to the
 // successor's slot, which lies ahead: steps are at least one cycle.
-func (e *Engine) passUntil(ev *Event) *Chain {
+func (e *Engine) passUntil(ev *event) *Chain {
 	for e.chains > 0 {
 		if ev != nil && ev.at < e.chainTime {
 			return nil

@@ -9,9 +9,11 @@ import (
 // at cycle 3 and woken by one of the tree's events, and returns the order
 // in which real events ran, the chain's woken event among them as -1. With
 // parked, the chain is parked on the engine; otherwise each of its events
-// is a real one that schedules the next.
-func chainRun(seed uint64, step0, step1 Time, parked bool) (order []int, events uint64, passed uint64) {
+// is a real one that schedules the next. With forceHeap, every real event
+// waits in the overflow heap instead of the wheel.
+func chainRun(seed uint64, step0, step1 Time, parked, forceHeap bool) (order []int, events uint64, passed uint64) {
 	e := NewEngine()
+	e.forceHeap = forceHeap
 	var rng RNG
 	rng.Seed(seed)
 	var c Chain
@@ -68,28 +70,32 @@ func chainRun(seed uint64, step0, step1 Time, parked bool) (order []int, events 
 
 // TestChainMatchesRealEvents: a parked chain's woken event runs exactly
 // where the chain's real event would, every other event keeps its order,
-// and the events executed fall by the chain events passed virtually.
+// and the events executed fall by the chain events passed virtually. The
+// forced-heap runs test passUntil's tie-break against real events held in
+// the overflow heap rather than the wheel.
 func TestChainMatchesRealEvents(t *testing.T) {
 	compared := 0
-	for seed := uint64(1); seed <= 300; seed++ {
-		for _, st := range [][2]Time{{1, 1}, {2, 1}, {1, 2}, {3, 5}} {
-			want, wantEvents, wantN := chainRun(seed, st[0], st[1], false)
-			got, events, passed := chainRun(seed, st[0], st[1], true)
-			if !slices.Contains(want, -1) {
-				continue // the tree died out before the wake
-			}
-			compared++
-			if !slices.Equal(got, want) {
-				t.Fatalf("seed %d steps %v: order\n%v, want\n%v", seed, st, got, want)
-			}
-			if passed != wantN || events+passed != wantEvents {
-				t.Fatalf("seed %d steps %v: %d events with %d passed, want %d events with %d links",
-					seed, st, events, passed, wantEvents, wantN)
+	for _, forceHeap := range []bool{false, true} {
+		for seed := uint64(1); seed <= 300; seed++ {
+			for _, st := range [][2]Time{{1, 1}, {2, 1}, {1, 2}, {3, 5}} {
+				want, wantEvents, wantN := chainRun(seed, st[0], st[1], false, forceHeap)
+				got, events, passed := chainRun(seed, st[0], st[1], true, forceHeap)
+				if !slices.Contains(want, -1) {
+					continue // the tree died out before the wake
+				}
+				compared++
+				if !slices.Equal(got, want) {
+					t.Fatalf("forceHeap %v seed %d steps %v: order\n%v, want\n%v", forceHeap, seed, st, got, want)
+				}
+				if passed != wantN || events+passed != wantEvents {
+					t.Fatalf("forceHeap %v seed %d steps %v: %d events with %d passed, want %d events with %d links",
+						forceHeap, seed, st, events, passed, wantEvents, wantN)
+				}
 			}
 		}
 	}
-	if compared < 900 {
-		t.Fatalf("only %d of 1200 runs reached the wake", compared)
+	if compared < 1800 {
+		t.Fatalf("only %d of 2400 runs reached the wake", compared)
 	}
 }
 
@@ -102,7 +108,7 @@ func TestParkedChainAloneIsIdle(t *testing.T) {
 	if !e.Step() || e.Step() {
 		t.Fatal("Step ran a parked chain's virtual event")
 	}
-	if e.Pending() != 0 || c.Passed() != 0 {
-		t.Fatalf("pending %d, passed %d; want 0, 0", e.Pending(), c.Passed())
+	if e.live != 0 || c.Passed() != 0 {
+		t.Fatalf("pending %d, passed %d; want 0, 0", e.live, c.Passed())
 	}
 }

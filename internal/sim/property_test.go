@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -20,7 +21,8 @@ func TestPropertyEventsExecuteInTimeOrder(t *testing.T) {
 			i, d := i, d
 			e.At(Time(d), func() { ran = append(ran, rec{e.Now(), i}) })
 		}
-		e.Run(0)
+		for e.Step() {
+		}
 		if len(ran) != len(delays) {
 			return false
 		}
@@ -40,19 +42,17 @@ func TestPropertyEventsExecuteInTimeOrder(t *testing.T) {
 }
 
 // equivalenceWorkload runs one randomized workload — mixed At/AtArg/After/
-// AfterArg/Cancel, delays straddling the wheel horizon, nested scheduling
-// from inside callbacks — on a fresh engine and returns the firing trace as
-// (event id, firing time) pairs plus the executed count. With forceHeap set
-// the engine bypasses the timing wheel entirely, so the same seed exercises
-// the heap-only scheduler on the identical workload.
-func equivalenceWorkload(seed uint64, forceHeap bool) (trace []uint64, executed uint64) {
-	e := NewEngine()
-	e.forceHeap = forceHeap
+// AfterArg, delays straddling the wheel horizon, nested scheduling from
+// inside callbacks — on e and returns the firing trace as (event id, firing
+// time) pairs plus the executed count. On an engine with forceHeap set,
+// which bypasses the timing wheel entirely, the same seed exercises the
+// heap-only scheduler on the identical workload.
+func equivalenceWorkload(e *Engine, seed uint64) (trace []uint64, executed uint64) {
 	r := NewRNG(seed)
 	nextID := uint64(0)
 	argFire := func(a any) { trace = append(trace, a.(uint64), uint64(e.Now())) }
-	var schedule func(depth int) *Event
-	schedule = func(depth int) *Event {
+	var schedule func(depth int)
+	schedule = func(depth int) {
 		id := nextID
 		nextID++
 		// Delays from zero to well past the wheel horizon, so both the
@@ -63,29 +63,25 @@ func equivalenceWorkload(seed uint64, forceHeap bool) (trace []uint64, executed 
 			fire := func() {
 				trace = append(trace, id, uint64(e.Now()))
 				if depth < 3 && r.Intn(3) == 0 {
-					child := schedule(depth + 1)
-					if r.Intn(4) == 0 {
-						child.Cancel()
-					}
+					schedule(depth + 1)
 				}
 			}
 			if delay%2 == 0 {
-				return e.At(e.Now()+delay, fire)
+				e.At(e.Now()+delay, fire)
+			} else {
+				e.After(delay, fire)
 			}
-			return e.After(delay, fire)
 		case 2:
-			return e.AtArg(e.Now()+delay, argFire, id)
+			e.AtArg(e.Now()+delay, argFire, id)
 		default:
-			return e.AfterArg(delay, argFire, id)
+			e.AfterArg(delay, argFire, id)
 		}
 	}
 	for i := 0; i < 300; i++ {
-		ev := schedule(0)
-		if r.Intn(8) == 0 {
-			ev.Cancel()
-		}
+		schedule(0)
 	}
-	e.Run(0)
+	for e.Step() {
+	}
 	return trace, e.EventsExecuted()
 }
 
@@ -96,22 +92,17 @@ func equivalenceWorkload(seed uint64, forceHeap bool) (trace []uint64, executed 
 // order, not just time order.
 func TestPropertySchedulerEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
-		wheelTrace, wheelN := equivalenceWorkload(seed, false)
-		heapTrace, heapN := equivalenceWorkload(seed, true)
+		wheelTrace, wheelN := equivalenceWorkload(NewEngine(), seed)
+		forced := NewEngine()
+		forced.forceHeap = true
+		heapTrace, heapN := equivalenceWorkload(forced, seed)
 		if wheelN != heapN {
 			t.Logf("seed %#x: executed %d (wheel) vs %d (heap)", seed, wheelN, heapN)
 			return false
 		}
-		if len(wheelTrace) != len(heapTrace) {
-			t.Logf("seed %#x: trace length %d vs %d", seed, len(wheelTrace), len(heapTrace))
+		if !slices.Equal(wheelTrace, heapTrace) {
+			t.Logf("seed %#x: traces diverge", seed)
 			return false
-		}
-		for i := range wheelTrace {
-			if wheelTrace[i] != heapTrace[i] {
-				t.Logf("seed %#x: traces diverge at %d: %d vs %d",
-					seed, i, wheelTrace[i], heapTrace[i])
-				return false
-			}
 		}
 		return wheelN > 0
 	}
@@ -120,77 +111,29 @@ func TestPropertySchedulerEquivalence(t *testing.T) {
 	}
 }
 
-// TestPropertyResetReproducesFreshEngine interrupts a workload mid-run,
-// Resets the engine, and replays the workload on the same (recycled) engine;
-// the trace must match a fresh engine exactly. This is what machine reuse in
-// internal/exper depends on.
+// TestPropertyResetReproducesFreshEngine interrupts a workload after a
+// bounded number of steps, Resets the engine, and replays the workload on
+// the same (recycled) engine; the trace must match a fresh engine exactly.
+// This is what machine reuse in internal/exper depends on.
 func TestPropertyResetReproducesFreshEngine(t *testing.T) {
-	f := func(seed uint64, cut uint16) bool {
-		fresh, freshN := equivalenceWorkload(seed, false)
+	f := func(seed uint64, cut uint8) bool {
+		fresh, freshN := equivalenceWorkload(NewEngine(), seed)
 
 		e := NewEngine()
 		r := NewRNG(seed ^ 0x9e3779b97f4a7c15)
 		for i := 0; i < 200; i++ {
-			d := Time(r.Intn(3 * wheelSpan))
-			ev := e.AfterArg(d, func(any) {}, nil)
-			if i%5 == 0 {
-				ev.Cancel()
-			}
+			e.AfterArg(Time(r.Intn(3*wheelSpan)), func(any) {}, nil)
 		}
-		e.Run(Time(cut)) // leave events pending
+		// Stop after at most cut steps, leaving events pending.
+		for i := 0; i < int(cut) && e.Step(); i++ {
+		}
 		e.Reset()
-		if e.Now() != 0 || e.Pending() != 0 || e.EventsExecuted() != 0 {
+		if e.Now() != 0 || e.live != 0 || e.EventsExecuted() != 0 {
 			return false
 		}
 
-		// Replay the reference workload on the recycled engine by hand:
-		// same generator, but reusing e instead of a fresh engine.
-		var trace []uint64
-		rr := NewRNG(seed)
-		nextID := uint64(0)
-		argFire := func(a any) { trace = append(trace, a.(uint64), uint64(e.Now())) }
-		var schedule func(depth int) *Event
-		schedule = func(depth int) *Event {
-			id := nextID
-			nextID++
-			delay := Time(rr.Intn(3 * wheelSpan))
-			switch rr.Intn(4) {
-			case 0, 1:
-				fire := func() {
-					trace = append(trace, id, uint64(e.Now()))
-					if depth < 3 && rr.Intn(3) == 0 {
-						child := schedule(depth + 1)
-						if rr.Intn(4) == 0 {
-							child.Cancel()
-						}
-					}
-				}
-				if delay%2 == 0 {
-					return e.At(e.Now()+delay, fire)
-				}
-				return e.After(delay, fire)
-			case 2:
-				return e.AtArg(e.Now()+delay, argFire, id)
-			default:
-				return e.AfterArg(delay, argFire, id)
-			}
-		}
-		for i := 0; i < 300; i++ {
-			ev := schedule(0)
-			if rr.Intn(8) == 0 {
-				ev.Cancel()
-			}
-		}
-		e.Run(0)
-		if e.EventsExecuted() != freshN || len(trace) != len(fresh) {
-			return false
-		}
-		for i := range trace {
-			if trace[i] != fresh[i] {
-				return false
-			}
-		}
-		return true
+		trace, n := equivalenceWorkload(e, seed)
+		return n == freshN && slices.Equal(trace, fresh)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -218,7 +161,8 @@ func TestPropertyNestedSchedulingNeverTravelsBack(t *testing.T) {
 		}
 		e.At(0, func() { spawn(0) })
 		e.At(0, func() { spawn(0) })
-		e.Run(0)
+		for e.Step() {
+		}
 		return !violated
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -46,16 +46,9 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Fork derives an independent generator, useful for giving each simulated
-// processor its own stream without cross-coupling.
-func (r *RNG) Fork(salt uint64) *RNG {
-	n := &RNG{}
-	r.ForkInto(n, salt)
-	return n
-}
-
-// ForkInto seeds dst with the stream Fork(salt) would return, reusing dst's
-// storage instead of allocating.
+// ForkInto seeds dst with an independent stream derived from r's next draw
+// and salt, useful for giving each simulated processor its own stream
+// without cross-coupling. It reuses dst's storage instead of allocating.
 func (r *RNG) ForkInto(dst *RNG, salt uint64) {
 	dst.Seed(r.Uint64() ^ (salt+1)*0xbf58476d1ce4e5b9)
 }
