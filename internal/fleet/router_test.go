@@ -154,6 +154,44 @@ func TestRouterGetAndHeadProbe(t *testing.T) {
 	}
 }
 
+// TestRouterQueryProbe: a ?probe=1 GET or POST through the router answers
+// from the owner's cache and never simulates, while ?probe=0 is an ordinary
+// request.
+func TestRouterQueryProbe(t *testing.T) {
+	f := newTestFleet(t, 2, Config{}, nil)
+	const get = "/v1/sim?app=counter&procs=4&rounds=2"
+	owner := f.rt.Owner(specKey(t, quickSpec))
+	probes := func(want int) [2]*httptest.ResponseRecorder {
+		t.Helper()
+		ws := [2]*httptest.ResponseRecorder{
+			f.do(http.MethodGet, get+"&probe=1", ""),
+			f.do(http.MethodPost, "/v1/sim?probe=1", quickSpec),
+		}
+		for i, w := range ws {
+			if w.Code != want {
+				t.Fatalf("probe %d = %d, want %d: %s", i, w.Code, want, w.Body)
+			}
+		}
+		return ws
+	}
+	probes(http.StatusNotFound)
+	if runs := f.totalRuns(); runs != 0 {
+		t.Fatalf("cold probes ran %d simulations", runs)
+	}
+	sim := f.do(http.MethodPost, "/v1/sim?probe=0", quickSpec)
+	if sim.Code != http.StatusOK || sim.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("probe=0 = %d X-Cache=%q", sim.Code, sim.Header().Get("X-Cache"))
+	}
+	for i, w := range probes(http.StatusOK) {
+		if !bytes.Equal(w.Body.Bytes(), sim.Body.Bytes()) || w.Header().Get("X-Fleet-Backend") != owner {
+			t.Fatalf("warm probe %d from %q differs from the owner's %q bytes", i, w.Header().Get("X-Fleet-Backend"), owner)
+		}
+	}
+	if runs, m := f.totalRuns(), f.rt.Metrics(); runs != 1 || m.Probes != 4 || m.Requests != 1 {
+		t.Fatalf("%d simulations, router metrics %+v; want 1 run, 4 probes, 1 request", runs, m)
+	}
+}
+
 func TestFleetWideSingleFlight(t *testing.T) {
 	// Park every backend's /v1/sim path so concurrent identical router
 	// requests must pile onto one flight call: exactly one upstream
