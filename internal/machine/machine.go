@@ -15,10 +15,11 @@
 // comparison and gap, and the engine runs the loads, counting each as the
 // Go loop would, until the comparison fails; only then does the program
 // resume. A spin whose load hits its own cache parks until the cache
-// receives a message for the line, its loads passing meanwhile as virtual
-// events of a sim.Chain and counted in bulk at the wake. All back-end activity happens in the engine's event loop, so a
-// given program and configuration always produce the same cycle-for-cycle
-// execution.
+// receives a message for the line. Its loads then pass as virtual events
+// of a sim.Chain, which the engine does not run or step: the wake finds
+// how many passed and counts them in bulk. All back-end activity happens
+// in the engine's event loop, so a given program and configuration always
+// produce the same cycle-for-cycle execution.
 //
 // Each processor's coroutine is resident: created at its first program and
 // kept across runs and Resets. A panic in a program reaches RunEach's

@@ -87,6 +87,7 @@ type Proc struct {
 	resumeFn   func()
 	dispatchFn func()
 	wakeFn     func()
+	wokenFn    func()
 
 	// lag is the compute delay the program has run past without yielding;
 	// the next action it yields carries it. pending is the action waiting
@@ -95,12 +96,13 @@ type Proc struct {
 	lag     sim.Time
 	pending action
 	spinAt  sim.Time
-	// chain holds a parked spin's events (see park). skipped counts the
-	// engine events parked spins did not run, and ties the wakes on the
-	// cycle of a skipped event or of the event they make real.
-	chain   sim.Chain
-	skipped uint64
-	ties    uint64
+	// chain holds a parked spin's events (see park), and woken, once it is
+	// woken, what its real event runs: the load start or the dispatch.
+	// ties counts the wakes on the cycle of a passed event or of the event
+	// they make real.
+	chain sim.Chain
+	woken func()
+	ties  uint64
 	// held is a panic the program raised with a compute delay pending; the
 	// dispatch event ending the delay re-raises it.
 	held any
@@ -183,6 +185,7 @@ func (p *Proc) init(m *Machine, n mesh.NodeID, co *coro) {
 	p.resumeFn = func() { p.step(core.Result{}) }
 	p.dispatchFn = func() { p.dispatch(p.pending) }
 	p.wakeFn = p.wake
+	p.wokenFn = func() { p.woken() }
 }
 
 // begin prepares the processor for a program. The program starts at the
@@ -275,8 +278,7 @@ func (p *Proc) spinDone(r core.Result) {
 // block calls wake when a message for it arrives.
 func (p *Proc) park(v arch.Word) bool {
 	h, gap := p.m.cfg.CacheHitTime, p.pending.gap
-	if h == 0 || h >= sim.ChainStepLimit || gap >= sim.ChainStepLimit ||
-		!p.m.sys.Cache(p.node).Watch(p.pending.req.Addr, v, p.wakeFn) {
+	if h == 0 || !p.m.sys.Cache(p.node).Watch(p.pending.req.Addr, v, p.wakeFn) {
 		return false
 	}
 	if gap == 0 {
@@ -288,15 +290,15 @@ func (p *Proc) park(v arch.Word) bool {
 }
 
 // wake resumes a parked spin from inside the delivery of a message for its
-// block, before the message takes effect. The chain events that ran
-// virtually before this delivery are accounted in bulk: their loads all
-// hit and returned the parked value. The chain's next event, due after
-// the delivery, becomes real, and the spin goes on load by load.
+// block, before the message takes effect. The chain's next event, due
+// after the delivery, becomes real, and the spin goes on load by load;
+// the chain events that passed virtually before this delivery are
+// accounted in bulk: their loads all hit and returned the parked value.
 func (p *Proc) wake() {
 	s := &p.pending
 	h, gap := p.m.cfg.CacheHitTime, s.gap
+	p.m.eng.Wake(&p.chain, p.wokenFn)
 	n := p.chain.Passed()
-	p.skipped += n
 	loads := n
 	if gap > 0 {
 		loads /= 2
@@ -316,13 +318,13 @@ func (p *Proc) wake() {
 			p.ties++
 		}
 		p.spinAt = due - h
-		p.m.eng.Wake(&p.chain, cc.IssueLater(s.req))
+		p.woken = cc.IssueLater(s.req)
 		return
 	}
 	if due == now || n > 0 && due-gap == now {
 		p.ties++
 	}
-	p.m.eng.Wake(&p.chain, p.dispatchFn)
+	p.woken = p.dispatchFn
 }
 
 // await yields a, carrying the pending compute delay, suspends the program

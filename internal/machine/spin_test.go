@@ -44,13 +44,13 @@ type spinRecord struct {
 	stats   [4]ProcStats
 }
 
-// parkCounts sums the processors' parked-spin counters: the engine events
-// skipped and the wakes on the cycle of a chain event.
+// parkCounts returns the engine events parked spins skipped and the
+// processors' wakes on the cycle of a chain event.
 func parkCounts(m *Machine) (skipped, ties uint64) {
 	for _, p := range m.procs {
-		skipped, ties = skipped+p.skipped, ties+p.ties
+		ties += p.ties
 	}
-	return skipped, ties
+	return m.Engine().Passed(), ties
 }
 
 func (r *spinRecord) mark(p *Proc, v arch.Word) {
@@ -249,7 +249,7 @@ func TestSpinWakeTies(t *testing.T) {
 }
 
 // FuzzSpinWhileMatchesLoop draws a spin-wait and the writes that release
-// it: the policy, the comparison, a gap in 0-5, the flag's home (the first
+// it: the policy, the comparison, a gap in 0-255, the flag's home (the first
 // spinner's node, the writer's or a third node), and the writer's compute
 // delays, one per write. SpinWhile must reproduce the Go loop's record,
 // its events counted with the ones parked spins skipped.
@@ -257,6 +257,7 @@ func FuzzSpinWhileMatchesLoop(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(2), uint8(0), []byte{70, 20})
 	f.Add(uint8(1), uint8(1), uint8(0), uint8(1), []byte{3})
 	f.Add(uint8(0), uint8(2), uint8(5), uint8(2), []byte{0, 1, 2, 200})
+	f.Add(uint8(1), uint8(0), uint8(200), uint8(0), []byte{250, 90, 255})
 	cfg := newSmall().cfg
 	f.Fuzz(func(t *testing.T, policy, cmp, gap, home uint8, delays []byte) {
 		if len(delays) == 0 || len(delays) > 6 {
@@ -267,7 +268,7 @@ func FuzzSpinWhileMatchesLoop(f *testing.F) {
 		for i, d := range delays {
 			ds[i] = sim.Time(d)
 		}
-		setup := spinWrites(pol, Cmp(cmp%3), sim.Time(gap%6), []int{1, 0, 3}[home%3], ds)
+		setup := spinWrites(pol, Cmp(cmp%3), sim.Time(gap), []int{1, 0, 3}[home%3], ds)
 		sameSpinRecord(t, "fuzz", runSpinCase(New(cfg), setup, spinEngine), runSpinCase(New(cfg), setup, spinLoop))
 	})
 }

@@ -9,12 +9,13 @@
 //
 // The engine is the simulator's hot path: every memory reference, message
 // delivery, and compute delay becomes at least one event, except the
-// events of a parked chain (see Chain), which pass virtually. Scheduling is a
-// two-level structure: a timing wheel of one-cycle buckets covers the near
-// future (where nearly every delay in the machine model lands — hop, flit,
-// memory, and retry delays are all tens of cycles) at amortized O(1) per
-// event, and a container/heap min-heap holds the rare events beyond the
-// wheel's horizon. Buckets are intrusive linked lists threaded through the
+// events of a parked chain (see Chain), which pass virtually and cost
+// nothing until the chain is woken. Scheduling is a two-level structure:
+// a timing wheel of one-cycle buckets covers the near future (where
+// nearly every delay in the machine model lands — hop, flit, memory, and
+// retry delays are all tens of cycles) at amortized O(1) per event, and a
+// container/heap min-heap holds the rare events beyond the wheel's
+// horizon. Buckets are intrusive linked lists threaded through the
 // events themselves, and fired events are recycled through a free list, so
 // a steady-state simulation schedules events without allocating.
 package sim
@@ -80,12 +81,19 @@ type Engine struct {
 	// heap-only scheduler against the wheel on identical workloads.
 	forceHeap bool
 
-	// Parked chains (see Chain): chains counts them, chainTime is the
-	// earliest cycle whose slot may hold one, and slots is their wheel,
-	// made at the first Park so engines that never park do not carry it.
-	chains    int
-	chainTime Time
-	slots     *[chainSpan]chainSlot
+	// Live chains (see Chain): chains counts the parked and woken ones,
+	// listed firstChain..lastChain in the order they parked; woken holds
+	// the woken ones, and passed counts the events Wake found passed.
+	// While chains are live, log records each event run, the running one
+	// last; fired holds the woken chains among them, fired[i] being
+	// number firedBase+i.
+	chains                int
+	firstChain, lastChain *Chain
+	woken                 []*Chain
+	passed                uint64
+	log                   []logEntry
+	fired                 []firedChain
+	firedBase, trimAt     int
 }
 
 // NewEngine returns an empty engine with the clock at zero.
@@ -240,15 +248,14 @@ func (e *Engine) next() (ev *event, fromWheel bool) {
 func (e *Engine) Step() bool {
 	ev, fromWheel := e.next()
 	if e.chains > 0 {
-		if c := e.passUntil(ev); c != nil {
-			e.popChain()
-			e.live--
-			e.executed++
-			e.now = c.at
-			fn := c.fn
-			c.fn, c.on = nil, false
-			fn()
-			return true
+		if len(e.woken) > 0 {
+			if w := e.firstWoken(ev); w >= 0 {
+				e.fire(w)
+				return true
+			}
+		}
+		if ev != nil {
+			e.record(ev.at, ev.seq, 0)
 		}
 	}
 	if ev == nil {

@@ -111,9 +111,10 @@ func TestPropertySchedulerEquivalence(t *testing.T) {
 	}
 }
 
-// TestPropertyResetReproducesFreshEngine interrupts a workload after a
-// bounded number of steps, Resets the engine, and replays the workload on
-// the same (recycled) engine; the trace must match a fresh engine exactly.
+// TestPropertyResetReproducesFreshEngine interrupts a workload with chains
+// parked, one of them woken with its event still to run, Resets the
+// engine, and replays the workload on the same (recycled) engine; the
+// trace must match a fresh engine exactly.
 // This is what machine reuse in internal/exper depends on.
 func TestPropertyResetReproducesFreshEngine(t *testing.T) {
 	f := func(seed uint64, cut uint8) bool {
@@ -124,12 +125,29 @@ func TestPropertyResetReproducesFreshEngine(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			e.AfterArg(Time(r.Intn(3*wheelSpan)), func(any) {}, nil)
 		}
-		// Stop after at most cut steps, leaving events pending.
-		for i := 0; i < int(cut) && e.Step(); i++ {
+		// Park three chains, and wake one with its event still ahead.
+		var chains [3]Chain
+		e.At(0, func() {
+			for i := range chains {
+				e.Park(&chains[i], Time(1+i), 2)
+			}
+		})
+		woken := false
+		e.At(Time(cut), func() {
+			e.Wake(&chains[int(cut)%3], func() { panic("woken chain ran after Reset") })
+			woken = true
+		})
+		// Stop right after the wake, leaving events pending.
+		for !woken && e.Step() {
 		}
 		e.Reset()
-		if e.Now() != 0 || e.live != 0 || e.EventsExecuted() != 0 {
+		if e.Now() != 0 || e.live != 0 || e.EventsExecuted() != 0 || e.Passed() != 0 {
 			return false
+		}
+		for i := range chains {
+			if chains[i].on {
+				return false
+			}
 		}
 
 		trace, n := equivalenceWorkload(e, seed)
