@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -504,5 +505,100 @@ func TestRouterSweepSurvivesBackendFailure(t *testing.T) {
 	}
 	if okLines == 0 || errLines == 0 {
 		t.Fatalf("expected a mix of served and failed points, got %d ok / %d err", okLines, errLines)
+	}
+}
+
+// TestRouterFollowsNoRedirect: a backend's redirect is relayed as it is.
+// The router sends exactly one request and never fetches the Location.
+func TestRouterFollowsNoRedirect(t *testing.T) {
+	var calls, followed atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/sim", func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Location", "/elsewhere")
+		w.WriteHeader(http.StatusTemporaryRedirect)
+	})
+	mux.HandleFunc("/elsewhere", func(w http.ResponseWriter, r *http.Request) {
+		followed.Add(1)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	rt, err := New(Config{Backends: []string{srv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sim", strings.NewReader(quickSpec)))
+	if w.Code != http.StatusTemporaryRedirect {
+		t.Fatalf("code = %d, want the backend's 307", w.Code)
+	}
+	if calls.Load() != 1 || followed.Load() != 0 {
+		t.Fatalf("backend saw %d requests and %d to the Location, want 1 and 0", calls.Load(), followed.Load())
+	}
+}
+
+// TestRouterUpstreamDeadline: a backend that never answers costs a routed
+// request its Timeout, not more. /v1/sim answers 502, and a routed sweep
+// answers an {"error","key"} line for each of that backend's points. The
+// other backend's stream shares the wait for the stuck one's headers, so
+// its points may time out too; each line is either a whole answer or an
+// error line with its point's key.
+func TestRouterUpstreamDeadline(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	var stuck atomic.Pointer[string]
+	release := make(chan struct{})
+	wrap := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if p := stuck.Load(); p != nil && "http://"+r.Host == *p {
+				<-release
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	f := newTestFleet(t, 2, Config{Timeout: timeout}, wrap)
+	t.Cleanup(func() { close(release) }) // runs before the servers close
+	plan := fleetPlan(8)
+	var req struct{ Points []json.RawMessage }
+	if err := json.Unmarshal([]byte(plan), &req); err != nil {
+		t.Fatal(err)
+	}
+	first := string(req.Points[0])
+	owner := f.rt.Owner(specKey(t, first))
+	stuck.Store(&owner)
+
+	start := time.Now()
+	w := f.do(http.MethodPost, "/v1/sim", first)
+	if took := time.Since(start); w.Code != http.StatusBadGateway || took > 20*timeout {
+		t.Fatalf("stuck backend: %d after %v, want 502 within %v", w.Code, took, 20*timeout)
+	}
+
+	start = time.Now()
+	w = f.do(http.MethodPost, "/v1/sweep", plan)
+	if took := time.Since(start); w.Code != http.StatusOK || took > 20*timeout {
+		t.Fatalf("sweep with a stuck backend: %d after %v, want 200 within %v", w.Code, took, 20*timeout)
+	}
+	lines := strings.Split(strings.TrimSuffix(w.Body.String(), "\n"), "\n")
+	if len(lines) != len(req.Points) {
+		t.Fatalf("got %d lines for %d points", len(lines), len(req.Points))
+	}
+	stuckPoints := 0
+	for i, ln := range lines {
+		key := specKey(t, string(req.Points[i]))
+		var obj map[string]any
+		if err := json.Unmarshal([]byte(ln), &obj); err != nil {
+			t.Fatalf("line %d not JSON: %q", i, ln)
+		}
+		_, isErr := obj["error"]
+		onStuck := f.rt.Owner(key) == owner
+		if onStuck && !isErr || isErr && obj["key"] != key {
+			t.Fatalf("line %d (owner stuck: %v) = %s", i, onStuck, ln)
+		}
+		if onStuck {
+			stuckPoints++
+		}
+	}
+	if m := f.rt.Metrics(); m.SweepErrors < uint64(stuckPoints) || m.Errors != 1 {
+		t.Fatalf("router metrics %+v with %d points on the stuck backend", m, stuckPoints)
 	}
 }

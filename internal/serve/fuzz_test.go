@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"dsm/internal/exper"
 )
 
 // referenceSpec is the decode parseSpecBody must agree with:
@@ -121,6 +123,35 @@ func FuzzNormalizeKey(f *testing.F) {
 		}
 		if k := n.Key(); k != n.Key() || k != again.Key() {
 			t.Fatalf("Key of %+v is not stable", n)
+		}
+	})
+}
+
+// FuzzSpecAppendJSON holds the router's forwarded body to encoding/json:
+// for every spec Normalize accepts, AppendJSON of the canonical form
+// equals json.Marshal of it byte for byte.
+func FuzzSpecAppendJSON(f *testing.F) {
+	for i, app := range exper.AppNames() {
+		a := [...]float64{1, 1.5, 10, 64}[i%4]
+		f.Add(app, "INV", "FAP", "INV", false, false, 16, 1, a, 6, 12, uint64(0))
+		f.Add(app, "UPD", "CAS", "INVd", true, true, 64, 1, a, 256, 64, uint64(18446744073709551615))
+	}
+	f.Add("counter", "UNC", "LLSC", "INVs", true, false, 1, 1, 1.0000000000000002, 1, 2, uint64(1))
+	f.Add("", "", "", "", false, false, 0, 0, 0.0, 0, 0, uint64(0))
+	f.Fuzz(func(t *testing.T, app, policy, prim, cas string, ldex, drop bool,
+		procs, c int, a float64, rounds, size int, seed uint64) {
+		sp := Spec{App: app, Policy: policy, Prim: prim, Variant: cas, LoadEx: ldex, Drop: drop,
+			Procs: procs, Contention: c, WriteRun: a, Rounds: rounds, Size: size, Seed: seed}
+		n, err := sp.Normalize()
+		if err != nil {
+			return
+		}
+		want, err := json.Marshal(n)
+		if err != nil {
+			t.Fatalf("json.Marshal(%+v): %v", n, err)
+		}
+		if got := n.AppendJSON([]byte("x")); string(got) != "x"+string(want) {
+			t.Fatalf("AppendJSON(%+v) = %s, json.Marshal = %s", n, got[1:], want)
 		}
 	})
 }

@@ -127,7 +127,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	// X-Cache: miss. Clients ask "do you have this?" here without paying
 	// for a simulation (the fleet router relays probes to a key's owner),
 	// so a probe miss must stay O(cache lookup).
-	if probe, _ := rawQueryGet(r.URL.RawQuery, "probe"); r.Method == http.MethodHead || probe == "1" {
+	if IsProbe(r) {
 		s.met.probes.Add(1)
 		e, ok := s.cache.getBytes(key)
 		if !ok {
@@ -448,6 +448,18 @@ func queryBool(raw, name string, dst *bool, err *error) {
 		return
 	}
 	*dst = b
+}
+
+// IsProbe reports whether r asks only whether its result is cached: a HEAD
+// request, or a GET or POST with probe=1 in its query. The server and the
+// fleet router share it, so both read the query the same way, without
+// parsing it into a map.
+func IsProbe(r *http.Request) bool {
+	if r.Method == http.MethodHead {
+		return true
+	}
+	probe, _ := rawQueryGet(r.URL.RawQuery, "probe")
+	return probe == "1"
 }
 
 // rawQueryGet returns the first value of name in a raw query string,

@@ -232,3 +232,57 @@ func (s Spec) Key() string {
 	var buf [64]byte
 	return string(s.appendKey(buf[:0]))
 }
+
+// AppendJSON appends the JSON encoding of a normalized spec to dst: byte
+// for byte what json.Marshal produces for it (FuzzSpecAppendJSON), without
+// reflection. Normalize admits only the wire names of exper's tables,
+// which need no escaping, and a write-run that is 0 or in [1, 64], which
+// encoding/json formats as 'f' at the shortest precision. The fleet router
+// forwards every routed spec upstream in this form.
+func (s *Spec) AppendJSON(dst []byte) []byte {
+	open := len(dst)
+	dst = append(dst, '{')
+	for _, f := range [...]struct{ name, v string }{
+		{"app", s.App}, {"policy", s.Policy}, {"prim", s.Prim}, {"cas", s.Variant},
+	} {
+		if f.v != "" {
+			dst = append(jsonKey(dst, open, f.name), '"')
+			dst = append(append(dst, f.v...), '"')
+		}
+	}
+	if s.LoadEx {
+		dst = append(jsonKey(dst, open, "ldex"), "true"...)
+	}
+	if s.Drop {
+		dst = append(jsonKey(dst, open, "drop"), "true"...)
+	}
+	if s.Procs != 0 {
+		dst = strconv.AppendInt(jsonKey(dst, open, "procs"), int64(s.Procs), 10)
+	}
+	if s.Contention != 0 {
+		dst = strconv.AppendInt(jsonKey(dst, open, "c"), int64(s.Contention), 10)
+	}
+	if s.WriteRun != 0 {
+		dst = strconv.AppendFloat(jsonKey(dst, open, "a"), s.WriteRun, 'f', -1, 64)
+	}
+	if s.Rounds != 0 {
+		dst = strconv.AppendInt(jsonKey(dst, open, "rounds"), int64(s.Rounds), 10)
+	}
+	if s.Size != 0 {
+		dst = strconv.AppendInt(jsonKey(dst, open, "size"), int64(s.Size), 10)
+	}
+	if s.Seed != 0 {
+		dst = strconv.AppendUint(jsonKey(dst, open, "seed"), s.Seed, 10)
+	}
+	return append(dst, '}')
+}
+
+// jsonKey appends `"name":` to an object that began at dst[open], after a
+// comma unless it is the object's first member.
+func jsonKey(dst []byte, open int, name string) []byte {
+	if len(dst) > open+1 {
+		dst = append(dst, ',')
+	}
+	dst = append(append(dst, '"'), name...)
+	return append(dst, '"', ':')
+}
