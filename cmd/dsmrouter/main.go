@@ -38,7 +38,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8090", "listen address")
 		backends = flag.String("backends", "", "comma-separated dsmserve base URLs (required)")
-		timeout  = flag.Duration("timeout", 0, "per-upstream-request budget (0 = 60s)")
+		timeout  = flag.Duration("timeout", 0, "deadline of one upstream call, response body included (0 = 60s)")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 		pprof    = flag.String("pprof", "", "serve /debug/pprof on this address (e.g. localhost:6061; empty disables)")
 	)
