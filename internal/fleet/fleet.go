@@ -64,7 +64,6 @@ type Router struct {
 	flight  serve.Flight[*upstream]
 	backs   []backend
 	met     metrics
-	mux     *http.ServeMux
 	closing atomic.Bool
 }
 
@@ -113,21 +112,32 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Transport == nil {
 		cfg.Transport = http.DefaultTransport
 	}
-	rt := &Router{
+	return &Router{
 		cfg:   cfg,
 		ring:  newRing(cfg.Backends),
 		backs: backs,
-		mux:   http.NewServeMux(),
-	}
-	rt.mux.HandleFunc("/v1/sim", rt.handleSim)
-	rt.mux.HandleFunc("/v1/sweep", rt.handleSweep)
-	rt.mux.HandleFunc("/metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
-	return rt, nil
+	}, nil
 }
 
-// Handler returns the router's HTTP handler.
-func (rt *Router) Handler() http.Handler { return rt.mux }
+// Handler returns the router's HTTP handler. Like a backend's, it
+// dispatches on the exact request path: "/v1//sim" and "/v1/sim/" answer
+// 404, as they do from a dsmserve.
+func (rt *Router) Handler() http.Handler { return http.HandlerFunc(rt.route) }
+
+func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/v1/sim":
+		rt.handleSim(w, r)
+	case "/v1/sweep":
+		rt.handleSweep(w, r)
+	case "/metrics":
+		rt.handleMetrics(w, r)
+	case "/healthz":
+		rt.handleHealthz(w, r)
+	default:
+		http.NotFound(w, r)
+	}
+}
 
 // Owner returns the base URL of the backend owning key — exported for
 // tests and operational tooling that need to see the routing decision the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -83,6 +84,23 @@ func (f *testFleet) totalRuns() uint64 {
 		runs += b.Metrics().Runs
 	}
 	return runs
+}
+
+// balancedPoints picks reduced-scale points until each backend owns n of
+// them. The ring hashes the backends' random test ports, so which backend
+// owns a point varies per run.
+func (f *testFleet) balancedPoints(t *testing.T, n int) []string {
+	t.Helper()
+	var points []string
+	owned := make([]int, len(f.urls))
+	for seed := 1; len(points) < n*len(f.urls); seed++ {
+		pt := fmt.Sprintf(`{"app":"counter","procs":4,"rounds":2,"seed":%d}`, seed)
+		if b := f.backendFor(f.rt.Owner(specKey(t, pt))); owned[b] < n {
+			owned[b]++
+			points = append(points, pt)
+		}
+	}
+	return points
 }
 
 func specKey(t *testing.T, spec string) string {
@@ -378,6 +396,58 @@ func TestRouterOneUpstreamCallPerRequest(t *testing.T) {
 	}
 }
 
+// TestRouterAndBackendRouteIdentically sends every route, an unknown path
+// and two unclean spellings of /v1/sim, each under GET, POST, HEAD and
+// PUT, to a router and to its backend over real sockets: both must answer
+// the same status and Content-Type. Both dispatch on the exact path, so an
+// unclean path is a 404, never a redirect to its clean form.
+func TestRouterAndBackendRouteIdentically(t *testing.T) {
+	f := newTestFleet(t, 1, Config{}, nil)
+	router := httptest.NewServer(f.rt.Handler())
+	defer router.Close()
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+	send := func(base, method, path, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, resp.Header.Get("Content-Type")
+	}
+	cases := []struct {
+		path, body string
+		notFound   bool
+	}{
+		{"/v1/sim?app=counter&procs=4&rounds=2", quickSpec, false},
+		{"/v1/sweep", `{"points":[` + quickSpec + `]}`, false},
+		{"/metrics", "", false},
+		{"/healthz", "", false},
+		{"/v1/nope", "", true},
+		{"/v1//sim", quickSpec, true},
+		{"/v1/sim/", quickSpec, true},
+	}
+	for _, tc := range cases {
+		for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodHead, http.MethodPut} {
+			rs, rct := send(router.URL, method, tc.path, tc.body)
+			bs, bct := send(f.urls[0], method, tc.path, tc.body)
+			if rs != bs || rct != bct {
+				t.Errorf("%s %s: router %d %q, backend %d %q", method, tc.path, rs, rct, bs, bct)
+			}
+			if tc.notFound && bs != http.StatusNotFound {
+				t.Errorf("%s %s: backend %d, want 404", method, tc.path, bs)
+			}
+		}
+	}
+}
+
 // TestRouterAndBackendRejectBadPlansIdentically checks that a bad sweep
 // plan gets the same 400 from the router as from a backend, byte for
 // byte: both decode through serve.ParsePlan.
@@ -463,21 +533,7 @@ func TestRouterSweepByteIdenticalToSingleBackend(t *testing.T) {
 
 func TestRouterSweepSurvivesBackendFailure(t *testing.T) {
 	f := newTestFleet(t, 2, Config{}, nil)
-
-	// The ring hashes the backends' random test ports, so which backend
-	// owns a point varies per run: pick points until each backend is the
-	// primary owner of four, then kill one backend.
-	var points []string
-	var owned [2]int
-	for seed := 1; len(points) < 8; seed++ {
-		pt := fmt.Sprintf(`{"app":"counter","procs":4,"rounds":2,"seed":%d}`, seed)
-		b := f.backendFor(f.rt.Owner(specKey(t, pt)))
-		if owned[b] < 4 {
-			owned[b]++
-			points = append(points, pt)
-		}
-	}
-	plan := `{"points":[` + strings.Join(points, ",") + `]}`
+	plan := `{"points":[` + strings.Join(f.balancedPoints(t, 4), ",") + `]}`
 	f.servers[1].Close()
 
 	w := f.do(http.MethodPost, "/v1/sweep", plan)
@@ -539,10 +595,9 @@ func TestRouterFollowsNoRedirect(t *testing.T) {
 
 // TestRouterUpstreamDeadline: a backend that never answers costs a routed
 // request its Timeout, not more. /v1/sim answers 502, and a routed sweep
-// answers an {"error","key"} line for each of that backend's points. The
-// other backend's stream shares the wait for the stuck one's headers, so
-// its points may time out too; each line is either a whole answer or an
-// error line with its point's key.
+// answers an {"error","key"} line for each of that backend's points, and
+// only for those: the healthy backend's stream is read while the stuck
+// one is awaited, so every line it owns is a whole answer.
 func TestRouterUpstreamDeadline(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	var stuck atomic.Pointer[string]
@@ -558,12 +613,9 @@ func TestRouterUpstreamDeadline(t *testing.T) {
 	}
 	f := newTestFleet(t, 2, Config{Timeout: timeout}, wrap)
 	t.Cleanup(func() { close(release) }) // runs before the servers close
-	plan := fleetPlan(8)
-	var req struct{ Points []json.RawMessage }
-	if err := json.Unmarshal([]byte(plan), &req); err != nil {
-		t.Fatal(err)
-	}
-	first := string(req.Points[0])
+	points := f.balancedPoints(t, 4)
+	plan := `{"points":[` + strings.Join(points, ",") + `]}`
+	first := points[0]
 	owner := f.rt.Owner(specKey(t, first))
 	stuck.Store(&owner)
 
@@ -579,26 +631,26 @@ func TestRouterUpstreamDeadline(t *testing.T) {
 		t.Fatalf("sweep with a stuck backend: %d after %v, want 200 within %v", w.Code, took, 20*timeout)
 	}
 	lines := strings.Split(strings.TrimSuffix(w.Body.String(), "\n"), "\n")
-	if len(lines) != len(req.Points) {
-		t.Fatalf("got %d lines for %d points", len(lines), len(req.Points))
+	if len(lines) != len(points) {
+		t.Fatalf("got %d lines for %d points", len(lines), len(points))
 	}
 	stuckPoints := 0
 	for i, ln := range lines {
-		key := specKey(t, string(req.Points[i]))
+		key := specKey(t, points[i])
 		var obj map[string]any
 		if err := json.Unmarshal([]byte(ln), &obj); err != nil {
 			t.Fatalf("line %d not JSON: %q", i, ln)
 		}
 		_, isErr := obj["error"]
 		onStuck := f.rt.Owner(key) == owner
-		if onStuck && !isErr || isErr && obj["key"] != key {
+		if onStuck != isErr || obj["key"] != key {
 			t.Fatalf("line %d (owner stuck: %v) = %s", i, onStuck, ln)
 		}
 		if onStuck {
 			stuckPoints++
 		}
 	}
-	if m := f.rt.Metrics(); m.SweepErrors < uint64(stuckPoints) || m.Errors != 1 {
+	if m := f.rt.Metrics(); m.SweepErrors != uint64(stuckPoints) || m.Errors != 1 {
 		t.Fatalf("router metrics %+v with %d points on the stuck backend", m, stuckPoints)
 	}
 }

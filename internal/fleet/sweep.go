@@ -71,9 +71,17 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		subIdx[b] = append(subIdx[b], i)
 	}
 
-	// Launch every non-empty sub-sweep and wait for its response headers;
-	// the aggregated X-Sweep-* profile must be on the wire before the
-	// first body byte.
+	// Launch every non-empty sub-sweep. Each one's goroutine reads its
+	// stream into the plan's slots as soon as its own response headers
+	// arrive, so a backend that never answers costs only its own points:
+	// the others' streams are read, under their own deadlines, while it
+	// is awaited. The aggregated X-Sweep-* profile must be on the wire
+	// before the first body byte, so the writer waits for every backend's
+	// headers (or failure) before it writes any.
+	slots := make([]lineSlot, len(specs))
+	for i := range slots {
+		slots[i].done = make(chan struct{})
+	}
 	var wg sync.WaitGroup
 	subs := make([]*subSweep, 0, len(rt.cfg.Backends))
 	for b, idx := range subIdx {
@@ -84,7 +92,6 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		subs = append(subs, sub)
 		wg.Add(1)
 		go func(sub *subSweep) {
-			defer wg.Done()
 			// The sub-plan body is what json.Marshal makes of
 			// {"points": [...]}, with every point already normalized by
 			// ParsePlan. Its lines are re-parsed into plan order here, so
@@ -98,6 +105,8 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 			body = append(body, "]}"...)
 			sub.resp, sub.cancel, sub.err = rt.roundTrip(r.Context(), sub.backend, rt.backs[sub.backend].sweep, body, hdrIdentity)
+			wg.Done()
+			rt.readSubSweep(sub, keys, slots)
 		}(sub)
 	}
 	wg.Wait()
@@ -114,19 +123,11 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Sweep-Hits", strconv.FormatUint(hits, 10))
 	w.Header().Set("X-Sweep-Coalesced", strconv.FormatUint(coalesced, 10))
 
-	// One reader goroutine per sub-sweep deposits lines into the plan's
-	// slots as they stream in; the writer loop below relays them in plan
-	// order, flushing buffered output only when about to block on a point
-	// that is still simulating (same boundary discipline as the backends'
-	// own sweep streaming).
-	slots := make([]lineSlot, len(specs))
-	for i := range slots {
-		slots[i].done = make(chan struct{})
-	}
-	for _, sub := range subs {
-		go rt.readSubSweep(sub, keys, slots)
-	}
-
+	// The sub-sweeps' goroutines deposit lines into the plan's slots as
+	// they stream in; the writer loop below relays them in plan order,
+	// flushing buffered output only when about to block on a point that
+	// is still simulating (same boundary discipline as the backends' own
+	// sweep streaming).
 	flusher, _ := w.(http.Flusher)
 	bw := bufio.NewWriterSize(w, 32<<10)
 	push := func() {

@@ -32,10 +32,10 @@ type reqBody struct{ strings.Reader }
 
 func (*reqBody) Close() error { return nil }
 
-// TestHitPathZeroAlloc pins the cache-hit path — route, parse, key,
+// TestHitPathZeroAlloc pins the cache-hit path — route, parse, key text,
 // lookup, headers, body write — at zero allocations per request. This is
 // the property the zero-copy serving work exists for: a hot key must cost
-// a hash and a map probe, never a byte of garbage. The pin covers GET and
+// a map probe by its key text, with no hash, and never a byte of garbage. The pin covers GET and
 // POST-JSON requests, the identity and the gzip-negotiated variants (once
 // the first gzip hit has built the entry's variant), and the probe hit.
 func TestHitPathZeroAlloc(t *testing.T) {

@@ -8,8 +8,12 @@ import (
 	"sync/atomic"
 )
 
-// resultCache is the content-addressed result store: canonical spec hash
+// resultCache is the result store: canonical key text (Spec.appendKeyText)
 // -> encoded outcome bytes, with LRU eviction at a fixed entry budget.
+// Keying by the text rather than its SHA-256 is stricter, never looser: two
+// specs share an entry only if every field renders the same. The entry
+// carries the content address (Spec.Key), computed once when the result
+// was simulated, for the X-Spec-Key header.
 // An entry's encoded bytes are never modified once inserted, so a hit can
 // hand the stored slice to the response writer without copying. One mutex
 // guards one recency list and map: a lookup holds it for a map probe and a
@@ -33,9 +37,9 @@ type resultCache struct {
 // publication: re-inserting a key replaces the element's entry wholesale,
 // so a reader holding the old pointer keeps a consistent (data, gzip) pair.
 type cacheEntry struct {
-	key    string
+	key    string   // key text, the entry's map key
 	data   []byte   // canonical encoded outcome (identity encoding)
-	keyHdr []string // {key}, preallocated for direct header-map assignment
+	keyHdr []string // {content address}, preallocated for direct header-map assignment
 	// gz is the gzip variant once built: nil until the first gzip hit,
 	// then a pointer to the compressed bytes, or to nil when the body is
 	// too small or does not shrink.
@@ -130,19 +134,20 @@ func (c *resultCache) getBytes(key []byte) (*cacheEntry, bool) {
 	return el.Value.(*cacheEntry), true
 }
 
-// put inserts key -> data, evicting the least recently used entry when
-// the cache is at capacity. Re-inserting an existing key refreshes its
-// recency and replaces its entry wholesale — concurrent readers holding
-// the superseded entry still see a consistent (data, gzip) pair. Only the
-// identity bytes are stored; see cacheEntry.gzip.
-func (c *resultCache) put(key string, data []byte) {
-	e := &cacheEntry{key: key, data: data, keyHdr: []string{key}}
+// put inserts key -> data under the content address addr and returns the
+// new entry, evicting the least recently used entry when the cache is at
+// capacity. Re-inserting an existing key refreshes its recency and
+// replaces its entry wholesale — concurrent readers holding the superseded
+// entry still see a consistent (data, gzip) pair. Only the identity bytes
+// are stored; see cacheEntry.gzip.
+func (c *resultCache) put(key, addr string, data []byte) *cacheEntry {
+	e := &cacheEntry{key: key, data: data, keyHdr: []string{addr}}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		el.Value = e
-		return
+		return e
 	}
 	if c.ll.Len() >= c.max {
 		oldest := c.ll.Back()
@@ -151,6 +156,7 @@ func (c *resultCache) put(key string, data []byte) {
 		c.evictions++
 	}
 	c.items[key] = c.ll.PushFront(e)
+	return e
 }
 
 // stats returns the entry count and the lifetime eviction count.

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net/http"
 	"sync"
@@ -14,11 +12,11 @@ import (
 	"dsm/internal/exper"
 )
 
-// hexKey builds a distinct canonical-looking cache key (hex SHA-256, the
-// same alphabet Spec.Key emits) from an integer.
-func hexKey(i int) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("flight-test-key-%d", i)))
-	return hex.EncodeToString(h[:])
+// textKey builds a distinct cache key of the form the server uses (a
+// spec's key text) from an integer.
+func textKey(i int) string {
+	sp := Spec{Seed: uint64(i)}
+	return string(sp.appendKeyText(nil))
 }
 
 // TestCacheConcurrentStress hammers the cache with concurrent puts
@@ -38,11 +36,11 @@ func TestCacheConcurrentStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				k := hexKey(w*perW + i)
-				c.put(k, []byte(k))
+				k := textKey(w*perW + i)
+				c.put(k, "addr", []byte(k))
 				// Mix in reads of this worker's earlier keys: hits must
 				// return exactly the bytes stored under that key.
-				if e, ok := c.get(hexKey(w*perW + i/2)); ok && string(e.data) != hexKey(w*perW+i/2) {
+				if e, ok := c.get(textKey(w*perW + i/2)); ok && string(e.data) != textKey(w*perW+i/2) {
 					t.Errorf("get returned bytes for the wrong key")
 					return
 				}
@@ -85,7 +83,7 @@ func TestFlightConcurrentLeaders(t *testing.T) {
 	joined := make([]sync.WaitGroup, nKeys)
 	var wg sync.WaitGroup
 	for k := 0; k < nKeys; k++ {
-		key := hexKey(k)
+		key := textKey(k)
 		want := []byte(key)
 		joined[k].Add(joiners)
 		for j := 0; j < joiners; j++ {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -97,7 +98,8 @@ func FuzzParseSpecBody(f *testing.F) {
 
 // FuzzNormalizeKey checks that Normalize never panics on any spec, that
 // it is idempotent, and that a canonical spec's Key is stable and equals
-// the key its re-normalized form gets.
+// the key its re-normalized form gets. Every fuzzed write-run, canonical
+// or not, must also render in the key text as the shortest 'g' form does.
 func FuzzNormalizeKey(f *testing.F) {
 	f.Add("counter", "INV", "FAP", "INV", false, false, 16, 1, 1.0, 6, 12, uint64(0))
 	f.Add("tclosure", "UPD", "LLSC", "INVs", true, true, 64, 64, 3.5, 256, 64, uint64(7))
@@ -106,8 +108,14 @@ func FuzzNormalizeKey(f *testing.F) {
 	f.Add("nope", "inv", "XADD", "INVx", false, false, -1, 99, math.NaN(), -5, 1, uint64(1))
 	f.Add("counter", "INV", "FAP", "INV", false, false, 4, 1, math.Inf(1), 2, 0, uint64(0))
 	f.Add("counter", "INV", "FAP", "INV", false, false, 4, 1, math.NaN(), 2, 0, uint64(0))
+	for _, a := range []float64{0, 1, 64, 1.5} {
+		f.Add("counter", "INV", "FAP", "INV", false, false, 4, 1, a, 2, 0, uint64(0))
+	}
 	f.Fuzz(func(t *testing.T, app, policy, prim, cas string, ldex, drop bool,
 		procs, c int, a float64, rounds, size int, seed uint64) {
+		if got, want := appendWriteRun(nil, a), strconv.AppendFloat(nil, a, 'g', -1, 64); string(got) != string(want) {
+			t.Fatalf("appendWriteRun(%v) = %q, AppendFloat 'g' = %q", a, got, want)
+		}
 		sp := Spec{App: app, Policy: policy, Prim: prim, Variant: cas, LoadEx: ldex, Drop: drop,
 			Procs: procs, Contention: c, WriteRun: a, Rounds: rounds, Size: size, Seed: seed}
 		n, err := sp.Normalize()

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 )
 
@@ -41,12 +45,30 @@ func TestKeyTextMatchesFmt(t *testing.T) {
 	}
 }
 
-// TestAppendKeyMatchesKey checks the incremental form against the
-// string-returning one across the same spec set.
-func TestAppendKeyMatchesKey(t *testing.T) {
+// TestKeyIsDigestOfKeyText checks the content address against its
+// definition: the hex SHA-256 of the key text the cache is addressed by.
+func TestKeyIsDigestOfKeyText(t *testing.T) {
 	for _, sp := range keyTestSpecs {
-		if got := string(sp.appendKey(nil)); got != sp.Key() {
-			t.Errorf("appendKey %q != Key %q for %+v", got, sp.Key(), sp)
+		sum := sha256.Sum256(sp.appendKeyText(nil))
+		if got, want := sp.Key(), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("Key %q != hex SHA-256 of the key text %q for %+v", got, want, sp)
+		}
+	}
+}
+
+// TestWriteRunMatchesAppendFloat pins the key text's integer fast path for
+// the write-run to the shortest 'g' form it replaces, at every canonical
+// integral value and on both sides of the fast path's edges: 1e6, where 'g'
+// turns to an exponent, and -0, which 'g' signs.
+func TestWriteRunMatchesAppendFloat(t *testing.T) {
+	as := []float64{0, 1.5, 999999, 1e6, math.Copysign(0, -1)}
+	for a := 1; a <= 64; a++ {
+		as = append(as, float64(a))
+	}
+	for _, a := range as {
+		want := strconv.AppendFloat(nil, a, 'g', -1, 64)
+		if got := appendWriteRun(nil, a); string(got) != string(want) {
+			t.Errorf("appendWriteRun(%v) = %q, AppendFloat 'g' = %q", a, got, want)
 		}
 	}
 }

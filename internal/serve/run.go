@@ -37,20 +37,15 @@ func (o *Outcome) Encode() ([]byte, error) {
 // Run is safe to memoize by spec key.
 //
 // The spec must already be normalized; Run panics on enum values
-// Normalize would have rejected. Worker goroutines that run many specs
-// should hold an exper.MachineSlot and call RunOn instead.
+// Normalize would have rejected. The server's workers run specs on their
+// own machine slots instead (Server.runEncoded), with byte-identical
+// outcomes.
 func Run(sp Spec) *Outcome {
-	return outcome(sp, sp.Point().Run(true))
+	return outcome(sp, sp.Key(), sp.Point().Run(true))
 }
 
-// RunOn executes one canonical spec on the slot's resident machine,
-// resetting or rebuilding it to the spec's geometry. The outcome is
-// byte-identical to Run's — determinism is per run, not per machine — and
-// reusing the worker's own machine skips construction on the request path.
-func RunOn(sp Spec, slot *exper.MachineSlot) *Outcome {
-	return outcome(sp, sp.Point().RunSlot(slot, true))
-}
-
-func outcome(sp Spec, res exper.Result) *Outcome {
-	return &Outcome{Spec: sp, Key: sp.Key(), Result: res}
+// outcome assembles the response body of spec sp, whose content address
+// is key.
+func outcome(sp Spec, key string, res exper.Result) *Outcome {
+	return &Outcome{Spec: sp, Key: key, Result: res}
 }

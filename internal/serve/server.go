@@ -35,10 +35,9 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	cache   *resultCache
-	flight  Flight[[]byte]
+	flight  Flight[*cacheEntry]
 	pool    *workerPool
 	met     metrics
-	mux     *http.ServeMux
 	closing atomic.Bool
 }
 
@@ -56,21 +55,32 @@ func New(cfg Config) *Server {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
-	s := &Server{
+	return &Server{
 		cfg:   cfg,
 		cache: newResultCache(cfg.CacheEntries),
 		pool:  newWorkerPool(cfg.Workers, cfg.Queue),
-		mux:   http.NewServeMux(),
 	}
-	s.mux.HandleFunc("/v1/sim", s.handleSim)
-	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	return s
 }
 
-// Handler returns the service's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+// Handler returns the service's HTTP handler. It dispatches on the exact
+// request path, so a path that a pattern mux would clean and redirect
+// ("/v1//sim") or one with a trailing slash ("/v1/sim/") answers 404.
+func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.route) }
+
+func (s *Server) route(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/v1/sim":
+		s.handleSim(w, r)
+	case "/v1/sweep":
+		s.handleSweep(w, r)
+	case "/metrics":
+		s.handleMetrics(w, r)
+	case "/healthz":
+		s.handleHealthz(w, r)
+	default:
+		http.NotFound(w, r)
+	}
+}
 
 // Metrics returns a point-in-time snapshot of the service counters.
 func (s *Server) Metrics() Snapshot {
@@ -114,12 +124,13 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// The key lives in a stack buffer until a miss forces a string: the
-	// hit path (cache probe, entry lookup, response headers) never needs
-	// one — getBytes indexes the cache map straight from these bytes and
-	// the entry carries its own key string for the X-Spec-Key header.
-	var kb [64]byte
-	key := spec.appendKey(kb[:0])
+	// The cache key is the spec's key text, rendered into a stack buffer;
+	// a miss turns it into a string. The hit path (cache probe, entry
+	// lookup, response headers) needs neither that string nor the content
+	// address: getBytes indexes the cache map straight from these bytes,
+	// and the entry carries its address for the X-Spec-Key header.
+	var kb [keyTextMax]byte
+	key := spec.appendKeyText(kb[:0])
 
 	// Probe mode (HEAD, or ?probe=1 on GET/POST): answer from the result
 	// cache only, never simulating and never touching the queue. A hit is
@@ -133,7 +144,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			h := w.Header()
 			h["X-Cache"] = hdrMiss
-			h["X-Spec-Key"] = []string{string(key)}
+			h["X-Spec-Key"] = []string{spec.Key()}
 			if r.Method == http.MethodHead {
 				w.WriteHeader(http.StatusNotFound)
 				return
@@ -148,7 +159,8 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	s.met.requests.Add(1)
 
 	// Fast path: a cache hit writes the entry's stored bytes straight to
-	// the response — no key string, no header formatting, no copies.
+	// the response — no key string, no hash, no header formatting, no
+	// copies.
 	if e, ok := s.cache.getBytes(key); ok {
 		s.met.hits.Add(1)
 		s.writeEntry(w, r, e, hdrHit)
@@ -156,8 +168,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	keyStr := string(key)
-	e, call, state := s.start(spec, keyStr, 0)
+	e, call, state := s.start(spec, string(key), 0)
 	switch state {
 	case dispatchHit: // filled between the fast-path lookup and dispatch
 		s.met.hits.Add(1)
@@ -193,11 +204,11 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		s.met.errors.Add(1)
 		s.writeError(w, http.StatusInternalServerError, call.Err.Error())
 	default:
-		label := "miss"
+		label := hdrMiss
 		if state == dispatchCoalesced {
-			label = "coalesced"
+			label = hdrCoalesced
 		}
-		s.writeOutcome(w, call.Val, label, keyStr, start)
+		s.writeOutcome(w, call.Val, label, start)
 	}
 }
 
@@ -212,16 +223,19 @@ const (
 	dispatchCoalesced
 )
 
-// start resolves one canonical spec without blocking on the simulation:
-// a cache hit returns the stored entry directly; otherwise the caller
-// gets the single-flight call to wait on. On a miss this caller's spec is
+// start resolves one canonical spec, under its key text, without blocking
+// on the simulation: a cache hit returns the stored entry directly;
+// otherwise the caller gets the single-flight call to wait on, whose value
+// is the entry the simulation cached. On a miss this caller's spec is
 // submitted to the worker pool, waiting up to queueWait for space (a still
 // full queue fails the call with errBusy, releasing any followers that
 // joined meanwhile); /v1/sim passes zero and turns errBusy into its 429.
+// The job computes the spec's content address, once per result: the
+// outcome's key field and the entry's X-Spec-Key both carry it.
 // Both the single-sim and the batch sweep handlers dispatch through here,
 // so they share one cache and one in-flight set — a sweep point coalesces
 // with a concurrent /v1/sim request for the same spec and vice versa.
-func (s *Server) start(spec Spec, key string, queueWait time.Duration) (*cacheEntry, *Call[[]byte], dispatchState) {
+func (s *Server) start(spec Spec, key string, queueWait time.Duration) (*cacheEntry, *Call[*cacheEntry], dispatchState) {
 	if e, ok := s.cache.get(key); ok {
 		return e, nil, dispatchHit
 	}
@@ -230,23 +244,28 @@ func (s *Server) start(spec Spec, key string, queueWait time.Duration) (*cacheEn
 		return nil, call, dispatchCoalesced
 	}
 	if !s.pool.submitWait(func(slot *exper.MachineSlot) {
-		data, err := s.runEncoded(spec, slot)
+		addr := spec.Key()
+		data, err := s.runEncoded(spec, addr, slot)
+		var e *cacheEntry
 		if err == nil {
-			s.cache.put(key, data)
+			e = s.cache.put(key, addr, data)
 		}
-		s.flight.Complete(key, call, data, err)
+		s.flight.Complete(key, call, e, err)
 	}, queueWait) {
 		s.flight.Complete(key, call, nil, errBusy)
 	}
 	return nil, call, dispatchMiss
 }
 
-// runEncoded executes the spec on the worker's machine slot and returns
-// its canonical JSON bytes, converting a panic anywhere under the
-// simulator into an error so one bad run cannot take down a worker. A
-// panicked run leaves the slot's machine in an unknown state, so the slot
-// is cleared and the next job on this worker builds a fresh machine.
-func (s *Server) runEncoded(spec Spec, slot *exper.MachineSlot) (data []byte, err error) {
+// runEncoded executes the spec, whose content address is addr, on the
+// worker's machine slot and returns its canonical JSON bytes. The outcome
+// is byte-identical to Run's — determinism is per run, not per machine —
+// and reusing the worker's own machine skips construction on the request
+// path. A panic anywhere under the simulator becomes an error, so one bad
+// run cannot take down a worker. A panicked run leaves the slot's machine
+// in an unknown state, so the slot is cleared and the next job on this
+// worker builds a fresh machine.
+func (s *Server) runEncoded(spec Spec, addr string, slot *exper.MachineSlot) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			*slot = exper.MachineSlot{}
@@ -254,7 +273,7 @@ func (s *Server) runEncoded(spec Spec, slot *exper.MachineSlot) (data []byte, er
 		}
 	}()
 	s.met.runs.Add(1)
-	return RunOn(spec, slot).Encode()
+	return outcome(spec, addr, spec.Point().RunSlot(slot, true)).Encode()
 }
 
 var errBusy = fmt.Errorf("queue full")
@@ -284,6 +303,7 @@ var (
 	hdrNDJSON         = []string{"application/x-ndjson"}
 	hdrHit            = []string{"hit"}
 	hdrMiss           = []string{"miss"}
+	hdrCoalesced      = []string{"coalesced"}
 	hdrGzip           = []string{"gzip"}
 	hdrAcceptEncoding = []string{"Accept-Encoding"}
 )
@@ -365,11 +385,14 @@ func zeroQ(params string) bool {
 	return true
 }
 
-func (s *Server) writeOutcome(w http.ResponseWriter, data []byte, cache, key string, start time.Time) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", cache)
-	w.Header().Set("X-Spec-Key", key)
-	w.Write(data)
+// writeOutcome answers a request that waited on a simulation with the
+// entry it cached, identity-encoded.
+func (s *Server) writeOutcome(w http.ResponseWriter, e *cacheEntry, cache []string, start time.Time) {
+	h := w.Header()
+	h["Content-Type"] = hdrJSON
+	h["X-Cache"] = cache
+	h["X-Spec-Key"] = e.keyHdr
+	w.Write(e.data)
 	s.met.latency.observe(time.Since(start))
 }
 

@@ -3,21 +3,23 @@
 // point in the paper's design space), runs them as internal/exper points on
 // a bounded worker pool — each worker owning a dedicated machine it reuses
 // across requests — and returns the measurements as JSON. Around the pool
-// sit a content-addressed LRU result cache (canonical spec hash -> encoded
-// report), single-flight coalescing (Flight, which the fleet router also
-// uses) so N concurrent identical requests cost one simulation,
+// sit an LRU result cache (canonical key text -> encoded report and its
+// content address), single-flight coalescing (Flight, which the fleet
+// router also uses) so N concurrent identical requests cost one simulation,
 // bounded-queue backpressure (429 + Retry-After), per-request deadlines, a
 // batch sweep endpoint streaming NDJSON, and a metrics surface. The cache
 // and the in-flight table are each one map under one mutex: a request
 // holds either for a map operation, against the milliseconds a simulation
 // takes. cmd/dsmserve wires it to a listener; cmd/dsmload drives it.
 //
-// The /v1/sim request path does only the work its response uses. A POST
+// The /v1/sim request path does only the work its response uses. The
+// handler dispatches on the exact path, with no pattern matching. A POST
 // spec in the flat form every client in this tree sends is decoded by a
 // one-pass scanner, with encoding/json as the fallback for any other body;
-// a cache hit writes the stored bytes without allocating; and a result's
-// gzip variant is built on its first hit that asks for gzip, not when the
-// result is cached.
+// a cache hit is one map probe by the spec's key text, with no hash, and
+// writes the stored bytes without allocating; and a result's gzip variant
+// is built on its first hit that asks for gzip, not when the result is
+// cached.
 //
 // The cache is also externally visible: HEAD /v1/sim or ?probe=1 answers
 // hit/miss from the cache without ever simulating. internal/fleet fronts N
@@ -28,7 +30,9 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"strconv"
 
 	"dsm/internal/core"
@@ -175,14 +179,15 @@ func mustParse[T ~uint8](v T, err error) T {
 
 // keyTextMax bounds the rendered key text: every field at its widest
 // (longest app name, 64-bit seed, shortest-form float) stays well under
-// this, so appendKey's scratch buffer never spills to the heap.
+// this, so a caller's stack buffer of this size never spills to the heap.
 const keyTextMax = 192
 
 // appendKeyText appends the fixed-order canonical rendering of every spec
-// field — the preimage of the content address — to dst. The rendering is
-// pinned byte-for-byte to the fmt.Sprintf form earlier releases hashed
-// (TestKeyTextMatchesFmt), because changing a single byte here would
-// silently invalidate every cached result.
+// field — the preimage of the content address, and the key the server's
+// result cache and single-flight table are addressed by — to dst. The
+// rendering is pinned byte-for-byte to the fmt.Sprintf form earlier
+// releases hashed (TestKeyTextMatchesFmt), because changing a single byte
+// here would silently change every published content address.
 func (s *Spec) appendKeyText(dst []byte) []byte {
 	dst = append(dst, "app="...)
 	dst = append(dst, s.App...)
@@ -201,7 +206,7 @@ func (s *Spec) appendKeyText(dst []byte) []byte {
 	dst = append(dst, " c="...)
 	dst = strconv.AppendInt(dst, int64(s.Contention), 10)
 	dst = append(dst, " a="...)
-	dst = strconv.AppendFloat(dst, s.WriteRun, 'g', -1, 64)
+	dst = appendWriteRun(dst, s.WriteRun)
 	dst = append(dst, " rounds="...)
 	dst = strconv.AppendInt(dst, int64(s.Rounds), 10)
 	dst = append(dst, " size="...)
@@ -211,26 +216,31 @@ func (s *Spec) appendKeyText(dst []byte) []byte {
 	return dst
 }
 
-// appendKey appends the spec's content address — 64 lowercase hex digits of
-// the SHA-256 of the canonical rendering — to dst. With a dst of sufficient
-// capacity the whole computation stays on the caller's stack, which is what
-// lets the cache-hit request path resolve a key without allocating.
-func (s *Spec) appendKey(dst []byte) []byte {
-	var text [keyTextMax]byte
-	sum := sha256.Sum256(s.appendKeyText(text[:0]))
-	const hexdig = "0123456789abcdef"
-	for _, b := range sum {
-		dst = append(dst, hexdig[b>>4], hexdig[b&0xf])
+// appendWriteRun appends a write-run as %g renders it. Every canonical
+// write-run but a fractional one is an integer in [0, 64], which AppendInt
+// renders byte for byte as the shortest 'g' form does for any integer in
+// [0, 1e6) without a sign bit; from 1e6 on 'g' switches to an exponent
+// ("1e+06") and -0 prints as "-0", so those, like every other value, take
+// AppendFloat.
+func appendWriteRun(dst []byte, a float64) []byte {
+	if a >= 0 && a < 1e6 && !math.Signbit(a) {
+		if n := int64(a); float64(n) == a {
+			return strconv.AppendInt(dst, n, 10)
+		}
 	}
-	return dst
+	return strconv.AppendFloat(dst, a, 'g', -1, 64)
 }
 
 // Key returns the content address of a canonical spec: the hex SHA-256 of
-// a fixed-order rendering of every field. Two specs with the same key
-// request byte-for-byte the same simulation result.
+// its key text. Two specs with the same key request byte-for-byte the same
+// simulation result. The server computes it once per result, on the miss
+// that simulates it, and serves it from the cache entry after that.
 func (s Spec) Key() string {
-	var buf [64]byte
-	return string(s.appendKey(buf[:0]))
+	var text [keyTextMax]byte
+	sum := sha256.Sum256(s.appendKeyText(text[:0]))
+	var addr [2 * sha256.Size]byte
+	hex.Encode(addr[:], sum[:])
+	return string(addr[:])
 }
 
 // AppendJSON appends the JSON encoding of a normalized spec to dst: byte

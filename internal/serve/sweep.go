@@ -54,11 +54,10 @@ func ParsePlan(body io.Reader) ([]Spec, error) {
 }
 
 // sweepSlot is one point's dispatch bookkeeping: how it resolved (cached
-// bytes or an in-flight call to wait on) and under which key.
+// bytes or an in-flight call to wait on).
 type sweepSlot struct {
-	key   string
 	data  []byte // non-nil: served from cache
-	call  *Call[[]byte]
+	call  *Call[*cacheEntry]
 	state dispatchState
 }
 
@@ -105,14 +104,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// the excess points.
 	slots := make([]sweepSlot, len(specs))
 	var hits, coalesced uint64
+	var kb [keyTextMax]byte
 	for i, spec := range specs {
-		key := spec.Key()
+		key := string(spec.appendKeyText(kb[:0]))
 		e, call, state := s.start(spec, key, time.Until(overall))
 		var data []byte
 		if e != nil {
 			data = e.data // sweep lines always stream the identity encoding
 		}
-		slots[i] = sweepSlot{key: key, data: data, call: call, state: state}
+		slots[i] = sweepSlot{data: data, call: call, state: state}
 		switch state {
 		case dispatchHit:
 			hits++
@@ -184,12 +184,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			case sl.call.Err != nil:
 				err = sl.call.Err
 			default:
-				data = sl.call.Val
+				data = sl.call.Val.data
 			}
 		}
 		if err != nil {
 			s.met.sweepErrors.Add(1)
-			line, _ := json.Marshal(map[string]string{"error": err.Error(), "key": sl.key})
+			line, _ := json.Marshal(map[string]string{"error": err.Error(), "key": specs[i].Key()})
 			bw.Write(line)
 			bw.WriteByte('\n')
 		} else {
