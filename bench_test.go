@@ -28,7 +28,7 @@ func benchOpts() exper.RunOpts { return exper.RunOpts{Procs: 16, Rounds: 6, TCSi
 // paper's counts.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, r := range exper.Table1() {
+		for _, r := range exper.Table1Par(0) {
 			if r.Got != r.Paper {
 				b.Fatalf("%s: %d != paper %d", r.Case, r.Got, r.Paper)
 			}

@@ -54,6 +54,7 @@ func parseBar(policy, prim, variant string, ldex, drop bool) (exper.Bar, error) 
 }
 
 func main() {
+	def := exper.Defaults()
 	var (
 		app     = flag.String("app", "counter", "workload: "+strings.Join(exper.AppNames(), ", "))
 		policy  = flag.String("policy", "INV", "coherence policy for sync data: "+strings.Join(exper.PolicyNames(), ", "))
@@ -61,11 +62,11 @@ func main() {
 		variant = flag.String("cas", "INV", "compare_and_swap variant: "+strings.Join(exper.VariantNames(), ", "))
 		ldex    = flag.Bool("ldex", false, "pair CAS with load_exclusive")
 		drop    = flag.Bool("drop", false, "issue drop_copy after updates")
-		procs   = flag.Int("procs", 64, "simulated processors (1-64)")
+		procs   = flag.Int("procs", def.Procs, "simulated processors (1-64)")
 		cont    = flag.Int("c", 1, "contention level (synthetic apps)")
 		wrun    = flag.Float64("a", 1, "average write-run length (synthetic apps, c=1)")
-		rounds  = flag.Int("rounds", 16, "barrier-separated rounds (synthetic apps)")
-		size    = flag.Int("size", 32, "transitive-closure vertices")
+		rounds  = flag.Int("rounds", def.Rounds, "barrier-separated rounds (synthetic apps)")
+		size    = flag.Int("size", def.TCSize, "transitive-closure vertices")
 		traceN  = flag.Int("trace", 0, "print the last N protocol events")
 		asJSON  = flag.Bool("json", false, "emit the measurement report as JSON on stdout")
 		dumpPro = flag.Bool("dump-protocol", false, "print the coherence transition tables and exit")

@@ -32,6 +32,7 @@ import (
 )
 
 func main() {
+	def := exper.Defaults()
 	var (
 		all    = flag.Bool("all", false, "regenerate every table and figure")
 		table1 = flag.Bool("table1", false, "Table 1: serialized messages per store")
@@ -40,9 +41,9 @@ func main() {
 		fig4   = flag.Bool("fig4", false, "Figure 4: TTS-lock counter")
 		fig5   = flag.Bool("fig5", false, "Figure 5: MCS-lock counter")
 		fig6   = flag.Bool("fig6", false, "Figure 6: total elapsed time of the real applications")
-		procs  = flag.Int("procs", 64, "simulated processors (1-64)")
-		rounds = flag.Int("rounds", 16, "rounds per synthetic pattern")
-		tcsize = flag.Int("tcsize", 32, "transitive-closure vertices")
+		procs  = flag.Int("procs", def.Procs, "simulated processors (1-64)")
+		rounds = flag.Int("rounds", def.Rounds, "rounds per synthetic pattern")
+		tcsize = flag.Int("tcsize", def.TCSize, "transitive-closure vertices")
 		csv    = flag.Bool("csv", false, "emit CSV instead of text tables")
 		tceff  = flag.Bool("tceff", false, "Transitive Closure parallel efficiency (section 4.2)")
 		par    = flag.Int("par", runtime.NumCPU(), "concurrent simulation runs (1 = serial; output is identical)")

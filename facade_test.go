@@ -60,25 +60,6 @@ func TestCentralBarrierThroughFacade(t *testing.T) {
 	})
 }
 
-func TestContextSwitchThroughFacade(t *testing.T) {
-	m := NewSmall(4)
-	m.SetContextSwitchQuantum(30)
-	a := m.AllocSync(INV)
-	m.Run(func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			for {
-				v := p.LoadLinked(a)
-				if p.StoreConditional(a, v+1) {
-					break
-				}
-			}
-		}
-	})
-	if m.Peek(a) != 40 {
-		t.Fatalf("counter = %d, want 40", m.Peek(a))
-	}
-}
-
 func TestStackThroughFacade(t *testing.T) {
 	m := NewSmall(4)
 	s := NewStack(m, INV, 4, Options{Prim: LLSC})

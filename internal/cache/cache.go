@@ -321,14 +321,8 @@ func (c *Cache) SetReservation(a arch.Addr) {
 }
 
 // ClearReservation invalidates the reservation unconditionally (e.g. after
-// a store_conditional, successful or not, or on a context switch).
+// a store_conditional, successful or not).
 func (c *Cache) ClearReservation() { c.resvValid = false }
-
-// Reservation reports whether a reservation is held and, if so, for which
-// block.
-func (c *Cache) Reservation() (arch.Addr, bool) {
-	return c.resvAddr, c.resvValid
-}
 
 // ReservedOn reports whether a valid reservation covers the block
 // containing a.

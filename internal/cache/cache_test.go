@@ -137,12 +137,12 @@ func TestLineWordPanicsOutsideLine(t *testing.T) {
 
 func TestReservationLifecycle(t *testing.T) {
 	c := New(DefaultConfig())
-	if _, ok := c.Reservation(); ok {
+	if c.ReservedOn(0) {
 		t.Fatal("fresh cache holds a reservation")
 	}
 	c.SetReservation(0x104)
-	if a, ok := c.Reservation(); !ok || a != 0x100 {
-		t.Fatalf("reservation = %#x,%v", a, ok)
+	if !c.ReservedOn(0x100) {
+		t.Fatal("reservation does not cover its block base")
 	}
 	if !c.ReservedOn(0x11c) || c.ReservedOn(0x120) {
 		t.Fatal("ReservedOn block matching wrong")
@@ -153,7 +153,7 @@ func TestReservationLifecycle(t *testing.T) {
 		t.Fatal("reservation displacement wrong")
 	}
 	c.ClearReservation()
-	if _, ok := c.Reservation(); ok {
+	if c.ReservedOn(0x200) {
 		t.Fatal("ClearReservation did not clear")
 	}
 }

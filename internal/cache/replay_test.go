@@ -72,9 +72,8 @@ func replayStep(r *rand.Rand, c *Cache) string {
 		c.ClearReservation()
 		out = "clear-resv"
 	}
-	ra, ok := c.Reservation()
 	return fmt.Sprintf("%#x %s; stats %+v; resv %#x %v; reserved-on %v",
-		a, out, c.Stats(), ra, ok, c.ReservedOn(a))
+		a, out, c.Stats(), c.resvAddr, c.resvValid, c.ReservedOn(a))
 }
 
 // contents lists every valid line in ForEach order.

@@ -102,14 +102,8 @@ func (c *CacheCtl) sendLater(m *msg, dst mesh.NodeID, toHome bool) {
 	c.sys.eng.AfterArg(c.sys.cfg.CacheHitTime, c.sendHook, m)
 }
 
-// Node returns the controller's node id.
-func (c *CacheCtl) Node() mesh.NodeID { return c.node }
-
 // CacheArray exposes the underlying cache (tests and invariant checks).
 func (c *CacheCtl) CacheArray() *cache.Cache { return &c.cache }
-
-// Busy reports whether a processor request is outstanding.
-func (c *CacheCtl) Busy() bool { return c.pending != nil }
 
 // Issue starts one processor memory operation. Exactly one operation may be
 // outstanding per processor; a second Issue before Done fires panics.

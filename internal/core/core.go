@@ -275,9 +275,6 @@ func (s *System) Home(n mesh.NodeID) *HomeCtl { return s.homes[n] }
 // Nodes returns the number of processing nodes.
 func (s *System) Nodes() int { return s.cfg.Nodes }
 
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // HomeOf returns the home node of an address: blocks are interleaved across
 // the nodes by block number.
 func (s *System) HomeOf(a arch.Addr) mesh.NodeID {
@@ -289,13 +286,6 @@ func (s *System) HomeOf(a arch.Addr) mesh.NodeID {
 // flight are not modeled; real machines would flush first).
 func (s *System) SetPolicy(a arch.Addr, p Policy) {
 	*s.policies.At(arch.BlockNumber(a)) = p
-}
-
-// SetPolicyRange assigns a policy to every block overlapping [a, a+size).
-func (s *System) SetPolicyRange(a arch.Addr, size uint32, p Policy) {
-	for b := arch.BlockBase(a); b < a+arch.Addr(size); b += arch.BlockBytes {
-		s.SetPolicy(b, p)
-	}
 }
 
 // PolicyOf returns the coherence policy of the block containing a.

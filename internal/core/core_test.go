@@ -1026,19 +1026,6 @@ func TestIssueWhileBusyPanics(t *testing.T) {
 	}
 }
 
-func TestSetPolicyRangeCoversBlocks(t *testing.T) {
-	h := newH(t)
-	h.sys.SetPolicyRange(0x100, 96, PolicyUNC)
-	for _, a := range []arch.Addr{0x100, 0x120, 0x15c} {
-		if h.sys.PolicyOf(a) != PolicyUNC {
-			t.Fatalf("policy of %#x not UNC", a)
-		}
-	}
-	if h.sys.PolicyOf(0x160) != PolicyINV {
-		t.Fatal("range overshot")
-	}
-}
-
 func TestNakAndRetryCountersMove(t *testing.T) {
 	// Force recall/NAK traffic with a drop race and confirm the counters
 	// observe it (the exact numbers are protocol-internal).

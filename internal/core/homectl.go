@@ -88,9 +88,6 @@ func (h *HomeCtl) reset() {
 	h.replay = nil
 }
 
-// Node returns the controller's node id.
-func (h *HomeCtl) Node() mesh.NodeID { return h.node }
-
 // Memory exposes the underlying module (allocation, tests, and debugging).
 func (h *HomeCtl) Memory() *mem.Module { return &h.mod }
 

@@ -252,7 +252,7 @@ func (r *mcRun) enabled(buf []mcStep) []mcStep {
 	for n := 0; n < r.cfg.nodes; n++ {
 		if r.retrying[n] {
 			buf = append(buf, mcStep{mcRetry, n})
-		} else if !r.sys.caches[n].Busy() && r.pc[n] < len(r.cfg.progs[n]) {
+		} else if r.sys.caches[n].pending == nil && r.pc[n] < len(r.cfg.progs[n]) {
 			buf = append(buf, mcStep{mcIssue, n})
 		}
 	}
@@ -268,7 +268,7 @@ func (r *mcRun) enabled(buf []mcStep) []mcStep {
 // operation in flight.
 func (r *mcRun) outstanding() bool {
 	for n := 0; n < r.cfg.nodes; n++ {
-		if r.pc[n] < len(r.cfg.progs[n]) || r.sys.caches[n].Busy() {
+		if r.pc[n] < len(r.cfg.progs[n]) || r.sys.caches[n].pending != nil {
 			return true
 		}
 	}

@@ -107,24 +107,18 @@ func TestStaleDropHintIgnored(t *testing.T) {
 
 func TestAccessorsAndStrings(t *testing.T) {
 	h := newH(t)
-	if h.sys.Cache(2).Node() != 2 || h.sys.Home(3).Node() != 3 {
-		t.Fatal("Node accessors wrong")
-	}
 	if h.sys.Home(0).Memory() == nil || h.sys.Home(0).Directory() == nil {
 		t.Fatal("home accessors nil")
 	}
-	if h.sys.Config().Nodes != 4 {
-		t.Fatalf("Config.Nodes = %d", h.sys.Config().Nodes)
-	}
-	if h.sys.Cache(0).Busy() {
-		t.Fatal("idle controller reports busy")
+	if h.sys.Cache(0).pending != nil {
+		t.Fatal("idle controller has a request outstanding")
 	}
 	done := false
 	h.eng.At(0, func() {
 		h.sys.Cache(0).Issue(Request{Op: OpLoad, Addr: h.addrAtHome(1, 0),
 			Done: func(Result) { done = true }})
-		if !h.sys.Cache(0).Busy() {
-			t.Error("controller with outstanding request not busy")
+		if h.sys.Cache(0).pending == nil {
+			t.Error("issued request not outstanding")
 		}
 	})
 	for !done {

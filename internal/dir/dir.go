@@ -78,9 +78,6 @@ func (b Bitset) ForEach(fn func(mesh.NodeID)) {
 	}
 }
 
-// Only reports whether the set contains exactly node n and nothing else.
-func (b Bitset) Only(n mesh.NodeID) bool { return b == 1<<uint(n) }
-
 // Entry is the directory record for one block.
 type Entry struct {
 	State   State

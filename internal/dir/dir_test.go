@@ -29,18 +29,6 @@ func TestBitsetBasics(t *testing.T) {
 	}
 }
 
-func TestBitsetOnly(t *testing.T) {
-	var b Bitset
-	b.Add(5)
-	if !b.Only(5) || b.Only(4) {
-		t.Fatal("Only misreports singleton")
-	}
-	b.Add(6)
-	if b.Only(5) {
-		t.Fatal("Only true for two-element set")
-	}
-}
-
 func TestBitsetForEachOrdered(t *testing.T) {
 	var b Bitset
 	for _, n := range []mesh.NodeID{40, 1, 63, 0} {

@@ -107,10 +107,6 @@ func (r *ResvState) Reserve(n mesh.NodeID) bool {
 	panic("dir: unknown reservation scheme")
 }
 
-// Holds reports whether node n currently holds a reservation. Meaningful
-// only for the explicit-reservation schemes.
-func (r *ResvState) Holds(n mesh.NodeID) bool { return r.holders.Has(n) }
-
 // Holders returns the current reservation holders (explicit schemes).
 func (r *ResvState) Holders() Bitset { return r.holders }
 

@@ -101,11 +101,6 @@ func Defaults() RunOpts {
 	return RunOpts{Procs: 64, Rounds: 16, TCSize: 32}
 }
 
-// Small is a reduced configuration for tests and quick runs.
-func Small() RunOpts {
-	return RunOpts{Procs: 16, Rounds: 6, TCSize: 12}
-}
-
 // Patterns returns the paper's ten sharing patterns: no contention with
 // average write runs of 1, 1.5, 2, 3, and 10, and contention levels 2, 4,
 // 8, 16, and 64 (clamped to the machine size).

@@ -14,7 +14,7 @@ import (
 // Point.Run shares one slot under a lock. machine.Reset replays a fresh
 // machine cycle for cycle, so reuse changes host time and memory only.
 //
-// Callers that own a machine for one run (Table1, cmd/dsmsim) build a
+// Callers that own a machine for one run (Table1Par, cmd/dsmsim) build a
 // fresh one with NewMachine. A machine allocates its cache lines page by
 // page on first fill, so a fresh 64-node machine costs ~0.1 ms and
 // ~0.3 MB. Machines of mismatched geometry (Reset returns false) are
@@ -80,9 +80,6 @@ func (s *MachineSlot) Machine(cfg core.Config) *machine.Machine {
 // Stats reports the slot's lifetime cache behavior: machines built (misses,
 // including evictions refilled later) and machines reset-and-reused (hits).
 func (s *MachineSlot) Stats() (builds, resets uint64) { return s.builds, s.resets }
-
-// Resident returns how many machines the slot currently keeps.
-func (s *MachineSlot) Resident() int { return len(s.ms) }
 
 // MachineConfig is the machine configuration a bar needs at the given
 // scale: a near-square mesh accommodating o.Procs nodes, with the bar's

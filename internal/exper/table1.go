@@ -13,13 +13,10 @@ type Table1Row struct {
 	Got   int // serialized messages measured from the simulator
 }
 
-// Table1 measures the serialized network message counts for stores under
-// every coherence situation of the paper's Table 1, by constructing each
-// situation directly and reading the transaction's chain length. Runs are
-// fanned across GOMAXPROCS workers; use Table1Par to control the width.
-func Table1() []Table1Row { return Table1Par(0) }
-
-// Table1Par is Table1 with an explicit sweep width (see Sweep).
+// Table1Par measures the serialized network message counts for stores
+// under every coherence situation of the paper's Table 1, by constructing
+// each situation directly and reading the transaction's chain length. Runs
+// are fanned across par workers (see Sweep); par 0 means GOMAXPROCS.
 func Table1Par(par int) []Table1Row {
 	cfg := core.DefaultConfig()
 	measureStore := func(policy core.Policy, setup func(m *machine.Machine, a arch.Addr)) int {

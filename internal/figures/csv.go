@@ -7,10 +7,8 @@ import (
 	"dsm/internal/exper"
 )
 
-// WriteTable1CSV renders Table 1 as CSV (case,paper,measured).
-func WriteTable1CSV(w io.Writer) { WriteTable1CSVPar(w, 0) }
-
-// WriteTable1CSVPar is WriteTable1CSV with an explicit sweep width.
+// WriteTable1CSVPar renders Table 1 as CSV (case,paper,measured),
+// measuring its rows on par workers; par 0 means GOMAXPROCS.
 func WriteTable1CSVPar(w io.Writer, par int) {
 	fmt.Fprintln(w, "case,paper,measured")
 	for _, r := range exper.Table1Par(par) {

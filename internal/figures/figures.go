@@ -20,10 +20,8 @@ import (
 	"dsm/internal/stats"
 )
 
-// WriteTable1 renders Table 1 with paper-vs-measured columns.
-func WriteTable1(w io.Writer) { WriteTable1Par(w, 0) }
-
-// WriteTable1Par is WriteTable1 with an explicit sweep width.
+// WriteTable1Par renders Table 1 with paper-vs-measured columns, measuring
+// its rows on par workers; par 0 means GOMAXPROCS.
 func WriteTable1Par(w io.Writer, par int) {
 	fmt.Fprintln(w, "Table 1: serialized network messages for stores to shared memory")
 	fmt.Fprintf(w, "%-28s %6s %9s\n", "case", "paper", "measured")

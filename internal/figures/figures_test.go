@@ -13,7 +13,7 @@ import (
 )
 
 func TestTable1MatchesPaperExactly(t *testing.T) {
-	for _, r := range exper.Table1() {
+	for _, r := range exper.Table1Par(0) {
 		if r.Got != r.Paper {
 			t.Errorf("%s: measured %d serialized messages, paper says %d", r.Case, r.Got, r.Paper)
 		}
@@ -22,7 +22,7 @@ func TestTable1MatchesPaperExactly(t *testing.T) {
 
 func TestWriteTable1Renders(t *testing.T) {
 	var b bytes.Buffer
-	WriteTable1(&b)
+	WriteTable1Par(&b, 0)
 	out := b.String()
 	if !strings.Contains(out, "INV to remote exclusive") || strings.Contains(out, "MISMATCH") {
 		t.Fatalf("table output:\n%s", out)

@@ -139,13 +139,6 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Owner returns the base URL of the backend owning key — exported for
-// tests and operational tooling that need to see the routing decision the
-// ring makes.
-func (rt *Router) Owner(key string) string {
-	return rt.cfg.Backends[rt.ring.owner(key)]
-}
-
 // Metrics returns a point-in-time snapshot of the router counters.
 func (rt *Router) Metrics() Snapshot {
 	snap := rt.met.snapshot()

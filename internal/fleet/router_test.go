@@ -95,13 +95,16 @@ func (f *testFleet) balancedPoints(t *testing.T, n int) []string {
 	owned := make([]int, len(f.urls))
 	for seed := 1; len(points) < n*len(f.urls); seed++ {
 		pt := fmt.Sprintf(`{"app":"counter","procs":4,"rounds":2,"seed":%d}`, seed)
-		if b := f.backendFor(f.rt.Owner(specKey(t, pt))); owned[b] < n {
+		if b := f.backendFor(ownerURL(f.rt, specKey(t, pt))); owned[b] < n {
 			owned[b]++
 			points = append(points, pt)
 		}
 	}
 	return points
 }
+
+// ownerURL returns the base URL of the backend the ring assigns key to.
+func ownerURL(rt *Router, key string) string { return rt.cfg.Backends[rt.ring.owner(key)] }
 
 func specKey(t *testing.T, spec string) string {
 	t.Helper()
@@ -133,7 +136,7 @@ func TestRouterMissThenHitByteIdenticalToBackend(t *testing.T) {
 
 	// The routed response must be byte-identical to what the owning
 	// backend answers directly.
-	owner := f.rt.Owner(specKey(t, quickSpec))
+	owner := ownerURL(f.rt, specKey(t, quickSpec))
 	resp, err := http.Post(owner+"/v1/sim", "application/json", strings.NewReader(quickSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +182,7 @@ func TestRouterGetAndHeadProbe(t *testing.T) {
 func TestRouterQueryProbe(t *testing.T) {
 	f := newTestFleet(t, 2, Config{}, nil)
 	const get = "/v1/sim?app=counter&procs=4&rounds=2"
-	owner := f.rt.Owner(specKey(t, quickSpec))
+	owner := ownerURL(f.rt, specKey(t, quickSpec))
 	probes := func(want int) [2]*httptest.ResponseRecorder {
 		t.Helper()
 		ws := [2]*httptest.ResponseRecorder{
@@ -356,7 +359,7 @@ func TestNewLeavesCallerBackendsUnchanged(t *testing.T) {
 	if backends[0] != "http://a/" {
 		t.Fatalf("New rewrote the caller's slice to %q", backends[0])
 	}
-	if got := rt.Owner("k"); got != "http://a" {
+	if got := ownerURL(rt, "k"); got != "http://a" {
 		t.Fatalf("Owner = %q, want the trimmed URL", got)
 	}
 }
@@ -366,7 +369,7 @@ func TestNewLeavesCallerBackendsUnchanged(t *testing.T) {
 // owner, and the router counts each by the owner's X-Cache answer.
 func TestRouterOneUpstreamCallPerRequest(t *testing.T) {
 	f := newTestFleet(t, 2, Config{}, nil)
-	owner := f.backendFor(f.rt.Owner(specKey(t, quickSpec)))
+	owner := f.backendFor(ownerURL(f.rt, specKey(t, quickSpec)))
 	steps := []struct {
 		name, cache string
 		do          func() *httptest.ResponseRecorder
@@ -616,7 +619,7 @@ func TestRouterUpstreamDeadline(t *testing.T) {
 	points := f.balancedPoints(t, 4)
 	plan := `{"points":[` + strings.Join(points, ",") + `]}`
 	first := points[0]
-	owner := f.rt.Owner(specKey(t, first))
+	owner := ownerURL(f.rt, specKey(t, first))
 	stuck.Store(&owner)
 
 	start := time.Now()
@@ -642,7 +645,7 @@ func TestRouterUpstreamDeadline(t *testing.T) {
 			t.Fatalf("line %d not JSON: %q", i, ln)
 		}
 		_, isErr := obj["error"]
-		onStuck := f.rt.Owner(key) == owner
+		onStuck := ownerURL(f.rt, key) == owner
 		if onStuck != isErr || obj["key"] != key {
 			t.Fatalf("line %d (owner stuck: %v) = %s", i, onStuck, ln)
 		}

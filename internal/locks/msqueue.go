@@ -54,17 +54,10 @@ func msPack(id, tag arch.Word) arch.Word {
 // msID extracts the node id of a counted pointer.
 func msID(w arch.Word) arch.Word { return w & (1<<msTagBits - 1) }
 
-// NewMSQueue allocates a queue and capacity nodes (plus the dummy). The
-// caller acquires nodes with AcquireNode; they are not recycled.
-func NewMSQueue(m *machine.Machine, policy core.Policy, capacity int, opts Options) *MSQueue {
-	q := new(MSQueue)
-	q.Init(m, policy, capacity, opts)
-	return q
-}
-
-// Init (re)initializes q in place as NewMSQueue builds a queue, reusing
-// the node table's storage, so a workload rerun on a reused machine
-// allocates nothing.
+// Init (re)initializes q in place: it allocates the queue and capacity
+// nodes (plus the dummy), reusing the node table's storage, so a workload
+// rerun on a reused machine allocates nothing. The caller acquires nodes
+// with AcquireNode; they are not recycled.
 func (q *MSQueue) Init(m *machine.Machine, policy core.Policy, capacity int, opts Options) {
 	if opts.Prim == PrimFAP {
 		panic("locks: the MS queue needs a universal primitive (CAS or LL/SC)")

@@ -18,7 +18,8 @@ func TestMSQueueFIFO(t *testing.T) {
 		prim := prim
 		t.Run(prim.String(), func(t *testing.T) {
 			m := newM(4)
-			q := NewMSQueue(m, core.PolicyINV, 8, Options{Prim: prim})
+			q := new(MSQueue)
+			q.Init(m, core.PolicyINV, 8, Options{Prim: prim})
 			m.RunEach([]func(*machine.Proc){
 				func(p *machine.Proc) {
 					if _, ok := q.Dequeue(p); ok {
@@ -50,7 +51,8 @@ func TestMSQueueConcurrentNoLossNoDup(t *testing.T) {
 		t.Run(prim.String(), func(t *testing.T) {
 			const procs, each = 8, 6
 			m := newM(procs)
-			q := NewMSQueue(m, core.PolicyINV, procs*each, Options{Prim: prim})
+			q := new(MSQueue)
+			q.Init(m, core.PolicyINV, procs*each, Options{Prim: prim})
 			// Preassign node ranges so issue order is deterministic.
 			nodes := make([][]arch.Word, procs)
 			for i := range nodes {

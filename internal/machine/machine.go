@@ -62,12 +62,6 @@ type Machine struct {
 	// closures) across runs. Reset leaves it alone: it carries host-side
 	// scaffolding only, never simulated state.
 	appScratch any
-
-	// ctxQuantum, when non-zero, models multiprogramming context switches
-	// as on the MIPS R4000 (paper section 2.1): every quantum, each
-	// processor's LL reservation bit is cleared, so a store_conditional
-	// across a switch fails spuriously. Lock-free code must retry.
-	ctxQuantum sim.Time
 }
 
 // barrierState implements the constant-time barrier MINT provides to the
@@ -156,7 +150,6 @@ func (m *Machine) Reset(cfg core.Config) bool {
 	m.net.Reset()
 	m.allocNext = allocBase
 	m.seed = defaultSeed
-	m.ctxQuantum = 0
 	m.running = 0
 	m.barrier.waiting = m.barrier.waiting[:0]
 	m.barrier.spare = m.barrier.spare[:0]
@@ -189,36 +182,6 @@ func (m *Machine) ProcStats(i int) ProcStats { return m.procs[i].stats }
 // SetSeed sets the seed from which per-processor random streams derive.
 // Call before Run.
 func (m *Machine) SetSeed(s uint64) { m.seed = s }
-
-// SetContextSwitchQuantum enables periodic spurious invalidation of each
-// processor's LL reservation, modeling context switches on processors like
-// the MIPS R4000 whose LLbit is cleared on a switch (paper section 2.1).
-// Zero disables. Call before Run.
-func (m *Machine) SetContextSwitchQuantum(q sim.Time) { m.ctxQuantum = q }
-
-// scheduleContextSwitches arms the per-processor reservation-clearing
-// ticks for the current program; they stop when the program ends (so the
-// post-run drain terminates).
-func (m *Machine) scheduleContextSwitches() {
-	if m.ctxQuantum == 0 {
-		return
-	}
-	for i := range m.procs {
-		node := m.procs[i].node
-		// Stagger switches across processors, as independent schedulers
-		// would.
-		first := m.ctxQuantum + sim.Time(i)*7%m.ctxQuantum
-		var tick func()
-		tick = func() {
-			if m.running == 0 {
-				return
-			}
-			m.sys.Cache(node).CacheArray().ClearReservation()
-			m.eng.After(m.ctxQuantum, tick)
-		}
-		m.eng.After(first, tick)
-	}
-}
 
 // ------------------------------------------------------------ memory ----
 
@@ -324,7 +287,6 @@ func (m *Machine) RunEach(programs []func(p *Proc)) sim.Time {
 			haltAll(m.coros)
 		}
 	}()
-	m.scheduleContextSwitches()
 	for i, prog := range programs {
 		if prog == nil {
 			continue

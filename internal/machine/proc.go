@@ -470,11 +470,6 @@ func (p *Proc) FetchStore(a arch.Addr, v arch.Word) arch.Word {
 	return p.do(core.Request{Op: core.OpFetchStore, Addr: a, Val: v}).Value
 }
 
-// FetchOr atomically ors in v and returns the previous value.
-func (p *Proc) FetchOr(a arch.Addr, v arch.Word) arch.Word {
-	return p.do(core.Request{Op: core.OpFetchOr, Addr: a, Val: v}).Value
-}
-
 // TestAndSet atomically sets the word to 1 and returns the previous value.
 func (p *Proc) TestAndSet(a arch.Addr) arch.Word {
 	return p.do(core.Request{Op: core.OpTestAndSet, Addr: a}).Value

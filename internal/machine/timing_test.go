@@ -97,7 +97,7 @@ var timingCases = []timingCase{
 		return []func(*Proc){prog, prog, nil, prog}
 	}},
 	{"compute-llsc", func(m *Machine, now *[4][]sim.Time) []func(*Proc) {
-		m.SetContextSwitchQuantum(60)
+		clearReservationsEvery(m, 60)
 		a := m.AllocSync(core.PolicyINV)
 		prog := func(p *Proc) {
 			for n := 0; n < 3; {
@@ -131,6 +131,26 @@ var timingCases = []timingCase{
 		}
 		return []func(*Proc){writer, spinner, spinner, spinner}
 	}},
+}
+
+// clearReservationsEvery clears each processor's LL reservation every q
+// cycles, staggered across processors, while a program runs, so the
+// compute-llsc case's store_conditionals also fail spuriously. Armed from a
+// case's setup, the ticks precede the programs' first events in sequence
+// order.
+func clearReservationsEvery(m *Machine, q sim.Time) {
+	for i := range m.procs {
+		node := m.procs[i].node
+		var tick func()
+		tick = func() {
+			if m.running == 0 {
+				return
+			}
+			m.sys.Cache(node).CacheArray().ClearReservation()
+			m.eng.After(q, tick)
+		}
+		m.eng.After(q+sim.Time(i)*7%q, tick)
+	}
 }
 
 // timingRecord is everything a timing case pins.

@@ -64,9 +64,6 @@ func (m *Module) Init(eng *sim.Engine, cfg Config, nodes int) {
 // Stats returns a snapshot of the activity counters.
 func (m *Module) Stats() Stats { return m.stats }
 
-// ResetStats clears the activity counters.
-func (m *Module) ResetStats() { m.stats = Stats{} }
-
 // Reset returns the module to its post-Init state: bank idle, counters
 // cleared, storage reading as zero everywhere. Pages are zeroed in place
 // rather than dropped: a reused machine touches the same blocks every run,

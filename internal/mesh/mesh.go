@@ -181,14 +181,6 @@ func (m *Mesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
 // Stats returns a snapshot of the traffic counters.
 func (m *Mesh) Stats() Stats { return m.stats }
 
-// ResetStats clears the traffic counters. Port and link reservations — the
-// times at which each injection port, ejection port, and (in ModelRouters
-// mode) internal link next becomes free — are deliberately kept: they are
-// simulation state, not statistics, and in-flight messages still occupy
-// them. Counters reset mid-run therefore exclude the waiting already
-// accumulated but remain consistent with the traffic that follows.
-func (m *Mesh) ResetStats() { m.stats = Stats{} }
-
 // Reset returns the mesh to its post-New state: all port and link
 // reservations released and traffic counters cleared. The route and latency
 // tables depend only on geometry and are kept. Reset is only valid between
@@ -203,11 +195,6 @@ func (m *Mesh) Reset() {
 // Coord returns the (x, y) position of a node.
 func (m *Mesh) Coord(n NodeID) (x, y int) {
 	return int(n) % m.cfg.Width, int(n) / m.cfg.Width
-}
-
-// Hops returns the dimension-order routing distance between two nodes.
-func (m *Mesh) Hops(a, b NodeID) int {
-	return int(m.hops[int(a)*m.Nodes()+int(b)])
 }
 
 // Flits returns the number of flits occupied by a message carrying

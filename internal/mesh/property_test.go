@@ -56,7 +56,7 @@ func TestPropertyLatencyMonotonicInDistance(t *testing.T) {
 		m2.SendArg(0, b, 2, func(any) { tb = eng2.Now() }, nil)
 		for eng2.Step() {
 		}
-		if m.Hops(0, a) <= m2.Hops(0, b) {
+		if m.Stats().HopsTotal <= m2.Stats().HopsTotal {
 			return ta <= tb
 		}
 		return ta >= tb

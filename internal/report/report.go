@@ -134,23 +134,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return json.NewEncoder(w).Encode(r)
 }
 
-// ReadJSON parses a report previously written by WriteJSON.
-func ReadJSON(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// WriteCSV renders the chain summaries as CSV (class,count,mean,max).
-func (r *Report) WriteCSV(w io.Writer) {
-	fmt.Fprintln(w, "class,count,mean,max")
-	for _, c := range r.Chains {
-		fmt.Fprintf(w, "%s,%d,%.3f,%d\n", c.Class, c.Count, c.Mean, c.Max)
-	}
-}
-
 func pct(a, b uint64) float64 {
 	if b == 0 {
 		return 0

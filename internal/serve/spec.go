@@ -35,7 +35,6 @@ import (
 	"math"
 	"strconv"
 
-	"dsm/internal/core"
 	"dsm/internal/exper"
 )
 
@@ -64,7 +63,6 @@ type Spec struct {
 // Scale limits keep one request's simulation cost bounded: the service is
 // sized for interactive exploration, not unbounded batch jobs.
 const (
-	MaxProcs  = core.MaxNodes // the paper's machine
 	MaxRounds = 256
 	MaxSize   = 64
 	maxWrun   = 64

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
-	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -92,9 +90,6 @@ func TestHistogramMatchesMapReference(t *testing.T) {
 			t.Fatalf("step %d: total/mean/max %d/%v/%d, want %d/%v/%d",
 				step, h.Total(), h.Mean(), h.Max(), ref.total, ref.mean(), ref.max())
 		}
-		if got, want := h.Values(), ref.values(); !slices.Equal(got, want) {
-			t.Fatalf("step %d: Values %v, want %v", step, got, want)
-		}
 		for v := -2; v <= ref.max()+2; v++ {
 			if h.Count(v) != ref.counts[v] || h.Percent(v) != ref.percent(v) {
 				t.Fatalf("step %d: Count/Percent(%d) = %d/%v, want %d/%v",
@@ -138,26 +133,10 @@ func TestHistogramMatchesMapReference(t *testing.T) {
 	}
 }
 
-func TestHistogramUnmarshalRejects(t *testing.T) {
-	for _, in := range []string{
-		`[{"v":-1,"n":1}]`,
-		`[{"v":65537,"n":1}]`,
-		`[{"v":9223372036854775807,"n":1}]`,
-		`[{"v":3,"n":1},{"v":3,"n":2}]`,
-		`[{"v":4,"n":1},{"v":2,"n":2}]`,
-		`{"v":1}`,
-	} {
-		h := NewHistogram()
-		h.Add(1)
-		if err := json.Unmarshal([]byte(in), h); err == nil {
-			t.Errorf("Unmarshal(%s) accepted", in)
-		}
-	}
-}
-
-// FuzzHistogramJSON decodes arbitrary bytes as a histogram. Decoding must
-// never panic, and whatever decodes must re-encode to bytes that decode to
-// the same histogram and encode to the same bytes.
+// FuzzHistogramJSON builds a histogram from arbitrary {"v","n"} bins, in
+// any order and with repeated values, and checks that it encodes as the
+// map reference does: value-sorted, repeated values summed, empty bins
+// dropped, and byte-stable across re-encodes, as serving relies on.
 func FuzzHistogramJSON(f *testing.F) {
 	for _, seed := range []string{
 		`[]`,
@@ -172,23 +151,29 @@ func FuzzHistogramJSON(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h := NewHistogram()
-		if err := json.Unmarshal(data, h); err != nil {
+		var bins []histogramBin
+		if json.Unmarshal(data, &bins) != nil {
 			return
+		}
+		h := NewHistogram()
+		ref := &refHistogram{counts: make(map[int]uint64)}
+		for _, b := range bins {
+			// Bound the dense array, and keep counts far from wrapping.
+			if b.V < 0 || b.V > 1<<16 || b.N > 1<<32 {
+				return
+			}
+			h.AddN(b.V, b.N)
+			ref.addN(b.V, b.N)
 		}
 		enc, err := json.Marshal(h)
 		if err != nil {
-			t.Fatalf("Marshal of decoded %q: %v", data, err)
+			t.Fatalf("Marshal of %q: %v", data, err)
 		}
-		again := NewHistogram()
-		if err := json.Unmarshal(enc, again); err != nil {
-			t.Fatalf("re-decoding %s: %v", enc, err)
+		if want := ref.marshal(); string(enc) != string(want) {
+			t.Fatalf("%q encodes to %s, want %s", data, enc, want)
 		}
-		if !reflect.DeepEqual(again, h) {
-			t.Fatalf("%q decodes to %s, its encoding %s to %s", data, h, enc, again)
-		}
-		if enc2, _ := json.Marshal(again); string(enc2) != string(enc) {
-			t.Fatalf("re-encoding %s gave %s", enc, enc2)
+		if again, _ := json.Marshal(h); string(again) != string(enc) {
+			t.Fatalf("re-encoding %s gave %s", enc, again)
 		}
 	})
 }

@@ -23,12 +23,6 @@ type Histogram struct {
 	sum    int64
 }
 
-// maxUnmarshalValue bounds the bin values UnmarshalJSON accepts, so an
-// untrusted encoding cannot size the dense array. The only histogram the
-// simulator serializes is the contention histogram, whose values are at
-// most the processor count.
-const maxUnmarshalValue = 1 << 16
-
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
 	return &Histogram{}
@@ -102,17 +96,6 @@ func (h *Histogram) Percent(v int) float64 {
 	return 100 * float64(h.Count(v)) / float64(h.total)
 }
 
-// Values returns the recorded values in increasing order.
-func (h *Histogram) Values() []int {
-	vs := make([]int, 0, len(h.counts))
-	for v, n := range h.counts {
-		if n != 0 {
-			vs = append(vs, v)
-		}
-	}
-	return vs
-}
-
 // Merge adds all samples of other into h.
 func (h *Histogram) Merge(other *Histogram) {
 	for v, n := range other.counts {
@@ -137,30 +120,6 @@ func (h *Histogram) MarshalJSON() ([]byte, error) {
 		}
 	}
 	return json.Marshal(bins)
-}
-
-// UnmarshalJSON rebuilds the histogram from its bin array, restoring the
-// derived total and sum. The input is untrusted: bin values must be
-// strictly increasing, as MarshalJSON writes them, and lie in
-// [0, maxUnmarshalValue]; anything else is an error.
-func (h *Histogram) UnmarshalJSON(data []byte) error {
-	var bins []histogramBin
-	if err := json.Unmarshal(data, &bins); err != nil {
-		return err
-	}
-	for i, b := range bins {
-		if b.V < 0 || b.V > maxUnmarshalValue {
-			return fmt.Errorf("stats: histogram value %d outside [0, %d]", b.V, maxUnmarshalValue)
-		}
-		if i > 0 && b.V <= bins[i-1].V {
-			return fmt.Errorf("stats: histogram values not increasing at %d", b.V)
-		}
-	}
-	h.Reset()
-	for _, b := range bins {
-		h.AddN(b.V, b.N)
-	}
-	return nil
 }
 
 // String renders "v:count" pairs in increasing value order.

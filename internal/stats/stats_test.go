@@ -2,7 +2,6 @@ package stats
 
 import (
 	"encoding/json"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -43,15 +42,15 @@ func TestHistogramValuesSorted(t *testing.T) {
 	for _, v := range []int{9, 2, 7, 2, 0} {
 		h.Add(v)
 	}
-	want := []int{0, 2, 7, 9}
-	got := h.Values()
-	if len(got) != len(want) {
-		t.Fatalf("Values = %v", got)
+	if got, want := h.String(), "0:1 2:2 7:1 9:1"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Values = %v, want %v", got, want)
-		}
+	data, err := json.Marshal(h)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	if want := `[{"v":0,"n":1},{"v":2,"n":2},{"v":7,"n":1},{"v":9,"n":1}]`; string(data) != want {
+		t.Fatalf("Marshal = %s, want %s", data, want)
 	}
 }
 
@@ -158,7 +157,7 @@ func TestContentionEndWithoutBeginPanics(t *testing.T) {
 func TestWriteRunSingleWriter(t *testing.T) {
 	w := NewWriteRunTracker()
 	for i := 0; i < 4; i++ {
-		w.Access(0x100, 0, true)
+		w.SyncAccess(0x100, 0, true, true)
 	}
 	w.Flush()
 	if w.Histogram().Count(4) != 1 || w.Histogram().Total() != 1 {
@@ -169,7 +168,7 @@ func TestWriteRunSingleWriter(t *testing.T) {
 func TestWriteRunAlternatingWriters(t *testing.T) {
 	w := NewWriteRunTracker()
 	for i := 0; i < 6; i++ {
-		w.Access(0x100, i%2, true)
+		w.SyncAccess(0x100, i%2, true, true)
 	}
 	w.Flush()
 	if w.Mean() != 1 {
@@ -182,10 +181,10 @@ func TestWriteRunAlternatingWriters(t *testing.T) {
 
 func TestWriteRunReadByOtherEndsRun(t *testing.T) {
 	w := NewWriteRunTracker()
-	w.Access(0x100, 0, true)
-	w.Access(0x100, 0, true)
-	w.Access(0x100, 1, false) // read by other proc intervenes
-	w.Access(0x100, 0, true)
+	w.SyncAccess(0x100, 0, true, true)
+	w.SyncAccess(0x100, 0, true, true)
+	w.SyncAccess(0x100, 1, false, true) // read by other proc intervenes
+	w.SyncAccess(0x100, 0, true, true)
 	w.Flush()
 	h := w.Histogram()
 	if h.Count(2) != 1 || h.Count(1) != 1 {
@@ -195,9 +194,9 @@ func TestWriteRunReadByOtherEndsRun(t *testing.T) {
 
 func TestWriteRunOwnReadDoesNotEndRun(t *testing.T) {
 	w := NewWriteRunTracker()
-	w.Access(0x100, 0, true)
-	w.Access(0x100, 0, false) // own read: acquire-test pattern
-	w.Access(0x100, 0, true)
+	w.SyncAccess(0x100, 0, true, true)
+	w.SyncAccess(0x100, 0, false, true) // own read: acquire-test pattern
+	w.SyncAccess(0x100, 0, true, true)
 	w.Flush()
 	if w.Histogram().Count(2) != 1 {
 		t.Fatalf("histogram = %s", w.Histogram())
@@ -206,9 +205,9 @@ func TestWriteRunOwnReadDoesNotEndRun(t *testing.T) {
 
 func TestWriteRunLocationsIndependent(t *testing.T) {
 	w := NewWriteRunTracker()
-	w.Access(0x100, 0, true)
-	w.Access(0x200, 1, true) // other location: not an intervention
-	w.Access(0x100, 0, true)
+	w.SyncAccess(0x100, 0, true, true)
+	w.SyncAccess(0x200, 1, true, true) // other location: not an intervention
+	w.SyncAccess(0x100, 0, true, true)
 	w.Flush()
 	if w.Histogram().Count(2) != 1 || w.Histogram().Count(1) != 1 {
 		t.Fatalf("histogram = %s", w.Histogram())
@@ -217,8 +216,8 @@ func TestWriteRunLocationsIndependent(t *testing.T) {
 
 func TestWriteRunReadOnlyNeverRecords(t *testing.T) {
 	w := NewWriteRunTracker()
-	w.Access(0x100, 0, false)
-	w.Access(0x100, 1, false)
+	w.SyncAccess(0x100, 0, false, true)
+	w.SyncAccess(0x100, 1, false, true)
 	w.Flush()
 	if w.Histogram().Total() != 0 {
 		t.Fatalf("reads created runs: %s", w.Histogram())
@@ -231,8 +230,8 @@ func TestWriteRunLockPatternMeansNearTwo(t *testing.T) {
 	w := NewWriteRunTracker()
 	for i := 0; i < 10; i++ {
 		p := i % 4
-		w.Access(0x100, p, true) // acquire
-		w.Access(0x100, p, true) // release
+		w.SyncAccess(0x100, p, true, true) // acquire
+		w.SyncAccess(0x100, p, true, true) // release
 	}
 	w.Flush()
 	if w.Mean() != 2 {
@@ -279,16 +278,6 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 	if string(again) != want {
 		t.Fatalf("re-Marshal = %s, want %s", again, want)
 	}
-	got := NewHistogram()
-	if err := json.Unmarshal(data, got); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if got.Total() != h.Total() || got.Mean() != h.Mean() || got.Max() != h.Max() {
-		t.Fatalf("round trip lost derived stats: %s vs %s", got, h)
-	}
-	if !reflect.DeepEqual(got, h) {
-		t.Fatalf("round trip = %s, want %s", got, h)
-	}
 }
 
 func TestHistogramJSONEmpty(t *testing.T) {
@@ -298,12 +287,5 @@ func TestHistogramJSONEmpty(t *testing.T) {
 	}
 	if string(data) != "[]" {
 		t.Fatalf("empty = %s, want []", data)
-	}
-	got := NewHistogram()
-	if err := json.Unmarshal(data, got); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if got.Total() != 0 {
-		t.Fatalf("Total = %d", got.Total())
 	}
 }

@@ -102,17 +102,12 @@ func (t *WriteRunTracker) Reset() {
 	t.hist.Reset()
 }
 
-// Access records an access by proc to loc. Writes by the current run's
-// writer extend the run; any access by another processor terminates it.
-// Reads by the run's own writer neither extend nor terminate.
-func (t *WriteRunTracker) Access(loc Location, proc int, write bool) {
-	t.access(t.words.At(loc.word()), proc, write)
-}
-
-// SyncAccess is Access restricted to synchronization locations, the words
-// the paper measures: an atomic access marks loc as one, and accesses to
-// unmarked words are ignored. One table lookup serves both the mark and the
-// run.
+// SyncAccess records an access by proc to loc, tracking only
+// synchronization locations, the words the paper measures: an atomic access
+// marks loc as one, and accesses to unmarked words are ignored. Writes by
+// the current run's writer extend the run; any access by another processor
+// terminates it. Reads by the run's own writer neither extend nor
+// terminate. One table lookup serves both the mark and the run.
 func (t *WriteRunTracker) SyncAccess(loc Location, proc int, write, atomic bool) {
 	var w *written
 	if atomic {

@@ -9,7 +9,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"dsm/internal/sim"
 )
@@ -66,18 +65,6 @@ func (b *Buffer) Events() []Event {
 	out := make([]Event, 0, len(b.ring))
 	out = append(out, b.ring[b.next:]...)
 	out = append(out, b.ring[:b.next]...)
-	return out
-}
-
-// Filter returns the retained events whose kind or detail contains the
-// substring, in chronological order.
-func (b *Buffer) Filter(substr string) []Event {
-	var out []Event
-	for _, e := range b.Events() {
-		if strings.Contains(e.Kind, substr) || strings.Contains(e.Detail, substr) {
-			out = append(out, e)
-		}
-	}
 	return out
 }
 

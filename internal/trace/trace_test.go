@@ -37,19 +37,6 @@ func TestRingDisplacesOldest(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	b := New(10)
-	b.Record(1, 0, "send", "read-ex -> n01")
-	b.Record(2, 1, "recv", "read-ex")
-	b.Record(3, 0, "complete", "store done")
-	if got := b.Filter("read-ex"); len(got) != 2 {
-		t.Fatalf("Filter(read-ex) = %d events", len(got))
-	}
-	if got := b.Filter("complete"); len(got) != 1 {
-		t.Fatalf("Filter(complete) = %d events", len(got))
-	}
-}
-
 func TestWriteTo(t *testing.T) {
 	b := New(2)
 	b.Record(7, 3, "issue", "load addr=0x40")
