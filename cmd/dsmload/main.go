@@ -78,17 +78,28 @@ var traceCtx = httptrace.WithClientTrace(context.Background(), &httptrace.Client
 // workingSet builds the duplicate pool: n specs spread across the paper's
 // design space (policy x primitive x contention), all at a reduced scale
 // (8 processors, 3 rounds). Every dsmload invocation generates the same
-// set, so back-to-back runs against a warm server hit immediately.
+// set, so back-to-back runs against a warm server hit immediately. Each
+// body is the spec's canonical JSON, as the fleet router forwards it, so
+// a warm server answers it from the raw bytes.
 func workingSet(n int) []string {
 	policies, prims := exper.PolicyNames(), exper.PrimNames()
 	conts := []int{1, 2, 4, 8}
 	specs := make([]string, 0, n)
 	for i := 0; len(specs) < n; i++ {
-		specs = append(specs, fmt.Sprintf(
-			`{"app":"counter","policy":%q,"prim":%q,"procs":8,"c":%d,"rounds":3}`,
-			policies[i%len(policies)], prims[(i/3)%len(prims)], conts[(i/9)%len(conts)]))
+		specs = append(specs, canonical(serve.Spec{App: "counter",
+			Policy: policies[i%len(policies)], Prim: prims[(i/3)%len(prims)],
+			Procs: 8, Contention: conts[(i/9)%len(conts)], Rounds: 3}))
 	}
 	return specs
+}
+
+// canonical renders a valid spec as its canonical JSON body.
+func canonical(sp serve.Spec) string {
+	n, err := sp.Normalize()
+	if err != nil {
+		panic(err) // the generators only build valid specs
+	}
+	return string(n.AppendJSON(nil))
 }
 
 // picker draws one client's request stream: a working-set spec with
@@ -125,7 +136,7 @@ func (p *picker) draw() string {
 		return p.specs[p.rng.Intn(len(p.specs))]
 	}
 	p.unique++
-	return fmt.Sprintf(`{"app":"counter","procs":8,"c":8,"rounds":3,"seed":%d}`, p.unique)
+	return canonical(serve.Spec{App: "counter", Procs: 8, Contention: 8, Rounds: 3, Seed: p.unique})
 }
 
 // result is one request's outcome as the client saw it.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"dsm/internal/fleet"
+	"dsm/internal/serve"
 )
 
 func TestPickerDeterministicFromSeed(t *testing.T) {
@@ -29,6 +31,24 @@ func TestPickerDeterministicFromSeed(t *testing.T) {
 	}
 	if same == 200 {
 		t.Fatal("seed 7 and seed 8 produced identical streams")
+	}
+}
+
+// TestDrawsAreCanonical checks that every body dsmload sends, working-set
+// and fresh alike, is its spec's canonical JSON, the form the fleet
+// router forwards and the server answers a hit from without parsing.
+func TestDrawsAreCanonical(t *testing.T) {
+	p := newPicker(1, 0, workingSet(16), 0.5, 0)
+	for i := 0; i < 100; i++ {
+		body := p.draw()
+		var sp serve.Spec
+		if err := json.Unmarshal([]byte(body), &sp); err != nil {
+			t.Fatalf("draw %d %s: %v", i, body, err)
+		}
+		n, err := sp.Normalize()
+		if err != nil || string(n.AppendJSON(nil)) != body {
+			t.Fatalf("draw %d %s is not canonical (%s, %v)", i, body, n.AppendJSON(nil), err)
+		}
 	}
 }
 

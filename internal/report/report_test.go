@@ -81,7 +81,10 @@ func TestWriteTextRendersSections(t *testing.T) {
 	}
 }
 
-func TestWriteJSONRoundTrip(t *testing.T) {
+// TestWriteJSONByteStable checks that a report encodes as one
+// newline-terminated JSON document, and that encoding it again yields the
+// same bytes.
+func TestWriteJSONByteStable(t *testing.T) {
 	m := runSmall()
 	r := Collect(m)
 	var buf bytes.Buffer

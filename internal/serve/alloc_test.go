@@ -32,18 +32,28 @@ type reqBody struct{ strings.Reader }
 
 func (*reqBody) Close() error { return nil }
 
-// TestHitPathZeroAlloc pins the cache-hit path — route, parse, key text,
-// lookup, headers, body write — at zero allocations per request. This is
-// the property the zero-copy serving work exists for: a hot key must cost
-// a map probe by its key text, with no hash, and never a byte of garbage. The pin covers GET and
-// POST-JSON requests, the identity and the gzip-negotiated variants (once
-// the first gzip hit has built the entry's variant), and the probe hit.
+// TestHitPathZeroAlloc pins the cache-hit path — route, parse, canonical
+// JSON, lookup, headers, body write — at zero allocations per request. This
+// is the property the zero-copy serving work exists for: a hot key must
+// cost a map probe by the spec's canonical JSON, with no hash, and never a
+// byte of garbage. The pin covers GET and POST-JSON requests, the POST
+// whose body is already the canonical JSON (probed as it stands, before
+// any parsing), the identity and the gzip-negotiated variants (once the
+// first gzip hit has built the entry's variant), and the probe hit.
 func TestHitPathZeroAlloc(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	h := s.Handler()
 	const path = "/v1/sim?app=counter&procs=4&rounds=2"
 	if w := doGet(s, path); w.Code != http.StatusOK { // prime the cache
 		t.Fatalf("prime = %d: %s", w.Code, w.Body)
+	}
+	sp, err := Spec{App: "counter", Procs: 4, Rounds: 2}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical := string(sp.AppendJSON(nil))
+	if _, ok := s.cache.getBytes([]byte(canonical)); !ok || canonical == quickSpec {
+		t.Fatalf("%s is not a cache key distinct from quickSpec", canonical)
 	}
 
 	body := &reqBody{}
@@ -65,13 +75,15 @@ func TestHitPathZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name   string
 		req    *http.Request
+		body   string // POST body
 		status int
 	}{
-		{"get-identity", get(http.MethodGet, false), 0},
-		{"probe-hit", get(http.MethodHead, false), http.StatusOK},
-		{"get-gzip", get(http.MethodGet, true), 0},
-		{"post-identity", post(false), 0},
-		{"post-gzip", post(true), 0},
+		{"get-identity", get(http.MethodGet, false), "", 0},
+		{"probe-hit", get(http.MethodHead, false), "", http.StatusOK},
+		{"get-gzip", get(http.MethodGet, true), "", 0},
+		{"post-identity", post(false), quickSpec, 0},
+		{"post-gzip", post(true), quickSpec, 0},
+		{"post-canonical", post(false), canonical, 0},
 	}
 
 	for _, tc := range cases {
@@ -79,7 +91,7 @@ func TestHitPathZeroAlloc(t *testing.T) {
 			w := &nopResponseWriter{h: make(http.Header)}
 			run := func() {
 				w.reset()
-				body.Reset(quickSpec)
+				body.Reset(tc.body)
 				h.ServeHTTP(w, tc.req)
 			}
 			run() // warm the header map's buckets (and build the gzip variant)

@@ -8,12 +8,14 @@ import (
 	"sync/atomic"
 )
 
-// resultCache is the result store: canonical key text (Spec.appendKeyText)
-// -> encoded outcome bytes, with LRU eviction at a fixed entry budget.
-// Keying by the text rather than its SHA-256 is stricter, never looser: two
-// specs share an entry only if every field renders the same. The entry
-// carries the content address (Spec.Key), computed once when the result
-// was simulated, for the X-Spec-Key header.
+// resultCache is the result store: a normalized spec's canonical JSON
+// (Spec.AppendJSON) -> encoded outcome bytes, with LRU eviction at a fixed
+// entry budget. The canonical JSON is injective on normalized specs (it
+// parses and normalizes back to the same spec), so two specs share an
+// entry only if every field is the same, and a POST body that is already
+// canonical can probe the map as it stands. The entry carries the content
+// address (Spec.Key), computed once when the result was simulated, for
+// the X-Spec-Key header.
 // An entry's encoded bytes are never modified once inserted, so a hit can
 // hand the stored slice to the response writer without copying. One mutex
 // guards one recency list and map: a lookup holds it for a map probe and a
@@ -37,7 +39,7 @@ type resultCache struct {
 // publication: re-inserting a key replaces the element's entry wholesale,
 // so a reader holding the old pointer keeps a consistent (data, gzip) pair.
 type cacheEntry struct {
-	key    string   // key text, the entry's map key
+	key    string   // canonical spec JSON, the entry's map key
 	data   []byte   // canonical encoded outcome (identity encoding)
 	keyHdr []string // {content address}, preallocated for direct header-map assignment
 	// gz is the gzip variant once built: nil until the first gzip hit,
@@ -122,7 +124,7 @@ func (c *resultCache) get(key string) (*cacheEntry, bool) {
 // getBytes is get for a key still rendered as bytes. The map index
 // compiles to a no-copy lookup (the string(key) conversion in index
 // position does not allocate), so the request hot path can probe the
-// cache straight from its stack key buffer.
+// cache straight from a POST body's read buffer or its stack key buffer.
 func (c *resultCache) getBytes(key []byte) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -13,10 +13,10 @@ import (
 )
 
 // textKey builds a distinct cache key of the form the server uses (a
-// spec's key text) from an integer.
+// spec's canonical JSON) from an integer.
 func textKey(i int) string {
 	sp := Spec{Seed: uint64(i)}
-	return string(sp.appendKeyText(nil))
+	return string(sp.AppendJSON(nil))
 }
 
 // TestCacheConcurrentStress hammers the cache with concurrent puts

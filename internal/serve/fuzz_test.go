@@ -135,9 +135,13 @@ func FuzzNormalizeKey(f *testing.F) {
 	})
 }
 
-// FuzzSpecAppendJSON holds the router's forwarded body to encoding/json:
-// for every spec Normalize accepts, AppendJSON of the canonical form
-// equals json.Marshal of it byte for byte.
+// FuzzSpecAppendJSON holds the canonical JSON, which the router forwards
+// and the server's cache is keyed by, to encoding/json and to its own
+// decode: for every spec Normalize accepts, AppendJSON of the normalized
+// form n equals json.Marshal of it byte for byte, fits specJSONMax, and is
+// a fixed point — parseSpecBytes accepts it, and normalizing the result
+// gives n back, whose AppendJSON is the same bytes. That fixed point is
+// what lets the server answer a canonical POST body from its raw bytes.
 func FuzzSpecAppendJSON(f *testing.F) {
 	for i, app := range exper.AppNames() {
 		a := [...]float64{1, 1.5, 10, 64}[i%4]
@@ -160,6 +164,19 @@ func FuzzSpecAppendJSON(f *testing.F) {
 		}
 		if got := n.AppendJSON([]byte("x")); string(got) != "x"+string(want) {
 			t.Fatalf("AppendJSON(%+v) = %s, json.Marshal = %s", n, got[1:], want)
+		}
+		if len(want) > specJSONMax {
+			t.Fatalf("AppendJSON(%+v) is %d bytes, over specJSONMax %d", n, len(want), specJSONMax)
+		}
+		back, err := parseSpecBytes(want)
+		if err != nil {
+			t.Fatalf("parseSpecBytes(%s): %v", want, err)
+		}
+		if back, err = back.Normalize(); err != nil || !sameSpec(back, n) {
+			t.Fatalf("%s parses and normalizes to %+v, %v; want %+v", want, back, err, n)
+		}
+		if again := back.AppendJSON(nil); string(again) != string(want) {
+			t.Fatalf("%s round-trips to %s", want, again)
 		}
 	})
 }

@@ -180,7 +180,7 @@ func TestIncompressibleBodyServedIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.cache.put(string(sp.appendKeyText(nil)), sp.Key(), data)
+	s.cache.put(string(sp.AppendJSON(nil)), sp.Key(), data)
 	for _, accept := range []string{"", "gzip"} {
 		req := httptest.NewRequest(http.MethodPost, "/v1/sim", strings.NewReader("{}"))
 		if accept != "" {

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+
+	"dsm/internal/exper"
 )
 
 // keyTestSpecs covers every field shape the key rendering must get right:
@@ -28,8 +30,8 @@ var keyTestSpecs = []Spec{
 
 // TestKeyTextMatchesFmt pins the strconv-based key rendering to the
 // fmt.Sprintf form the content address originally hashed. A divergence
-// here silently severs every cached result, so the fmt form stays in the
-// test as the specification.
+// here silently changes every published content address, so the fmt form
+// stays in the test as the specification.
 func TestKeyTextMatchesFmt(t *testing.T) {
 	for _, sp := range keyTestSpecs {
 		want := fmt.Sprintf(
@@ -45,8 +47,42 @@ func TestKeyTextMatchesFmt(t *testing.T) {
 	}
 }
 
+// TestSpecJSONMax checks the stack bound on the canonical JSON the cache
+// is keyed by, the way TestKeyTextMatchesFmt checks keyTextMax: a spec
+// with every field present at its widest, a combination no normalized spec
+// reaches, still fits, and so does every key test spec that normalizes.
+func TestSpecJSONMax(t *testing.T) {
+	longest := func(names []string) string {
+		w := ""
+		for _, n := range names {
+			if len(n) > len(w) {
+				w = n
+			}
+		}
+		return w
+	}
+	widest := Spec{
+		App: longest(exper.AppNames()), Policy: longest(exper.PolicyNames()),
+		Prim: longest(exper.PrimNames()), Variant: longest(exper.VariantNames()),
+		LoadEx: true, Drop: true, Procs: 64, Contention: 64,
+		WriteRun: 10.000000000000002, // 17 significant digits, two before the point
+		Rounds:   MaxRounds, Size: MaxSize, Seed: ^uint64(0),
+	}
+	specs := []Spec{widest}
+	for _, sp := range keyTestSpecs {
+		if n, err := sp.Normalize(); err == nil {
+			specs = append(specs, n)
+		}
+	}
+	for _, sp := range specs {
+		if b := sp.AppendJSON(nil); len(b) > specJSONMax {
+			t.Errorf("canonical JSON %s is %d bytes, over the %d stack budget", b, len(b), specJSONMax)
+		}
+	}
+}
+
 // TestKeyIsDigestOfKeyText checks the content address against its
-// definition: the hex SHA-256 of the key text the cache is addressed by.
+// definition: the hex SHA-256 of the key text.
 func TestKeyIsDigestOfKeyText(t *testing.T) {
 	for _, sp := range keyTestSpecs {
 		sum := sha256.Sum256(sp.appendKeyText(nil))

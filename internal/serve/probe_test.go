@@ -50,4 +50,21 @@ func TestProbeNeverSimulates(t *testing.T) {
 	if m := s.Metrics(); m.Runs != 1 || m.Probes != 4 || m.ProbeHits != 2 {
 		t.Fatalf("metrics after warm probes = %+v", m)
 	}
+
+	// A canonical body answers a probe from its raw bytes; a canonical
+	// body for an uncached spec is still a miss naming its content address.
+	sp, _ := Spec{App: "counter", Procs: 4, Rounds: 2}.Normalize()
+	rawHit := doProbe(s, http.MethodPost, "/v1/sim?probe=1", string(sp.AppendJSON(nil)))
+	if rawHit.Code != http.StatusOK || !bytes.Equal(rawHit.Body.Bytes(), real.Body.Bytes()) {
+		t.Fatalf("canonical probe = %d, body equal %v", rawHit.Code, bytes.Equal(rawHit.Body.Bytes(), real.Body.Bytes()))
+	}
+	sp.Seed = 9
+	rawMiss := doProbe(s, http.MethodPost, "/v1/sim?probe=1", string(sp.AppendJSON(nil)))
+	if rawMiss.Code != http.StatusNotFound || rawMiss.Header().Get("X-Spec-Key") != sp.Key() {
+		t.Fatalf("cold canonical probe = %d X-Spec-Key=%q, want 404 %q",
+			rawMiss.Code, rawMiss.Header().Get("X-Spec-Key"), sp.Key())
+	}
+	if m := s.Metrics(); m.Runs != 1 || m.Probes != 6 || m.ProbeHits != 3 {
+		t.Fatalf("metrics after canonical probes = %+v", m)
+	}
 }

@@ -210,6 +210,54 @@ func TestGetQuerySpecMatchesPostSpec(t *testing.T) {
 	}
 }
 
+// TestCanonicalBodyHitMatchesParsedHit checks that the three forms of one
+// spec share one cache entry: its canonical JSON (probed as raw bytes), the
+// same body with its fields reordered and trailing whitespace (parsed,
+// normalized, then probed), and the GET query. Whichever form simulates
+// first, all three then get byte-identical hit bodies and headers, and
+// the server ran one simulation.
+func TestCanonicalBodyHitMatchesParsedHit(t *testing.T) {
+	const (
+		canonical = `{"app":"counter","policy":"INV","prim":"FAP","cas":"INV","procs":4,"c":1,"a":1,"rounds":2}`
+		reordered = `{"rounds":2,"a":1,"c":1,"procs":4,"cas":"INV","prim":"FAP","policy":"INV","app":"counter"} ` + "\n"
+		query     = "/v1/sim?app=counter&procs=4&rounds=2"
+	)
+	sp, err := Spec{App: "counter", Procs: 4, Rounds: 2}.Normalize()
+	if err != nil || string(sp.AppendJSON(nil)) != canonical {
+		t.Fatalf("canonical JSON = %s, %v; want %s", sp.AppendJSON(nil), err, canonical)
+	}
+	forms := []func(*Server) *httptest.ResponseRecorder{
+		func(s *Server) *httptest.ResponseRecorder { return doJSON(s, canonical) },
+		func(s *Server) *httptest.ResponseRecorder { return doJSON(s, reordered) },
+		func(s *Server) *httptest.ResponseRecorder { return doGet(s, query) },
+	}
+	for first := range forms {
+		s := newTestServer(t, Config{Workers: 1})
+		miss := forms[first](s)
+		if miss.Code != http.StatusOK || miss.Header().Get("X-Cache") != "miss" {
+			t.Fatalf("form %d first: %d X-Cache=%q", first, miss.Code, miss.Header().Get("X-Cache"))
+		}
+		var hits []*httptest.ResponseRecorder
+		for _, form := range forms {
+			hits = append(hits, form(s))
+		}
+		for i, w := range hits {
+			if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "hit" {
+				t.Fatalf("form %d after form %d: %d X-Cache=%q", i, first, w.Code, w.Header().Get("X-Cache"))
+			}
+			if !bytes.Equal(w.Body.Bytes(), miss.Body.Bytes()) {
+				t.Fatalf("form %d after form %d: body differs from the simulated one", i, first)
+			}
+			if fmt.Sprint(w.Header()) != fmt.Sprint(hits[0].Header()) {
+				t.Fatalf("form %d after form %d: headers %v, form 0 got %v", i, first, w.Header(), hits[0].Header())
+			}
+		}
+		if m := s.Metrics(); m.Runs != 1 || m.CacheHits != 3 {
+			t.Fatalf("after form %d first: runs %d, hits %d; want 1 and 3", first, m.Runs, m.CacheHits)
+		}
+	}
+}
+
 func TestIdenticalSpecSeedAcrossServersByteIdentical(t *testing.T) {
 	// Same spec + seed on two independent servers (disjoint caches and
 	// machine-pool histories) must produce byte-identical JSON: the

@@ -105,6 +105,15 @@ func (s *Server) Close() {
 
 // ------------------------------------------------------------ handlers --
 
+// handleSim answers one spec, from the result cache when it holds the
+// result and by a simulation otherwise. The cache is keyed by the
+// normalized spec's canonical JSON (Spec.AppendJSON). A POST body is
+// probed as it stands first: the router forwards canonical bodies, and a
+// hit on one needs no scan, no Normalize and no key rendering. Every other
+// request is parsed, normalized, and probed by its canonical JSON,
+// rendered into a stack buffer; only a miss turns it into a string.
+// Neither probe needs the content address: the entry carries it for the
+// X-Spec-Key header.
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost && r.Method != http.MethodHead {
 		s.writeError(w, http.StatusMethodNotAllowed, "use GET with query parameters or POST with a JSON spec")
@@ -115,22 +124,30 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	spec, err := ParseSpecRequest(r)
-	if err == nil {
-		spec, err = spec.Normalize()
+	var (
+		spec Spec
+		e    *cacheEntry
+		err  error
+		kb   [specJSONMax]byte
+		key  []byte
+	)
+	if r.Method == http.MethodPost {
+		e, spec, err = s.probeBody(r)
+	} else {
+		spec, err = ParseSpecRequest(r)
 	}
-	if err != nil {
-		s.met.badRequest.Add(1)
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
+	if e == nil {
+		if err == nil {
+			spec, err = spec.Normalize()
+		}
+		if err != nil {
+			s.met.badRequest.Add(1)
+			s.writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		key = spec.AppendJSON(kb[:0])
+		e, _ = s.cache.getBytes(key)
 	}
-	// The cache key is the spec's key text, rendered into a stack buffer;
-	// a miss turns it into a string. The hit path (cache probe, entry
-	// lookup, response headers) needs neither that string nor the content
-	// address: getBytes indexes the cache map straight from these bytes,
-	// and the entry carries its address for the X-Spec-Key header.
-	var kb [keyTextMax]byte
-	key := spec.appendKeyText(kb[:0])
 
 	// Probe mode (HEAD, or ?probe=1 on GET/POST): answer from the result
 	// cache only, never simulating and never touching the queue. A hit is
@@ -140,8 +157,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	// so a probe miss must stay O(cache lookup).
 	if IsProbe(r) {
 		s.met.probes.Add(1)
-		e, ok := s.cache.getBytes(key)
-		if !ok {
+		if e == nil {
 			h := w.Header()
 			h["X-Cache"] = hdrMiss
 			h["X-Spec-Key"] = []string{spec.Key()}
@@ -161,7 +177,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	// Fast path: a cache hit writes the entry's stored bytes straight to
 	// the response — no key string, no hash, no header formatting, no
 	// copies.
-	if e, ok := s.cache.getBytes(key); ok {
+	if e != nil {
 		s.met.hits.Add(1)
 		s.writeEntry(w, r, e, hdrHit)
 		s.met.latency.observe(time.Since(start))
@@ -212,6 +228,25 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// probeBody reads a POST body once into a pooled buffer and probes the
+// cache with it as it stands. A hit returns the entry: the body was some
+// spec's canonical JSON, which parses and normalizes back to that spec, so
+// the parse path would find the same entry. A miss parses the same bytes,
+// returning the spec still to be normalized, or the body's error.
+func (s *Server) probeBody(r *http.Request) (*cacheEntry, Spec, error) {
+	bp := specParseBufPool.Get().(*[]byte)
+	defer putSpecBuf(bp)
+	body, err := readSpecBody(bp, r)
+	if err != nil {
+		return nil, Spec{}, err
+	}
+	if e, ok := s.cache.getBytes(body); ok {
+		return e, Spec{}, nil
+	}
+	spec, err := parseSpecBytes(body)
+	return nil, spec, err
+}
+
 // dispatchState classifies how start resolved a spec: already cached,
 // newly dispatched to the worker pool, or merged into an in-flight
 // identical simulation.
@@ -223,13 +258,14 @@ const (
 	dispatchCoalesced
 )
 
-// start resolves one canonical spec, under its key text, without blocking
-// on the simulation: a cache hit returns the stored entry directly;
-// otherwise the caller gets the single-flight call to wait on, whose value
-// is the entry the simulation cached. On a miss this caller's spec is
-// submitted to the worker pool, waiting up to queueWait for space (a still
-// full queue fails the call with errBusy, releasing any followers that
-// joined meanwhile); /v1/sim passes zero and turns errBusy into its 429.
+// start resolves one canonical spec, keyed by its canonical JSON, without
+// blocking on the simulation: a cache hit returns the stored entry
+// directly; otherwise the caller gets the single-flight call to wait on,
+// whose value is the entry the simulation cached. On a miss this caller's
+// spec is submitted to the worker pool, waiting up to queueWait for space
+// (a still full queue fails the call with errBusy, releasing any followers
+// that joined meanwhile); /v1/sim passes zero and turns errBusy into its
+// 429.
 // The job computes the spec's content address, once per result: the
 // outcome's key field and the entry's X-Spec-Key both carry it.
 // Both the single-sim and the batch sweep handlers dispatch through here,

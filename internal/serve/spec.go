@@ -3,7 +3,7 @@
 // point in the paper's design space), runs them as internal/exper points on
 // a bounded worker pool — each worker owning a dedicated machine it reuses
 // across requests — and returns the measurements as JSON. Around the pool
-// sit an LRU result cache (canonical key text -> encoded report and its
+// sit an LRU result cache (canonical spec JSON -> encoded report and its
 // content address), single-flight coalescing (Flight, which the fleet
 // router also uses) so N concurrent identical requests cost one simulation,
 // bounded-queue backpressure (429 + Retry-After), per-request deadlines, a
@@ -14,12 +14,14 @@
 //
 // The /v1/sim request path does only the work its response uses. The
 // handler dispatches on the exact path, with no pattern matching. A POST
-// spec in the flat form every client in this tree sends is decoded by a
-// one-pass scanner, with encoding/json as the fallback for any other body;
-// a cache hit is one map probe by the spec's key text, with no hash, and
-// writes the stored bytes without allocating; and a result's gzip variant
-// is built on its first hit that asks for gzip, not when the result is
-// cached.
+// body that is already a spec's canonical JSON (Spec.AppendJSON, what the
+// fleet router forwards) is answered by one map probe with the raw bytes,
+// before any parsing. Any other POST spec in the flat form every client in
+// this tree sends is decoded by a one-pass scanner, with encoding/json as
+// the fallback for any other body; its cache hit is one map probe by the
+// normalized spec's canonical JSON, with no hash. A hit writes the stored
+// bytes without allocating, and a result's gzip variant is built on its
+// first hit that asks for gzip, not when the result is cached.
 //
 // The cache is also externally visible: HEAD /v1/sim or ?probe=1 answers
 // hit/miss from the cache without ever simulating. internal/fleet fronts N
@@ -177,15 +179,20 @@ func mustParse[T ~uint8](v T, err error) T {
 
 // keyTextMax bounds the rendered key text: every field at its widest
 // (longest app name, 64-bit seed, shortest-form float) stays well under
-// this, so a caller's stack buffer of this size never spills to the heap.
+// this, so Key's stack buffer of this size never spills to the heap.
 const keyTextMax = 192
 
+// specJSONMax bounds a normalized spec's canonical JSON (AppendJSON), the
+// key of the server's result cache and single-flight table: every field
+// present at its widest (TestSpecJSONMax) stays under it, so a caller's
+// stack buffer of this size never spills to the heap.
+const specJSONMax = 192
+
 // appendKeyText appends the fixed-order canonical rendering of every spec
-// field — the preimage of the content address, and the key the server's
-// result cache and single-flight table are addressed by — to dst. The
-// rendering is pinned byte-for-byte to the fmt.Sprintf form earlier
-// releases hashed (TestKeyTextMatchesFmt), because changing a single byte
-// here would silently change every published content address.
+// field, the preimage of the content address, to dst. The rendering is
+// pinned byte-for-byte to the fmt.Sprintf form earlier releases hashed
+// (TestKeyTextMatchesFmt), because changing a single byte here would
+// silently change every published content address.
 func (s *Spec) appendKeyText(dst []byte) []byte {
 	dst = append(dst, "app="...)
 	dst = append(dst, s.App...)
@@ -245,8 +252,13 @@ func (s Spec) Key() string {
 // for byte what json.Marshal produces for it (FuzzSpecAppendJSON), without
 // reflection. Normalize admits only the wire names of exper's tables,
 // which need no escaping, and a write-run that is 0 or in [1, 64], which
-// encoding/json formats as 'f' at the shortest precision. The fleet router
-// forwards every routed spec upstream in this form.
+// encoding/json formats as 'f' at the shortest precision. This is the
+// spec's canonical JSON: the fleet router forwards every routed spec
+// upstream in this form, and the server keys its result cache by it, so a
+// request whose body is already canonical is answered from its raw bytes.
+// That is exact because parsing and normalizing the canonical JSON of a
+// normalized spec gives the same spec back (FuzzSpecAppendJSON), which
+// also makes the encoding injective on normalized specs.
 func (s *Spec) AppendJSON(dst []byte) []byte {
 	open := len(dst)
 	dst = append(dst, '{')

@@ -25,24 +25,44 @@ const (
 	maxSpecBody     = 1 << 16 // larger POST bodies fail as http.MaxBytesReader fails them
 )
 
-// parseSpecBody decodes the POST form of a spec. The body is read into a
-// pooled buffer and decoded by scanSpec, which handles the flat object
-// form every client in this tree sends without allocating; any other
-// input goes to decodeSpecJSON, so the accepted inputs, the decoded Spec
-// and the error text are exactly encoding/json's. It lives apart from the
-// GET path so the spec it returns never escapes.
+// parseSpecBody decodes the POST form of a spec: readSpecBody, then
+// parseSpecBytes. It lives apart from the GET path so the spec it returns
+// never escapes.
 func parseSpecBody(r *http.Request) (Spec, error) {
 	bp := specParseBufPool.Get().(*[]byte)
-	defer func() {
-		if cap(*bp) <= specParseBufMax {
-			specParseBufPool.Put(bp)
-		}
-	}()
+	defer putSpecBuf(bp)
+	body, err := readSpecBody(bp, r)
+	if err != nil {
+		return Spec{}, err
+	}
+	return parseSpecBytes(body)
+}
+
+// readSpecBody reads a POST body into the pooled buffer *bp, bounded at
+// maxSpecBody the way http.MaxBytesReader bounds it. The bytes stay valid
+// until bp goes back to the pool.
+func readSpecBody(bp *[]byte, r *http.Request) ([]byte, error) {
 	body, err := appendReadLimit((*bp)[:0], r.Body, maxSpecBody)
 	*bp = body[:0]
 	if err != nil {
-		return Spec{}, fmt.Errorf("bad spec JSON: %w", err)
+		return nil, fmt.Errorf("bad spec JSON: %w", err)
 	}
+	return body, nil
+}
+
+// putSpecBuf returns a read buffer to the pool unless a near-limit body
+// grew it past the put-back bound.
+func putSpecBuf(bp *[]byte) {
+	if cap(*bp) <= specParseBufMax {
+		specParseBufPool.Put(bp)
+	}
+}
+
+// parseSpecBytes decodes a spec body. scanSpec handles the flat object
+// form every client in this tree sends without allocating; any other
+// input goes to decodeSpecJSON, so the accepted inputs, the decoded Spec
+// and the error text are exactly encoding/json's.
+func parseSpecBytes(body []byte) (Spec, error) {
 	if sp, ok := scanSpec(body); ok {
 		return sp, nil
 	}

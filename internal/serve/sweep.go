@@ -104,9 +104,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// the excess points.
 	slots := make([]sweepSlot, len(specs))
 	var hits, coalesced uint64
-	var kb [keyTextMax]byte
+	var kb [specJSONMax]byte
 	for i, spec := range specs {
-		key := string(spec.appendKeyText(kb[:0]))
+		key := string(spec.AppendJSON(kb[:0]))
 		e, call, state := s.start(spec, key, time.Until(overall))
 		var data []byte
 		if e != nil {
