@@ -118,14 +118,6 @@ type Cache struct {
 	victim Victim
 }
 
-// New returns an empty cache. It panics on non-positive or non-power-of-two
-// geometry (programming errors in machine assembly).
-func New(cfg Config) *Cache {
-	c := &Cache{}
-	c.Init(cfg)
-	return c
-}
-
 // Init (re)initializes a cache in place, for callers that embed Cache by
 // value. It panics on non-positive or non-power-of-two geometry
 // (programming errors in machine assembly). No line is allocated until the

@@ -7,6 +7,13 @@ import (
 	"dsm/internal/arch"
 )
 
+// newCache returns an empty cache, built as production builds one.
+func newCache(cfg Config) *Cache {
+	c := &Cache{}
+	c.Init(cfg)
+	return c
+}
+
 func blockAt(w0 arch.Word) arch.BlockData {
 	var d arch.BlockData
 	d[0] = w0
@@ -14,14 +21,14 @@ func blockAt(w0 arch.Word) arch.BlockData {
 }
 
 func TestLookupMissOnEmpty(t *testing.T) {
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	if c.Lookup(0x100) != nil {
 		t.Fatal("hit in empty cache")
 	}
 }
 
 func TestInsertThenHit(t *testing.T) {
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	c.Insert(0x104, SharedRO, blockAt(7))
 	l := c.Lookup(0x108) // same block
 	if l == nil || l.State != SharedRO || l.Base != 0x100 || l.Data[0] != 7 {
@@ -33,7 +40,7 @@ func TestInsertThenHit(t *testing.T) {
 }
 
 func TestInsertSameBlockUpdatesInPlace(t *testing.T) {
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	c.Insert(0x100, SharedRO, blockAt(1))
 	l, v := c.Insert(0x100, ExclusiveRW, blockAt(2))
 	if v != nil {
@@ -45,7 +52,7 @@ func TestInsertSameBlockUpdatesInPlace(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(Config{Sets: 1, Assoc: 2})
+	c := newCache(Config{Sets: 1, Assoc: 2})
 	c.Insert(0x00, SharedRO, blockAt(1))
 	c.Insert(0x20, SharedRO, blockAt(2))
 	c.Lookup(0x00) // make 0x20 the LRU
@@ -62,7 +69,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestDirtyEvictionCounted(t *testing.T) {
-	c := New(Config{Sets: 1, Assoc: 1})
+	c := newCache(Config{Sets: 1, Assoc: 1})
 	c.Insert(0x00, ExclusiveRW, blockAt(1))
 	_, v := c.Insert(0x20, SharedRO, blockAt(2))
 	if v == nil || v.State != ExclusiveRW || v.Data[0] != 1 {
@@ -74,7 +81,7 @@ func TestDirtyEvictionCounted(t *testing.T) {
 }
 
 func TestPeekDoesNotTouchLRU(t *testing.T) {
-	c := New(Config{Sets: 1, Assoc: 2})
+	c := newCache(Config{Sets: 1, Assoc: 2})
 	c.Insert(0x00, SharedRO, blockAt(1))
 	c.Insert(0x20, SharedRO, blockAt(2))
 	c.Peek(0x00) // would protect 0x00 if it touched LRU
@@ -85,7 +92,7 @@ func TestPeekDoesNotTouchLRU(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	c.Insert(0x100, ExclusiveRW, blockAt(9))
 	v := c.Invalidate(0x10c)
 	if v == nil || v.State != ExclusiveRW || v.Data[0] != 9 {
@@ -100,7 +107,7 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestDowngrade(t *testing.T) {
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	c.Insert(0x100, ExclusiveRW, blockAt(3))
 	l := c.Downgrade(0x100)
 	if l == nil || l.State != SharedRO {
@@ -116,7 +123,7 @@ func TestDowngrade(t *testing.T) {
 }
 
 func TestLineWordAccessors(t *testing.T) {
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	l, _ := c.Insert(0x100, ExclusiveRW, arch.BlockData{})
 	l.SetWord(0x110, 42)
 	if l.Word(0x110) != 42 || l.Data[4] != 42 {
@@ -125,7 +132,7 @@ func TestLineWordAccessors(t *testing.T) {
 }
 
 func TestLineWordPanicsOutsideLine(t *testing.T) {
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	l, _ := c.Insert(0x100, SharedRO, arch.BlockData{})
 	defer func() {
 		if recover() == nil {
@@ -136,7 +143,7 @@ func TestLineWordPanicsOutsideLine(t *testing.T) {
 }
 
 func TestReservationLifecycle(t *testing.T) {
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	if c.ReservedOn(0) {
 		t.Fatal("fresh cache holds a reservation")
 	}
@@ -159,7 +166,7 @@ func TestReservationLifecycle(t *testing.T) {
 }
 
 func TestInvalidationClearsMatchingReservation(t *testing.T) {
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	c.Insert(0x100, SharedRO, blockAt(1))
 	c.SetReservation(0x100)
 	c.Invalidate(0x300) // unrelated
@@ -176,7 +183,7 @@ func TestInvalidationOfUncachedReservedBlockClearsReservation(t *testing.T) {
 	// The reservation can outlive the cached copy (e.g. the line was never
 	// cached exclusively); an invalidation for that address must still
 	// clear it.
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	c.SetReservation(0x100)
 	c.Invalidate(0x100)
 	if c.ReservedOn(0x100) {
@@ -185,7 +192,7 @@ func TestInvalidationOfUncachedReservedBlockClearsReservation(t *testing.T) {
 }
 
 func TestEvictionClearsReservation(t *testing.T) {
-	c := New(Config{Sets: 1, Assoc: 1})
+	c := newCache(Config{Sets: 1, Assoc: 1})
 	c.Insert(0x00, SharedRO, blockAt(1))
 	c.SetReservation(0x00)
 	c.Insert(0x20, SharedRO, blockAt(2))
@@ -195,7 +202,7 @@ func TestEvictionClearsReservation(t *testing.T) {
 }
 
 func TestForEachVisitsAllValidLines(t *testing.T) {
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	c.Insert(0x000, SharedRO, blockAt(1))
 	c.Insert(0x020, ExclusiveRW, blockAt(2))
 	c.Insert(0x040, SharedRO, blockAt(3))
@@ -215,13 +222,13 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 					t.Errorf("no panic for %+v", cfg)
 				}
 			}()
-			New(cfg)
+			newCache(cfg)
 		}()
 	}
 }
 
 func TestInsertInvalidStatePanics(t *testing.T) {
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for Invalid insert")
@@ -237,7 +244,7 @@ func TestStateString(t *testing.T) {
 }
 
 func TestPropertyLookupFindsWhatInsertPut(t *testing.T) {
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	f := func(aRaw uint16, w uint32) bool {
 		a := arch.Addr(aRaw) * 4
 		c.Insert(a, ExclusiveRW, blockAt(arch.Word(w)))
@@ -251,7 +258,7 @@ func TestPropertyLookupFindsWhatInsertPut(t *testing.T) {
 
 func TestPropertySingleCopyPerBlock(t *testing.T) {
 	// Repeated inserts of the same block never duplicate it.
-	c := New(Config{Sets: 2, Assoc: 4})
+	c := newCache(Config{Sets: 2, Assoc: 4})
 	for i := 0; i < 100; i++ {
 		st := SharedRO
 		if i%2 == 0 {

@@ -93,14 +93,14 @@ func TestResetCacheReplaysFresh(t *testing.T) {
 	for _, cfg := range replayGeometries {
 		for seed := uint64(1); seed <= 20; seed++ {
 			t.Run(fmt.Sprintf("%dx%d/seed%d", cfg.Sets, cfg.Assoc, seed), func(t *testing.T) {
-				used := New(cfg)
+				used := newCache(cfg)
 				dirty := rand.New(rand.NewPCG(seed, 99))
 				for i := 0; i < 300; i++ {
 					replayStep(dirty, used)
 				}
 				used.Reset()
 
-				fresh := New(cfg)
+				fresh := newCache(cfg)
 				rf := rand.New(rand.NewPCG(seed, 1))
 				ru := rand.New(rand.NewPCG(seed, 1))
 				for i := 0; i < 400; i++ {
@@ -122,7 +122,7 @@ func TestResetCacheReplaysFresh(t *testing.T) {
 // reached allocate nothing, and leave those pages unallocated.
 func TestNoAllocOnUntouchedPages(t *testing.T) {
 	for _, cfg := range replayGeometries {
-		c := New(cfg)
+		c := newCache(cfg)
 		r := rand.New(rand.NewPCG(7, 7))
 		addrs := make([]arch.Addr, 64)
 		for i := range addrs {
@@ -152,7 +152,7 @@ func TestNoAllocOnUntouchedPages(t *testing.T) {
 // earlier run after Reset reuses that run's pages.
 func TestNoAllocRefillAfterReset(t *testing.T) {
 	for _, cfg := range replayGeometries {
-		c := New(cfg)
+		c := newCache(cfg)
 		r := rand.New(rand.NewPCG(5, 5))
 		addrs := make([]arch.Addr, 64)
 		for i := range addrs {
@@ -175,7 +175,7 @@ func TestNoAllocRefillAfterReset(t *testing.T) {
 // line at Init, one page per group of touched sets, and ForEach still
 // visits lines in set order.
 func TestPagesFollowFills(t *testing.T) {
-	c := New(DefaultConfig())
+	c := newCache(DefaultConfig())
 	for i, p := range c.pages {
 		if p != nil {
 			t.Fatalf("Init allocated page %d", i)

@@ -13,7 +13,7 @@
 //   - CheckStack: a memoized depth-first search over linearization
 //     prefixes (Wing & Gong, with Lowe's state-set pruning).
 //
-// A naive brute-force reference checker (reference.go) independently
+// A naive brute-force reference checker (reference_test.go) independently
 // re-derives each verdict on small histories; randomized property tests
 // hold the three production checkers to it.
 package check

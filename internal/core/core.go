@@ -272,9 +272,6 @@ func (s *System) Cache(n mesh.NodeID) *CacheCtl { return s.caches[n] }
 // Home returns node n's home (memory/directory) controller.
 func (s *System) Home(n mesh.NodeID) *HomeCtl { return s.homes[n] }
 
-// Nodes returns the number of processing nodes.
-func (s *System) Nodes() int { return s.cfg.Nodes }
-
 // HomeOf returns the home node of an address: blocks are interleaved across
 // the nodes by block number.
 func (s *System) HomeOf(a arch.Addr) mesh.NodeID {

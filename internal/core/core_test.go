@@ -35,7 +35,7 @@ func newH(t *testing.T, mut ...func(*Config)) *H {
 
 // addrAtHome returns the i-th test word whose block is homed at node home.
 func (h *H) addrAtHome(home, i int) arch.Addr {
-	return arch.Addr((home + i*h.sys.Nodes()) * arch.BlockBytes)
+	return arch.Addr((home + i*h.sys.cfg.Nodes) * arch.BlockBytes)
 }
 
 // do issues one operation from node and runs the engine until it completes.

@@ -66,7 +66,7 @@ func (h *HomeCtl) init(s *System, n mesh.NodeID) {
 	h.sys = s
 	h.node = n
 	h.mod.Init(s.eng, s.cfg.Mem, s.cfg.Nodes)
-	h.dir.Init(n, s.cfg.Nodes)
+	h.dir.Init(s.cfg.Nodes)
 	h.recvHook = func(a any) { h.receive(a.(*msg)) }
 	h.processHook = func(a any) { h.process(a.(*msg)) }
 }

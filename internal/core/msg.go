@@ -15,14 +15,10 @@ import (
 type msgKind = proto.MsgKind
 
 const (
-	mRead      = proto.KRead
-	mReadEx    = proto.KReadEx
 	mCASHome   = proto.KCASHome
-	mSCHome    = proto.KSCHome
 	mWB        = proto.KWB
 	mDropS     = proto.KDropS
 	mUncOp     = proto.KUncOp
-	mUpdRead   = proto.KUpdRead
 	mUpdOp     = proto.KUpdOp
 	mDataS     = proto.KDataS
 	mDataE     = proto.KDataE
@@ -32,16 +28,12 @@ const (
 	mUncReply  = proto.KUncReply
 	mUpdReply  = proto.KUpdReply
 	mInval     = proto.KInval
-	mInvAck    = proto.KInvAck
-	mRecallE   = proto.KRecallE
-	mRecallS   = proto.KRecallS
 	mCASFwd    = proto.KCASFwd
 	mWBRecall  = proto.KWBRecall
 	mWBShare   = proto.KWBShare
 	mRecallNak = proto.KRecallNak
 	mCASRel    = proto.KCASRel
 	mUpdate    = proto.KUpdate
-	mUpdAck    = proto.KUpdAck
 )
 
 // msg is one protocol message. A single struct covers all kinds; unused

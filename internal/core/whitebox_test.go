@@ -5,6 +5,7 @@ import (
 
 	"dsm/internal/dir"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -126,7 +127,7 @@ func TestAccessorsAndStrings(t *testing.T) {
 			t.Fatal("deadlock")
 		}
 	}
-	if mRead.String() != "read" || msgKind(250).String() != "msg?" {
+	if proto.KRead.String() != "read" || msgKind(250).String() != "msg?" {
 		t.Fatal("msg kind names wrong")
 	}
 	if Policy(9).String() == "" || CASVariant(9).String() == "" || OpKind(200).String() == "" {

@@ -69,15 +69,6 @@ func (b Bitset) Count() int {
 // Empty reports whether the set is empty.
 func (b Bitset) Empty() bool { return b == 0 }
 
-// ForEach calls fn for each node present, in increasing id order.
-func (b Bitset) ForEach(fn func(mesh.NodeID)) {
-	for v, i := uint64(b), 0; v != 0; v, i = v>>1, i+1 {
-		if v&1 != 0 {
-			fn(mesh.NodeID(i))
-		}
-	}
-}
-
 // Entry is the directory record for one block.
 type Entry struct {
 	State   State
@@ -96,7 +87,6 @@ type Entry struct {
 // first reference in the Unowned state.
 type Directory struct {
 	entries    arch.Table[slot]
-	home       uint32
 	interleave uint32
 }
 
@@ -106,18 +96,11 @@ type slot struct {
 	used bool
 }
 
-// New returns an empty directory for a one-node machine.
-func New() *Directory {
-	d := &Directory{}
-	d.Init(0, 1)
-	return d
-}
-
-// Init (re)initializes a directory in place as the directory of home in a
-// machine of nodes nodes, for callers that embed Directory by value. Every
+// Init (re)initializes a directory in place as the directory of one of
+// nodes interleaved homes, for callers that embed Directory by value. Every
 // address passed to the directory must be homed there.
-func (d *Directory) Init(home mesh.NodeID, nodes int) {
-	*d = Directory{home: uint32(home), interleave: uint32(nodes)}
+func (d *Directory) Init(nodes int) {
+	*d = Directory{interleave: uint32(nodes)}
 }
 
 // Reset forgets every entry's contents, returning the directory to a state
@@ -153,17 +136,6 @@ func (d *Directory) Peek(a arch.Addr) *Entry {
 		return &s.e
 	}
 	return nil
-}
-
-// ForEach calls fn with the base address of every referenced block and its
-// entry. Iteration order is unspecified; callers needing determinism must
-// sort.
-func (d *Directory) ForEach(fn func(arch.Addr, *Entry)) {
-	d.entries.Each(func(k uint32, s *slot) {
-		if s.used {
-			fn(arch.Addr((k*d.interleave+d.home)*arch.BlockBytes), &s.e)
-		}
-	})
 }
 
 // Check verifies the internal consistency of an entry and panics with a

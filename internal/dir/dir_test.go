@@ -4,9 +4,15 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dsm/internal/arch"
 	"dsm/internal/mesh"
 )
+
+// newDirectory returns an empty directory for a one-node machine.
+func newDirectory() *Directory {
+	d := &Directory{}
+	d.Init(1)
+	return d
+}
 
 func TestBitsetBasics(t *testing.T) {
 	var b Bitset
@@ -29,29 +35,15 @@ func TestBitsetBasics(t *testing.T) {
 	}
 }
 
-func TestBitsetForEachOrdered(t *testing.T) {
-	var b Bitset
-	for _, n := range []mesh.NodeID{40, 1, 63, 0} {
-		b.Add(n)
-	}
-	var got []mesh.NodeID
-	b.ForEach(func(n mesh.NodeID) { got = append(got, n) })
-	want := []mesh.NodeID{0, 1, 40, 63}
-	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ForEach order %v, want %v", got, want)
-		}
-	}
-}
-
-func TestBitsetCountMatchesForEach(t *testing.T) {
+func TestBitsetCountMatchesHas(t *testing.T) {
 	f := func(raw uint64) bool {
 		b := Bitset(raw)
 		n := 0
-		b.ForEach(func(mesh.NodeID) { n++ })
+		for i := range 64 {
+			if b.Has(mesh.NodeID(i)) {
+				n++
+			}
+		}
 		return n == b.Count()
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -84,7 +76,7 @@ func TestBitsetAddRemoveInverse(t *testing.T) {
 }
 
 func TestDirectoryEntryCreatesUnowned(t *testing.T) {
-	d := New()
+	d := newDirectory()
 	e := d.Entry(0x123) // mid-block address
 	if e.State != Unowned || !e.Sharers.Empty() {
 		t.Fatalf("fresh entry = %+v", e)
@@ -99,25 +91,13 @@ func TestDirectoryEntryCreatesUnowned(t *testing.T) {
 }
 
 func TestDirectoryPeek(t *testing.T) {
-	d := New()
+	d := newDirectory()
 	if d.Peek(0x40) != nil {
 		t.Fatal("Peek created an entry")
 	}
 	e := d.Entry(0x40)
 	if d.Peek(0x5c) != e {
 		t.Fatal("Peek missed existing entry")
-	}
-}
-
-func TestDirectoryForEach(t *testing.T) {
-	d := New()
-	d.Entry(0x00)
-	d.Entry(0x20)
-	d.Entry(0x40)
-	n := 0
-	d.ForEach(func(a arch.Addr, e *Entry) { n++ })
-	if n != 3 {
-		t.Fatalf("ForEach visited %d entries, want 3", n)
 	}
 }
 

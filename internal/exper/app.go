@@ -276,13 +276,10 @@ func runTClosure(p Point, m *machine.Machine) Result {
 	return Result{Result: apps.Result{Elapsed: res.Elapsed}, Work: uint64(res.Reachable)}
 }
 
-// runLocusRoute runs the LocusRoute-like kernel, routing Scale.Wires wires
-// (default 4 per processor).
+// runLocusRoute runs the LocusRoute-like kernel at its default size for
+// the machine (4 wires per processor).
 func runLocusRoute(p Point, m *machine.Machine) Result {
 	cfg := apps.DefaultLocusRoute(p.Scale.Procs)
-	if p.Scale.Wires > 0 {
-		cfg.Wires = p.Scale.Wires
-	}
 	cfg.Policy, cfg.Opts = p.Bar.Policy, p.Bar.Opts()
 	if p.Seed != 0 {
 		cfg.Seed = p.Seed
@@ -291,13 +288,10 @@ func runLocusRoute(p Point, m *machine.Machine) Result {
 	return Result{Result: apps.Result{Elapsed: res.Elapsed}, Work: res.Work}
 }
 
-// runCholesky runs the Cholesky-like kernel over Scale.Columns columns
-// (default by processor count).
+// runCholesky runs the Cholesky-like kernel at its default size for the
+// machine (3 columns per processor).
 func runCholesky(p Point, m *machine.Machine) Result {
 	cfg := apps.DefaultCholesky(p.Scale.Procs)
-	if p.Scale.Columns > 0 {
-		cfg.Columns = p.Scale.Columns
-	}
 	cfg.Policy, cfg.Opts = p.Bar.Policy, p.Bar.Opts()
 	if p.Seed != 0 {
 		cfg.Seed = p.Seed

@@ -90,10 +90,8 @@ type RunOpts struct {
 	// value: determinism is per-run, parallelism is across runs.
 	Par int
 
-	// Real-application sizes (figure 2 and 6).
-	TCSize  int // transitive-closure vertices
-	Wires   int // LocusRoute wires (0 = 3*Procs)
-	Columns int // Cholesky columns (0 = 3*Procs)
+	// Real-application size (figure 2 and 6).
+	TCSize int // transitive-closure vertices
 }
 
 // Defaults is the paper-scale configuration.

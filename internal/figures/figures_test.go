@@ -132,7 +132,7 @@ func TestFig2RunsAndReportsPatterns(t *testing.T) {
 func TestFig6RunsAllApps(t *testing.T) {
 	// Tiny configuration: just verify the full grid executes and renders.
 	var b bytes.Buffer
-	o := exper.RunOpts{Procs: 4, Rounds: 1, TCSize: 6, Wires: 6, Columns: 6}
+	o := exper.RunOpts{Procs: 4, Rounds: 1, TCSize: 6}
 	Fig6(&b, o)
 	out := b.String()
 	if !strings.Contains(out, "UPD CAS+drop") || !strings.Contains(out, "TransitiveClosure") {

@@ -33,7 +33,7 @@ func TestParallelSyntheticCSVDeterminism(t *testing.T) {
 // counts (the figure-6 observable) are unaffected by host parallelism.
 func TestParallelFig6CyclesDeterminism(t *testing.T) {
 	render := func(par int) string {
-		o := exper.RunOpts{Procs: 4, Rounds: 1, TCSize: 6, Wires: 6, Columns: 6, Par: par}
+		o := exper.RunOpts{Procs: 4, Rounds: 1, TCSize: 6, Par: par}
 		var b bytes.Buffer
 		WriteFig6CSV(&b, o)
 		return b.String()

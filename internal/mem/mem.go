@@ -46,14 +46,6 @@ type Module struct {
 	stats      Stats
 }
 
-// New returns an empty module with the given timing, for a one-node
-// machine.
-func New(eng *sim.Engine, cfg Config) *Module {
-	m := &Module{}
-	m.Init(eng, cfg, 1)
-	return m
-}
-
 // Init (re)initializes a module in place as one of nodes interleaved
 // modules, for callers that embed Module by value. Every address passed to
 // the module must be homed there.

@@ -10,7 +10,9 @@ import (
 
 func newTestModule() (*sim.Engine, *Module) {
 	eng := sim.NewEngine()
-	return eng, New(eng, DefaultConfig())
+	m := &Module{}
+	m.Init(eng, DefaultConfig(), 1)
+	return eng, m
 }
 
 func TestIsolatedAccessLatency(t *testing.T) {

@@ -285,7 +285,6 @@ func (e *Engine) Wake(c *Chain, fn func()) {
 	}
 	c.n, c.at, c.sig, c.fn = k, d.due(k), s, fn
 	e.woken = append(e.woken, c)
-	e.live++
 	e.passed += k
 }
 
@@ -325,7 +324,6 @@ func (e *Engine) fire(w int) {
 	e.woken[w], e.woken[last] = e.woken[last], nil
 	e.woken = e.woken[:last]
 	e.unlink(c)
-	e.live--
 	e.executed++
 	e.now = c.at
 	if e.chains == 0 {

@@ -58,7 +58,6 @@ type event struct {
 type Engine struct {
 	now      Time
 	seq      uint64
-	live     int    // scheduled events that have not fired, and woken chains
 	executed uint64 // events fired since construction (or the last Reset)
 	free     *event // recycled events, chained through event.next
 
@@ -125,7 +124,7 @@ func (e *Engine) Reset() {
 		e.recycle(ev)
 	}
 	e.far = e.far[:0]
-	e.now, e.seq, e.live, e.executed = 0, 0, 0, 0
+	e.now, e.seq, e.executed = 0, 0, 0
 	e.wheelTime, e.wheelCount = 0, 0
 	e.resetChains()
 }
@@ -147,7 +146,6 @@ func (e *Engine) schedule(t Time) *event {
 	ev.at = t
 	ev.seq = e.seq
 	e.seq++
-	e.live++
 	if t-e.now < wheelSpan && !e.forceHeap {
 		b := int(t) & wheelMask
 		if e.tail[b] == nil {
@@ -271,7 +269,6 @@ func (e *Engine) Step() bool {
 	} else {
 		heap.Pop(&e.far)
 	}
-	e.live--
 	e.executed++
 	e.now = ev.at
 	fn := ev.fn

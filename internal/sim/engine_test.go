@@ -260,16 +260,6 @@ func TestRNGIntnPanicsOnNonPositive(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestRNGFloat64Range(t *testing.T) {
-	r := NewRNG(99)
-	for i := 0; i < 1000; i++ {
-		v := r.Float64()
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float64 out of range: %v", v)
-		}
-	}
-}
-
 func TestRNGForkIndependence(t *testing.T) {
 	r := NewRNG(5)
 	var f1, f2 RNG

@@ -141,7 +141,7 @@ func TestPropertyResetReproducesFreshEngine(t *testing.T) {
 		for !woken && e.Step() {
 		}
 		e.Reset()
-		if e.Now() != 0 || e.live != 0 || e.EventsExecuted() != 0 || e.Passed() != 0 {
+		if e.Now() != 0 || e.EventsExecuted() != 0 || e.Passed() != 0 || e.Step() {
 			return false
 		}
 		for i := range chains {

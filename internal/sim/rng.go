@@ -41,11 +41,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Float64 returns a pseudo-random float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
 // ForkInto seeds dst with an independent stream derived from r's next draw
 // and salt, useful for giving each simulated processor its own stream
 // without cross-coupling. It reuses dst's storage instead of allocating.

@@ -28,9 +28,8 @@ func (e Event) String() string {
 
 // Buffer is a bounded ring of events. The zero value is unusable; call New.
 type Buffer struct {
-	ring  []Event
-	next  int
-	total uint64
+	ring []Event
+	next int
 }
 
 // New returns a buffer retaining the most recent capacity events.
@@ -45,7 +44,6 @@ func New(capacity int) *Buffer {
 // the tracer hook of internal/core.
 func (b *Buffer) Record(at sim.Time, node int, kind, detail string) {
 	ev := Event{At: at, Node: node, Kind: kind, Detail: detail}
-	b.total++
 	if len(b.ring) < cap(b.ring) {
 		b.ring = append(b.ring, ev)
 		return
@@ -53,9 +51,6 @@ func (b *Buffer) Record(at sim.Time, node int, kind, detail string) {
 	b.ring[b.next] = ev
 	b.next = (b.next + 1) % cap(b.ring)
 }
-
-// Total returns the number of events ever recorded (including displaced).
-func (b *Buffer) Total() uint64 { return b.total }
 
 // Len returns the number of retained events.
 func (b *Buffer) Len() int { return len(b.ring) }
@@ -79,10 +74,4 @@ func (b *Buffer) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return n, nil
-}
-
-// Reset discards all retained events (the total count is preserved).
-func (b *Buffer) Reset() {
-	b.ring = b.ring[:0]
-	b.next = 0
 }

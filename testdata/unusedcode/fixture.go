@@ -1,0 +1,14 @@
+// Package fixture is the root package of the unused-code guard's fixture
+// module: it re-exports impl.Gauge by alias and uses the rest of impl.
+package fixture
+
+import "fixture/internal/impl"
+
+// Gauge is library surface: its methods count as used.
+type Gauge = impl.Gauge
+
+// Run resets a counter and describes a name.
+func Run(c *impl.Counter, _ *impl.Timer) string {
+	c.Reset()
+	return impl.Describe(impl.Named{})
+}
