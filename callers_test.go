@@ -10,7 +10,9 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +28,9 @@ var callerAllowlist = map[string]string{
 	"check.History.Len":          "the apps and locks tests check a history's length before judging it",
 	"core.System.CheckCoherence": "coherence invariant the machine and model-checker tests judge the protocol with",
 	"dir.ResvState.Holders":      "core's model checker reads the reservation holders to judge LL/SC",
+	"apps.RealResult.Base":       "the address the apps tests validate a real application's computed structure at",
+	"core.Result.Hint":           "load_linked's beyond-limit hint, through which the core tests assert the limited reservation scheme",
+	"machine.Proc.ties":          "counts tied wakes, whose coverage spin_test.go asserts through it",
 	"sim.Engine.Passed":          "parked spins' virtual-event count, which the benchmark item on ROADMAP gives a caller",
 }
 
@@ -33,9 +38,10 @@ var callerAllowlist = map[string]string{
 // reach: a function, method, constant, package-level variable or type
 // declared in a non-test file under internal/, exported or not, that no
 // non-test file of the module (cmd/, examples/, the dsm facade and bench/
-// included) references outside its own declaration. Declarations are
-// type-checked objects, so a test-only method is caught even when a used
-// method of another type shares its name.
+// included) references outside its own declaration, and a struct field
+// declared there without a json tag that no non-test file reads.
+// Declarations are type-checked objects, so a test-only method is caught
+// even when a used method of another type shares its name.
 func TestProductionCodeHasCallers(t *testing.T) {
 	start := time.Now()
 	unused, err := unusedCode(".", "dsm")
@@ -44,7 +50,11 @@ func TestProductionCodeHasCallers(t *testing.T) {
 	}
 	for _, u := range unused {
 		if callerAllowlist[u.key] == "" {
-			t.Errorf("%s: %s has no non-test caller", u.pos, u.key)
+			what := "has no non-test caller"
+			if u.field {
+				what = "is read by no non-test file"
+			}
+			t.Errorf("%s: %s %s", u.pos, u.key, what)
 		}
 	}
 	for key, reason := range callerAllowlist {
@@ -62,10 +72,15 @@ func TestProductionCodeHasCallers(t *testing.T) {
 // internal/impl holds a method only its test calls that shares its name
 // with a used method of another type (Timer.Reset), a method reached only
 // through an interface production code uses (Named.Name), a method of a
-// type the fixture's facade re-exports by alias (Gauge.Add), and an unused
-// unexported constant (unusedLimit). Only the first and the last are
-// unused. A guard that matched exported names could see neither: the first
-// shares its name with Counter.Reset, and the last is unexported.
+// type the fixture's facade re-exports by alias (Gauge.Add), an unused
+// unexported constant (unusedLimit), and Tally's field cases. Of the
+// declarations only the first and the fourth are unused. A guard that
+// matched exported names could see neither: the first shares its name
+// with Counter.Reset, and the fourth is unexported. Of Tally's fields,
+// written is only assigned, incremented and keyed in a composite literal,
+// and testRead is read only by a test, so both are unused; read is read,
+// Tagged is json-tagged, and Base is embedded and read through a
+// promoted field.
 func TestUnusedCodeFixture(t *testing.T) {
 	unused, err := unusedCode("testdata/unusedcode", "fixture")
 	if err != nil {
@@ -75,27 +90,30 @@ func TestUnusedCodeFixture(t *testing.T) {
 	for _, u := range unused {
 		got = append(got, u.key)
 	}
-	if want := []string{"impl.Timer.Reset", "impl.unusedLimit"}; !slices.Equal(got, want) {
+	want := []string{"impl.Tally.testRead", "impl.Tally.written", "impl.Timer.Reset", "impl.unusedLimit"}
+	if !slices.Equal(got, want) {
 		t.Fatalf("unused = %q, want %q", got, want)
 	}
 }
 
-// unusedDecl is one package-level declaration under internal/ that no
-// production code uses.
+// unusedDecl is one package-level declaration or struct field under
+// internal/ that no production code uses.
 type unusedDecl struct {
-	key string // package.Name or package.Type.Method
-	pos token.Position
+	key   string // package.Name, package.Type.Method or package.Type.field
+	pos   token.Position
+	field bool
 }
 
 // unusedCode type-checks every non-test package under root, whose import
 // paths are module plus the directory, and returns the package-level
 // functions, methods, constants, variables and types declared under
 // internal/ that no non-test file references outside their own
-// declaration, sorted by key. A method also counts as used when its
-// receiver type implements an interface that holds it and that production
-// code can see (a production package's own, an imported package's, an
-// interface-typed expression's, or error), or when the root package
-// re-exports its type by alias. Struct fields are out of scope.
+// declaration, and the struct fields declared there without a json tag
+// that no non-test file reads (unreadFields), sorted by key. A method also
+// counts as used when its receiver type implements an interface that
+// holds it and that production code can see (a production package's own,
+// an imported package's, an interface-typed expression's, or error), or
+// when the root package re-exports its type by alias.
 func unusedCode(root, module string) ([]unusedDecl, error) {
 	l, err := loadModule(root, module)
 	if err != nil {
@@ -204,14 +222,157 @@ func unusedCode(root, module string) ([]unusedDecl, error) {
 		}
 	}
 
-	var unused []unusedDecl
+	unused := unreadFields(l, module)
 	for obj := range decls {
 		if !used[obj] {
-			unused = append(unused, unusedDecl{declKey(obj), l.fset.Position(obj.Pos())})
+			unused = append(unused, unusedDecl{declKey(obj), l.fset.Position(obj.Pos()), false})
 		}
 	}
 	slices.SortFunc(unused, func(a, b unusedDecl) int { return strings.Compare(a.key, b.key) })
 	return unused, nil
+}
+
+// unreadFields returns the struct fields declared under internal/ without
+// a json tag (encoding/json reads a tagged field by reflection) that no
+// non-test file reads. A field is read where its selector or name appears
+// anywhere but as the target of an assignment or of ++/--, or as a
+// composite literal's key; selecting a promoted field or method reads
+// each embedded field on its path. A field is keyed by the type it is
+// declared in, or by the variable or function that holds an anonymous
+// struct type.
+func unreadFields(l *moduleLoader, module string) []unusedDecl {
+	fields := map[*types.Var]string{}
+	for p, files := range l.files {
+		if !strings.HasPrefix(p, module+"/internal/") {
+			continue
+		}
+		for _, f := range files {
+			var stack []ast.Node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				owner := structOwner(stack)
+				for _, fd := range st.Fields.List {
+					if fd.Tag != nil {
+						tag, _ := strconv.Unquote(fd.Tag.Value)
+						if _, ok := reflect.StructTag(tag).Lookup("json"); ok {
+							continue
+						}
+					}
+					names := fd.Names
+					if len(names) == 0 {
+						names = []*ast.Ident{embeddedName(fd.Type)}
+					}
+					for _, name := range names {
+						if v, ok := l.info.Defs[name].(*types.Var); ok && name.Name != "_" {
+							fields[v] = v.Pkg().Name() + "." + owner + "." + name.Name
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	// Selectors and names in write-only positions.
+	written := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			written[sel.Sel] = true
+		}
+	}
+	for _, files := range l.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[id] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	read := map[*types.Var]bool{}
+	for id, obj := range l.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+			read[v.Origin()] = true
+		}
+	}
+	for _, sel := range l.info.Selections {
+		t, path := sel.Recv(), sel.Index()
+		for _, i := range path[:len(path)-1] {
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			read[st.Field(i).Origin()] = true
+			t = st.Field(i).Type()
+		}
+	}
+
+	var unread []unusedDecl
+	for v, key := range fields {
+		if !read[v] {
+			unread = append(unread, unusedDecl{key, l.fset.Position(v.Pos()), true})
+		}
+	}
+	return unread
+}
+
+// structOwner names the declaration that holds the innermost struct type
+// on stack: the enclosing type, else the variable or function.
+func structOwner(stack []ast.Node) string {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch n := stack[i].(type) {
+		case *ast.TypeSpec:
+			return n.Name.Name
+		case *ast.ValueSpec:
+			return n.Names[0].Name
+		case *ast.FuncDecl:
+			return n.Name.Name
+		}
+	}
+	return "struct"
+}
+
+// embeddedName returns the identifier an embedded field's type expression
+// declares the field by: T in T, *T, pkg.T and T[A].
+func embeddedName(e ast.Expr) *ast.Ident {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.SelectorExpr:
+			return t.Sel
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		case *ast.Ident:
+			return t
+		default:
+			return nil
+		}
+	}
 }
 
 // origin maps an instantiated generic function, method or variable to its
@@ -279,8 +440,13 @@ func loadModule(root, module string) (*moduleLoader, error) {
 		dirs:  map[string]*build.Package{},
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
-		std:   importer.Default(),
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		std: importer.Default(),
 	}
 	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {

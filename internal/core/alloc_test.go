@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"testing"
 
 	"dsm/internal/arch"
@@ -170,16 +169,13 @@ func TestPoolRecyclingPreservesProtocol(t *testing.T) {
 		"store_conditional/UPD": "2:6",
 		"test_and_set/UNC":      "0:6",
 	}
-	rec := h.sys.Chains()
-	classes := rec.Classes()
-	sort.Strings(classes)
-	for _, cl := range classes {
+	for cl, hist := range h.sys.Chains().All() {
 		want, ok := wantChains[cl]
 		if !ok {
-			t.Errorf("unexpected chain class %q: %s", cl, rec.Class(cl))
+			t.Errorf("unexpected chain class %q: %s", cl, hist)
 			continue
 		}
-		if got := rec.Class(cl).String(); got != want {
+		if got := hist.String(); got != want {
 			t.Errorf("chain %q changed: got %s, want %s", cl, got, want)
 		}
 		delete(wantChains, cl)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"dsm/internal/cache"
 	"dsm/internal/dir"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -216,12 +219,41 @@ func TestChainRecorderClassesPopulated(t *testing.T) {
 	h.sys.SetPolicy(b, PolicyUNC)
 	h.do(0, OpFetchAdd, a, 1)
 	h.do(0, OpFetchAdd, b, 1)
-	rec := h.sys.Chains()
-	if rec.Class("fetch_and_add/INV") == nil || rec.Class("fetch_and_add/UNC") == nil {
-		t.Fatalf("chain classes = %v", rec.Classes())
+	var classes []string
+	for class, hist := range h.sys.Chains().All() {
+		classes = append(classes, class)
+		if class == "fetch_and_add/UNC" && hist.Count(2) != 1 {
+			t.Fatal("UNC fetch_and_add chain not 2")
+		}
 	}
-	if rec.Class("fetch_and_add/UNC").Count(2) != 1 {
-		t.Fatal("UNC fetch_and_add chain not 2")
+	if want := []string{"fetch_and_add/INV", "fetch_and_add/UNC"}; !slices.Equal(classes, want) {
+		t.Fatalf("chain classes = %q, want %q", classes, want)
+	}
+}
+
+// TestChainClassNamesNeedNoEscaping records every operation class under
+// every policy and checks the names the report encodes verbatim: each is a
+// JSON string as it stands (encoding/json quotes it without escaping a
+// byte), and All yields them in strictly increasing order.
+func TestChainClassNamesNeedNoEscaping(t *testing.T) {
+	rec := newH(t).sys.Chains()
+	for op := 0; op < proto.NumOps; op++ {
+		for pol := 0; pol < proto.NumPolicies; pol++ {
+			rec.RecordAt(op, pol, 1)
+		}
+	}
+	var names []string
+	for class := range rec.All() {
+		if q, _ := json.Marshal(class); string(q) != `"`+class+`"` {
+			t.Errorf("class %q encodes as %s", class, q)
+		}
+		if len(names) > 0 && class <= names[len(names)-1] {
+			t.Errorf("class %q follows %q", class, names[len(names)-1])
+		}
+		names = append(names, class)
+	}
+	if len(names) != proto.NumOps*proto.NumPolicies || rec.Len() != len(names) {
+		t.Fatalf("All yields %d classes, Len %d, want %d", len(names), rec.Len(), proto.NumOps*proto.NumPolicies)
 	}
 }
 

@@ -401,7 +401,7 @@ func (h *HomeCtl) recall(m *msg, base arch.Addr, owner mesh.NodeID, kind msgKind
 	fwd := h.sys.newMsg()
 	*fwd = msg{
 		kind: kind, addr: m.addr, requester: m.requester,
-		forwardVal: m.val, forwardV2: m.val2, chain: m.chain,
+		forwardVal: m.val, chain: m.chain,
 	}
 	h.sys.send(h.node, owner, fwd, false)
 }

@@ -560,7 +560,7 @@ func (r *mcRun) key(k []byte) []byte {
 	putMsg := func(m *msg) {
 		put(int(m.kind), int(m.src), int(m.requester), int(m.op), int(m.val), int(m.val2),
 			int(m.data[0]), b2i(m.hasData), m.acks, b2i(m.ok), int(m.serial), b2i(m.hint),
-			int(m.updWord), int(m.forwardVal), int(m.forwardV2))
+			int(m.updWord), int(m.forwardVal))
 	}
 	for n := 0; n < r.cfg.nodes; n++ {
 		c := r.sys.caches[n]

@@ -63,8 +63,7 @@ type msg struct {
 	hint       bool      // LL beyond-limit failure hint
 	updWord    arch.Word // mUpdate: new value of the word at addr
 	chain      int       // serialized network messages so far (Table 1)
-	forwardVal arch.Word // mCASFwd/mRecallE carry the original operands
-	forwardV2  arch.Word
+	forwardVal arch.Word // mCASFwd/mRecallE carry the original operand
 
 	// Delayed-send routing: a controller that must respond one local step
 	// after receiving (modeling its occupancy) builds the reply immediately

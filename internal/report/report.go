@@ -6,10 +6,11 @@
 package report
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"strconv"
 
 	"dsm/internal/cache"
 	"dsm/internal/core"
@@ -83,14 +84,13 @@ func Collect(m *machine.Machine) *Report {
 	r.WriteRunMean = wr.Mean()
 	r.WriteRunTotal = wr.Histogram().Total()
 
-	rec := sys.Chains()
-	classes := rec.Classes()
-	sort.Strings(classes)
-	for _, cl := range classes {
-		h := rec.Class(cl)
-		r.Chains = append(r.Chains, ChainSummary{
-			Class: cl, Count: h.Total(), Mean: h.Mean(), Max: h.Max(),
-		})
+	if rec := sys.Chains(); rec.Len() > 0 {
+		r.Chains = make([]ChainSummary, 0, rec.Len())
+		for cl, h := range rec.All() {
+			r.Chains = append(r.Chains, ChainSummary{
+				Class: cl, Count: h.Total(), Mean: h.Mean(), Max: h.Max(),
+			})
+		}
 	}
 	return r
 }
@@ -124,14 +124,112 @@ func (r *Report) WriteText(w io.Writer) {
 	}
 }
 
-// WriteJSON renders the report as one JSON object followed by a newline.
-// Field order is the struct declaration order and the contention histogram
-// encodes as value-sorted bins, so the encoding of a given report is
-// byte-stable: encoding the same report twice yields identical bytes. The
-// serving layer relies on this to make cache hits byte-identical to the
-// miss that populated them.
+// WriteJSON renders the report as one JSON object (AppendJSON) followed
+// by a newline.
 func (r *Report) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(r)
+	b, err := r.AppendJSON(make([]byte, 0, 1024))
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
+}
+
+// AppendJSON appends the report's JSON encoding to dst without
+// reflection: byte for byte what encoding/json renders for its fields,
+// with the contention histogram as its value-sorted bins (the serve
+// package's FuzzOutcomeAppendJSON). Fields appear in declaration order
+// under their json tags, so the encoding of a given report is
+// byte-stable: encoding the same report twice yields identical bytes.
+// The serving layer relies on this to make cache hits byte-identical to
+// the miss that populated them. Chain class names are written verbatim:
+// Collect takes them from the protocol's op/policy names, none of which
+// needs escaping. A NaN or infinite mean fails as encoding/json fails it.
+func (r *Report) AppendJSON(dst []byte) ([]byte, error) {
+	dst = strconv.AppendInt(append(dst, `{"procs":`...), int64(r.Procs), 10)
+	p := &r.Protocol
+	dst = appendUint(dst, `,"protocol":{"requests":`, p.Requests)
+	dst = appendUint(dst, `,"local_hits":`, p.LocalHits)
+	dst = appendUint(dst, `,"naks":`, p.Naks)
+	dst = appendUint(dst, `,"retries":`, p.Retries)
+	dst = appendUint(dst, `,"invals":`, p.Invals)
+	dst = appendUint(dst, `,"updates":`, p.Updates)
+	dst = appendUint(dst, `,"writebacks":`, p.Writebacks)
+	dst = appendUint(dst, `,"sc_fail_local":`, p.SCFailLocal)
+	n := &r.Network
+	dst = appendUint(dst, `},"network":{"messages":`, n.Messages)
+	dst = appendUint(dst, `,"local_msgs":`, n.LocalMsgs)
+	dst = appendUint(dst, `,"flits":`, n.Flits)
+	dst = appendUint(dst, `,"hops_total":`, n.HopsTotal)
+	dst = appendUint(dst, `,"inject_wait":`, n.InjectWait)
+	dst = appendUint(dst, `,"eject_wait":`, n.EjectWait)
+	dst = appendUint(dst, `,"link_wait":`, n.LinkWait)
+	dst = appendUint(dst, `},"memory":{"accesses":`, r.Memory.Accesses)
+	dst = appendUint(dst, `,"queue_wait":`, r.Memory.QueueWait)
+	dst = appendUint(dst, `},"cache":{"evictions":`, r.Cache.Evictions)
+	dst = appendUint(dst, `,"dirty_evictions":`, r.Cache.DirtyEvictions)
+	dst = append(dst, `},"contention":`...)
+	if r.Contention == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = r.Contention.AppendJSON(dst)
+	}
+	dst, err := AppendFloat(append(dst, `,"write_run_mean":`...), r.WriteRunMean)
+	if err != nil {
+		return dst, err
+	}
+	dst = appendUint(dst, `,"write_run_total":`, r.WriteRunTotal)
+	dst = appendUint(dst, `,"proc_ops":`, r.ProcOps)
+	dst = appendUint(dst, `,"memory_cycles":`, r.MemoryCycles)
+	dst = appendUint(dst, `,"compute_cycles":`, r.ComputeCycles)
+	dst = appendUint(dst, `,"barrier_cycles":`, r.BarrierCycles)
+	if len(r.Chains) > 0 {
+		dst = append(dst, `,"chains":[`...)
+		for i := range r.Chains {
+			c := &r.Chains[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(append(append(dst, `{"class":"`...), c.Class...), '"')
+			dst = appendUint(dst, `,"count":`, c.Count)
+			if dst, err = AppendFloat(append(dst, `,"mean":`...), c.Mean); err != nil {
+				return dst, err
+			}
+			dst = strconv.AppendInt(append(dst, `,"max":`...), int64(c.Max), 10)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), nil
+}
+
+// appendUint appends prefix, then v in decimal.
+func appendUint(dst []byte, prefix string, v uint64) []byte {
+	return strconv.AppendUint(append(dst, prefix...), v, 10)
+}
+
+// AppendFloat appends f as encoding/json renders a float64: the shortest
+// decimal that reads back as f, in 'f' form, or in 'e' form when |f| is
+// below 1e-6 or at least 1e21, with a negative exponent's leading zero
+// trimmed ("1e-07" becomes "1e-7"). JSON has no NaN or infinity, so those
+// fail, with encoding/json's error text.
+func AppendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, errors.New("json: unsupported value: " + strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// Trim a two-digit negative exponent's leading zero: e-07 to e-7.
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
 }
 
 func pct(a, b uint64) float64 {

@@ -5,12 +5,19 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"strings"
 	"testing"
 
+	"dsm/internal/core"
 	"dsm/internal/exper"
+	"dsm/internal/mesh"
+	"dsm/internal/proto"
+	"dsm/internal/report"
+	"dsm/internal/sim"
+	"dsm/internal/stats"
 )
 
 // referenceSpec is the decode parseSpecBody must agree with:
@@ -224,6 +231,140 @@ func FuzzParsePlan(f *testing.F) {
 			if err != nil || !sameSpec(again, sp) {
 				t.Fatalf("point %d %+v is not a fixed point of Normalize: %+v, %v", i, sp, again, err)
 			}
+		}
+	})
+}
+
+// chainClassNames returns every chain class name the protocol records, as
+// a fresh system's recorder renders them.
+func chainClassNames() []string {
+	cfg := core.DefaultConfig()
+	eng := sim.NewEngine()
+	rec := core.NewSystem(eng, mesh.New(eng, cfg.Mesh), cfg).Chains()
+	for op := 0; op < proto.NumOps; op++ {
+		for pol := 0; pol < proto.NumPolicies; pol++ {
+			rec.RecordAt(op, pol, 1)
+		}
+	}
+	var names []string
+	for class := range rec.All() {
+		names = append(names, class)
+	}
+	return names
+}
+
+// FuzzOutcomeAppendJSON holds the served outcome's encoder to
+// encoding/json: for an outcome built from fuzzed counters, floats (tiny,
+// huge, negative zero, NaN and infinities among them), a contention
+// histogram and a set of chain summaries under the protocol's class names,
+// AppendJSON appends exactly json.Marshal's bytes, and Encode adds one
+// newline. Where encoding/json fails (a NaN or infinite float), AppendJSON
+// fails with the same text. It also pins the key as 64 lowercase hex
+// digits, which the encoder writes without escaping.
+func FuzzOutcomeAppendJSON(f *testing.F) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	f.Add(uint8(0), uint64(0), uint64(143), uint64(4), 35.75, uint64(0), 1.3333333333333333, 1.5, []byte{1, 4}, []byte{7}, true)
+	f.Add(uint8(3), uint64(7), uint64(845), uint64(12), 70.41666666666667, uint64(1<<20+5), 1.0, 3.1666666666666665, []byte{1, 3, 2, 3, 3, 3, 4, 3}, []byte{0, 9, 30}, true)
+	f.Add(uint8(5), uint64(1), uint64(0), uint64(0), 0.0, uint64(2), 0.0, 0.0, []byte{}, []byte{}, true)
+	f.Add(uint8(1), uint64(2), uint64(1), uint64(1), 1e-7, uint64(3), 1e21, 5e-324, []byte{0, 0}, []byte{1, 2}, true)
+	f.Add(uint8(2), uint64(3), uint64(9), uint64(9), 1e-6, uint64(4), 999999999999999900000.0, -1.5e-300, []byte{255}, []byte{3}, true)
+	f.Add(uint8(4), uint64(4), uint64(9), uint64(9), negZero, uint64(5), negZero, negZero, []byte{69, 255}, []byte{4, 5}, true)
+	f.Add(uint8(6), uint64(5), uint64(9), uint64(9), nan, uint64(6), 1.0, 1.0, []byte{1, 1}, []byte{}, true)
+	f.Add(uint8(7), uint64(6), uint64(9), uint64(9), 2.0, uint64(7), inf, 1.0, []byte{1, 1}, []byte{}, true)
+	f.Add(uint8(8), uint64(7), uint64(9), uint64(9), 2.0, uint64(8), 1.0, -inf, []byte{1, 1}, []byte{6}, true)
+	f.Add(uint8(9), uint64(8), uint64(18446744073709551615), uint64(18446744073709551615), -2.5e-8, uint64(18446744073709551615), 1.0, 1.0, []byte{}, []byte{}, false)
+	names := chainClassNames()
+	apps := exper.AppNames()
+	f.Fuzz(func(t *testing.T, app uint8, seed, elapsed, ops uint64, avg float64, extra uint64,
+		wrMean, chainMean float64, bins, chains []byte, withReport bool) {
+		sp, err := Spec{App: apps[int(app)%len(apps)], Seed: seed}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &Outcome{Spec: sp, Key: sp.Key()}
+		if len(o.Key) != 64 || strings.Trim(o.Key, "0123456789abcdef") != "" {
+			t.Fatalf("key %q is not 64 lowercase hex digits", o.Key)
+		}
+		o.Elapsed = sim.Time(elapsed)
+		o.Ops = ops
+		o.AvgCycles = avg
+		o.Retries = extra % 3 // zero a third of the time: omitempty
+		o.TornReads = extra / 3 % 2
+		o.Work = extra >> 8
+		var wantBins []byte // encoding/json's rendering of the contention bins
+		if withReport {
+			rng := rand.New(rand.NewPCG(elapsed, extra))
+			count := func() uint64 { // zero, small or any value, a third each
+				switch rng.IntN(3) {
+				case 0:
+					return 0
+				case 1:
+					return rng.Uint64N(1000)
+				}
+				return rng.Uint64()
+			}
+			r := &report.Report{
+				Procs: int(int8(extra)),
+				Protocol: core.Counters{Requests: count(), LocalHits: count(), Naks: count(), Retries: count(),
+					Invals: count(), Updates: count(), Writebacks: count(), SCFailLocal: count()},
+				Network: mesh.Stats{Messages: count(), LocalMsgs: count(), Flits: count(), HopsTotal: count(),
+					InjectWait: count(), EjectWait: count(), LinkWait: count()},
+				WriteRunMean:  wrMean,
+				WriteRunTotal: count(),
+				ProcOps:       count(),
+				MemoryCycles:  count(),
+				ComputeCycles: count(),
+				BarrierCycles: count(),
+			}
+			r.Memory.Accesses, r.Memory.QueueWait = count(), count()
+			r.Cache.Evictions, r.Cache.DirtyEvictions = count(), count()
+			if len(bins) == 0 || bins[0] != 255 { // a leading 255 leaves the histogram nil
+				r.Contention = stats.NewHistogram()
+				for i := 0; i+1 < len(bins); i += 2 {
+					r.Contention.AddN(int(bins[i]%70), uint64(bins[i+1]))
+				}
+				type bin struct {
+					V int    `json:"v"`
+					N uint64 `json:"n"`
+				}
+				ref := []bin{}
+				for v := 0; v <= r.Contention.Max(); v++ {
+					if n := r.Contention.Count(v); n != 0 {
+						ref = append(ref, bin{v, n})
+					}
+				}
+				wantBins, _ = json.Marshal(ref)
+			}
+			for i, c := range chains[:min(len(chains), 40)] {
+				r.Chains = append(r.Chains, report.ChainSummary{
+					Class: names[int(c)%len(names)], Count: count(),
+					Mean: chainMean * float64(i), Max: int(c) - 8,
+				})
+			}
+			o.Report = r
+		}
+
+		want, jerr := json.Marshal(o)
+		got, err := o.AppendJSON([]byte("x"))
+		if jerr != nil {
+			if err == nil || err.Error() != jerr.Error() {
+				t.Fatalf("json.Marshal fails with %q, AppendJSON with %v", jerr, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("AppendJSON: %v; json.Marshal gives %s", err, want)
+		}
+		// encoding/json sees no exported field in a Histogram, so it
+		// renders one as {}: put the bins in its place.
+		if wantBins != nil {
+			want = bytes.Replace(want, []byte(`"contention":{}`), append([]byte(`"contention":`), wantBins...), 1)
+		}
+		if string(got) != "x"+string(want) {
+			t.Fatalf("AppendJSON =\n%s\njson.Marshal =\n%s", got[1:], want)
+		}
+		if enc, err := o.Encode(); err != nil || string(enc) != string(want)+"\n" {
+			t.Fatalf("Encode = %s, %v; want AppendJSON's bytes and a newline", enc, err)
 		}
 	})
 }

@@ -56,9 +56,8 @@ func ParsePlan(body io.Reader) ([]Spec, error) {
 // sweepSlot is one point's dispatch bookkeeping: how it resolved (cached
 // bytes or an in-flight call to wait on).
 type sweepSlot struct {
-	data  []byte // non-nil: served from cache
-	call  *Call[*cacheEntry]
-	state dispatchState
+	data []byte // non-nil: served from cache
+	call *Call[*cacheEntry]
 }
 
 // sweepWriteSize is the per-request output buffer: large enough to batch
@@ -112,7 +111,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if e != nil {
 			data = e.data // sweep lines always stream the identity encoding
 		}
-		slots[i] = sweepSlot{data: data, call: call, state: state}
+		slots[i] = sweepSlot{data: data, call: call}
 		switch state {
 		case dispatchHit:
 			hits++

@@ -7,9 +7,9 @@
 package stats
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -96,30 +96,34 @@ func (h *Histogram) Percent(v int) float64 {
 	return 100 * float64(h.Count(v)) / float64(h.total)
 }
 
-// Merge adds all samples of other into h.
+// Merge adds all samples of other into h, growing h's count array once.
 func (h *Histogram) Merge(other *Histogram) {
+	if n := len(other.counts); n > len(h.counts) {
+		h.grow(n - 1)
+	}
 	for v, n := range other.counts {
 		h.AddN(v, n)
 	}
 }
 
-// histogramBin is one value/count pair of the JSON encoding.
-type histogramBin struct {
-	V int    `json:"v"`
-	N uint64 `json:"n"`
-}
-
-// MarshalJSON encodes the histogram as an array of {"v":value,"n":count}
-// bins in increasing value order, so the encoding of a given histogram is
-// byte-stable.
-func (h *Histogram) MarshalJSON() ([]byte, error) {
-	bins := make([]histogramBin, 0, len(h.counts))
+// AppendJSON appends the histogram's JSON encoding to dst: an array of
+// {"v":value,"n":count} bins, one per non-zero count, in increasing value
+// order, so the encoding of a given histogram is byte-stable.
+func (h *Histogram) AppendJSON(dst []byte) []byte {
+	open := len(dst)
+	dst = append(dst, '[')
 	for v, n := range h.counts {
-		if n != 0 {
-			bins = append(bins, histogramBin{V: v, N: n})
+		if n == 0 {
+			continue
 		}
+		if len(dst) > open+1 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(append(dst, `{"v":`...), int64(v), 10)
+		dst = strconv.AppendUint(append(dst, `,"n":`...), n, 10)
+		dst = append(dst, '}')
 	}
-	return json.Marshal(bins)
+	return append(dst, ']')
 }
 
 // String renders "v:count" pairs in increasing value order.

@@ -1,7 +1,7 @@
 package stats
 
 import (
-	"encoding/json"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -45,12 +45,8 @@ func TestHistogramValuesSorted(t *testing.T) {
 	if got, want := h.String(), "0:1 2:2 7:1 9:1"; got != want {
 		t.Fatalf("String = %q, want %q", got, want)
 	}
-	data, err := json.Marshal(h)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	if want := `[{"v":0,"n":1},{"v":2,"n":2},{"v":7,"n":1},{"v":9,"n":1}]`; string(data) != want {
-		t.Fatalf("Marshal = %s, want %s", data, want)
+	if data, want := h.AppendJSON(nil), `[{"v":0,"n":1},{"v":2,"n":2},{"v":7,"n":1},{"v":9,"n":1}]`; string(data) != want {
+		t.Fatalf("AppendJSON = %s, want %s", data, want)
 	}
 }
 
@@ -245,18 +241,20 @@ func TestChainRecorder(t *testing.T) {
 	c.RecordAt(1, 0, 4)
 	c.RecordAt(1, 0, 4)
 	c.RecordAt(1, 1, 2)
-	if h := c.Class("inv-store-remote-exclusive"); h.Count(4) != 2 {
-		t.Fatalf("class hist = %s", h)
+	var got []string
+	for class, h := range c.All() {
+		got = append(got, class+"="+h.String())
 	}
-	if c.Class("inv-load") != nil || c.Class("missing") != nil {
-		t.Fatal("unrecorded class not nil")
-	}
-	if len(c.Classes()) != 2 {
-		t.Fatalf("Classes = %v", c.Classes())
+	// Recorded classes only, in name order, not grid order.
+	if want := []string{"inv-store-remote-exclusive=4:2", "unc-store=2:1"}; !slices.Equal(got, want) || c.Len() != 2 {
+		t.Fatalf("All = %q (Len %d), want %q", got, c.Len(), want)
 	}
 	c.Reset()
-	if len(c.Classes()) != 0 || c.Class("unc-store") != nil {
-		t.Fatalf("Classes after Reset = %v", c.Classes())
+	for class := range c.All() {
+		t.Fatalf("All after Reset yields %s", class)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", c.Len())
 	}
 }
 
@@ -267,27 +265,18 @@ func TestHistogramJSONByteStable(t *testing.T) {
 	h.AddN(1, 5)
 	h.AddN(16, 2)
 	h.Add(3)
-	data, err := json.Marshal(h)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
 	want := `[{"v":1,"n":5},{"v":3,"n":1},{"v":16,"n":2}]`
-	if string(data) != want {
-		t.Fatalf("Marshal = %s, want %s", data, want)
+	if data := h.AppendJSON(nil); string(data) != want {
+		t.Fatalf("AppendJSON = %s, want %s", data, want)
 	}
 	// The encoding must be byte-stable across re-encodes.
-	again, _ := json.Marshal(h)
-	if string(again) != want {
-		t.Fatalf("re-Marshal = %s, want %s", again, want)
+	if again := h.AppendJSON(nil); string(again) != want {
+		t.Fatalf("re-encoded = %s, want %s", again, want)
 	}
 }
 
 func TestHistogramJSONEmpty(t *testing.T) {
-	data, err := json.Marshal(NewHistogram())
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	if string(data) != "[]" {
+	if data := NewHistogram().AppendJSON(nil); string(data) != "[]" {
 		t.Fatalf("empty = %s, want []", data)
 	}
 }

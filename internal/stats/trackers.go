@@ -1,6 +1,12 @@
 package stats
 
-import "dsm/internal/arch"
+import (
+	"iter"
+	"slices"
+	"strings"
+
+	"dsm/internal/arch"
+)
 
 // Location identifies a tracked shared word (its byte address). Trackers key
 // their per-word records by Location / arch.WordBytes.
@@ -157,29 +163,36 @@ func (t *WriteRunTracker) Mean() float64 { return t.hist.Mean() }
 // Classes are the cells of a rows x cols grid declared at construction
 // (NewChainGrid), and RecordAt is a flat array index — the protocol layer
 // records every completed transaction through it without building a class
-// string or hashing one. The read API (Class, Classes) names grid cells
-// through the grid's name function.
+// string or hashing one. Each cell's class name is rendered once, at
+// construction, and All walks the recorded cells in class-name order.
 type ChainRecorder struct {
-	rows, cols int
-	name       func(row, col int) string
-	grid       []*Histogram // rows*cols; nil cells never recorded
-	spare      []*Histogram // reset histograms parked for reuse by RecordAt
+	cols  int
+	names []string     // class name of each cell
+	order []int        // cell indices in increasing class-name order
+	grid  []*Histogram // rows*cols; nil cells never recorded
+	spare []*Histogram // reset histograms parked for reuse by RecordAt
 }
 
 // NewChainGrid returns a recorder over a rows x cols grid of classes; name
-// renders a cell's class string for the read API.
+// renders a cell's class string, and every cell's name must be distinct.
 func NewChainGrid(rows, cols int, name func(row, col int) string) *ChainRecorder {
-	return &ChainRecorder{
-		rows:  rows,
+	c := &ChainRecorder{
 		cols:  cols,
-		name:  name,
+		names: make([]string, rows*cols),
+		order: make([]int, rows*cols),
 		grid:  make([]*Histogram, rows*cols),
 		spare: make([]*Histogram, rows*cols),
 	}
+	for i := range c.names {
+		c.names[i] = name(i/cols, i%cols)
+		c.order[i] = i
+	}
+	slices.SortFunc(c.order, func(a, b int) int { return strings.Compare(c.names[a], c.names[b]) })
+	return c
 }
 
-// Reset forgets every recorded class. Grid cells return to nil so the read
-// API reports exactly the classes recorded since the reset, as on a fresh
+// Reset forgets every recorded class. Grid cells return to nil so All
+// yields exactly the classes recorded since the reset, as on a fresh
 // recorder; the emptied histograms are parked in a spare grid for RecordAt
 // to reclaim, keeping the reused-machine path allocation-free. Parking is
 // safe because reports never alias chain histograms — report.Collect copies
@@ -213,23 +226,25 @@ func (c *ChainRecorder) RecordNAt(row, col, chain int, n uint64) {
 	h.AddN(chain, n)
 }
 
-// Class returns the histogram for a class, or nil if never recorded.
-func (c *ChainRecorder) Class(class string) *Histogram {
-	for i, h := range c.grid {
-		if h != nil && c.name(i/c.cols, i%c.cols) == class {
-			return h
+// Len returns the number of recorded classes.
+func (c *ChainRecorder) Len() int {
+	n := 0
+	for _, h := range c.grid {
+		if h != nil {
+			n++
 		}
 	}
-	return nil
+	return n
 }
 
-// Classes returns the recorded class names (unsorted).
-func (c *ChainRecorder) Classes() []string {
-	out := make([]string, 0, len(c.grid))
-	for i, h := range c.grid {
-		if h != nil {
-			out = append(out, c.name(i/c.cols, i%c.cols))
+// All yields each recorded class's name and histogram in increasing
+// class-name order.
+func (c *ChainRecorder) All() iter.Seq2[string, *Histogram] {
+	return func(yield func(string, *Histogram) bool) {
+		for _, i := range c.order {
+			if h := c.grid[i]; h != nil && !yield(c.names[i], h) {
+				return
+			}
 		}
 	}
-	return out
 }

@@ -7,8 +7,9 @@ import "fixture/internal/impl"
 // Gauge is library surface: its methods count as used.
 type Gauge = impl.Gauge
 
-// Run resets a counter and describes a name.
+// Run resets a counter, counts a tally and describes a name.
 func Run(c *impl.Counter, _ *impl.Timer) string {
 	c.Reset()
+	impl.NewTally().Count()
 	return impl.Describe(impl.Named{})
 }

