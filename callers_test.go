@@ -28,9 +28,6 @@ var callerAllowlist = map[string]string{
 	"check.History.Len":          "the apps and locks tests check a history's length before judging it",
 	"core.System.CheckCoherence": "coherence invariant the machine and model-checker tests judge the protocol with",
 	"dir.ResvState.Holders":      "core's model checker reads the reservation holders to judge LL/SC",
-	"apps.RealResult.Base":       "the address the apps tests validate a real application's computed structure at",
-	"core.Result.Hint":           "load_linked's beyond-limit hint, through which the core tests assert the limited reservation scheme",
-	"machine.Proc.ties":          "counts tied wakes, whose coverage spin_test.go asserts through it",
 	"sim.Engine.Passed":          "parked spins' virtual-event count, which the benchmark item on ROADMAP gives a caller",
 }
 

@@ -17,8 +17,8 @@
 // are printed in a stable human-readable form and no simulation runs.
 //
 // Unknown -app/-policy/-prim/-cas values, a -procs outside 1-64, a -c
-// outside 1..procs, and an -a below 1, -rounds below 1 or -size below 2
-// are rejected with a usage message and exit status 2.
+// outside 1..procs, and an -a below 1, -rounds below 1, -size below 2 or
+// -trace below 0 are rejected with a usage message and exit status 2.
 package main
 
 import (
@@ -102,6 +102,9 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+	}
+	if *traceN < 0 {
+		fail(fmt.Errorf("trace %d below 0", *traceN))
 	}
 	bar, err := parseBar(*policy, *prim, *variant, *ldex, *drop)
 	if err != nil {

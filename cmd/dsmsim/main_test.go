@@ -125,9 +125,9 @@ func TestCheckScaleFlags(t *testing.T) {
 }
 
 // TestOutOfRangeProcsExitsWithUsage runs main in a child process: an
-// out-of-range -procs, a scale or pattern flag below its lower bound, or
-// an argument that is not a flag, must print the error and the usage text
-// and exit 2, not panic.
+// out-of-range -procs, a scale or pattern flag below its lower bound, a
+// negative -trace, or an argument that is not a flag, must print the error
+// and the usage text and exit 2, not panic.
 func TestOutOfRangeProcsExitsWithUsage(t *testing.T) {
 	if os.Getenv("DSMSIM_MAIN") != "" {
 		os.Args = append([]string{"dsmsim"}, strings.Fields(os.Getenv("DSMSIM_MAIN"))...)
@@ -146,6 +146,7 @@ func TestOutOfRangeProcsExitsWithUsage(t *testing.T) {
 		{"-rounds 0", "rounds 0 below 1"},
 		{"-a 0", "write-run 0 below 1"},
 		{"-a NaN", "write-run NaN below 1"},
+		{"-app counter -procs 4 -rounds 2 -trace -5", "trace -5 below 0"},
 		{"-app tts extra -procs 1000", `unexpected argument "extra"`},
 		{"-dump-protocol extra", `unexpected argument "extra"`},
 	} {
@@ -208,19 +209,47 @@ func TestDumpProtocolGolden(t *testing.T) {
 	if err := proto.WriteTables(&buf); err != nil {
 		t.Fatalf("WriteTables: %v", err)
 	}
-	want, err := os.ReadFile("testdata/protocol.txt")
+	checkGolden(t, "protocol dump", "testdata/protocol.txt", buf.Bytes())
+}
+
+// checkGolden fails t at the first line where got differs from the golden
+// file, or on a differing length.
+func checkGolden(t *testing.T, what, golden string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("reading golden: %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		got := buf.String()
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("protocol dump diverges from golden at line %d:\n got: %q\nwant: %q",
-					i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("protocol dump length %d lines, golden %d lines", len(gl), len(wl))
+	if bytes.Equal(got, want) {
+		return
 	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s diverges from golden at line %d:\n got: %q\nwant: %q", what, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s length %d lines, golden %d lines", what, len(gl), len(wl))
+}
+
+// TestTraceGolden runs main in a child process and pins its -trace output:
+// the report, then the last 40 protocol events of an MCS run. MCS waits in
+// SpinWhile, so the golden also holds the rule that a traced spin does not
+// park: each of its loads is issued and completed as an event of its own.
+// Regenerate with:
+//
+//	go run ./cmd/dsmsim -app mcs -procs 4 -c 4 -rounds 2 -trace 40 > cmd/dsmsim/testdata/trace.txt
+func TestTraceGolden(t *testing.T) {
+	if os.Getenv("DSMSIM_MAIN") != "" {
+		os.Args = append([]string{"dsmsim"}, strings.Fields(os.Getenv("DSMSIM_MAIN"))...)
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestTraceGolden$")
+	cmd.Env = append(os.Environ(), "DSMSIM_MAIN=-app mcs -procs 4 -c 4 -rounds 2 -trace 40")
+	got, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("dsmsim: %v", err)
+	}
+	checkGolden(t, "trace output", "testdata/trace.txt", got)
 }

@@ -41,8 +41,8 @@ func main() {
 			Seed:   seed,
 		})
 		status := "ok"
-		if res.Reachable != want {
-			status = fmt.Sprintf("WRONG (%d)", res.Reachable)
+		if res.Work != uint64(want) {
+			status = fmt.Sprintf("WRONG (%d)", res.Work)
 		}
 		hist := m.System().Contention().Histogram()
 		fmt.Printf("  %-36s %9d cycles  result=%s  peak contention=%d\n",

@@ -125,8 +125,8 @@ func TestTClosureMatchesReference(t *testing.T) {
 				Opts: locks.Options{Prim: prim}, Seed: 7}
 			res := TClosure(m, cfg)
 			want := TClosureReference(12, 7, 4)
-			if res.Reachable != want {
-				t.Fatalf("closure has %d reachable pairs, reference %d", res.Reachable, want)
+			if res.Work != uint64(want) {
+				t.Fatalf("closure has %d reachable pairs, reference %d", res.Work, want)
 			}
 			if res.Elapsed == 0 {
 				t.Fatal("no time elapsed")
@@ -137,12 +137,12 @@ func TestTClosureMatchesReference(t *testing.T) {
 }
 
 func TestTClosureAllPoliciesAgree(t *testing.T) {
-	var got []int
+	var got []uint64
 	for _, pol := range []core.Policy{core.PolicyINV, core.PolicyUPD, core.PolicyUNC} {
 		m := newM(4)
 		res := TClosure(m, TClosureConfig{Size: 10, Policy: pol,
 			Opts: locks.Options{Prim: locks.PrimFAP}, Seed: 3})
-		got = append(got, res.Reachable)
+		got = append(got, res.Work)
 	}
 	if got[0] != got[1] || got[1] != got[2] {
 		t.Fatalf("policies disagree on the closure: %v", got)
@@ -154,8 +154,8 @@ func TestTClosureDenseGraphSaturates(t *testing.T) {
 	res := TClosure(m, TClosureConfig{Size: 8, Policy: core.PolicyUNC,
 		Opts: locks.Options{Prim: locks.PrimFAP}, Seed: 1, EdgeDenom: 2})
 	want := TClosureReference(8, 1, 2)
-	if res.Reachable != want {
-		t.Fatalf("reachable = %d, want %d", res.Reachable, want)
+	if res.Work != uint64(want) {
+		t.Fatalf("reachable = %d, want %d", res.Work, want)
 	}
 }
 
@@ -204,12 +204,15 @@ func TestLocusRouteConservation(t *testing.T) {
 	// Every wire increments each cell of its chosen L-route exactly once,
 	// and both candidate routes have the same length, so the grid total
 	// must equal the sum of manhattan distances plus one per wire —
-	// regardless of scheduling, contention, or route choices.
+	// regardless of scheduling, contention, or route choices. The grid is
+	// LocusRoute's first allocation, so it lies where the first allocation
+	// of an identical fresh machine does.
 	m := newM(8)
 	cfg := DefaultLocusRoute(8)
 	cfg.Policy = core.PolicyINV
 	cfg.Opts = locks.Options{Prim: locks.PrimCAS}
-	res := LocusRoute(m, cfg)
+	grid := newM(8).Alloc(uint32(cfg.Grid * cfg.Grid * arch.WordBytes))
+	LocusRoute(m, cfg)
 
 	rng := sim.NewRNG(cfg.Seed)
 	want := 0
@@ -226,7 +229,7 @@ func TestLocusRouteConservation(t *testing.T) {
 	}
 	got := 0
 	for c := 0; c < cfg.Grid*cfg.Grid; c++ {
-		got += int(m.Peek(res.Base + arch.Addr(c*arch.WordBytes)))
+		got += int(m.Peek(grid + arch.Addr(c*arch.WordBytes)))
 	}
 	if got != want {
 		t.Fatalf("grid total = %d, want %d (cells lost or double-claimed)", got, want)

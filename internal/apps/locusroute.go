@@ -34,21 +34,12 @@ func DefaultLocusRoute(procs int) LocusRouteConfig {
 	return LocusRouteConfig{Grid: 32, Wires: 4 * procs, Regions: 16, Seed: 0x10c05}
 }
 
-// RealResult reports a real-application run.
-type RealResult struct {
-	Elapsed sim.Time
-	Work    uint64 // application-defined completed work items
-	// Base is the application's main shared data structure (LocusRoute:
-	// the cost grid; Cholesky: the first column), for validation.
-	Base arch.Addr
-}
-
 // LocusRoute routes Wires wires through the shared cost grid: each
 // processor repeatedly takes a wire from the central queue (lock-protected,
 // dynamic scheduling), evaluates the two L-shaped routes by reading the
 // cost grid, and claims the cheaper one by incrementing the cost of its
 // cells under the region locks.
-func LocusRoute(m *machine.Machine, cfg LocusRouteConfig) RealResult {
+func LocusRoute(m *machine.Machine, cfg LocusRouteConfig) Result {
 	if cfg.Grid <= 0 || cfg.Wires <= 0 || cfg.Regions <= 0 {
 		panic("apps: invalid LocusRoute config")
 	}
@@ -122,7 +113,7 @@ func LocusRoute(m *machine.Machine, cfg LocusRouteConfig) RealResult {
 			p.Compute(20000 + sim.Time(p.Rand().Intn(6000)))
 		}
 	})
-	return RealResult{Elapsed: elapsed, Work: routed, Base: grid}
+	return Result{Elapsed: elapsed, Work: routed}
 }
 
 // routeCost sums the cost of the L-shaped route (horizontal-then-vertical

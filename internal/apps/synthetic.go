@@ -66,7 +66,7 @@ func (pat Pattern) runsFor(round int) int {
 
 // Result reports a run's headline numbers under their wire names:
 // exper.Result embeds it, and the service's response body embeds that.
-// Real applications fill only Elapsed.
+// Real applications fill only Elapsed and Work.
 type Result struct {
 	Elapsed sim.Time `json:"elapsed_cycles"` // simulated cycles for the whole run
 	// Ops counts completed work: counter updates, queue/stack operations,
@@ -80,6 +80,9 @@ type Result struct {
 	Retries uint64 `json:"retries,omitempty"`
 	// TornReads counts the RCU readers' torn snapshots, which must be zero.
 	TornReads uint64 `json:"torn_reads,omitempty"`
+	// Work counts a real application's completed work: wires routed,
+	// columns factored, or reachable pairs in the closure.
+	Work uint64 `json:"work,omitempty"`
 }
 
 // runner is the pattern runner: barrier-separated rounds in which the

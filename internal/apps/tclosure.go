@@ -19,17 +19,11 @@ type TClosureConfig struct {
 	EdgeDenom int
 }
 
-// TClosureResult reports the run.
-type TClosureResult struct {
-	Elapsed   sim.Time
-	Reachable int // TRUE entries in the closure (validation aid)
-}
-
 // TClosure runs the paper's transitive-closure application (its figure 1):
 // a Floyd-Warshall-style boolean closure over a shared adjacency matrix,
 // with variable-size input-dependent jobs distributed through a lock-free
 // counter and rounds separated by the scalable tree barrier.
-func TClosure(m *machine.Machine, cfg TClosureConfig) TClosureResult {
+func TClosure(m *machine.Machine, cfg TClosureConfig) Result {
 	if cfg.Size <= 0 {
 		panic("apps: TClosure size must be positive")
 	}
@@ -85,7 +79,7 @@ func TClosure(m *machine.Machine, cfg TClosureConfig) TClosureResult {
 		}
 	})
 
-	reach := 0
+	var reach uint64
 	for i := 0; i < size; i++ {
 		for j := 0; j < size; j++ {
 			if m.Peek(cell(i, j)) != 0 {
@@ -93,7 +87,7 @@ func TClosure(m *machine.Machine, cfg TClosureConfig) TClosureResult {
 			}
 		}
 	}
-	return TClosureResult{Elapsed: elapsed, Reachable: reach}
+	return Result{Elapsed: elapsed, Work: reach}
 }
 
 // initTClosureInput pokes a deterministic sparse directed graph into the

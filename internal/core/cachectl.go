@@ -26,8 +26,6 @@ type txn struct {
 	// result is the operation outcome, computed when the grant arrives;
 	// delivery waits for the invalidation/update acknowledgments.
 	result Result
-
-	tracking bool // contention tracking began for this txn
 }
 
 // CacheCtl is one node's cache controller: it satisfies processor requests
@@ -134,9 +132,8 @@ func (c *CacheCtl) open(req Request) {
 	}
 	t := &c.txn
 	*t = txn{req: req, policy: c.sys.PolicyOf(req.Addr)}
-	if c.sys.cfg.Track && req.Op.IsAtomic() {
+	if req.Op.IsAtomic() {
 		c.sys.contention.Begin(stats.Location(req.Addr), int(c.node))
-		t.tracking = true
 	}
 	c.pending = t
 }
@@ -177,7 +174,7 @@ func (c *CacheCtl) complete(t *txn, r Result) {
 		panic("core: completing a transaction that is not pending")
 	}
 	c.pending = nil
-	if t.tracking {
+	if t.req.Op.IsAtomic() {
 		c.sys.contention.End(stats.Location(t.req.Addr), int(c.node))
 	}
 	if r.Chain == 0 {
@@ -596,7 +593,7 @@ func (c *CacheCtl) apply(a proto.Act, t *txn, m *msg, l *cache.Line) *cache.Line
 	case proto.AStashReply:
 		wrote := t.req.Op.Writes() && m.ok
 		c.sys.trackAccess(t.req.Addr, c.node, t.req.Op, wrote)
-		t.result = Result{Value: m.val, OK: m.ok, Serial: m.serial, Hint: m.hint}
+		t.result = Result{Value: m.val, OK: m.ok, Serial: m.serial}
 
 	case proto.ACompleteData:
 		c.sys.trackAccess(t.req.Addr, c.node, t.req.Op, false)
@@ -613,7 +610,7 @@ func (c *CacheCtl) apply(a proto.Act, t *txn, m *msg, l *cache.Line) *cache.Line
 	case proto.ACompleteReply:
 		wrote := t.req.Op.Writes() && m.ok
 		c.sys.trackAccess(t.req.Addr, c.node, t.req.Op, wrote)
-		c.complete(t, Result{Value: m.val, OK: m.ok, Serial: m.serial, Hint: m.hint, Chain: t.chainMax})
+		c.complete(t, Result{Value: m.val, OK: m.ok, Serial: m.serial, Chain: t.chainMax})
 
 	case proto.AMaybeFinish:
 		c.maybeFinishGranted(t)

@@ -99,9 +99,6 @@ type Result struct {
 	// Serial is the block's write serial number returned by load_linked
 	// under the serial-number reservation scheme.
 	Serial arch.Word
-	// Hint is the beyond-the-limit failure hint returned by load_linked
-	// under the limited reservation scheme.
-	Hint bool
 	// Chain is the number of serialized network messages this operation
 	// required (Table 1's metric). Local hits are 0.
 	Chain int
@@ -128,10 +125,6 @@ type Config struct {
 	// representation (UNC and UPD policies).
 	ResvScheme dir.ResvScheme
 	ResvLimit  int
-
-	// Track enables contention and write-run tracking of atomically
-	// accessed locations.
-	Track bool
 }
 
 // DefaultConfig is the machine of the paper's methodology: 64 nodes,
@@ -147,7 +140,6 @@ func DefaultConfig() Config {
 		CAS:          CASPlain,
 		ResvScheme:   dir.ResvBitVector,
 		ResvLimit:    4,
-		Track:        true,
 	}
 }
 
@@ -245,7 +237,7 @@ func NewSystem(eng *sim.Engine, net *mesh.Mesh, cfg Config) *System {
 // and the stats trackers. It reports whether the reset was possible: cfg
 // must match the existing controllers' structure (node count, cache and
 // memory geometry); behavioral fields (CAS variant, retry delay,
-// reservation scheme, tracking) may differ and are adopted. On false the
+// reservation scheme) may differ and are adopted. On false the
 // system is unchanged. Reset must only be called on a quiescent system (no
 // transactions or messages in flight).
 func (s *System) Reset(cfg Config) bool {
@@ -363,9 +355,7 @@ func (s *System) CheckCoherence() {
 // (words ever accessed atomically) for one completed (or locally performed)
 // access.
 func (s *System) trackAccess(a arch.Addr, proc mesh.NodeID, op OpKind, wrote bool) {
-	if s.cfg.Track {
-		s.writeRuns.SyncAccess(stats.Location(a), int(proc), wrote, op.IsAtomic())
-	}
+	s.writeRuns.SyncAccess(stats.Location(a), int(proc), wrote, op.IsAtomic())
 }
 
 // net reports whether a message between two nodes crosses the network.

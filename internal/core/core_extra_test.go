@@ -201,10 +201,10 @@ func TestLimitedSchemeOnUPDPolicy(t *testing.T) {
 	})
 	a := h.addrAtHome(1, 0)
 	h.sys.SetPolicy(a, PolicyUPD)
-	if r := h.do(0, OpLL, a); r.Hint {
+	if h.do(0, OpLL, a); h.sys.caches[0].llHintFail {
 		t.Fatal("first LL hinted")
 	}
-	if r := h.do(2, OpLL, a); !r.Hint {
+	if h.do(2, OpLL, a); !h.sys.caches[2].llHintFail {
 		t.Fatal("second LL did not hint under limit 1")
 	}
 	if r := h.do(2, OpSC, a, 5); r.OK || r.Chain != 0 {

@@ -598,11 +598,10 @@ func TestLimitedReservationHint(t *testing.T) {
 	})
 	a := h.addrAtHome(1, 0)
 	h.sys.SetPolicy(a, PolicyUNC)
-	if r := h.do(0, OpLL, a); r.Hint {
+	if h.do(0, OpLL, a); h.sys.caches[0].llHintFail {
 		t.Fatal("first LL hinted failure")
 	}
-	r := h.do(2, OpLL, a)
-	if !r.Hint {
+	if h.do(2, OpLL, a); !h.sys.caches[2].llHintFail {
 		t.Fatal("beyond-limit LL did not hint")
 	}
 	// The hinted node's SC fails locally, without network traffic.

@@ -215,7 +215,6 @@ func newMCRun(cfg *mcConfig) *mcRun {
 	c.Mesh.Width, c.Mesh.Height = 2, 2
 	c.CAS = cfg.cas
 	c.ResvScheme, c.ResvLimit = cfg.resv, cfg.resvLimit
-	c.Track = false
 	eng := sim.NewEngine()
 	r := &mcRun{cfg: cfg, eng: eng, sys: NewSystem(eng, mesh.New(eng, c.Mesh), c)}
 	r.sys.network = r
@@ -572,7 +571,7 @@ func (r *mcRun) key(k []byte) []byte {
 		}
 		if t := c.pending; t != nil {
 			put(int(t.req.Op), int(t.req.Val), int(t.req.Val2), b2i(t.granted), t.needAcks, t.acks,
-				int(t.result.Value), b2i(t.result.OK), int(t.result.Serial), b2i(t.result.Hint))
+				int(t.result.Value), b2i(t.result.OK), int(t.result.Serial))
 		} else {
 			put(-1)
 		}

@@ -272,8 +272,7 @@ func runTClosure(p Point, m *machine.Machine) Result {
 	if p.Seed != 0 {
 		cfg.Seed = p.Seed
 	}
-	res := apps.TClosure(m, cfg)
-	return Result{Result: apps.Result{Elapsed: res.Elapsed}, Work: uint64(res.Reachable)}
+	return Result{Result: apps.TClosure(m, cfg)}
 }
 
 // runLocusRoute runs the LocusRoute-like kernel at its default size for
@@ -284,8 +283,7 @@ func runLocusRoute(p Point, m *machine.Machine) Result {
 	if p.Seed != 0 {
 		cfg.Seed = p.Seed
 	}
-	res := apps.LocusRoute(m, cfg)
-	return Result{Result: apps.Result{Elapsed: res.Elapsed}, Work: res.Work}
+	return Result{Result: apps.LocusRoute(m, cfg)}
 }
 
 // runCholesky runs the Cholesky-like kernel at its default size for the
@@ -296,6 +294,5 @@ func runCholesky(p Point, m *machine.Machine) Result {
 	if p.Seed != 0 {
 		cfg.Seed = p.Seed
 	}
-	res := apps.Cholesky(m, cfg)
-	return Result{Result: apps.Result{Elapsed: res.Elapsed}, Work: res.Work}
+	return Result{Result: apps.Cholesky(m, cfg)}
 }

@@ -22,12 +22,10 @@ type Point struct {
 // with one meaning across every app, and their JSON names, which the
 // service's response body embeds as they are. The embedded apps.Result
 // declares the headline fields; a real application fills only its
-// Elapsed. Work is a real application's completed work (wires routed,
-// columns factored, reachable pairs). Report is non-nil only when the run
-// collected a full measurement report.
+// Elapsed and Work. Report is non-nil only when the run collected a full
+// measurement report.
 type Result struct {
 	apps.Result
-	Work   uint64         `json:"work,omitempty"`
 	Report *report.Report `json:"report"`
 }
 

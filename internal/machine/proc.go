@@ -98,11 +98,8 @@ type Proc struct {
 	spinAt  sim.Time
 	// chain holds a parked spin's events (see park), and woken, once it is
 	// woken, what its real event runs: the load start or the dispatch.
-	// ties counts the wakes on the cycle of a passed event or of the event
-	// they make real.
 	chain sim.Chain
 	woken func()
-	ties  uint64
 	// held is a panic the program raised with a compute delay pending; the
 	// dispatch event ending the delay re-raises it.
 	held any
@@ -312,17 +309,10 @@ func (p *Proc) wake() {
 	}
 	// The next event is a load start, CacheHitTime after its dispatch (or
 	// the load before it), or a dispatch, gap cycles after a load.
-	due, now := p.chain.Due(), p.m.eng.Now()
 	if gap == 0 || n%2 == 1 {
-		if due == now || n > 0 && due-h == now {
-			p.ties++
-		}
-		p.spinAt = due - h
+		p.spinAt = p.chain.Due() - h
 		p.woken = cc.IssueLater(s.req)
 		return
-	}
-	if due == now || n > 0 && due-gap == now {
-		p.ties++
 	}
 	p.woken = p.dispatchFn
 }
@@ -488,7 +478,7 @@ func (p *Proc) LoadLinked(a arch.Addr) arch.Word {
 	return r.Value
 }
 
-// LoadLinkedFull exposes the serial number and the beyond-limit hint.
+// LoadLinkedFull exposes the serial number along with the loaded value.
 func (p *Proc) LoadLinkedFull(a arch.Addr) core.Result {
 	r := p.do(core.Request{Op: core.OpLL, Addr: a})
 	p.lastSerial = r.Serial

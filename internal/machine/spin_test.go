@@ -44,13 +44,29 @@ type spinRecord struct {
 	stats   [4]ProcStats
 }
 
-// parkCounts returns the engine events parked spins skipped and the
-// processors' wakes on the cycle of a chain event.
-func parkCounts(m *Machine) (skipped, ties uint64) {
+// countTies makes each of m's processors count into *ties its wakes on
+// the cycle of a chain event: one its spin passed, or the one the wake
+// makes real. It wraps the wake that Watch is handed at park time, and
+// returns a function that puts the plain wakes back.
+func countTies(m *Machine, ties *uint64) (restore func()) {
 	for _, p := range m.procs {
-		ties += p.ties
+		p.wakeFn = func() {
+			p.wake()
+			n, due, now := p.chain.Passed(), p.chain.Due(), m.eng.Now()
+			step := p.pending.gap
+			if step == 0 || n%2 == 1 {
+				step = m.cfg.CacheHitTime
+			}
+			if due == now || n > 0 && due-step == now {
+				*ties++
+			}
+		}
 	}
-	return m.Engine().Passed(), ties
+	return func() {
+		for _, p := range m.procs {
+			p.wakeFn = p.wake
+		}
+	}
 }
 
 func (r *spinRecord) mark(p *Proc, v arch.Word) {
@@ -169,11 +185,10 @@ var spinCases = []struct {
 func runSpinCase(m *Machine, setup func(*Machine, spinFunc, *spinRecord) []func(*Proc), spin spinFunc) spinRecord {
 	var r spinRecord
 	start := m.Engine().EventsExecuted()
-	skipped, ties := parkCounts(m)
+	skipped := m.Engine().Passed()
+	defer countTies(m, &r.ties)()
 	r.elapsed = m.RunEach(setup(m, spin, &r))
-	r.skipped, r.ties = parkCounts(m)
-	r.skipped -= skipped
-	r.ties -= ties
+	r.skipped = m.Engine().Passed() - skipped
 	r.events = m.Engine().EventsExecuted() - start + r.skipped
 	for i := range r.stats {
 		r.stats[i] = m.ProcStats(i)

@@ -165,8 +165,7 @@ func runTimingCase(c timingCase) timingRecord {
 	m := newSmall()
 	var r timingRecord
 	r.elapsed = m.RunEach(c.setup(m, &r.now))
-	skipped, _ := parkCounts(m)
-	r.events = m.Engine().EventsExecuted() + skipped
+	r.events = m.Engine().EventsExecuted() + m.Engine().Passed()
 	for i := range r.stats {
 		r.stats[i] = m.ProcStats(i)
 	}
