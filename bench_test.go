@@ -18,6 +18,7 @@ import (
 	"dsm/internal/exper"
 	"dsm/internal/locks"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -38,7 +39,7 @@ func BenchmarkTable1(b *testing.B) {
 
 // syntheticBench runs one figure-3/4/5 bar across the paper's sharing
 // patterns and reports the average simulated cycles per counter update.
-func syntheticBench(b *testing.B, app func(*machine.Machine, core.Policy, locks.Options, apps.Pattern) apps.Result, bar exper.Bar) {
+func syntheticBench(b *testing.B, app func(*machine.Machine, proto.Policy, locks.Options, apps.Pattern) apps.Result, bar exper.Bar) {
 	o := benchOpts()
 	pats := exper.Patterns(o)
 	var cycles, updates float64
@@ -60,7 +61,7 @@ func syntheticBench(b *testing.B, app func(*machine.Machine, core.Policy, locks.
 func BenchmarkFig3(b *testing.B) {
 	for _, bar := range exper.SyntheticBars() {
 		bar := bar
-		b.Run(bar.Label, func(b *testing.B) { syntheticBench(b, apps.CounterApp, bar) })
+		b.Run(bar.Label(), func(b *testing.B) { syntheticBench(b, apps.CounterApp, bar) })
 	}
 }
 
@@ -69,7 +70,7 @@ func BenchmarkFig3(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	for _, bar := range exper.SyntheticBars() {
 		bar := bar
-		b.Run(bar.Label, func(b *testing.B) { syntheticBench(b, apps.TTSApp, bar) })
+		b.Run(bar.Label(), func(b *testing.B) { syntheticBench(b, apps.TTSApp, bar) })
 	}
 }
 
@@ -77,7 +78,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	for _, bar := range exper.SyntheticBars() {
 		bar := bar
-		b.Run(bar.Label, func(b *testing.B) { syntheticBench(b, apps.MCSApp, bar) })
+		b.Run(bar.Label(), func(b *testing.B) { syntheticBench(b, apps.MCSApp, bar) })
 	}
 }
 
@@ -87,7 +88,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig2(b *testing.B) {
 	o := benchOpts()
 	for _, app := range exper.RealApps() {
-		for _, pol := range []core.Policy{core.PolicyINV, core.PolicyUNC, core.PolicyUPD} {
+		for _, pol := range []proto.Policy{proto.PolicyINV, proto.PolicyUNC, proto.PolicyUPD} {
 			app, pol := app, pol
 			b.Run(app.String()+"/"+pol.String(), func(b *testing.B) {
 				var uncontended, writeRun float64
@@ -113,19 +114,19 @@ func BenchmarkFig2(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	o := benchOpts()
 	bars := []exper.Bar{
-		{Label: "UNC FAP", Policy: core.PolicyUNC, Prim: locks.PrimFAP},
-		{Label: "UNC LLSC", Policy: core.PolicyUNC, Prim: locks.PrimLLSC},
-		{Label: "INV FAP", Policy: core.PolicyINV, Prim: locks.PrimFAP},
-		{Label: "INV CAS", Policy: core.PolicyINV, Prim: locks.PrimCAS},
-		{Label: "INV CAS+ldex", Policy: core.PolicyINV, Prim: locks.PrimCAS, LoadEx: true},
-		{Label: "INV LLSC", Policy: core.PolicyINV, Prim: locks.PrimLLSC},
-		{Label: "UPD FAP", Policy: core.PolicyUPD, Prim: locks.PrimFAP},
-		{Label: "UPD CAS", Policy: core.PolicyUPD, Prim: locks.PrimCAS},
+		{Policy: proto.PolicyUNC, Prim: locks.PrimFAP},
+		{Policy: proto.PolicyUNC, Prim: locks.PrimLLSC},
+		{Policy: proto.PolicyINV, Prim: locks.PrimFAP},
+		{Policy: proto.PolicyINV, Prim: locks.PrimCAS},
+		{Policy: proto.PolicyINV, Prim: locks.PrimCAS, LoadEx: true},
+		{Policy: proto.PolicyINV, Prim: locks.PrimLLSC},
+		{Policy: proto.PolicyUPD, Prim: locks.PrimFAP},
+		{Policy: proto.PolicyUPD, Prim: locks.PrimCAS},
 	}
 	for _, app := range exper.RealApps() {
 		for _, bar := range bars {
 			app, bar := app, bar
-			b.Run(app.String()+"/"+bar.Label, func(b *testing.B) {
+			b.Run(app.String()+"/"+bar.Label(), func(b *testing.B) {
 				var elapsed sim.Time
 				for i := 0; i < b.N; i++ {
 					elapsed = exper.Point{App: app, Bar: bar, Scale: o}.RunOn(exper.NewMachine(o, bar)).Elapsed
@@ -159,7 +160,7 @@ func BenchmarkAblationResvScheme(b *testing.B) {
 				cfg.Mesh.Width, cfg.Mesh.Height = 4, 4
 				cfg.ResvScheme = s.scheme
 				m := machine.New(cfg)
-				res := apps.CounterApp(m, core.PolicyUNC,
+				res := apps.CounterApp(m, proto.PolicyUNC,
 					locks.Options{Prim: locks.PrimLLSC},
 					apps.Pattern{Contention: 16, Rounds: 6})
 				avg = res.AvgCycles
@@ -186,7 +187,7 @@ func BenchmarkAblationBareSCRelease(b *testing.B) {
 				cfg.Mesh.Width, cfg.Mesh.Height = 4, 4
 				cfg.ResvScheme = dir.ResvSerial
 				m := machine.New(cfg)
-				l := locks.NewMCSLock(m, core.PolicyUNC, locks.Options{Prim: locks.PrimLLSC})
+				l := locks.NewMCSLock(m, proto.PolicyUNC, locks.Options{Prim: locks.PrimLLSC})
 				l.BareSCRelease = bare
 				shared := m.Alloc(4)
 				t := m.Run(func(p *machine.Proc) {
@@ -217,7 +218,7 @@ func BenchmarkAblationBackoffBound(b *testing.B) {
 				cfg.Nodes = 16
 				cfg.Mesh.Width, cfg.Mesh.Height = 4, 4
 				m := machine.New(cfg)
-				l := locks.NewTTSLock(m, core.PolicyINV, locks.Options{Prim: locks.PrimFAP})
+				l := locks.NewTTSLock(m, proto.PolicyINV, locks.Options{Prim: locks.PrimFAP})
 				l.MaxBackoff = sim.Time(maxB)
 				counter := m.Alloc(4)
 				res := apps.RunSynthetic(m, apps.Pattern{Contention: 16, Rounds: 8},
@@ -252,7 +253,7 @@ func BenchmarkAblationRouterContention(b *testing.B) {
 				cfg.Mesh.Width, cfg.Mesh.Height = 4, 4
 				cfg.Mesh.ModelRouters = routed
 				m := machine.New(cfg)
-				res := apps.CounterApp(m, core.PolicyUNC,
+				res := apps.CounterApp(m, proto.PolicyUNC,
 					locks.Options{Prim: locks.PrimFAP},
 					apps.Pattern{Contention: 16, Rounds: 8})
 				avg = res.AvgCycles
@@ -267,7 +268,7 @@ func BenchmarkAblationRouterContention(b *testing.B) {
 func BenchmarkAblationWriteRunCrossover(b *testing.B) {
 	for _, a := range []float64{1, 2, 3, 5, 10} {
 		a := a
-		for _, pol := range []core.Policy{core.PolicyINV, core.PolicyUNC} {
+		for _, pol := range []proto.Policy{proto.PolicyINV, proto.PolicyUNC} {
 			pol := pol
 			b.Run(fmt.Sprintf("%s/a=%g", pol, a), func(b *testing.B) {
 				var avg float64
@@ -288,7 +289,7 @@ func BenchmarkAblationWriteRunCrossover(b *testing.B) {
 func BenchmarkAblationMemLatency(b *testing.B) {
 	for _, lat := range []int{6, 18, 54} {
 		lat := lat
-		for _, pol := range []core.Policy{core.PolicyINV, core.PolicyUNC} {
+		for _, pol := range []proto.Policy{proto.PolicyINV, proto.PolicyUNC} {
 			pol := pol
 			b.Run(fmt.Sprintf("%s/mem=%d", pol, lat), func(b *testing.B) {
 				var avg float64

@@ -27,7 +27,9 @@ import (
 	"os"
 	"strings"
 
+	"dsm/internal/apps"
 	"dsm/internal/exper"
+	"dsm/internal/locks"
 	"dsm/internal/proto"
 	"dsm/internal/report"
 	"dsm/internal/trace"
@@ -57,9 +59,9 @@ func main() {
 	def := exper.Defaults()
 	var (
 		app     = flag.String("app", "counter", "workload: "+strings.Join(exper.AppNames(), ", "))
-		policy  = flag.String("policy", "INV", "coherence policy for sync data: "+strings.Join(exper.PolicyNames(), ", "))
-		prim    = flag.String("prim", "FAP", "primitive family: "+strings.Join(exper.PrimNames(), ", "))
-		variant = flag.String("cas", "INV", "compare_and_swap variant: "+strings.Join(exper.VariantNames(), ", "))
+		policy  = flag.String("policy", proto.PolicyINV.String(), "coherence policy for sync data: "+strings.Join(exper.PolicyNames(), ", "))
+		prim    = flag.String("prim", locks.PrimFAP.String(), "primitive family: "+strings.Join(exper.PrimNames(), ", "))
+		variant = flag.String("cas", proto.CASPlain.String(), "compare_and_swap variant: "+strings.Join(exper.VariantNames(), ", "))
 		ldex    = flag.Bool("ldex", false, "pair CAS with load_exclusive")
 		drop    = flag.Bool("drop", false, "issue drop_copy after updates")
 		procs   = flag.Int("procs", def.Procs, "simulated processors (1-64)")
@@ -122,7 +124,7 @@ func main() {
 		App:     workload,
 		Bar:     bar,
 		Scale:   exper.RunOpts{Procs: *procs, Rounds: *rounds, TCSize: *size},
-		Pattern: exper.Pattern{Contention: *cont, WriteRun: *wrun, Rounds: *rounds},
+		Pattern: apps.Pattern{Contention: *cont, WriteRun: *wrun, Rounds: *rounds},
 	}
 	// The machine is built here rather than inside exper.Point.Run so a
 	// tracer can be attached before the run and its state read after.

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"dsm/internal/core"
 	"dsm/internal/exper"
 	"dsm/internal/locks"
 	"dsm/internal/proto"
@@ -20,8 +19,8 @@ func TestParseBarAcceptsKnownValues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parseBar: %v", err)
 	}
-	if bar.Policy != core.PolicyUPD || bar.Prim != locks.PrimCAS ||
-		bar.Variant != core.CASDeny || !bar.LoadEx || !bar.Drop {
+	if bar.Policy != proto.PolicyUPD || bar.Prim != locks.PrimCAS ||
+		bar.Variant != proto.CASDeny || !bar.LoadEx || !bar.Drop {
 		t.Fatalf("parseBar = %+v", bar)
 	}
 }

@@ -25,10 +25,10 @@ import (
 	"runtime"
 	"time"
 
-	"dsm/internal/core"
 	"dsm/internal/exper"
 	"dsm/internal/figures"
 	"dsm/internal/locks"
+	"dsm/internal/proto"
 )
 
 func main() {
@@ -93,7 +93,7 @@ func main() {
 	}
 	section(*tceff, func() {
 		// UNC fetch_and_add: the paper's recommendation for counters.
-		bar := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
+		bar := exper.Bar{Policy: proto.PolicyUNC, Prim: locks.PrimFAP}
 		eff := exper.TCEfficiency(o, bar)
 		fmt.Printf("Transitive Closure parallel efficiency at p=%d, n=%d: %.1f%%\n",
 			o.Procs, o.TCSize, 100*eff)

@@ -36,6 +36,7 @@ import (
 	"dsm/internal/locks"
 	"dsm/internal/machine"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 	"dsm/internal/trace"
 )
@@ -56,10 +57,10 @@ type (
 	// Time is simulated time, in processor cycles.
 	Time = sim.Time
 	// Policy is the coherence policy for atomically accessed data.
-	Policy = core.Policy
+	Policy = proto.Policy
 	// CASVariant selects among the INV-policy compare_and_swap
 	// implementations (plain, INVd, INVs).
-	CASVariant = core.CASVariant
+	CASVariant = proto.CASVariant
 	// ResvScheme selects the memory-side LL/SC reservation representation.
 	ResvScheme = dir.ResvScheme
 	// Request and Result expose the raw operation interface, including
@@ -67,7 +68,7 @@ type (
 	Request = core.Request
 	Result  = core.Result
 	// OpKind identifies a raw memory operation for Request.
-	OpKind = core.OpKind
+	OpKind = proto.OpKind
 	// NodeID identifies a processing node (for placement-aware allocation
 	// with Machine.AllocSyncAt).
 	NodeID = mesh.NodeID
@@ -85,17 +86,17 @@ const (
 
 // Raw operation kinds for Proc.Do.
 const (
-	OpLoad          = core.OpLoad
-	OpStore         = core.OpStore
-	OpLoadExclusive = core.OpLoadExclusive
-	OpDropCopy      = core.OpDropCopy
-	OpFetchAdd      = core.OpFetchAdd
-	OpFetchStore    = core.OpFetchStore
-	OpFetchOr       = core.OpFetchOr
-	OpTestAndSet    = core.OpTestAndSet
-	OpCAS           = core.OpCAS
-	OpLL            = core.OpLL
-	OpSC            = core.OpSC
+	OpLoad          = proto.OpLoad
+	OpStore         = proto.OpStore
+	OpLoadExclusive = proto.OpLoadExclusive
+	OpDropCopy      = proto.OpDropCopy
+	OpFetchAdd      = proto.OpFetchAdd
+	OpFetchStore    = proto.OpFetchStore
+	OpFetchOr       = proto.OpFetchOr
+	OpTestAndSet    = proto.OpTestAndSet
+	OpCAS           = proto.OpCAS
+	OpLL            = proto.OpLL
+	OpSC            = proto.OpSC
 )
 
 // Synchronization algorithm types (the paper's software layer).
@@ -132,11 +133,11 @@ type (
 const (
 	// INV: primitives execute in the cache controllers under
 	// write-invalidate — the paper's recommended implementation.
-	INV = core.PolicyINV
+	INV = proto.PolicyINV
 	// UPD: primitives execute at the memory under write-update.
-	UPD = core.PolicyUPD
+	UPD = proto.PolicyUPD
 	// UNC: primitives execute at the memory; the data is never cached.
-	UNC = core.PolicyUNC
+	UNC = proto.PolicyUNC
 )
 
 // Primitive families.
@@ -152,9 +153,9 @@ const (
 
 // compare_and_swap implementation variants (Config.CAS).
 const (
-	CASPlain = core.CASPlain
-	CASDeny  = core.CASDeny
-	CASShare = core.CASShare
+	CASPlain = proto.CASPlain
+	CASDeny  = proto.CASDeny
+	CASShare = proto.CASShare
 )
 
 // Memory-side LL/SC reservation schemes (Config.ResvScheme).

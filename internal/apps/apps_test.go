@@ -7,6 +7,7 @@ import (
 	"dsm/internal/core"
 	"dsm/internal/locks"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -52,7 +53,7 @@ func TestPatternString(t *testing.T) {
 
 func TestCounterAppNoContention(t *testing.T) {
 	m := newM(4)
-	res := CounterApp(m, core.PolicyINV, locks.Options{Prim: locks.PrimFAP},
+	res := CounterApp(m, proto.PolicyINV, locks.Options{Prim: locks.PrimFAP},
 		Pattern{Contention: 1, WriteRun: 2, Rounds: 8})
 	if res.Ops != 16 {
 		t.Fatalf("updates = %d, want 16 (8 rounds x run 2)", res.Ops)
@@ -64,7 +65,7 @@ func TestCounterAppNoContention(t *testing.T) {
 
 func TestCounterAppContention(t *testing.T) {
 	m := newM(4)
-	res := CounterApp(m, core.PolicyUNC, locks.Options{Prim: locks.PrimFAP},
+	res := CounterApp(m, proto.PolicyUNC, locks.Options{Prim: locks.PrimFAP},
 		Pattern{Contention: 4, Rounds: 5})
 	if res.Ops != 20 {
 		t.Fatalf("updates = %d, want 20", res.Ops)
@@ -77,7 +78,7 @@ func TestCounterAppAllPrimsProduceCorrectCount(t *testing.T) {
 		t.Run(prim.String(), func(t *testing.T) {
 			m := newM(4)
 			pat := Pattern{Contention: 2, Rounds: 6}
-			res := CounterApp(m, core.PolicyINV, locks.Options{Prim: prim}, pat)
+			res := CounterApp(m, proto.PolicyINV, locks.Options{Prim: prim}, pat)
 			if res.Ops != 12 {
 				t.Fatalf("updates = %d", res.Ops)
 			}
@@ -87,7 +88,7 @@ func TestCounterAppAllPrimsProduceCorrectCount(t *testing.T) {
 
 func TestTTSAppCountsAllUpdates(t *testing.T) {
 	m := newM(4)
-	res := TTSApp(m, core.PolicyINV, locks.Options{Prim: locks.PrimCAS},
+	res := TTSApp(m, proto.PolicyINV, locks.Options{Prim: locks.PrimCAS},
 		Pattern{Contention: 4, Rounds: 4})
 	if res.Ops != 16 {
 		t.Fatalf("updates = %d", res.Ops)
@@ -96,7 +97,7 @@ func TestTTSAppCountsAllUpdates(t *testing.T) {
 
 func TestMCSAppCountsAllUpdates(t *testing.T) {
 	m := newM(4)
-	res := MCSApp(m, core.PolicyINV, locks.Options{Prim: locks.PrimLLSC},
+	res := MCSApp(m, proto.PolicyINV, locks.Options{Prim: locks.PrimLLSC},
 		Pattern{Contention: 4, Rounds: 4})
 	if res.Ops != 16 {
 		t.Fatalf("updates = %d", res.Ops)
@@ -106,7 +107,7 @@ func TestMCSAppCountsAllUpdates(t *testing.T) {
 func TestSyntheticDeterministic(t *testing.T) {
 	run := func() float64 {
 		m := newM(8)
-		return CounterApp(m, core.PolicyINV, locks.Options{Prim: locks.PrimCAS},
+		return CounterApp(m, proto.PolicyINV, locks.Options{Prim: locks.PrimCAS},
 			Pattern{Contention: 8, Rounds: 6}).AvgCycles
 	}
 	if a, b := run(), run(); a != b {
@@ -121,7 +122,7 @@ func TestTClosureMatchesReference(t *testing.T) {
 		prim := prim
 		t.Run(prim.String(), func(t *testing.T) {
 			m := newM(4)
-			cfg := TClosureConfig{Size: 12, Policy: core.PolicyUNC,
+			cfg := TClosureConfig{Size: 12, Policy: proto.PolicyUNC,
 				Opts: locks.Options{Prim: prim}, Seed: 7}
 			res := TClosure(m, cfg)
 			want := TClosureReference(12, 7, 4)
@@ -138,7 +139,7 @@ func TestTClosureMatchesReference(t *testing.T) {
 
 func TestTClosureAllPoliciesAgree(t *testing.T) {
 	var got []uint64
-	for _, pol := range []core.Policy{core.PolicyINV, core.PolicyUPD, core.PolicyUNC} {
+	for _, pol := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		m := newM(4)
 		res := TClosure(m, TClosureConfig{Size: 10, Policy: pol,
 			Opts: locks.Options{Prim: locks.PrimFAP}, Seed: 3})
@@ -151,7 +152,7 @@ func TestTClosureAllPoliciesAgree(t *testing.T) {
 
 func TestTClosureDenseGraphSaturates(t *testing.T) {
 	m := newM(4)
-	res := TClosure(m, TClosureConfig{Size: 8, Policy: core.PolicyUNC,
+	res := TClosure(m, TClosureConfig{Size: 8, Policy: proto.PolicyUNC,
 		Opts: locks.Options{Prim: locks.PrimFAP}, Seed: 1, EdgeDenom: 2})
 	want := TClosureReference(8, 1, 2)
 	if res.Work != uint64(want) {
@@ -164,7 +165,7 @@ func TestTClosureDenseGraphSaturates(t *testing.T) {
 func TestLocusRouteRoutesEveryWire(t *testing.T) {
 	m := newM(8)
 	cfg := DefaultLocusRoute(8)
-	cfg.Policy = core.PolicyINV
+	cfg.Policy = proto.PolicyINV
 	cfg.Opts = locks.Options{Prim: locks.PrimCAS}
 	res := LocusRoute(m, cfg)
 	if res.Work != uint64(cfg.Wires) {
@@ -183,7 +184,7 @@ func TestLocusRouteSharingPatternMatchesPaper(t *testing.T) {
 	// (wide tolerance: 1.2-2.5 and >= 60% uncontended).
 	m := newM(8)
 	cfg := DefaultLocusRoute(8)
-	cfg.Policy = core.PolicyINV
+	cfg.Policy = proto.PolicyINV
 	cfg.Opts = locks.Options{Prim: locks.PrimFAP}
 	LocusRoute(m, cfg)
 	wr := m.System().WriteRuns()
@@ -209,7 +210,7 @@ func TestLocusRouteConservation(t *testing.T) {
 	// of an identical fresh machine does.
 	m := newM(8)
 	cfg := DefaultLocusRoute(8)
-	cfg.Policy = core.PolicyINV
+	cfg.Policy = proto.PolicyINV
 	cfg.Opts = locks.Options{Prim: locks.PrimCAS}
 	grid := newM(8).Alloc(uint32(cfg.Grid * cfg.Grid * arch.WordBytes))
 	LocusRoute(m, cfg)
@@ -239,7 +240,7 @@ func TestLocusRouteConservation(t *testing.T) {
 func TestCholeskyFactorsEveryColumn(t *testing.T) {
 	m := newM(8)
 	cfg := DefaultCholesky(8)
-	cfg.Policy = core.PolicyINV
+	cfg.Policy = proto.PolicyINV
 	cfg.Opts = locks.Options{Prim: locks.PrimLLSC}
 	res := Cholesky(m, cfg)
 	if res.Work != uint64(cfg.Columns) {
@@ -251,7 +252,7 @@ func TestCholeskyFactorsEveryColumn(t *testing.T) {
 func TestCholeskySharingPatternMatchesPaper(t *testing.T) {
 	m := newM(8)
 	cfg := DefaultCholesky(8)
-	cfg.Policy = core.PolicyINV
+	cfg.Policy = proto.PolicyINV
 	cfg.Opts = locks.Options{Prim: locks.PrimFAP}
 	Cholesky(m, cfg)
 	wr := m.System().WriteRuns()
@@ -268,13 +269,13 @@ func TestRealAppsDeterministic(t *testing.T) {
 	run := func() (a, b uint64) {
 		m := newM(4)
 		cfg := DefaultLocusRoute(4)
-		cfg.Policy = core.PolicyINV
+		cfg.Policy = proto.PolicyINV
 		cfg.Opts = locks.Options{Prim: locks.PrimCAS}
 		r := LocusRoute(m, cfg)
 
 		m2 := newM(4)
 		c2 := DefaultCholesky(4)
-		c2.Policy = core.PolicyUNC
+		c2.Policy = proto.PolicyUNC
 		c2.Opts = locks.Options{Prim: locks.PrimFAP}
 		r2 := Cholesky(m2, c2)
 		return uint64(r.Elapsed), uint64(r2.Elapsed)

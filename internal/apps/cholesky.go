@@ -2,9 +2,9 @@ package apps
 
 import (
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/locks"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -21,7 +21,7 @@ type CholeskyConfig struct {
 	Columns int // columns to factor
 	Length  int // words of data per column
 	Fanout  int // dependent columns each column updates
-	Policy  core.Policy
+	Policy  proto.Policy
 	Opts    locks.Options
 	Seed    uint64
 }

@@ -2,9 +2,9 @@ package apps
 
 import (
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/locks"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -22,7 +22,7 @@ type LocusRouteConfig struct {
 	Grid    int // cost-grid edge length
 	Wires   int // wires to route
 	Regions int // geographic lock count
-	Policy  core.Policy
+	Policy  proto.Policy
 	Opts    locks.Options
 	Seed    uint64
 }

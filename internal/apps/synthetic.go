@@ -12,9 +12,9 @@ import (
 
 	"dsm/internal/arch"
 	"dsm/internal/check"
-	"dsm/internal/core"
 	"dsm/internal/locks"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -233,7 +233,7 @@ func RunSynthetic(m *machine.Machine, pat Pattern, update func(p *machine.Proc))
 
 // CounterApp is the paper's first synthetic application: a lock-free
 // counter updated with the primitive family under study.
-func CounterApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern) Result {
+func CounterApp(m *machine.Machine, policy proto.Policy, opts locks.Options, pat Pattern) Result {
 	r := runnerFor(m)
 	r.counter = locks.Counter{Addr: m.AllocSync(policy), Opts: opts}
 	return RunSynthetic(m, pat, r.counterUpd)
@@ -242,7 +242,7 @@ func CounterApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat 
 // TTSApp is the second synthetic application: a counter protected by a
 // test-and-test-and-set lock with bounded exponential backoff. The counter
 // itself is ordinary (INV) data; only the lock uses the policy under study.
-func TTSApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern) Result {
+func TTSApp(m *machine.Machine, policy proto.Policy, opts locks.Options, pat Pattern) Result {
 	r := runnerFor(m)
 	r.tts = *locks.NewTTSLock(m, policy, opts)
 	r.ctr = m.Alloc(4)
@@ -252,7 +252,7 @@ func TTSApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Patt
 // MCSApp is the third synthetic application: a counter protected by an MCS
 // queue lock, exercising the case where load_linked/store_conditional
 // simulates compare_and_swap (the release path).
-func MCSApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern) Result {
+func MCSApp(m *machine.Machine, policy proto.Policy, opts locks.Options, pat Pattern) Result {
 	r := runnerFor(m)
 	r.mcs.Init(m, policy, opts)
 	r.ctr = m.Alloc(4)

@@ -2,16 +2,16 @@ package apps
 
 import (
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/locks"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
 // TClosureConfig parameterizes the Transitive Closure application.
 type TClosureConfig struct {
 	Size   int           // number of graph vertices
-	Policy core.Policy   // coherence policy for the job counter
+	Policy proto.Policy  // coherence policy for the job counter
 	Opts   locks.Options // primitive family (FAP / CAS / LLSC) and auxiliaries
 	Seed   uint64        // input graph seed
 	// EdgeDenom controls input density: edge (i,j) exists when

@@ -3,9 +3,9 @@ package apps
 import (
 	"dsm/internal/arch"
 	"dsm/internal/check"
-	"dsm/internal/core"
 	"dsm/internal/locks"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -65,7 +65,7 @@ func record(h *check.History, p *machine.Proc, kind check.Kind, invoke sim.Time,
 // pointer swings, so that family runs the ticket queue built on
 // fetch_and_add. With h non-nil every operation is recorded for
 // (*check.History).CheckQueue.
-func QueueApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern, h *check.History) Result {
+func QueueApp(m *machine.Machine, policy proto.Policy, opts locks.Options, pat Pattern, h *check.History) Result {
 	r := runnerFor(m)
 	procs := m.Procs()
 	var retries *uint64
@@ -114,7 +114,7 @@ type ttsStack struct {
 	slot []arch.Addr
 }
 
-func newTTSStack(m *machine.Machine, policy core.Policy, capacity int, opts locks.Options) *ttsStack {
+func newTTSStack(m *machine.Machine, policy proto.Policy, capacity int, opts locks.Options) *ttsStack {
 	s := &ttsStack{lock: locks.NewTTSLock(m, policy, opts), sp: m.Alloc(4), slot: make([]arch.Addr, capacity)}
 	for i := range s.slot {
 		s.slot[i] = m.Alloc(arch.BlockBytes)
@@ -147,7 +147,7 @@ func (s *ttsStack) pop(p *machine.Proc) arch.Word {
 // counted-pointer tag (CAS) or the reservation (LL/SC) is load-bearing.
 // Under fetch_and_Φ it is an array stack under a TTS lock. With h
 // non-nil every operation is recorded for (*check.History).CheckStack.
-func StackApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern, h *check.History) Result {
+func StackApp(m *machine.Machine, policy proto.Policy, opts locks.Options, pat Pattern, h *check.History) Result {
 	r := runnerFor(m)
 	procs := m.Procs()
 	var retries *uint64
@@ -180,7 +180,7 @@ const rcuSnapshotWords = 4
 // fan-out rather than on atomic-op latency. TornReads counts torn reads,
 // which grace periods make impossible; a nonzero count is a protocol
 // violation.
-func RCUApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern) Result {
+func RCUApp(m *machine.Machine, policy proto.Policy, opts locks.Options, pat Pattern) Result {
 	procs := m.Procs()
 	writers := pat.contention(procs)
 	if writers >= procs && procs > 1 {
@@ -188,7 +188,7 @@ func RCUApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Patt
 	}
 	rcu := locks.NewRCU(m, policy, rcuSnapshotWords, opts)
 	isReader := func(i int) bool { return i >= writers }
-	done := m.AllocSync(core.PolicyINV)
+	done := m.AllocSync(proto.PolicyINV)
 	var ops, torn uint64
 	// The RCU workload cannot use the pattern runner: a writer waiting out
 	// a grace period needs the readers still running, not parked at a
@@ -237,7 +237,7 @@ func runBarrierApp(r *runner, wait func(p *machine.Proc), pat Pattern, h *check.
 
 // TournamentApp runs the counter-then-barrier workload over the
 // tournament barrier.
-func TournamentApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern, h *check.History) Result {
+func TournamentApp(m *machine.Machine, policy proto.Policy, opts locks.Options, pat Pattern, h *check.History) Result {
 	r := runnerFor(m)
 	r.counter = locks.Counter{Addr: m.AllocSync(policy), Opts: opts}
 	return runBarrierApp(r, locks.NewTournamentBarrier(m).Wait, pat, h)
@@ -245,7 +245,7 @@ func TournamentApp(m *machine.Machine, policy core.Policy, opts locks.Options, p
 
 // DisseminationApp runs the counter-then-barrier workload over the
 // dissemination barrier.
-func DisseminationApp(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern, h *check.History) Result {
+func DisseminationApp(m *machine.Machine, policy proto.Policy, opts locks.Options, pat Pattern, h *check.History) Result {
 	r := runnerFor(m)
 	r.counter = locks.Counter{Addr: m.AllocSync(policy), Opts: opts}
 	return runBarrierApp(r, locks.NewDisseminationBarrier(m).Wait, pat, h)

@@ -6,21 +6,21 @@ import (
 
 	"dsm/internal/arch"
 	"dsm/internal/check"
-	"dsm/internal/core"
 	"dsm/internal/locks"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 )
 
 var (
-	allPolicies = []core.Policy{core.PolicyINV, core.PolicyUPD, core.PolicyUNC}
+	allPolicies = []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC}
 	allPrims    = []locks.Prim{locks.PrimFAP, locks.PrimCAS, locks.PrimLLSC}
 )
 
-func policyName(p core.Policy) string {
+func policyName(p proto.Policy) string {
 	switch p {
-	case core.PolicyINV:
+	case proto.PolicyINV:
 		return "INV"
-	case core.PolicyUPD:
+	case proto.PolicyUPD:
 		return "UPD"
 	}
 	return "UNC"
@@ -28,7 +28,7 @@ func policyName(p core.Policy) string {
 
 // forEachBar runs f under every policy×primitive combination — the full
 // matrix the acceptance criteria require each workload family to survive.
-func forEachBar(t *testing.T, f func(t *testing.T, policy core.Policy, opts locks.Options)) {
+func forEachBar(t *testing.T, f func(t *testing.T, policy proto.Policy, opts locks.Options)) {
 	for _, policy := range allPolicies {
 		for _, prim := range allPrims {
 			policy, prim := policy, prim
@@ -45,7 +45,7 @@ func forEachBar(t *testing.T, f func(t *testing.T, policy core.Policy, opts lock
 var contended = Pattern{Contention: 4, Rounds: 6}
 
 func TestQueueAppLinearizableUnderFullMatrix(t *testing.T) {
-	forEachBar(t, func(t *testing.T, policy core.Policy, opts locks.Options) {
+	forEachBar(t, func(t *testing.T, policy proto.Policy, opts locks.Options) {
 		m := newM(8)
 		var h check.History
 		res := QueueApp(m, policy, opts, contended, &h)
@@ -64,7 +64,7 @@ func TestQueueAppLinearizableUnderFullMatrix(t *testing.T) {
 }
 
 func TestStackAppLinearizableUnderFullMatrix(t *testing.T) {
-	forEachBar(t, func(t *testing.T, policy core.Policy, opts locks.Options) {
+	forEachBar(t, func(t *testing.T, policy proto.Policy, opts locks.Options) {
 		m := newM(8)
 		var h check.History
 		res := StackApp(m, policy, opts, contended, &h)
@@ -87,7 +87,7 @@ func TestQueueStackWriteRunPatterns(t *testing.T) {
 	for _, prim := range []locks.Prim{locks.PrimCAS, locks.PrimLLSC} {
 		m := newM(4)
 		var h check.History
-		res := QueueApp(m, core.PolicyINV, locks.Options{Prim: prim}, pat, &h)
+		res := QueueApp(m, proto.PolicyINV, locks.Options{Prim: prim}, pat, &h)
 		if want := uint64(2 * totalEpisodes(pat, 4)); res.Ops != want {
 			t.Fatalf("%s: ops = %d, want %d", prim, res.Ops, want)
 		}
@@ -95,7 +95,7 @@ func TestQueueStackWriteRunPatterns(t *testing.T) {
 			t.Fatal(err)
 		}
 		var hs check.History
-		if StackApp(m, core.PolicyINV, locks.Options{Prim: prim}, pat, &hs); hs.CheckStack() != nil {
+		if StackApp(m, proto.PolicyINV, locks.Options{Prim: prim}, pat, &hs); hs.CheckStack() != nil {
 			t.Fatalf("%s: stack write-run history not linearizable", prim)
 		}
 	}
@@ -106,17 +106,17 @@ func TestQueueAppCountsRetriesUnderContention(t *testing.T) {
 	// the FAP ticket queue performs exactly one atomic per op (no retries).
 	m := newM(8)
 	pat := Pattern{Contention: 8, Rounds: 8}
-	res := QueueApp(m, core.PolicyINV, locks.Options{Prim: locks.PrimCAS}, pat, nil)
+	res := QueueApp(m, proto.PolicyINV, locks.Options{Prim: locks.PrimCAS}, pat, nil)
 	if res.Retries == 0 {
 		t.Fatal("contended MS queue recorded zero retries")
 	}
-	if res := QueueApp(m, core.PolicyINV, locks.Options{Prim: locks.PrimFAP}, pat, nil); res.Retries != 0 {
+	if res := QueueApp(m, proto.PolicyINV, locks.Options{Prim: locks.PrimFAP}, pat, nil); res.Retries != 0 {
 		t.Fatalf("ticket queue reported %d retries", res.Retries)
 	}
 }
 
 func TestRCUAppNoTornReadsUnderFullMatrix(t *testing.T) {
-	forEachBar(t, func(t *testing.T, policy core.Policy, opts locks.Options) {
+	forEachBar(t, func(t *testing.T, policy proto.Policy, opts locks.Options) {
 		m := newM(4)
 		res := RCUApp(m, policy, opts, Pattern{Contention: 1, Rounds: 4})
 		if res.TornReads != 0 {
@@ -131,7 +131,7 @@ func TestRCUAppNoTornReadsUnderFullMatrix(t *testing.T) {
 
 func TestRCUAppMultipleWriters(t *testing.T) {
 	m := newM(8)
-	res := RCUApp(m, core.PolicyINV, locks.Options{Prim: locks.PrimCAS}, Pattern{Contention: 3, Rounds: 3})
+	res := RCUApp(m, proto.PolicyINV, locks.Options{Prim: locks.PrimCAS}, Pattern{Contention: 3, Rounds: 3})
 	if res.TornReads != 0 {
 		t.Fatalf("RCU saw %d torn reads", res.TornReads)
 	}
@@ -140,7 +140,7 @@ func TestRCUAppMultipleWriters(t *testing.T) {
 func TestBarrierAppsUnderFullMatrix(t *testing.T) {
 	apps := []struct {
 		name string
-		run  func(m *machine.Machine, policy core.Policy, opts locks.Options, pat Pattern, h *check.History) Result
+		run  func(m *machine.Machine, policy proto.Policy, opts locks.Options, pat Pattern, h *check.History) Result
 	}{
 		{"tournament", TournamentApp},
 		{"dissemination", DisseminationApp},
@@ -148,7 +148,7 @@ func TestBarrierAppsUnderFullMatrix(t *testing.T) {
 	for _, app := range apps {
 		app := app
 		t.Run(app.name, func(t *testing.T) {
-			forEachBar(t, func(t *testing.T, policy core.Policy, opts locks.Options) {
+			forEachBar(t, func(t *testing.T, policy proto.Policy, opts locks.Options) {
 				m := newM(8)
 				var h check.History
 				pat := Pattern{Contention: 4, Rounds: 5}
@@ -172,17 +172,17 @@ func TestWorkloadRunnersCoexistWithSynthetic(t *testing.T) {
 	m := newM(4)
 	pat := Pattern{Contention: 2, Rounds: 3}
 	opts := locks.Options{Prim: locks.PrimCAS}
-	first := CounterApp(m, core.PolicyINV, opts, pat)
+	first := CounterApp(m, proto.PolicyINV, opts, pat)
 	r, ok := m.AppScratch().(*runner)
 	if !ok {
 		t.Fatal("pattern runner not resident")
 	}
-	QueueApp(m, core.PolicyINV, opts, pat, nil)
-	TournamentApp(m, core.PolicyINV, opts, pat, nil)
+	QueueApp(m, proto.PolicyINV, opts, pat, nil)
+	TournamentApp(m, proto.PolicyINV, opts, pat, nil)
 	if m.AppScratch() != r {
 		t.Fatal("workload runs replaced the resident runner")
 	}
-	if again := CounterApp(m, core.PolicyINV, opts, pat); again != first {
+	if again := CounterApp(m, proto.PolicyINV, opts, pat); again != first {
 		t.Fatalf("counter rerun on the resident runner = %+v, first run %+v", again, first)
 	}
 }
@@ -197,7 +197,7 @@ func TestWorkloadRunnersCoexistWithSynthetic(t *testing.T) {
 func TestStackABAHistoryFlagged(t *testing.T) {
 	stage := func(prim locks.Prim, tagged bool) error {
 		m := newM(4)
-		s := locks.NewTreiberStack(m, core.PolicyINV, 4, locks.Options{Prim: prim})
+		s := locks.NewTreiberStack(m, proto.PolicyINV, 4, locks.Options{Prim: prim})
 		s.Tagged = tagged
 		var h check.History
 		windowOpen := m.Alloc(4)

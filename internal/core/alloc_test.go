@@ -5,6 +5,7 @@ import (
 
 	"dsm/internal/arch"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -34,8 +35,8 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	inv := arch.Addr(1 * arch.BlockBytes) // homed at node 1, PolicyINV default
 	upd := arch.Addr(2 * arch.BlockBytes) // homed at node 2
 	unc := arch.Addr(3 * arch.BlockBytes) // homed at node 3
-	sys.SetPolicy(upd, PolicyUPD)
-	sys.SetPolicy(unc, PolicyUNC)
+	sys.SetPolicy(upd, proto.PolicyUPD)
+	sys.SetPolicy(unc, proto.PolicyUNC)
 	addrs := []arch.Addr{inv, upd, unc}
 
 	remaining := 0
@@ -44,7 +45,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		d := &reissuer{sys: sys, node: mesh.NodeID(n)}
 		d.issueFn = func() {
 			d.sys.Cache(d.node).Issue(Request{
-				Op: OpFetchAdd, Addr: d.addr, Val: 1, Done: d.done,
+				Op: proto.OpFetchAdd, Addr: d.addr, Val: 1, Done: d.done,
 			})
 		}
 		d.done = func(Result) {
@@ -100,33 +101,33 @@ func mixedWorkload(h *H) {
 	inv := h.addrAtHome(1, 0)
 	upd := h.addrAtHome(2, 0)
 	unc := h.addrAtHome(3, 0)
-	h.sys.SetPolicy(upd, PolicyUPD)
-	h.sys.SetPolicy(unc, PolicyUNC)
+	h.sys.SetPolicy(upd, proto.PolicyUPD)
+	h.sys.SetPolicy(unc, proto.PolicyUNC)
 
 	for round := 0; round < 6; round++ {
 		for _, a := range []arch.Addr{inv, upd, unc} {
 			reqs := map[int]Request{}
 			for n := 0; n < 4; n++ {
-				reqs[n] = Request{Op: OpFetchAdd, Addr: a, Val: 1}
+				reqs[n] = Request{Op: proto.OpFetchAdd, Addr: a, Val: 1}
 			}
 			h.doAll(reqs)
 		}
 		// CAS contention (success and failure mixed).
 		h.doAll(map[int]Request{
-			0: {Op: OpCAS, Addr: inv, Val: arch.Word(4 * (round + 1)), Val2: 100},
-			1: {Op: OpCAS, Addr: inv, Val: 0, Val2: 200},
-			2: {Op: OpLoad, Addr: inv},
-			3: {Op: OpStore, Addr: inv, Val: arch.Word(4 * (round + 1))},
+			0: {Op: proto.OpCAS, Addr: inv, Val: arch.Word(4 * (round + 1)), Val2: 100},
+			1: {Op: proto.OpCAS, Addr: inv, Val: 0, Val2: 200},
+			2: {Op: proto.OpLoad, Addr: inv},
+			3: {Op: proto.OpStore, Addr: inv, Val: arch.Word(4 * (round + 1))},
 		})
 		// LL/SC on each policy.
 		for _, a := range []arch.Addr{inv, upd, unc} {
-			v := h.do(2, OpLL, a)
-			h.do(2, OpSC, a, v.Value+1)
+			v := h.do(2, proto.OpLL, a)
+			h.do(2, proto.OpSC, a, v.Value+1)
 		}
-		h.do(1, OpDropCopy, inv)
-		h.do(0, OpLoadExclusive, inv)
-		h.do(3, OpFetchOr, upd, 2)
-		h.do(3, OpTestAndSet, unc)
+		h.do(1, proto.OpDropCopy, inv)
+		h.do(0, proto.OpLoadExclusive, inv)
+		h.do(3, proto.OpFetchOr, upd, 2)
+		h.do(3, proto.OpTestAndSet, unc)
 	}
 	for h.eng.Step() { // drain fire-and-forget traffic
 	}

@@ -15,7 +15,7 @@ import (
 // processors are in-order and blocking, as in the simulated machine).
 type txn struct {
 	req     Request
-	policy  Policy // the block's, resolved once at Issue
+	policy  proto.Policy // the block's, resolved once at Issue
 	retries int
 
 	granted  bool // grant/reply received and its effect applied
@@ -164,7 +164,7 @@ func (c *CacheCtl) Watch(a arch.Addr, v arch.Word, wake func()) bool {
 func (c *CacheCtl) SkipHits(a arch.Addr, n uint64) {
 	c.sys.counters.Requests += n
 	c.sys.counters.LocalHits += n
-	c.sys.chains.RecordNAt(int(OpLoad), int(c.sys.PolicyOf(a)), 0, n)
+	c.sys.chains.RecordNAt(int(proto.OpLoad), int(c.sys.PolicyOf(a)), 0, n)
 	c.cache.Touch(a, n)
 }
 
@@ -207,7 +207,7 @@ func (c *CacheCtl) start(t *txn) {
 }
 
 // request constructs the base request message for the transaction.
-func (c *CacheCtl) request(t *txn, kind msgKind) *msg {
+func (c *CacheCtl) request(t *txn, kind proto.MsgKind) *msg {
 	m := c.sys.newMsg()
 	*m = msg{
 		kind:      kind,
@@ -220,7 +220,7 @@ func (c *CacheCtl) request(t *txn, kind msgKind) *msg {
 	return m
 }
 
-func (c *CacheCtl) toHome(t *txn, kind msgKind) {
+func (c *CacheCtl) toHome(t *txn, kind proto.MsgKind) {
 	m := c.request(t, kind)
 	c.sys.send(c.node, c.sys.HomeOf(t.req.Addr), m, true)
 }
@@ -242,12 +242,12 @@ func (c *CacheCtl) evictVictim(v *cache.Victim) {
 	m := c.sys.newMsg()
 	*m = msg{addr: v.Base, requester: c.node}
 	if v.State == cache.ExclusiveRW {
-		m.kind = mWB
+		m.kind = proto.KWB
 		m.data = v.Data
 		m.hasData = true
 		c.sys.counters.Writebacks++
 	} else {
-		m.kind = mDropS
+		m.kind = proto.KDropS
 	}
 	c.sys.send(c.node, home, m, true)
 }
@@ -277,35 +277,35 @@ func (c *CacheCtl) execOnLine(req Request, l *cache.Line) Result {
 	r := Result{Value: old, OK: true}
 	wrote := false
 	switch req.Op {
-	case OpLoadExclusive:
+	case proto.OpLoadExclusive:
 		// Value read; exclusivity already held.
-	case OpStore:
+	case proto.OpStore:
 		l.SetWord(req.Addr, req.Val)
 		wrote = true
-	case OpFetchAdd:
+	case proto.OpFetchAdd:
 		l.SetWord(req.Addr, old+req.Val)
 		wrote = true
-	case OpFetchStore:
+	case proto.OpFetchStore:
 		l.SetWord(req.Addr, req.Val)
 		wrote = true
-	case OpFetchOr:
+	case proto.OpFetchOr:
 		l.SetWord(req.Addr, old|req.Val)
 		wrote = true
-	case OpTestAndSet:
+	case proto.OpTestAndSet:
 		l.SetWord(req.Addr, 1)
 		wrote = true
-	case OpCAS:
+	case proto.OpCAS:
 		if old == req.Val {
 			l.SetWord(req.Addr, req.Val2)
 			wrote = true
 		} else {
 			r.OK = false
 		}
-	case OpSC:
+	case proto.OpSC:
 		l.SetWord(req.Addr, req.Val)
 		wrote = true
 		c.cache.ClearReservation()
-	case OpLL:
+	case proto.OpLL:
 		c.cache.SetReservation(req.Addr)
 	default:
 		panic(fmt.Sprintf("core: execOnLine of %v", req.Op))
@@ -414,17 +414,17 @@ func (c *CacheCtl) guard(g proto.CacheGuard, t *txn, m *msg, l *cache.Line) bool
 	case proto.GNoResv:
 		return !c.cache.ReservedOn(t.req.Addr)
 	case proto.GCASRemote:
-		return c.sys.cfg.CAS != CASPlain
+		return c.sys.cfg.CAS != proto.CASPlain
 	case proto.GCASMatch:
 		return l.Word(m.addr) == m.forwardVal
 	case proto.GCASShare:
-		return c.sys.cfg.CAS == CASShare
+		return c.sys.cfg.CAS == proto.CASShare
 	case proto.GOpRead:
-		return t.req.Op == OpLoad || t.req.Op == OpLoadExclusive
+		return t.req.Op == proto.OpLoad || t.req.Op == proto.OpLoadExclusive
 	case proto.GOpLL:
-		return t.req.Op == OpLL
+		return t.req.Op == proto.OpLL
 	case proto.GOpSC:
-		return t.req.Op == OpSC
+		return t.req.Op == proto.OpSC
 	}
 	panic(fmt.Sprintf("core: cache %d: unknown guard %v", c.node, g))
 }
@@ -464,7 +464,7 @@ func (c *CacheCtl) apply(a proto.Act, t *txn, m *msg, l *cache.Line) *cache.Line
 
 	case proto.ADropShared:
 		c.cache.Invalidate(t.req.Addr)
-		d := c.request(t, mDropS)
+		d := c.request(t, proto.KDropS)
 		c.sys.send(c.node, c.sys.HomeOf(t.req.Addr), d, true)
 
 	case proto.AInvalLine:
@@ -482,16 +482,21 @@ func (c *CacheCtl) apply(a proto.Act, t *txn, m *msg, l *cache.Line) *cache.Line
 		c.sendLater(ack, m.requester, false)
 
 	case proto.ASurrenderE:
+		// Also a forwarded CAS that matched at the owner: the home completes
+		// the grant and the requester swaps on its new exclusive copy,
+		// exactly as in plain INV.
 		reply := c.sys.newMsg()
-		*reply = msg{kind: mWBRecall, addr: m.addr, requester: m.requester,
+		*reply = msg{kind: proto.KWBRecall, addr: m.addr, requester: m.requester,
 			data: l.Data, hasData: true, chain: m.chain}
 		c.cache.Invalidate(m.addr)
 		c.sys.counters.Writebacks++
 		c.sendLater(reply, c.sys.HomeOf(m.addr), true)
 
 	case proto.ASurrenderS:
+		// Also an INVs CAS that failed at the owner: the line stays put
+		// read-only and the requester gets a read-only copy via the home.
 		reply := c.sys.newMsg()
-		*reply = msg{kind: mWBShare, addr: m.addr, requester: m.requester,
+		*reply = msg{kind: proto.KWBShare, addr: m.addr, requester: m.requester,
 			data: l.Data, hasData: true, chain: m.chain}
 		c.cache.Downgrade(m.addr)
 		c.sys.counters.Writebacks++
@@ -501,39 +506,18 @@ func (c *CacheCtl) apply(a proto.Act, t *txn, m *msg, l *cache.Line) *cache.Line
 		// Our write-back or drop is in flight; tell the home immediately to
 		// wait for it.
 		nak := c.sys.newMsg()
-		*nak = msg{kind: mRecallNak, addr: m.addr, requester: m.requester, chain: m.chain}
+		*nak = msg{kind: proto.KRecallNak, addr: m.addr, requester: m.requester, chain: m.chain}
 		c.sys.send(c.node, c.sys.HomeOf(m.addr), nak, true)
-
-	case proto.ACASGive:
-		// Comparison succeeds: surrender the line; the home completes the
-		// grant and the requester performs the swap on its new exclusive
-		// copy, exactly as in plain INV.
-		c.cache.Invalidate(m.addr)
-		c.sys.counters.Writebacks++
-		wb := c.sys.newMsg()
-		*wb = msg{kind: mWBRecall, addr: m.addr, requester: m.requester,
-			data: l.Data, hasData: true, chain: m.chain}
-		c.sendLater(wb, c.sys.HomeOf(m.addr), true)
-
-	case proto.ACASKeepShare:
-		// INVs failure: the line stays put read-only; the requester gets a
-		// read-only copy via the home.
-		c.cache.Downgrade(m.addr)
-		c.sys.counters.Writebacks++
-		wb := c.sys.newMsg()
-		*wb = msg{kind: mWBShare, addr: m.addr, requester: m.requester,
-			data: l.Data, hasData: true, chain: m.chain}
-		c.sendLater(wb, c.sys.HomeOf(m.addr), true)
 
 	case proto.ACASDeny:
 		// INVd failure: deny directly; separately release the home's busy
 		// state.
 		fail := c.sys.newMsg()
-		*fail = msg{kind: mCASFail, addr: m.addr, requester: m.requester,
+		*fail = msg{kind: proto.KCASFail, addr: m.addr, requester: m.requester,
 			val: l.Word(m.addr), chain: m.chain}
 		c.sendLater(fail, m.requester, false)
 		rel := c.sys.newMsg()
-		*rel = msg{kind: mCASRel, addr: m.addr, requester: m.requester}
+		*rel = msg{kind: proto.KCASRel, addr: m.addr, requester: m.requester}
 		c.sendLater(rel, c.sys.HomeOf(m.addr), true)
 
 	case proto.AApplyUpdate:
@@ -586,7 +570,7 @@ func (c *CacheCtl) apply(a proto.Act, t *txn, m *msg, l *cache.Line) *cache.Line
 		t.result = c.execOnLine(t.req, l)
 
 	case proto.AHintIfLL:
-		if t.req.Op == OpLL && m.hint {
+		if t.req.Op == proto.OpLL && m.hint {
 			c.llHintFail = true
 		}
 

@@ -28,6 +28,10 @@
 // checker (the TestMC* tests) replaces the mesh with queues whose delivery
 // order it chooses, and explores small configurations exhaustively through
 // these same controllers.
+//
+// The protocol's names live only in internal/proto: policies, CAS variants,
+// operations and message kinds are written proto.PolicyUPD, proto.OpCAS,
+// proto.KWBRecall and so on, here as in every other package.
 package core
 
 import (
@@ -43,41 +47,21 @@ import (
 	"dsm/internal/stats"
 )
 
-// The protocol vocabulary — policies, compare_and_swap variants, operation
-// kinds — is owned by internal/proto together with the transition tables;
-// core re-exports the names so existing callers are unaffected.
-type (
-	Policy     = proto.Policy
-	CASVariant = proto.CASVariant
-	OpKind     = proto.OpKind
-)
+// Policy and its three constants alias proto's for the benchmark module
+// (bench/), their only user: everything in this module writes the proto
+// names, and these go once bench/ does too.
+type Policy = proto.Policy
 
 const (
 	PolicyINV = proto.PolicyINV
 	PolicyUPD = proto.PolicyUPD
 	PolicyUNC = proto.PolicyUNC
-
-	CASPlain = proto.CASPlain
-	CASDeny  = proto.CASDeny
-	CASShare = proto.CASShare
-
-	OpLoad          = proto.OpLoad
-	OpStore         = proto.OpStore
-	OpLoadExclusive = proto.OpLoadExclusive
-	OpDropCopy      = proto.OpDropCopy
-	OpFetchAdd      = proto.OpFetchAdd
-	OpFetchStore    = proto.OpFetchStore
-	OpFetchOr       = proto.OpFetchOr
-	OpTestAndSet    = proto.OpTestAndSet
-	OpCAS           = proto.OpCAS
-	OpLL            = proto.OpLL
-	OpSC            = proto.OpSC
 )
 
 // Request is one processor-issued memory operation handed to the node's
 // cache controller. Exactly one request per processor may be outstanding.
 type Request struct {
-	Op   OpKind
+	Op   proto.OpKind
 	Addr arch.Addr
 	// Val is the store value, fetch_and_Φ operand, CAS expected value, or
 	// SC value.
@@ -119,7 +103,7 @@ type Config struct {
 	CacheHitTime sim.Time // cycles for a cache hit / local controller step
 	RetryDelay   sim.Time // base delay before retrying a NAKed request
 
-	CAS CASVariant // INV-policy compare_and_swap implementation
+	CAS proto.CASVariant // INV-policy compare_and_swap implementation
 
 	// ResvScheme and ResvLimit select the memory-side LL/SC reservation
 	// representation (UNC and UPD policies).
@@ -137,7 +121,7 @@ func DefaultConfig() Config {
 		Mesh:         mesh.DefaultConfig(),
 		CacheHitTime: 1,
 		RetryDelay:   20,
-		CAS:          CASPlain,
+		CAS:          proto.CASPlain,
 		ResvScheme:   dir.ResvBitVector,
 		ResvLimit:    4,
 	}
@@ -166,7 +150,7 @@ type System struct {
 	caches  []*CacheCtl
 	homes   []*HomeCtl
 
-	policies arch.Table[Policy] // by block number; untouched blocks are PolicyINV
+	policies arch.Table[proto.Policy] // by block number; untouched blocks are PolicyINV
 
 	// msgPool recycles protocol messages (see msg.go); steady-state
 	// request/reply/coherence traffic allocates no *msg.
@@ -211,7 +195,7 @@ func NewSystem(eng *sim.Engine, net *mesh.Mesh, cfg Config) *System {
 		eng:  eng,
 		mesh: net,
 		chains: stats.NewChainGrid(proto.NumOps, proto.NumPolicies, func(op, pol int) string {
-			return OpKind(op).String() + "/" + Policy(pol).String()
+			return proto.OpKind(op).String() + "/" + proto.Policy(pol).String()
 		}),
 		contention: stats.NewContentionTracker(),
 		writeRuns:  stats.NewWriteRunTracker(),
@@ -273,16 +257,16 @@ func (s *System) HomeOf(a arch.Addr) mesh.NodeID {
 // SetPolicy assigns a coherence policy to the block containing a. It must
 // be called before any reference to the block (policy changes with data in
 // flight are not modeled; real machines would flush first).
-func (s *System) SetPolicy(a arch.Addr, p Policy) {
+func (s *System) SetPolicy(a arch.Addr, p proto.Policy) {
 	*s.policies.At(arch.BlockNumber(a)) = p
 }
 
 // PolicyOf returns the coherence policy of the block containing a.
-func (s *System) PolicyOf(a arch.Addr) Policy {
+func (s *System) PolicyOf(a arch.Addr) proto.Policy {
 	if p := s.policies.Get(arch.BlockNumber(a)); p != nil {
 		return *p
 	}
-	return PolicyINV
+	return proto.PolicyINV
 }
 
 // Counters returns a snapshot of the protocol counters.
@@ -354,7 +338,7 @@ func (s *System) CheckCoherence() {
 // trackAccess feeds the write-run bookkeeping of synchronization locations
 // (words ever accessed atomically) for one completed (or locally performed)
 // access.
-func (s *System) trackAccess(a arch.Addr, proc mesh.NodeID, op OpKind, wrote bool) {
+func (s *System) trackAccess(a arch.Addr, proc mesh.NodeID, op proto.OpKind, wrote bool) {
 	s.writeRuns.SyncAccess(stats.Location(a), int(proc), wrote, op.IsAtomic())
 }
 

@@ -28,7 +28,7 @@ func TestTracerSeesIssueSendComplete(t *testing.T) {
 	tr := &recordingTracer{}
 	h.sys.SetTracer(tr)
 	a := h.addrAtHome(1, 0)
-	h.do(0, OpStore, a, 5)
+	h.do(0, proto.OpStore, a, 5)
 	joined := strings.Join(tr.lines, "\n")
 	for _, want := range []string{"issue store", "send read-ex", "send data-e", "complete store"} {
 		if !strings.Contains(joined, want) {
@@ -37,7 +37,7 @@ func TestTracerSeesIssueSendComplete(t *testing.T) {
 	}
 	h.sys.SetTracer(nil)
 	n := len(tr.lines)
-	h.do(0, OpLoad, a)
+	h.do(0, proto.OpLoad, a)
 	if len(tr.lines) != n {
 		t.Fatal("events recorded after tracer removed")
 	}
@@ -46,20 +46,20 @@ func TestTracerSeesIssueSendComplete(t *testing.T) {
 func TestUPDSameValueWriteSendsNoUpdates(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
-	h.sys.SetPolicy(a, PolicyUPD)
-	h.do(0, OpTestAndSet, a) // 0 -> 1: a real change
-	h.do(1, OpLoad, a)       // node 1 caches a copy
+	h.sys.SetPolicy(a, proto.PolicyUPD)
+	h.do(0, proto.OpTestAndSet, a) // 0 -> 1: a real change
+	h.do(1, proto.OpLoad, a)       // node 1 caches a copy
 	before := h.sys.Counters().Updates
-	h.do(3, OpTestAndSet, a) // 1 -> 1: no change
+	h.do(3, proto.OpTestAndSet, a) // 1 -> 1: no change
 	if got := h.sys.Counters().Updates; got != before {
 		t.Fatalf("same-value write sent %d updates", got-before)
 	}
 	// A changing write still updates the copies (nodes 0 and 1 share).
-	h.do(3, OpStore, a, 0)
+	h.do(3, proto.OpStore, a, 0)
 	if got := h.sys.Counters().Updates; got != before+2 {
 		t.Fatalf("changing write sent %d updates, want 2", got-before)
 	}
-	if r := h.do(1, OpLoad, a); r.Value != 0 || r.Chain != 0 {
+	if r := h.do(1, proto.OpLoad, a); r.Value != 0 || r.Chain != 0 {
 		t.Fatalf("sharer copy = %+v", r)
 	}
 }
@@ -70,10 +70,10 @@ func TestUPDSameValueWriteStillClearsReservations(t *testing.T) {
 	// the pointer-problem argument on.
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	h.sys.SetPolicy(a, PolicyUPD)
-	h.do(0, OpLL, a)       // reserve; value 0
-	h.do(1, OpStore, a, 0) // same-value write
-	if r := h.do(0, OpSC, a, 9); r.OK {
+	h.sys.SetPolicy(a, proto.PolicyUPD)
+	h.do(0, proto.OpLL, a)       // reserve; value 0
+	h.do(1, proto.OpStore, a, 0) // same-value write
+	if r := h.do(0, proto.OpSC, a, 9); r.OK {
 		t.Fatal("SC succeeded across a same-value write")
 	}
 }
@@ -100,7 +100,7 @@ func TestEvictionPressureStress(t *testing.T) {
 		}
 		a := addrs[(n+left)%len(addrs)]
 		h.sys.Cache(mesh.NodeID(n)).Issue(Request{
-			Op: OpFetchAdd, Addr: a, Val: 1,
+			Op: proto.OpFetchAdd, Addr: a, Val: 1,
 			Done: func(Result) { step(n, left-1) },
 		})
 	}
@@ -116,7 +116,7 @@ func TestEvictionPressureStress(t *testing.T) {
 	h.drain()
 	var total arch.Word
 	for _, a := range addrs {
-		total += h.do(0, OpLoad, a).Value
+		total += h.do(0, proto.OpLoad, a).Value
 		h.drain()
 	}
 	if total != nodes*iters {
@@ -131,8 +131,8 @@ func TestEvictionPressureStress(t *testing.T) {
 func TestLLOnRemoteExclusiveBlock(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
-	h.do(0, OpStore, a, 5) // node 0 exclusive dirty
-	r := h.do(1, OpLL, a)
+	h.do(0, proto.OpStore, a, 5) // node 0 exclusive dirty
+	r := h.do(1, proto.OpLL, a)
 	if r.Value != 5 {
 		t.Fatalf("LL = %+v, want dirty value 5", r)
 	}
@@ -140,10 +140,10 @@ func TestLLOnRemoteExclusiveBlock(t *testing.T) {
 	if l := h.sys.Cache(0).CacheArray().Peek(a); l == nil || l.State != cache.SharedRO {
 		t.Fatal("owner not downgraded by LL")
 	}
-	if r := h.do(1, OpSC, a, 6); !r.OK {
+	if r := h.do(1, proto.OpSC, a, 6); !r.OK {
 		t.Fatalf("SC after LL failed: %+v", r)
 	}
-	if r := h.do(0, OpLoad, a); r.Value != 6 {
+	if r := h.do(0, proto.OpLoad, a); r.Value != 6 {
 		t.Fatalf("value = %d", r.Value)
 	}
 }
@@ -151,8 +151,8 @@ func TestLLOnRemoteExclusiveBlock(t *testing.T) {
 func TestSCWhileOnlySharerSucceedsWithChain2(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	h.do(0, OpLL, a)
-	r := h.do(0, OpSC, a, 1)
+	h.do(0, proto.OpLL, a)
+	r := h.do(0, proto.OpSC, a, 1)
 	if !r.OK || r.Chain != 2 {
 		t.Fatalf("lone-sharer SC = %+v, want success with chain 2", r)
 	}
@@ -161,10 +161,10 @@ func TestSCWhileOnlySharerSucceedsWithChain2(t *testing.T) {
 func TestSCWithOtherSharersInvalidatesThem(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(3, 0)
-	h.do(1, OpLoad, a) // extra sharer
-	h.do(0, OpLL, a)
+	h.do(1, proto.OpLoad, a) // extra sharer
+	h.do(0, proto.OpLL, a)
 	before := h.sys.Counters().Invals
-	r := h.do(0, OpSC, a, 1)
+	r := h.do(0, proto.OpSC, a, 1)
 	if !r.OK || r.Chain != 3 {
 		t.Fatalf("SC with sharers = %+v, want chain 3", r)
 	}
@@ -179,17 +179,17 @@ func TestSCWithOtherSharersInvalidatesThem(t *testing.T) {
 func TestSerialSchemeOnUPDPolicy(t *testing.T) {
 	h := newH(t, func(c *Config) { c.ResvScheme = dir.ResvSerial })
 	a := h.addrAtHome(1, 0)
-	h.sys.SetPolicy(a, PolicyUPD)
-	r := h.do(0, OpLL, a)
-	h.do(1, OpFetchAdd, a, 1) // bumps the serial
-	if r2 := h.doReq(0, Request{Op: OpSC, Addr: a, Val: 9, Val2: r.Serial}); r2.OK {
+	h.sys.SetPolicy(a, proto.PolicyUPD)
+	r := h.do(0, proto.OpLL, a)
+	h.do(1, proto.OpFetchAdd, a, 1) // bumps the serial
+	if r2 := h.doReq(0, Request{Op: proto.OpSC, Addr: a, Val: 9, Val2: r.Serial}); r2.OK {
 		t.Fatal("stale-serial SC succeeded under UPD")
 	}
-	r = h.do(0, OpLL, a)
+	r = h.do(0, proto.OpLL, a)
 	if r.Value != 1 {
 		t.Fatalf("LL = %+v", r)
 	}
-	if r2 := h.doReq(0, Request{Op: OpSC, Addr: a, Val: 9, Val2: r.Serial}); !r2.OK {
+	if r2 := h.doReq(0, Request{Op: proto.OpSC, Addr: a, Val: 9, Val2: r.Serial}); !r2.OK {
 		t.Fatal("fresh-serial SC failed under UPD")
 	}
 }
@@ -200,14 +200,14 @@ func TestLimitedSchemeOnUPDPolicy(t *testing.T) {
 		c.ResvLimit = 1
 	})
 	a := h.addrAtHome(1, 0)
-	h.sys.SetPolicy(a, PolicyUPD)
-	if h.do(0, OpLL, a); h.sys.caches[0].llHintFail {
+	h.sys.SetPolicy(a, proto.PolicyUPD)
+	if h.do(0, proto.OpLL, a); h.sys.caches[0].llHintFail {
 		t.Fatal("first LL hinted")
 	}
-	if h.do(2, OpLL, a); !h.sys.caches[2].llHintFail {
+	if h.do(2, proto.OpLL, a); !h.sys.caches[2].llHintFail {
 		t.Fatal("second LL did not hint under limit 1")
 	}
-	if r := h.do(2, OpSC, a, 5); r.OK || r.Chain != 0 {
+	if r := h.do(2, proto.OpSC, a, 5); r.OK || r.Chain != 0 {
 		t.Fatalf("hinted SC = %+v, want local fail", r)
 	}
 }
@@ -216,9 +216,9 @@ func TestChainRecorderClassesPopulated(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
 	b := h.addrAtHome(2, 0)
-	h.sys.SetPolicy(b, PolicyUNC)
-	h.do(0, OpFetchAdd, a, 1)
-	h.do(0, OpFetchAdd, b, 1)
+	h.sys.SetPolicy(b, proto.PolicyUNC)
+	h.do(0, proto.OpFetchAdd, a, 1)
+	h.do(0, proto.OpFetchAdd, b, 1)
 	var classes []string
 	for class, hist := range h.sys.Chains().All() {
 		classes = append(classes, class)
@@ -260,9 +260,9 @@ func TestChainClassNamesNeedNoEscaping(t *testing.T) {
 func TestCountersLocalHitRate(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	h.do(0, OpStore, a, 1) // miss
+	h.do(0, proto.OpStore, a, 1) // miss
 	for i := 0; i < 5; i++ {
-		h.do(0, OpStore, a, arch.Word(i)) // hits
+		h.do(0, proto.OpStore, a, arch.Word(i)) // hits
 	}
 	c := h.sys.Counters()
 	if c.Requests != 6 || c.LocalHits != 5 {
@@ -273,9 +273,9 @@ func TestCountersLocalHitRate(t *testing.T) {
 func TestLoadExclusiveOnSharedUpgrades(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
-	h.do(0, OpLoad, a) // S copy at node 0
-	h.do(1, OpLoad, a) // S copy at node 1
-	r := h.do(0, OpLoadExclusive, a)
+	h.do(0, proto.OpLoad, a) // S copy at node 0
+	h.do(1, proto.OpLoad, a) // S copy at node 1
+	r := h.do(0, proto.OpLoadExclusive, a)
 	if r.Chain != 3 {
 		t.Fatalf("load_exclusive upgrade chain = %d, want 3", r.Chain)
 	}
@@ -291,18 +291,18 @@ func TestLoadExclusiveOnSharedUpgrades(t *testing.T) {
 func TestUNCMixedOpsSequence(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(3, 0)
-	h.sys.SetPolicy(a, PolicyUNC)
-	h.do(0, OpStore, a, 3)
-	if r := h.do(1, OpFetchOr, a, 4); r.Value != 3 {
+	h.sys.SetPolicy(a, proto.PolicyUNC)
+	h.do(0, proto.OpStore, a, 3)
+	if r := h.do(1, proto.OpFetchOr, a, 4); r.Value != 3 {
 		t.Fatalf("fetch_and_or old = %d", r.Value)
 	}
-	if r := h.do(2, OpCAS, a, 7, 9); !r.OK {
+	if r := h.do(2, proto.OpCAS, a, 7, 9); !r.OK {
 		t.Fatalf("CAS(7->9) failed: %+v", r)
 	}
-	if r := h.do(3, OpLoad, a); r.Value != 9 {
+	if r := h.do(3, proto.OpLoad, a); r.Value != 9 {
 		t.Fatalf("value = %d", r.Value)
 	}
-	if r := h.do(0, OpLoadExclusive, a); r.Value != 9 || r.Chain != 2 {
+	if r := h.do(0, proto.OpLoadExclusive, a); r.Value != 9 || r.Chain != 2 {
 		t.Fatalf("UNC load_exclusive = %+v (degenerates to a memory load)", r)
 	}
 }
@@ -313,16 +313,16 @@ func TestPolicyIsolationBetweenBlocks(t *testing.T) {
 	inv := h.addrAtHome(0, 1)
 	upd := h.addrAtHome(0, 2)
 	unc := h.addrAtHome(0, 3)
-	h.sys.SetPolicy(upd, PolicyUPD)
-	h.sys.SetPolicy(unc, PolicyUNC)
+	h.sys.SetPolicy(upd, proto.PolicyUPD)
+	h.sys.SetPolicy(unc, proto.PolicyUNC)
 	for i := 0; i < 3; i++ {
-		h.do(i, OpFetchAdd, inv, 1)
-		h.do(i, OpFetchAdd, upd, 1)
-		h.do(i, OpFetchAdd, unc, 1)
+		h.do(i, proto.OpFetchAdd, inv, 1)
+		h.do(i, proto.OpFetchAdd, upd, 1)
+		h.do(i, proto.OpFetchAdd, unc, 1)
 	}
 	h.drain()
 	for _, a := range []arch.Addr{inv, upd, unc} {
-		if v := h.do(3, OpLoad, a).Value; v != 3 {
+		if v := h.do(3, proto.OpLoad, a).Value; v != 3 {
 			t.Fatalf("counter at %#x = %d", a, v)
 		}
 		h.drain()

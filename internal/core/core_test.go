@@ -8,6 +8,7 @@ import (
 	"dsm/internal/cache"
 	"dsm/internal/dir"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -39,7 +40,7 @@ func (h *H) addrAtHome(home, i int) arch.Addr {
 }
 
 // do issues one operation from node and runs the engine until it completes.
-func (h *H) do(node int, op OpKind, a arch.Addr, vals ...arch.Word) Result {
+func (h *H) do(node int, op proto.OpKind, a arch.Addr, vals ...arch.Word) Result {
 	h.t.Helper()
 	req := Request{Op: op, Addr: a}
 	if len(vals) > 0 {
@@ -108,7 +109,7 @@ func (h *H) drain() {
 
 func TestLoadOfFreshWordIsZero(t *testing.T) {
 	h := newH(t)
-	r := h.do(0, OpLoad, h.addrAtHome(1, 0))
+	r := h.do(0, proto.OpLoad, h.addrAtHome(1, 0))
 	if r.Value != 0 || !r.OK {
 		t.Fatalf("load = %+v", r)
 	}
@@ -117,8 +118,8 @@ func TestLoadOfFreshWordIsZero(t *testing.T) {
 func TestStoreThenLoadSameNode(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	h.do(0, OpStore, a, 42)
-	r := h.do(0, OpLoad, a)
+	h.do(0, proto.OpStore, a, 42)
+	r := h.do(0, proto.OpLoad, a)
 	if r.Value != 42 {
 		t.Fatalf("load after store = %d", r.Value)
 	}
@@ -130,13 +131,13 @@ func TestStoreThenLoadSameNode(t *testing.T) {
 func TestStoreVisibleToOtherNodes(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
-	h.do(0, OpStore, a, 7)
-	r := h.do(1, OpLoad, a)
+	h.do(0, proto.OpStore, a, 7)
+	r := h.do(1, proto.OpLoad, a)
 	if r.Value != 7 {
 		t.Fatalf("remote load = %d, want 7", r.Value)
 	}
 	// And the writer's copy was downgraded, not lost.
-	r = h.do(0, OpLoad, a)
+	r = h.do(0, proto.OpLoad, a)
 	if r.Value != 7 || r.Chain != 0 {
 		t.Fatalf("owner reload = %+v", r)
 	}
@@ -145,9 +146,9 @@ func TestStoreVisibleToOtherNodes(t *testing.T) {
 func TestWriteInvalidateSemantics(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(3, 0)
-	h.do(0, OpStore, a, 1)
-	h.do(1, OpStore, a, 2) // invalidates node 0's copy
-	r := h.do(0, OpLoad, a)
+	h.do(0, proto.OpStore, a, 1)
+	h.do(1, proto.OpStore, a, 2) // invalidates node 0's copy
+	r := h.do(0, proto.OpLoad, a)
 	if r.Value != 2 {
 		t.Fatalf("node 0 read %d after remote store, want 2", r.Value)
 	}
@@ -159,12 +160,12 @@ func TestWriteInvalidateSemantics(t *testing.T) {
 func TestDistinctWordsSameBlockShareLine(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	h.do(0, OpStore, a, 1)
-	h.do(0, OpStore, a+4, 2)
-	if r := h.do(0, OpLoad, a); r.Value != 1 {
+	h.do(0, proto.OpStore, a, 1)
+	h.do(0, proto.OpStore, a+4, 2)
+	if r := h.do(0, proto.OpLoad, a); r.Value != 1 {
 		t.Fatalf("word 0 = %d", r.Value)
 	}
-	if r := h.do(0, OpLoad, a+4); r.Value != 2 || r.Chain != 0 {
+	if r := h.do(0, proto.OpLoad, a+4); r.Value != 2 || r.Chain != 0 {
 		t.Fatalf("word 1 = %+v", r)
 	}
 }
@@ -174,9 +175,9 @@ func TestCoherenceInvariantAfterTraffic(t *testing.T) {
 	a := h.addrAtHome(0, 0)
 	b := h.addrAtHome(1, 0)
 	for i := 0; i < 4; i++ {
-		h.do(i%4, OpStore, a, arch.Word(i))
-		h.do((i+1)%4, OpLoad, b)
-		h.do((i+2)%4, OpStore, b, arch.Word(i))
+		h.do(i%4, proto.OpStore, a, arch.Word(i))
+		h.do((i+1)%4, proto.OpLoad, b)
+		h.do((i+2)%4, proto.OpStore, b, arch.Word(i))
 	}
 	h.drain()
 	h.sys.CheckCoherence()
@@ -187,13 +188,13 @@ func TestCoherenceInvariantAfterTraffic(t *testing.T) {
 func TestChainUNCStore(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0) // home is node 1
-	h.sys.SetPolicy(a, PolicyUNC)
-	r := h.do(0, OpStore, a, 5)
+	h.sys.SetPolicy(a, proto.PolicyUNC)
+	r := h.do(0, proto.OpStore, a, 5)
 	if r.Chain != 2 {
 		t.Fatalf("UNC store chain = %d, want 2", r.Chain)
 	}
 	// Home-local UNC store crosses no network.
-	r = h.do(1, OpStore, a, 6)
+	r = h.do(1, proto.OpStore, a, 6)
 	if r.Chain != 0 {
 		t.Fatalf("home-local UNC store chain = %d, want 0", r.Chain)
 	}
@@ -202,8 +203,8 @@ func TestChainUNCStore(t *testing.T) {
 func TestChainINVStoreCachedExclusive(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	h.do(0, OpStore, a, 1)
-	r := h.do(0, OpStore, a, 2)
+	h.do(0, proto.OpStore, a, 1)
+	r := h.do(0, proto.OpStore, a, 2)
 	if r.Chain != 0 {
 		t.Fatalf("cached-exclusive store chain = %d, want 0", r.Chain)
 	}
@@ -212,7 +213,7 @@ func TestChainINVStoreCachedExclusive(t *testing.T) {
 func TestChainINVStoreUncachedBlock(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	r := h.do(0, OpStore, a, 1)
+	r := h.do(0, proto.OpStore, a, 1)
 	if r.Chain != 2 {
 		t.Fatalf("store to unowned block chain = %d, want 2", r.Chain)
 	}
@@ -221,8 +222,8 @@ func TestChainINVStoreUncachedBlock(t *testing.T) {
 func TestChainINVStoreRemoteExclusive(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
-	h.do(0, OpStore, a, 1) // node 0 owns exclusively
-	r := h.do(1, OpStore, a, 2)
+	h.do(0, proto.OpStore, a, 1) // node 0 owns exclusively
+	r := h.do(1, proto.OpStore, a, 2)
 	if r.Chain != 4 {
 		t.Fatalf("store to remote-exclusive chain = %d, want 4", r.Chain)
 	}
@@ -231,9 +232,9 @@ func TestChainINVStoreRemoteExclusive(t *testing.T) {
 func TestChainINVStoreRemoteShared(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(3, 0)
-	h.do(0, OpLoad, a)
-	h.do(1, OpLoad, a)
-	r := h.do(2, OpStore, a, 9)
+	h.do(0, proto.OpLoad, a)
+	h.do(1, proto.OpLoad, a)
+	r := h.do(2, proto.OpStore, a, 9)
 	if r.Chain != 3 {
 		t.Fatalf("store to remote-shared chain = %d, want 3", r.Chain)
 	}
@@ -242,9 +243,9 @@ func TestChainINVStoreRemoteShared(t *testing.T) {
 func TestChainUPDStoreCachedElsewhere(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(3, 0)
-	h.sys.SetPolicy(a, PolicyUPD)
-	h.do(0, OpLoad, a) // node 0 caches a copy
-	r := h.do(1, OpStore, a, 4)
+	h.sys.SetPolicy(a, proto.PolicyUPD)
+	h.do(0, proto.OpLoad, a) // node 0 caches a copy
+	r := h.do(1, proto.OpStore, a, 4)
 	if r.Chain != 3 {
 		t.Fatalf("UPD store with a remote copy chain = %d, want 3", r.Chain)
 	}
@@ -253,8 +254,8 @@ func TestChainUPDStoreCachedElsewhere(t *testing.T) {
 func TestChainUPDStoreUncached(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	h.sys.SetPolicy(a, PolicyUPD)
-	r := h.do(0, OpStore, a, 4)
+	h.sys.SetPolicy(a, proto.PolicyUPD)
+	r := h.do(0, proto.OpStore, a, 4)
 	if r.Chain != 2 {
 		t.Fatalf("UPD store uncached chain = %d, want 2", r.Chain)
 	}
@@ -265,13 +266,13 @@ func TestChainUPDStoreUncached(t *testing.T) {
 func TestFetchAddSemantics(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	if r := h.do(0, OpFetchAdd, a, 5); r.Value != 0 {
+	if r := h.do(0, proto.OpFetchAdd, a, 5); r.Value != 0 {
 		t.Fatalf("first FAA returned %d", r.Value)
 	}
-	if r := h.do(1, OpFetchAdd, a, 3); r.Value != 5 {
+	if r := h.do(1, proto.OpFetchAdd, a, 3); r.Value != 5 {
 		t.Fatalf("second FAA returned %d", r.Value)
 	}
-	if r := h.do(2, OpLoad, a); r.Value != 8 {
+	if r := h.do(2, proto.OpLoad, a); r.Value != 8 {
 		t.Fatalf("final value %d", r.Value)
 	}
 }
@@ -279,26 +280,26 @@ func TestFetchAddSemantics(t *testing.T) {
 func TestFetchStoreAndOrAndTAS(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(0, 0)
-	if r := h.do(1, OpFetchStore, a, 0xf0); r.Value != 0 {
+	if r := h.do(1, proto.OpFetchStore, a, 0xf0); r.Value != 0 {
 		t.Fatalf("fetch_and_store old = %d", r.Value)
 	}
-	if r := h.do(2, OpFetchOr, a, 0x0f); r.Value != 0xf0 {
+	if r := h.do(2, proto.OpFetchOr, a, 0x0f); r.Value != 0xf0 {
 		t.Fatalf("fetch_and_or old = %#x", r.Value)
 	}
-	if r := h.do(3, OpLoad, a); r.Value != 0xff {
+	if r := h.do(3, proto.OpLoad, a); r.Value != 0xff {
 		t.Fatalf("value after or = %#x", r.Value)
 	}
 	b := h.addrAtHome(0, 1)
-	if r := h.do(1, OpTestAndSet, b); r.Value != 0 {
+	if r := h.do(1, proto.OpTestAndSet, b); r.Value != 0 {
 		t.Fatalf("TAS old = %d", r.Value)
 	}
-	if r := h.do(2, OpTestAndSet, b); r.Value != 1 {
+	if r := h.do(2, proto.OpTestAndSet, b); r.Value != 1 {
 		t.Fatalf("second TAS old = %d", r.Value)
 	}
 }
 
 func TestConcurrentFetchAddLinearizable(t *testing.T) {
-	for _, p := range []Policy{PolicyINV, PolicyUPD, PolicyUNC} {
+	for _, p := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			h := newH(t)
@@ -306,7 +307,7 @@ func TestConcurrentFetchAddLinearizable(t *testing.T) {
 			h.sys.SetPolicy(a, p)
 			reqs := map[int]Request{}
 			for n := 0; n < 4; n++ {
-				reqs[n] = Request{Op: OpFetchAdd, Addr: a, Val: 1}
+				reqs[n] = Request{Op: proto.OpFetchAdd, Addr: a, Val: 1}
 			}
 			res := h.doAll(reqs)
 			seen := map[arch.Word]bool{}
@@ -316,7 +317,7 @@ func TestConcurrentFetchAddLinearizable(t *testing.T) {
 				}
 				seen[r.Value] = true
 			}
-			if r := h.do(0, OpLoad, a); r.Value != 4 {
+			if r := h.do(0, proto.OpLoad, a); r.Value != 4 {
 				t.Fatalf("final counter = %d, want 4", r.Value)
 			}
 			h.drain()
@@ -328,19 +329,19 @@ func TestConcurrentFetchAddLinearizable(t *testing.T) {
 // ------------------------------------------------------------------ CAS --
 
 func TestCASSuccessAndFailure(t *testing.T) {
-	for _, p := range []Policy{PolicyINV, PolicyUPD, PolicyUNC} {
+	for _, p := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			h := newH(t)
 			a := h.addrAtHome(1, 0)
 			h.sys.SetPolicy(a, p)
-			if r := h.do(0, OpCAS, a, 0, 10); !r.OK || r.Value != 0 {
+			if r := h.do(0, proto.OpCAS, a, 0, 10); !r.OK || r.Value != 0 {
 				t.Fatalf("CAS(0->10) = %+v", r)
 			}
-			if r := h.do(1, OpCAS, a, 0, 20); r.OK {
+			if r := h.do(1, proto.OpCAS, a, 0, 20); r.OK {
 				t.Fatalf("CAS with stale expected succeeded: %+v", r)
 			}
-			if r := h.do(2, OpLoad, a); r.Value != 10 {
+			if r := h.do(2, proto.OpLoad, a); r.Value != 10 {
 				t.Fatalf("value = %d, want 10", r.Value)
 			}
 		})
@@ -348,14 +349,14 @@ func TestCASSuccessAndFailure(t *testing.T) {
 }
 
 func TestCASConcurrentOnlyOneWins(t *testing.T) {
-	for _, v := range []CASVariant{CASPlain, CASDeny, CASShare} {
+	for _, v := range []proto.CASVariant{proto.CASPlain, proto.CASDeny, proto.CASShare} {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			h := newH(t, func(c *Config) { c.CAS = v })
 			a := h.addrAtHome(3, 0)
 			reqs := map[int]Request{}
 			for n := 0; n < 4; n++ {
-				reqs[n] = Request{Op: OpCAS, Addr: a, Val: 0, Val2: arch.Word(100 + n)}
+				reqs[n] = Request{Op: proto.OpCAS, Addr: a, Val: 0, Val2: arch.Word(100 + n)}
 			}
 			res := h.doAll(reqs)
 			winners := 0
@@ -369,7 +370,7 @@ func TestCASConcurrentOnlyOneWins(t *testing.T) {
 			if winners != 1 {
 				t.Fatalf("%d CAS winners, want 1", winners)
 			}
-			if r := h.do(0, OpLoad, a); r.Value != winVal {
+			if r := h.do(0, proto.OpLoad, a); r.Value != winVal {
 				t.Fatalf("value %d, winner wrote %d", r.Value, winVal)
 			}
 			h.drain()
@@ -379,10 +380,10 @@ func TestCASConcurrentOnlyOneWins(t *testing.T) {
 }
 
 func TestCASDenyFailureLeavesNoCopy(t *testing.T) {
-	h := newH(t, func(c *Config) { c.CAS = CASDeny })
+	h := newH(t, func(c *Config) { c.CAS = proto.CASDeny })
 	a := h.addrAtHome(2, 0)
-	h.do(0, OpStore, a, 5) // node 0 exclusive
-	r := h.do(1, OpCAS, a, 99, 1)
+	h.do(0, proto.OpStore, a, 5) // node 0 exclusive
+	r := h.do(1, proto.OpCAS, a, 99, 1)
 	if r.OK {
 		t.Fatal("CAS succeeded with wrong expected value")
 	}
@@ -406,10 +407,10 @@ func TestCASDenyFailureLeavesNoCopy(t *testing.T) {
 }
 
 func TestCASShareFailureLeavesSharedCopy(t *testing.T) {
-	h := newH(t, func(c *Config) { c.CAS = CASShare })
+	h := newH(t, func(c *Config) { c.CAS = proto.CASShare })
 	a := h.addrAtHome(2, 0)
-	h.do(0, OpStore, a, 5)
-	r := h.do(1, OpCAS, a, 99, 1)
+	h.do(0, proto.OpStore, a, 5)
+	r := h.do(1, proto.OpCAS, a, 99, 1)
 	if r.OK || r.Value != 5 {
 		t.Fatalf("CAS = %+v", r)
 	}
@@ -430,17 +431,17 @@ func TestCASShareFailureLeavesSharedCopy(t *testing.T) {
 }
 
 func TestCASHomeFailVariantsAtUnownedBlock(t *testing.T) {
-	h := newH(t, func(c *Config) { c.CAS = CASDeny })
+	h := newH(t, func(c *Config) { c.CAS = proto.CASDeny })
 	a := h.addrAtHome(1, 0)
-	if r := h.do(0, OpCAS, a, 99, 1); r.OK || r.Chain != 2 {
+	if r := h.do(0, proto.OpCAS, a, 99, 1); r.OK || r.Chain != 2 {
 		t.Fatalf("INVd fail at home = %+v, want fail chain 2", r)
 	}
 	if h.sys.Cache(0).CacheArray().Peek(a) != nil {
 		t.Fatal("INVd left a copy")
 	}
 
-	h2 := newH(t, func(c *Config) { c.CAS = CASShare })
-	if r := h2.do(0, OpCAS, a, 99, 1); r.OK {
+	h2 := newH(t, func(c *Config) { c.CAS = proto.CASShare })
+	if r := h2.do(0, proto.OpCAS, a, 99, 1); r.OK {
 		t.Fatalf("INVs fail = %+v", r)
 	}
 	l := h2.sys.Cache(0).CacheArray().Peek(a)
@@ -450,13 +451,13 @@ func TestCASHomeFailVariantsAtUnownedBlock(t *testing.T) {
 }
 
 func TestCASVariantSuccessMigratesExclusive(t *testing.T) {
-	for _, v := range []CASVariant{CASDeny, CASShare} {
+	for _, v := range []proto.CASVariant{proto.CASDeny, proto.CASShare} {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			h := newH(t, func(c *Config) { c.CAS = v })
 			a := h.addrAtHome(2, 0)
-			h.do(0, OpStore, a, 5)
-			r := h.do(1, OpCAS, a, 5, 6)
+			h.do(0, proto.OpStore, a, 5)
+			r := h.do(1, proto.OpCAS, a, 5, 6)
 			if !r.OK {
 				t.Fatalf("CAS = %+v", r)
 			}
@@ -481,35 +482,35 @@ func TestCASVariantSuccessMigratesExclusive(t *testing.T) {
 func TestLLSCSuccessWithoutIntervention(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	r := h.do(0, OpLL, a)
+	r := h.do(0, proto.OpLL, a)
 	if r.Value != 0 {
 		t.Fatalf("LL = %+v", r)
 	}
-	if r := h.do(0, OpSC, a, 1); !r.OK {
+	if r := h.do(0, proto.OpSC, a, 1); !r.OK {
 		t.Fatalf("SC failed without intervention: %+v", r)
 	}
-	if r := h.do(1, OpLoad, a); r.Value != 1 {
+	if r := h.do(1, proto.OpLoad, a); r.Value != 1 {
 		t.Fatalf("value = %d", r.Value)
 	}
 }
 
 func TestSCFailsAfterInterveningWrite(t *testing.T) {
-	for _, p := range []Policy{PolicyINV, PolicyUPD, PolicyUNC} {
+	for _, p := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			h := newH(t)
 			a := h.addrAtHome(1, 0)
 			h.sys.SetPolicy(a, p)
-			h.do(0, OpLL, a)
-			h.do(1, OpStore, a, 9)
-			req := Request{Op: OpSC, Addr: a, Val: 1}
-			if p == PolicyINV {
+			h.do(0, proto.OpLL, a)
+			h.do(1, proto.OpStore, a, 9)
+			req := Request{Op: proto.OpSC, Addr: a, Val: 1}
+			if p == proto.PolicyINV {
 				// nothing extra
 			}
 			if r := h.doReq(0, req); r.OK {
 				t.Fatal("SC succeeded after intervening write")
 			}
-			if r := h.do(2, OpLoad, a); r.Value != 9 {
+			if r := h.do(2, proto.OpLoad, a); r.Value != 9 {
 				t.Fatalf("value = %d, want 9", r.Value)
 			}
 		})
@@ -520,7 +521,7 @@ func TestSCFailsLocallyWithoutReservation(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
 	before := h.sys.Counters().SCFailLocal
-	r := h.do(0, OpSC, a, 1)
+	r := h.do(0, proto.OpSC, a, 1)
 	if r.OK || r.Chain != 0 {
 		t.Fatalf("bare SC = %+v, want local failure", r)
 	}
@@ -534,15 +535,15 @@ func TestSCFailsAfterSameWordWriteOfSameValue(t *testing.T) {
 	// same value that LL read (the pointer/ABA problem motivation).
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	h.do(0, OpLL, a)       // reads 0
-	h.do(1, OpStore, a, 0) // writes the same value
-	if r := h.do(0, OpSC, a, 1); r.OK {
+	h.do(0, proto.OpLL, a)       // reads 0
+	h.do(1, proto.OpStore, a, 0) // writes the same value
+	if r := h.do(0, proto.OpSC, a, 1); r.OK {
 		t.Fatal("SC succeeded despite intervening same-value write")
 	}
 }
 
 func TestConcurrentLLSCOnlyOneSucceeds(t *testing.T) {
-	for _, p := range []Policy{PolicyINV, PolicyUPD, PolicyUNC} {
+	for _, p := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			h := newH(t)
@@ -551,12 +552,12 @@ func TestConcurrentLLSCOnlyOneSucceeds(t *testing.T) {
 			// Everyone LLs, then everyone SCs.
 			llReqs := map[int]Request{}
 			for n := 0; n < 4; n++ {
-				llReqs[n] = Request{Op: OpLL, Addr: a}
+				llReqs[n] = Request{Op: proto.OpLL, Addr: a}
 			}
 			h.doAll(llReqs)
 			scReqs := map[int]Request{}
 			for n := 0; n < 4; n++ {
-				scReqs[n] = Request{Op: OpSC, Addr: a, Val: arch.Word(n + 1)}
+				scReqs[n] = Request{Op: proto.OpSC, Addr: a, Val: arch.Word(n + 1)}
 			}
 			res := h.doAll(scReqs)
 			wins := 0
@@ -570,7 +571,7 @@ func TestConcurrentLLSCOnlyOneSucceeds(t *testing.T) {
 			if wins != 1 {
 				t.Fatalf("%d SC winners, want exactly 1", wins)
 			}
-			if r := h.do(0, OpLoad, a); r.Value != arch.Word(winner+1) {
+			if r := h.do(0, proto.OpLoad, a); r.Value != arch.Word(winner+1) {
 				t.Fatalf("value %d, winner was %d", r.Value, winner)
 			}
 			h.drain()
@@ -582,11 +583,11 @@ func TestConcurrentLLSCOnlyOneSucceeds(t *testing.T) {
 func TestLLSCSecondSCAfterSuccessFails(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	h.do(0, OpLL, a)
-	if r := h.do(0, OpSC, a, 1); !r.OK {
+	h.do(0, proto.OpLL, a)
+	if r := h.do(0, proto.OpSC, a, 1); !r.OK {
 		t.Fatal("first SC failed")
 	}
-	if r := h.do(0, OpSC, a, 2); r.OK {
+	if r := h.do(0, proto.OpSC, a, 2); r.OK {
 		t.Fatal("second SC succeeded without a new LL")
 	}
 }
@@ -597,23 +598,23 @@ func TestLimitedReservationHint(t *testing.T) {
 		c.ResvLimit = 1
 	})
 	a := h.addrAtHome(1, 0)
-	h.sys.SetPolicy(a, PolicyUNC)
-	if h.do(0, OpLL, a); h.sys.caches[0].llHintFail {
+	h.sys.SetPolicy(a, proto.PolicyUNC)
+	if h.do(0, proto.OpLL, a); h.sys.caches[0].llHintFail {
 		t.Fatal("first LL hinted failure")
 	}
-	if h.do(2, OpLL, a); !h.sys.caches[2].llHintFail {
+	if h.do(2, proto.OpLL, a); !h.sys.caches[2].llHintFail {
 		t.Fatal("beyond-limit LL did not hint")
 	}
 	// The hinted node's SC fails locally, without network traffic.
 	msgsBefore := h.net.Stats().Messages
-	if r := h.do(2, OpSC, a, 5); r.OK || r.Chain != 0 {
+	if r := h.do(2, proto.OpSC, a, 5); r.OK || r.Chain != 0 {
 		t.Fatalf("hinted SC = %+v, want local fail", r)
 	}
 	if h.net.Stats().Messages != msgsBefore {
 		t.Fatal("hinted SC generated network traffic")
 	}
 	// The within-limit holder still succeeds.
-	if r := h.do(0, OpSC, a, 7); !r.OK {
+	if r := h.do(0, proto.OpSC, a, 7); !r.OK {
 		t.Fatal("within-limit SC failed")
 	}
 }
@@ -621,19 +622,19 @@ func TestLimitedReservationHint(t *testing.T) {
 func TestSerialSchemeBareSC(t *testing.T) {
 	h := newH(t, func(c *Config) { c.ResvScheme = dir.ResvSerial })
 	a := h.addrAtHome(1, 0)
-	h.sys.SetPolicy(a, PolicyUNC)
-	r := h.do(0, OpLL, a)
+	h.sys.SetPolicy(a, proto.PolicyUNC)
+	r := h.do(0, proto.OpLL, a)
 	serial := r.Serial
 	// A bare SC from another processor carrying the current serial
 	// succeeds: no explicit reservation is needed under this scheme.
-	if r := h.doReq(1, Request{Op: OpSC, Addr: a, Val: 5, Val2: serial}); !r.OK {
+	if r := h.doReq(1, Request{Op: proto.OpSC, Addr: a, Val: 5, Val2: serial}); !r.OK {
 		t.Fatal("bare SC with current serial failed")
 	}
 	// The original holder's SC now fails: the serial advanced.
-	if r := h.doReq(0, Request{Op: OpSC, Addr: a, Val: 9, Val2: serial}); r.OK {
+	if r := h.doReq(0, Request{Op: proto.OpSC, Addr: a, Val: 9, Val2: serial}); r.OK {
 		t.Fatal("stale-serial SC succeeded")
 	}
-	if r := h.do(2, OpLoad, a); r.Value != 5 {
+	if r := h.do(2, proto.OpLoad, a); r.Value != 5 {
 		t.Fatalf("value = %d", r.Value)
 	}
 }
@@ -643,12 +644,12 @@ func TestSerialSchemeBareSC(t *testing.T) {
 func TestLoadExclusiveMakesCASLocal(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	r := h.do(0, OpLoadExclusive, a)
+	r := h.do(0, proto.OpLoadExclusive, a)
 	if r.Value != 0 {
 		t.Fatalf("load_exclusive = %+v", r)
 	}
 	// The subsequent CAS hits the exclusive copy: zero chain.
-	r = h.do(0, OpCAS, a, 0, 1)
+	r = h.do(0, proto.OpCAS, a, 0, 1)
 	if !r.OK || r.Chain != 0 {
 		t.Fatalf("CAS after load_exclusive = %+v, want local success", r)
 	}
@@ -657,14 +658,14 @@ func TestLoadExclusiveMakesCASLocal(t *testing.T) {
 func TestDropCopyExclusiveShortensNextRemoteStore(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
-	h.do(0, OpStore, a, 1)
-	h.do(0, OpDropCopy, a)
+	h.do(0, proto.OpStore, a, 1)
+	h.do(0, proto.OpDropCopy, a)
 	h.drain() // let the write-back land
-	r := h.do(1, OpStore, a, 2)
+	r := h.do(1, proto.OpStore, a, 2)
 	if r.Chain != 2 {
 		t.Fatalf("store after drop chain = %d, want 2 (vs 4 without drop)", r.Chain)
 	}
-	if r := h.do(3, OpLoad, a); r.Value != 2 {
+	if r := h.do(3, proto.OpLoad, a); r.Value != 2 {
 		t.Fatalf("value = %d", r.Value)
 	}
 }
@@ -672,11 +673,11 @@ func TestDropCopyExclusiveShortensNextRemoteStore(t *testing.T) {
 func TestDropCopySharedRemovesSharer(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
-	h.do(0, OpLoad, a)
-	h.do(1, OpLoad, a)
-	h.do(0, OpDropCopy, a)
+	h.do(0, proto.OpLoad, a)
+	h.do(1, proto.OpLoad, a)
+	h.do(0, proto.OpDropCopy, a)
 	h.drain()
-	r := h.do(3, OpStore, a, 1)
+	r := h.do(3, proto.OpStore, a, 1)
 	// Only node 1 still shares: chain stays 3, but exactly one
 	// invalidation was sent.
 	if r.Chain != 3 {
@@ -691,7 +692,7 @@ func TestDropCopyAbsentLineIsNoop(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
 	msgs := h.net.Stats().Messages
-	r := h.do(0, OpDropCopy, a)
+	r := h.do(0, proto.OpDropCopy, a)
 	if !r.OK {
 		t.Fatal("drop of absent line failed")
 	}
@@ -706,15 +707,15 @@ func TestDropCopyRaceWithRecallRecovers(t *testing.T) {
 	// exclusivity. The paper: the home NAKs the requester, which retries.
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
-	h.do(0, OpStore, a, 1)
+	h.do(0, proto.OpStore, a, 1)
 	res := h.doAll(map[int]Request{
-		0: {Op: OpDropCopy, Addr: a},
-		1: {Op: OpStore, Addr: a, Val: 2},
+		0: {Op: proto.OpDropCopy, Addr: a},
+		1: {Op: proto.OpStore, Addr: a, Val: 2},
 	})
 	if !res[1].OK {
 		t.Fatal("store lost in drop/recall race")
 	}
-	if r := h.do(3, OpLoad, a); r.Value != 2 {
+	if r := h.do(3, proto.OpLoad, a); r.Value != 2 {
 		t.Fatalf("value = %d, want 2", r.Value)
 	}
 	h.drain()
@@ -726,11 +727,11 @@ func TestDropCopyRaceWithRecallRecovers(t *testing.T) {
 func TestUPDUpdatesSharedCopiesInPlace(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
-	h.sys.SetPolicy(a, PolicyUPD)
-	h.do(0, OpLoad, a) // node 0 caches
-	h.do(1, OpStore, a, 77)
+	h.sys.SetPolicy(a, proto.PolicyUPD)
+	h.do(0, proto.OpLoad, a) // node 0 caches
+	h.do(1, proto.OpStore, a, 77)
 	// Node 0's copy was updated, not invalidated: hit with the new value.
-	r := h.do(0, OpLoad, a)
+	r := h.do(0, proto.OpLoad, a)
 	if r.Value != 77 || r.Chain != 0 {
 		t.Fatalf("post-update read = %+v, want hit of 77", r)
 	}
@@ -739,9 +740,9 @@ func TestUPDUpdatesSharedCopiesInPlace(t *testing.T) {
 func TestUPDWriterRetainsSharedCopy(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
-	h.sys.SetPolicy(a, PolicyUPD)
-	h.do(1, OpStore, a, 5)
-	r := h.do(1, OpLoad, a)
+	h.sys.SetPolicy(a, proto.PolicyUPD)
+	h.do(1, proto.OpStore, a, 5)
+	r := h.do(1, proto.OpLoad, a)
 	if r.Chain != 0 || r.Value != 5 {
 		t.Fatalf("writer's read = %+v, want local hit", r)
 	}
@@ -750,13 +751,13 @@ func TestUPDWriterRetainsSharedCopy(t *testing.T) {
 func TestUPDLLGoesToMemoryEvenWhenCached(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
-	h.sys.SetPolicy(a, PolicyUPD)
-	h.do(0, OpLoad, a) // cached locally
-	r := h.do(0, OpLL, a)
+	h.sys.SetPolicy(a, proto.PolicyUPD)
+	h.do(0, proto.OpLoad, a) // cached locally
+	r := h.do(0, proto.OpLL, a)
 	if r.Chain == 0 {
 		t.Fatal("UPD LL satisfied locally; reservations live at memory")
 	}
-	if r2 := h.do(0, OpSC, a, 3); !r2.OK {
+	if r2 := h.do(0, proto.OpSC, a, 3); !r2.OK {
 		t.Fatalf("SC after LL failed: %+v", r2)
 	}
 }
@@ -764,12 +765,12 @@ func TestUPDLLGoesToMemoryEvenWhenCached(t *testing.T) {
 func TestUPDFetchAddUpdatesAllCopies(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(3, 0)
-	h.sys.SetPolicy(a, PolicyUPD)
-	h.do(0, OpLoad, a)
-	h.do(1, OpLoad, a)
-	h.do(2, OpFetchAdd, a, 10)
+	h.sys.SetPolicy(a, proto.PolicyUPD)
+	h.do(0, proto.OpLoad, a)
+	h.do(1, proto.OpLoad, a)
+	h.do(2, proto.OpFetchAdd, a, 10)
 	for n := 0; n < 2; n++ {
-		r := h.do(n, OpLoad, a)
+		r := h.do(n, proto.OpLoad, a)
 		if r.Value != 10 || r.Chain != 0 {
 			t.Fatalf("node %d read = %+v, want updated hit", n, r)
 		}
@@ -781,14 +782,14 @@ func TestUPDFetchAddUpdatesAllCopies(t *testing.T) {
 func TestUNCNeverCaches(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	h.sys.SetPolicy(a, PolicyUNC)
-	h.do(0, OpStore, a, 3)
-	h.do(0, OpLoad, a)
+	h.sys.SetPolicy(a, proto.PolicyUNC)
+	h.do(0, proto.OpStore, a, 3)
+	h.do(0, proto.OpLoad, a)
 	if h.sys.Cache(0).CacheArray().Peek(a) != nil {
 		t.Fatal("UNC data found in a cache")
 	}
 	// Every access goes to memory: same chain every time.
-	if r := h.do(0, OpLoad, a); r.Chain != 2 {
+	if r := h.do(0, proto.OpLoad, a); r.Chain != 2 {
 		t.Fatalf("UNC load chain = %d, want 2", r.Chain)
 	}
 }
@@ -796,14 +797,14 @@ func TestUNCNeverCaches(t *testing.T) {
 func TestUNCAlternatingWritersConstantCost(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(3, 0)
-	h.sys.SetPolicy(a, PolicyUNC)
+	h.sys.SetPolicy(a, proto.PolicyUNC)
 	for i := 0; i < 6; i++ {
-		r := h.do(i%2, OpFetchAdd, a, 1)
+		r := h.do(i%2, proto.OpFetchAdd, a, 1)
 		if r.Chain != 2 {
 			t.Fatalf("UNC FAA chain = %d, want 2", r.Chain)
 		}
 	}
-	if r := h.do(0, OpLoad, a); r.Value != 6 {
+	if r := h.do(0, proto.OpLoad, a); r.Value != 6 {
 		t.Fatalf("counter = %d", r.Value)
 	}
 }
@@ -815,7 +816,7 @@ func TestContentionHistogramRecordsConcurrency(t *testing.T) {
 	a := h.addrAtHome(0, 0)
 	reqs := map[int]Request{}
 	for n := 0; n < 4; n++ {
-		reqs[n] = Request{Op: OpFetchAdd, Addr: a, Val: 1}
+		reqs[n] = Request{Op: proto.OpFetchAdd, Addr: a, Val: 1}
 	}
 	h.doAll(reqs)
 	hist := h.sys.Contention().Histogram()
@@ -831,9 +832,9 @@ func TestWriteRunTracking(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(0, 0)
 	// Two consecutive atomic updates by node 0, then one by node 1.
-	h.do(0, OpFetchAdd, a, 1)
-	h.do(0, OpFetchAdd, a, 1)
-	h.do(1, OpFetchAdd, a, 1)
+	h.do(0, proto.OpFetchAdd, a, 1)
+	h.do(0, proto.OpFetchAdd, a, 1)
+	h.do(1, proto.OpFetchAdd, a, 1)
 	wr := h.sys.WriteRuns()
 	wr.Flush()
 	if wr.Histogram().Count(2) != 1 || wr.Histogram().Count(1) != 1 {
@@ -847,8 +848,8 @@ func TestWriteRunTracking(t *testing.T) {
 // with random operations and validates linearizability of the counter
 // words, coherence invariants, and liveness.
 func TestStressRandomOpsAllPolicies(t *testing.T) {
-	policies := []Policy{PolicyINV, PolicyUPD, PolicyUNC}
-	variants := []CASVariant{CASPlain, CASDeny, CASShare}
+	policies := []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC}
+	variants := []proto.CASVariant{proto.CASPlain, proto.CASDeny, proto.CASShare}
 	for _, p := range policies {
 		for _, v := range variants {
 			p, v := p, v
@@ -859,7 +860,7 @@ func TestStressRandomOpsAllPolicies(t *testing.T) {
 	}
 }
 
-func stressOnce(t *testing.T, p Policy, v CASVariant, seed uint64) {
+func stressOnce(t *testing.T, p proto.Policy, v proto.CASVariant, seed uint64) {
 	h := newH(t, func(c *Config) { c.CAS = v })
 	const nodes = 4
 	counter := h.addrAtHome(1, 0)
@@ -893,13 +894,13 @@ func stressOnce(t *testing.T, p Policy, v CASVariant, seed uint64) {
 		}
 		switch r.Intn(6) {
 		case 0: // fetch_and_add on the counter
-			issue(Request{Op: OpFetchAdd, Addr: counter, Val: 1}, func(Result) { succIncr++ })
+			issue(Request{Op: proto.OpFetchAdd, Addr: counter, Val: 1}, func(Result) { succIncr++ })
 		case 1: // CAS-increment attempt (one shot; count only successes)
 			h.sys.Cache(mesh.NodeID(n)).Issue(Request{
-				Op: OpLoad, Addr: counter,
+				Op: proto.OpLoad, Addr: counter,
 				Done: func(lr Result) {
 					h.sys.Cache(mesh.NodeID(n)).Issue(Request{
-						Op: OpCAS, Addr: counter, Val: lr.Value, Val2: lr.Value + 1,
+						Op: proto.OpCAS, Addr: counter, Val: lr.Value, Val2: lr.Value + 1,
 						Done: func(cr Result) {
 							if cr.OK {
 								succIncr++
@@ -912,10 +913,10 @@ func stressOnce(t *testing.T, p Policy, v CASVariant, seed uint64) {
 			return
 		case 2: // LL/SC increment attempt
 			h.sys.Cache(mesh.NodeID(n)).Issue(Request{
-				Op: OpLL, Addr: counter,
+				Op: proto.OpLL, Addr: counter,
 				Done: func(lr Result) {
 					h.sys.Cache(mesh.NodeID(n)).Issue(Request{
-						Op: OpSC, Addr: counter, Val: lr.Value + 1, Val2: lr.Serial,
+						Op: proto.OpSC, Addr: counter, Val: lr.Value + 1, Val2: lr.Serial,
 						Done: func(sr Result) {
 							if sr.OK {
 								succIncr++
@@ -927,11 +928,11 @@ func stressOnce(t *testing.T, p Policy, v CASVariant, seed uint64) {
 			})
 			return
 		case 3: // unrelated traffic
-			issue(Request{Op: OpStore, Addr: other, Val: arch.Word(r.Intn(1000))}, nil)
+			issue(Request{Op: proto.OpStore, Addr: other, Val: arch.Word(r.Intn(1000))}, nil)
 		case 4:
-			issue(Request{Op: OpLoad, Addr: other}, nil)
+			issue(Request{Op: proto.OpLoad, Addr: other}, nil)
 		case 5:
-			issue(Request{Op: OpDropCopy, Addr: counter}, nil)
+			issue(Request{Op: proto.OpDropCopy, Addr: counter}, nil)
 		}
 	}
 
@@ -951,7 +952,7 @@ func stressOnce(t *testing.T, p Policy, v CASVariant, seed uint64) {
 		}
 	}
 	h.drain()
-	final := h.do(0, OpLoad, counter)
+	final := h.do(0, proto.OpLoad, counter)
 	if int(final.Value) != succIncr {
 		t.Fatalf("counter = %d but %d successful increments", final.Value, succIncr)
 	}
@@ -967,10 +968,10 @@ func TestStress64Nodes(t *testing.T) {
 	a := h.addrAtHome(17, 0)
 	reqs := map[int]Request{}
 	for n := 0; n < 64; n++ {
-		reqs[n] = Request{Op: OpFetchAdd, Addr: a, Val: 1}
+		reqs[n] = Request{Op: proto.OpFetchAdd, Addr: a, Val: 1}
 	}
 	h.doAll(reqs)
-	if r := h.do(0, OpLoad, a); r.Value != 64 {
+	if r := h.do(0, proto.OpLoad, a); r.Value != 64 {
 		t.Fatalf("counter = %d, want 64", r.Value)
 	}
 	h.drain()
@@ -978,24 +979,6 @@ func TestStress64Nodes(t *testing.T) {
 }
 
 // ------------------------------------------------------------ misc ------
-
-func TestPolicyAndVariantNames(t *testing.T) {
-	if PolicyINV.String() != "INV" || PolicyUPD.String() != "UPD" || PolicyUNC.String() != "UNC" {
-		t.Fatal("policy names wrong")
-	}
-	if CASPlain.String() != "INV" || CASDeny.String() != "INVd" || CASShare.String() != "INVs" {
-		t.Fatal("variant names wrong")
-	}
-}
-
-func TestOpNamesAndClasses(t *testing.T) {
-	if OpCAS.String() != "compare_and_swap" || OpLL.String() != "load_linked" {
-		t.Fatal("op names wrong")
-	}
-	if !OpCAS.IsAtomic() || !OpLL.IsAtomic() || OpLoad.IsAtomic() || OpDropCopy.IsAtomic() {
-		t.Fatal("IsAtomic misclassifies")
-	}
-}
 
 func TestHomeOfInterleavesBlocks(t *testing.T) {
 	h := newH(t)
@@ -1018,8 +1001,8 @@ func TestIssueWhileBusyPanics(t *testing.T) {
 	}()
 	h.eng.At(0, func() {
 		c := h.sys.Cache(0)
-		c.Issue(Request{Op: OpLoad, Addr: a})
-		c.Issue(Request{Op: OpLoad, Addr: a})
+		c.Issue(Request{Op: proto.OpLoad, Addr: a})
+		c.Issue(Request{Op: proto.OpLoad, Addr: a})
 	})
 	for h.eng.Step() {
 	}
@@ -1031,10 +1014,10 @@ func TestNakAndRetryCountersMove(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
 	for i := 0; i < 10; i++ {
-		h.do(0, OpStore, a, 1)
+		h.do(0, proto.OpStore, a, 1)
 		h.doAll(map[int]Request{
-			0: {Op: OpDropCopy, Addr: a},
-			1: {Op: OpStore, Addr: a, Val: 2},
+			0: {Op: proto.OpDropCopy, Addr: a},
+			1: {Op: proto.OpStore, Addr: a, Val: 2},
 		})
 	}
 	c := h.sys.Counters()

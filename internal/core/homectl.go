@@ -190,7 +190,7 @@ func (h *HomeCtl) guard(g proto.HomeGuard, m *msg, base arch.Addr, e *dir.Entry)
 	case proto.HGCASMatch:
 		return h.mod.ReadWord(m.addr) == m.val
 	case proto.HGCASShare:
-		return h.sys.cfg.CAS == CASShare
+		return h.sys.cfg.CAS == proto.CASShare
 	case proto.HGBusyBlock:
 		return h.txn(base).active
 	case proto.HGFromOwnerOrig:
@@ -214,7 +214,7 @@ func (h *HomeCtl) apply(a proto.HAct, m *msg, base arch.Addr, e *dir.Entry) {
 		e.State = dir.Shared
 		e.Sharers.Add(m.requester)
 		r := h.sys.newMsg()
-		*r = msg{kind: mDataS, data: h.mod.ReadBlock(base), hasData: true}
+		*r = msg{kind: proto.KDataS, data: h.mod.ReadBlock(base), hasData: true}
 		h.reply(m, r)
 
 	case proto.HGrantE:
@@ -231,19 +231,19 @@ func (h *HomeCtl) apply(a proto.HAct, m *msg, base arch.Addr, e *dir.Entry) {
 	case proto.HSCFail:
 		// Exclusive elsewhere or unowned: fail, per the paper's protocol.
 		r := h.sys.newMsg()
-		*r = msg{kind: mSCFail}
+		*r = msg{kind: proto.KSCFail}
 		h.reply(m, r)
 
 	case proto.HCASFail:
 		fail := h.sys.newMsg()
-		*fail = msg{kind: mCASFail, val: h.mod.ReadWord(m.addr)}
+		*fail = msg{kind: proto.KCASFail, val: h.mod.ReadWord(m.addr)}
 		h.reply(m, fail)
 
 	case proto.HCASFailShare:
 		// INVs: a failed comparison still hands the requester a read-only
 		// copy, so its next attempt can compare locally.
 		fail := h.sys.newMsg()
-		*fail = msg{kind: mCASFail, val: h.mod.ReadWord(m.addr)}
+		*fail = msg{kind: proto.KCASFail, val: h.mod.ReadWord(m.addr)}
 		e.State = dir.Shared
 		e.Sharers.Add(m.requester)
 		fail.data = h.mod.ReadBlock(base)
@@ -256,7 +256,7 @@ func (h *HomeCtl) apply(a proto.HAct, m *msg, base arch.Addr, e *dir.Entry) {
 
 	case proto.HUncReply:
 		r := h.sys.newMsg()
-		*r = msg{kind: mUncReply, val: h.exVal, ok: h.exOK, serial: h.exSerial, hint: h.exHint}
+		*r = msg{kind: proto.KUncReply, val: h.exVal, ok: h.exOK, serial: h.exSerial, hint: h.exHint}
 		h.reply(m, r)
 
 	case proto.HUpdFanout:
@@ -276,7 +276,7 @@ func (h *HomeCtl) apply(a proto.HAct, m *msg, base arch.Addr, e *dir.Entry) {
 				h.sys.counters.Updates++
 				upd := h.sys.newMsg()
 				*upd = msg{
-					kind: mUpdate, addr: m.addr, requester: m.requester,
+					kind: proto.KUpdate, addr: m.addr, requester: m.requester,
 					updWord: newWord, chain: m.chain,
 				}
 				h.sys.send(h.node, n, upd, false)
@@ -289,7 +289,7 @@ func (h *HomeCtl) apply(a proto.HAct, m *msg, base arch.Addr, e *dir.Entry) {
 		e.Sharers.Add(m.requester)
 		r := h.sys.newMsg()
 		*r = msg{
-			kind: mUpdReply, val: h.exVal, ok: h.exOK, serial: h.exSerial, hint: h.exHint,
+			kind: proto.KUpdReply, val: h.exVal, ok: h.exOK, serial: h.exSerial, hint: h.exHint,
 			data: h.mod.ReadBlock(base), hasData: true, acks: h.exAcks,
 		}
 		h.reply(m, r)
@@ -336,7 +336,7 @@ func (h *HomeCtl) apply(a proto.HAct, m *msg, base arch.Addr, e *dir.Entry) {
 			panic(fmt.Sprintf("core: home %d got %v for %#x in state %v from %d",
 				h.node, m.kind, base, ent.State, m.src))
 		}
-		if m.kind != mWB {
+		if m.kind != proto.KWB {
 			panic(fmt.Sprintf("core: unexpected %v outside a recall", m.kind))
 		}
 		h.mod.WriteBlock(base, m.data)
@@ -388,14 +388,14 @@ func (h *HomeCtl) reply(m *msg, r *msg) {
 
 func (h *HomeCtl) nak(m *msg) {
 	r := h.sys.newMsg()
-	*r = msg{kind: mNak}
+	*r = msg{kind: proto.KNak}
 	h.reply(m, r)
 }
 
 // recall puts the block in the busy state and asks the current owner for
-// the data (or, for mCASFwd, for an owner-side comparison). It takes
+// the data (or, for KCASFwd, for an owner-side comparison). It takes
 // ownership of m, holding it for replay when the data arrives.
-func (h *HomeCtl) recall(m *msg, base arch.Addr, owner mesh.NodeID, kind msgKind) {
+func (h *HomeCtl) recall(m *msg, base arch.Addr, owner mesh.NodeID, kind proto.MsgKind) {
 	*h.txn(base) = homeTxn{active: true, owner: owner, orig: m}
 	h.retained = true
 	fwd := h.sys.newMsg()
@@ -420,7 +420,7 @@ func (h *HomeCtl) grantExclusive(m *msg, base arch.Addr, e *dir.Entry, scGrant b
 		}
 		h.sys.counters.Invals++
 		inv := h.sys.newMsg()
-		*inv = msg{kind: mInval, addr: m.addr, requester: m.requester, chain: m.chain}
+		*inv = msg{kind: proto.KInval, addr: m.addr, requester: m.requester, chain: m.chain}
 		h.sys.send(h.node, n, inv, false)
 	}
 	e.State = dir.Exclusive
@@ -428,7 +428,7 @@ func (h *HomeCtl) grantExclusive(m *msg, base arch.Addr, e *dir.Entry, scGrant b
 	e.Owner = m.requester
 	r := h.sys.newMsg()
 	*r = msg{
-		kind: mDataE, data: h.mod.ReadBlock(base), hasData: true,
+		kind: proto.KDataE, data: h.mod.ReadBlock(base), hasData: true,
 		acks: acks, ok: scGrant,
 	}
 	h.reply(m, r)
@@ -447,29 +447,29 @@ func (h *HomeCtl) execMem(e *dir.Entry, m *msg) (val arch.Word, ok, wrote bool, 
 		}
 	}
 	switch m.op {
-	case OpLoad, OpLoadExclusive:
+	case proto.OpLoad, proto.OpLoadExclusive:
 		// Reads; load_exclusive degenerates to a load at memory.
-	case OpStore:
+	case proto.OpStore:
 		write(m.val)
-	case OpFetchAdd:
+	case proto.OpFetchAdd:
 		write(old + m.val)
-	case OpFetchStore:
+	case proto.OpFetchStore:
 		write(m.val)
-	case OpFetchOr:
+	case proto.OpFetchOr:
 		write(old | m.val)
-	case OpTestAndSet:
+	case proto.OpTestAndSet:
 		write(1)
-	case OpCAS:
+	case proto.OpCAS:
 		if old == m.val {
 			write(m.val2)
 		} else {
 			ok = false
 		}
-	case OpLL:
+	case proto.OpLL:
 		rs := h.reservations(e)
 		hint = !rs.Reserve(m.requester)
 		serial = rs.Serial()
-	case OpSC:
+	case proto.OpSC:
 		rs := h.reservations(e)
 		if rs.Validate(m.requester, m.val2) {
 			write(m.val)

@@ -5,6 +5,7 @@ import (
 
 	"dsm/internal/arch"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -18,7 +19,7 @@ import (
 // TestLitmusMessagePassing: proc0 writes data then flag; proc1 reads flag
 // then data. Forbidden: flag=1 with data=0.
 func TestLitmusMessagePassing(t *testing.T) {
-	for _, pol := range []Policy{PolicyINV, PolicyUPD, PolicyUNC} {
+	for _, pol := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			for skew := 0; skew < 40; skew += 3 {
@@ -32,18 +33,18 @@ func TestLitmusMessagePassing(t *testing.T) {
 				remaining := 2
 				// Proc 0: data=1; flag=1 (sequential, blocking).
 				h.eng.At(0, func() {
-					h.sys.Cache(0).Issue(Request{Op: OpStore, Addr: data, Val: 1,
+					h.sys.Cache(0).Issue(Request{Op: proto.OpStore, Addr: data, Val: 1,
 						Done: func(Result) {
-							h.sys.Cache(0).Issue(Request{Op: OpStore, Addr: flag, Val: 1,
+							h.sys.Cache(0).Issue(Request{Op: proto.OpStore, Addr: flag, Val: 1,
 								Done: func(Result) { remaining-- }})
 						}})
 				})
 				// Proc 1: r1=flag; r2=data.
 				h.eng.At(sim0(skew), func() {
-					h.sys.Cache(1).Issue(Request{Op: OpLoad, Addr: flag,
+					h.sys.Cache(1).Issue(Request{Op: proto.OpLoad, Addr: flag,
 						Done: func(r1 Result) {
 							rFlag = r1.Value
-							h.sys.Cache(1).Issue(Request{Op: OpLoad, Addr: data,
+							h.sys.Cache(1).Issue(Request{Op: proto.OpLoad, Addr: data,
 								Done: func(r2 Result) {
 									rData = r2.Value
 									remaining--
@@ -67,7 +68,7 @@ func TestLitmusMessagePassing(t *testing.T) {
 // TestLitmusStoreBuffering: proc0 writes x, reads y; proc1 writes y,
 // reads x. Forbidden under SC: both read 0.
 func TestLitmusStoreBuffering(t *testing.T) {
-	for _, pol := range []Policy{PolicyINV, PolicyUPD, PolicyUNC} {
+	for _, pol := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			for skew := 0; skew < 40; skew += 3 {
@@ -80,16 +81,16 @@ func TestLitmusStoreBuffering(t *testing.T) {
 				var r0, r1 arch.Word
 				remaining := 2
 				h.eng.At(0, func() {
-					h.sys.Cache(0).Issue(Request{Op: OpStore, Addr: x, Val: 1,
+					h.sys.Cache(0).Issue(Request{Op: proto.OpStore, Addr: x, Val: 1,
 						Done: func(Result) {
-							h.sys.Cache(0).Issue(Request{Op: OpLoad, Addr: y,
+							h.sys.Cache(0).Issue(Request{Op: proto.OpLoad, Addr: y,
 								Done: func(r Result) { r0 = r.Value; remaining-- }})
 						}})
 				})
 				h.eng.At(sim0(skew), func() {
-					h.sys.Cache(1).Issue(Request{Op: OpStore, Addr: y, Val: 1,
+					h.sys.Cache(1).Issue(Request{Op: proto.OpStore, Addr: y, Val: 1,
 						Done: func(Result) {
-							h.sys.Cache(1).Issue(Request{Op: OpLoad, Addr: x,
+							h.sys.Cache(1).Issue(Request{Op: proto.OpLoad, Addr: x,
 								Done: func(r Result) { r1 = r.Value; remaining-- }})
 						}})
 				})
@@ -112,7 +113,7 @@ func TestLitmusStoreBuffering(t *testing.T) {
 // each reading the location twice: readers must not see the two values in
 // opposite orders.
 func TestLitmusCoherence(t *testing.T) {
-	for _, pol := range []Policy{PolicyINV, PolicyUPD, PolicyUNC} {
+	for _, pol := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			for skew := 0; skew < 30; skew += 5 {
@@ -123,15 +124,15 @@ func TestLitmusCoherence(t *testing.T) {
 				remaining := 4
 				store := func(node int, v arch.Word, at int) {
 					h.eng.At(sim0(at), func() {
-						h.sys.Cache(nodeOf(node)).Issue(Request{Op: OpStore, Addr: x, Val: v,
+						h.sys.Cache(nodeOf(node)).Issue(Request{Op: proto.OpStore, Addr: x, Val: v,
 							Done: func(Result) { remaining-- }})
 					})
 				}
 				read2 := func(node, idx, at int) {
 					h.eng.At(sim0(at), func() {
-						h.sys.Cache(nodeOf(node)).Issue(Request{Op: OpLoad, Addr: x,
+						h.sys.Cache(nodeOf(node)).Issue(Request{Op: proto.OpLoad, Addr: x,
 							Done: func(a Result) {
-								h.sys.Cache(nodeOf(node)).Issue(Request{Op: OpLoad, Addr: x,
+								h.sys.Cache(nodeOf(node)).Issue(Request{Op: proto.OpLoad, Addr: x,
 									Done: func(b Result) {
 										r[idx][0], r[idx][1] = a.Value, b.Value
 										remaining--
@@ -165,7 +166,7 @@ func TestLitmusCoherence(t *testing.T) {
 // racing store such that the add is lost entirely and the counter exceeds
 // all writes. Enumerate skews for FAA vs store.
 func TestLitmusAtomicityRMW(t *testing.T) {
-	for _, pol := range []Policy{PolicyINV, PolicyUPD, PolicyUNC} {
+	for _, pol := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			for skew := 0; skew < 60; skew += 4 {
@@ -174,11 +175,11 @@ func TestLitmusAtomicityRMW(t *testing.T) {
 				h.sys.SetPolicy(x, pol)
 				remaining := 2
 				h.eng.At(0, func() {
-					h.sys.Cache(0).Issue(Request{Op: OpFetchAdd, Addr: x, Val: 1,
+					h.sys.Cache(0).Issue(Request{Op: proto.OpFetchAdd, Addr: x, Val: 1,
 						Done: func(Result) { remaining-- }})
 				})
 				h.eng.At(sim0(skew), func() {
-					h.sys.Cache(1).Issue(Request{Op: OpStore, Addr: x, Val: 10,
+					h.sys.Cache(1).Issue(Request{Op: proto.OpStore, Addr: x, Val: 10,
 						Done: func(Result) { remaining-- }})
 				})
 				for remaining > 0 {
@@ -187,7 +188,7 @@ func TestLitmusAtomicityRMW(t *testing.T) {
 					}
 				}
 				h.drain()
-				v := h.do(2, OpLoad, x).Value
+				v := h.do(2, proto.OpLoad, x).Value
 				// Legal final values: 11 (store then add) or 10 (add then
 				// store). 1 would mean the store was lost; anything else
 				// means atomicity broke.

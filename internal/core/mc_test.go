@@ -7,6 +7,7 @@ import (
 	"dsm/internal/arch"
 	"dsm/internal/dir"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 )
 
 // mcClean checks cfg and fails the test on any violation not documented as
@@ -27,15 +28,15 @@ func mcProgs(ps ...[]mcOp) [][]mcOp { return ps }
 func mcSeq(ops ...mcOp) []mcOp      { return ops }
 
 var (
-	mcLoad   = mcOp{op: OpLoad}
-	mcLoadEx = mcOp{op: OpLoadExclusive}
-	mcLL     = mcOp{op: OpLL}
+	mcLoad   = mcOp{op: proto.OpLoad}
+	mcLoadEx = mcOp{op: proto.OpLoadExclusive}
+	mcLL     = mcOp{op: proto.OpLL}
 )
 
-func mcSCOp(v uint32) mcOp            { return mcOp{op: OpSC, val: arch.Word(v), val2: mcUseLLSerial} }
-func mcStore(v uint32) mcOp           { return mcOp{op: OpStore, val: arch.Word(v)} }
-func mcCASOp(e, n uint32) mcOp        { return mcOp{op: OpCAS, val: arch.Word(e), val2: arch.Word(n)} }
-func mcOpVal(k OpKind, v uint32) mcOp { return mcOp{op: k, val: arch.Word(v)} }
+func mcSCOp(v uint32) mcOp                  { return mcOp{op: proto.OpSC, val: arch.Word(v), val2: mcUseLLSerial} }
+func mcStore(v uint32) mcOp                 { return mcOp{op: proto.OpStore, val: arch.Word(v)} }
+func mcCASOp(e, n uint32) mcOp              { return mcOp{op: proto.OpCAS, val: arch.Word(e), val2: arch.Word(n)} }
+func mcOpVal(k proto.OpKind, v uint32) mcOp { return mcOp{op: k, val: arch.Word(v)} }
 
 // mcPrimitives are the two-node programs of the exhaustive sweep: at most
 // two outstanding operations per node, one primitive family each.
@@ -46,21 +47,21 @@ var mcPrimitives = []struct {
 	{"store-store", mcProgs(mcSeq(mcStore(5)), mcSeq(mcStore(9)))},
 	{"store-vs-loads", mcProgs(mcSeq(mcStore(5)), mcSeq(mcLoad, mcLoad))},
 	{"load-exclusive", mcProgs(mcSeq(mcLoadEx, mcLoad), mcSeq(mcLoadEx))},
-	{"fetch-add", mcProgs(mcSeq(mcOpVal(OpFetchAdd, 1), mcLoad), mcSeq(mcOpVal(OpFetchAdd, 1)))},
-	{"fetch-store", mcProgs(mcSeq(mcOpVal(OpFetchStore, 5)), mcSeq(mcOpVal(OpFetchStore, 9)))},
-	{"fetch-or", mcProgs(mcSeq(mcOpVal(OpFetchOr, 1)), mcSeq(mcOpVal(OpFetchOr, 2)))},
-	{"test-and-set", mcProgs(mcSeq(mcOp{op: OpTestAndSet}, mcLoad), mcSeq(mcOp{op: OpTestAndSet}))},
+	{"fetch-add", mcProgs(mcSeq(mcOpVal(proto.OpFetchAdd, 1), mcLoad), mcSeq(mcOpVal(proto.OpFetchAdd, 1)))},
+	{"fetch-store", mcProgs(mcSeq(mcOpVal(proto.OpFetchStore, 5)), mcSeq(mcOpVal(proto.OpFetchStore, 9)))},
+	{"fetch-or", mcProgs(mcSeq(mcOpVal(proto.OpFetchOr, 1)), mcSeq(mcOpVal(proto.OpFetchOr, 2)))},
+	{"test-and-set", mcProgs(mcSeq(mcOp{op: proto.OpTestAndSet}, mcLoad), mcSeq(mcOp{op: proto.OpTestAndSet}))},
 	{"cas-race", mcProgs(mcSeq(mcCASOp(0, 1)), mcSeq(mcCASOp(0, 2)))},
 	{"cas-vs-owner", mcProgs(mcSeq(mcStore(3)), mcSeq(mcCASOp(3, 7)))},
 	{"cas-mismatch", mcProgs(mcSeq(mcStore(3)), mcSeq(mcCASOp(4, 7), mcLoad))},
-	{"drop-copy", mcProgs(mcSeq(mcStore(5), mcOp{op: OpDropCopy}), mcSeq(mcLoad))},
+	{"drop-copy", mcProgs(mcSeq(mcStore(5), mcOp{op: proto.OpDropCopy}), mcSeq(mcLoad))},
 	{"ll-sc", mcProgs(mcSeq(mcLL, mcSCOp(5)), mcSeq(mcLL, mcSCOp(9)))},
 }
 
 // mcTwoNode is a two-node config with the default CAS and reservation
 // scheme.
-func mcTwoNode(pol Policy, progs [][]mcOp) mcConfig {
-	return mcConfig{nodes: 2, policy: pol, cas: CASPlain, resv: dir.ResvBitVector, resvLimit: 4, progs: progs}
+func mcTwoNode(pol proto.Policy, progs [][]mcOp) mcConfig {
+	return mcConfig{nodes: 2, policy: pol, cas: proto.CASPlain, resv: dir.ResvBitVector, resvLimit: 4, progs: progs}
 }
 
 // TestMCTwoNodeAllPoliciesAllPrimitives is the exhaustive small-config
@@ -69,7 +70,7 @@ func mcTwoNode(pol Policy, progs [][]mcOp) mcConfig {
 // real-time read front, which the UPD window cannot break with a single
 // reader.
 func TestMCTwoNodeAllPoliciesAllPrimitives(t *testing.T) {
-	for _, pol := range []Policy{PolicyINV, PolicyUPD, PolicyUNC} {
+	for _, pol := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		for _, p := range mcPrimitives {
 			name := pol.String() + "/" + p.name
 			t.Run(name, func(t *testing.T) {
@@ -89,9 +90,9 @@ func TestMCCASVariants(t *testing.T) {
 		mcProgs(mcSeq(mcStore(3)), mcSeq(mcCASOp(4, 7), mcLoad)),
 		mcProgs(mcSeq(mcCASOp(0, 1)), mcSeq(mcCASOp(0, 2))),
 	}
-	for _, cas := range []CASVariant{CASPlain, CASDeny, CASShare} {
+	for _, cas := range []proto.CASVariant{proto.CASPlain, proto.CASDeny, proto.CASShare} {
 		for pi, progs := range progSets {
-			cfg := mcTwoNode(PolicyINV, progs)
+			cfg := mcTwoNode(proto.PolicyINV, progs)
 			cfg.cas = cas
 			rep := mcClean(t, cas.String(), cfg)
 			t.Logf("%s/progs%d: %d states", cas, pi, rep.states)
@@ -104,7 +105,7 @@ func TestMCCASVariants(t *testing.T) {
 // limit 1 (the beyond-limit hint makes the loser's SC fail locally).
 func TestMCReservationSchemes(t *testing.T) {
 	llsc := mcProgs(mcSeq(mcLL, mcSCOp(5)), mcSeq(mcLL, mcSCOp(9)))
-	for _, pol := range []Policy{PolicyUNC, PolicyUPD} {
+	for _, pol := range []proto.Policy{proto.PolicyUNC, proto.PolicyUPD} {
 		for _, rs := range []struct {
 			scheme dir.ResvScheme
 			limit  int
@@ -120,9 +121,9 @@ func TestMCReservationSchemes(t *testing.T) {
 
 // mcWindow is the three-node read-window program: n1 and n2 share the
 // block, n0 stores to it, n1 loads, and n2 runs reader.
-func mcWindow(pol Policy, reader ...mcOp) mcConfig {
+func mcWindow(pol proto.Policy, reader ...mcOp) mcConfig {
 	return mcConfig{
-		nodes: 3, policy: pol, cas: CASPlain, resv: dir.ResvBitVector, resvLimit: 4,
+		nodes: 3, policy: pol, cas: proto.CASPlain, resv: dir.ResvBitVector, resvLimit: 4,
 		progs:    mcProgs(mcSeq(mcStore(7)), mcSeq(mcLoad), reader),
 		preShare: []mesh.NodeID{1, 2},
 	}
@@ -164,18 +165,18 @@ func mcExpectWindow(t *testing.T, name string, cfg mcConfig, steps int) []string
 // load_exclusive (UPD) and load_linked (INV) forms are pinned too; an SC
 // after the stale load_linked must still fail.
 func TestMCUPDReadWindowThreeNodes(t *testing.T) {
-	upd := mcExpectWindow(t, "UPD/load", mcWindow(PolicyUPD, mcLoad), 5)
-	mcExpectWindow(t, "UPD/load_exclusive", mcWindow(PolicyUPD, mcLoadEx), 5)
-	inv := mcExpectWindow(t, "INV/load_linked", mcWindow(PolicyINV, mcLL), 11)
+	upd := mcExpectWindow(t, "UPD/load", mcWindow(proto.PolicyUPD, mcLoad), 5)
+	mcExpectWindow(t, "UPD/load_exclusive", mcWindow(proto.PolicyUPD, mcLoadEx), 5)
+	inv := mcExpectWindow(t, "INV/load_linked", mcWindow(proto.PolicyINV, mcLL), 11)
 	if len(inv) <= len(upd) {
 		t.Errorf("INV recall window should need a longer trace than UPD's %d steps", len(upd))
 	}
 
-	rep := mcCheck(mcWindow(PolicyINV, mcLoad))
+	rep := mcCheck(mcWindow(proto.PolicyINV, mcLoad))
 	for _, v := range rep.unexpected() {
 		t.Errorf("INV/load: unexpected violation:\n%v", v)
 	}
-	rep = mcCheck(mcWindow(PolicyINV, mcLL, mcSCOp(9)))
+	rep = mcCheck(mcWindow(proto.PolicyINV, mcLL, mcSCOp(9)))
 	for _, v := range rep.unexpected() {
 		t.Errorf("INV/load_linked+SC: unexpected violation:\n%v", v)
 	}
@@ -183,7 +184,7 @@ func TestMCUPDReadWindowThreeNodes(t *testing.T) {
 	// With a single reader the window needs no third node to observe the
 	// reorder, so two-node UPD stays clean: the reason the exhaustive
 	// two-node sweep passes for every primitive.
-	two := mcTwoNode(PolicyUPD, mcProgs(mcSeq(mcStore(7)), mcSeq(mcLoad, mcLoad)))
+	two := mcTwoNode(proto.PolicyUPD, mcProgs(mcSeq(mcStore(7)), mcSeq(mcLoad, mcLoad)))
 	two.preShare = []mesh.NodeID{1}
 	for _, v := range mcCheck(two).violations {
 		t.Errorf("two-node UPD must be clean, got:\n%v", v)
@@ -194,8 +195,8 @@ func TestMCUPDReadWindowThreeNodes(t *testing.T) {
 // store, an atomic, and loads through recall, replay, and eviction paths.
 func TestMCThreeNodeINVContention(t *testing.T) {
 	rep := mcClean(t, "inv-3", mcConfig{
-		nodes: 3, policy: PolicyINV, cas: CASPlain, resv: dir.ResvBitVector, resvLimit: 4,
-		progs:    mcProgs(mcSeq(mcStore(5)), mcSeq(mcOpVal(OpFetchAdd, 1)), mcSeq(mcLoad, mcLoad)),
+		nodes: 3, policy: proto.PolicyINV, cas: proto.CASPlain, resv: dir.ResvBitVector, resvLimit: 4,
+		progs:    mcProgs(mcSeq(mcStore(5)), mcSeq(mcOpVal(proto.OpFetchAdd, 1)), mcSeq(mcLoad, mcLoad)),
 		preShare: []mesh.NodeID{2},
 	})
 	t.Logf("inv-3: %d states, %d terminals", rep.states, rep.terminals)
@@ -205,8 +206,8 @@ func TestMCThreeNodeINVContention(t *testing.T) {
 // test_and_set always writes 1, so a value could re-enter the history if
 // any other write were mixed with it; it gets a family of its own.
 var (
-	mcFuzzOps    = []OpKind{OpLoad, OpStore, OpLoadExclusive, OpDropCopy, OpFetchAdd, OpFetchStore, OpFetchOr, OpCAS, OpLL, OpSC}
-	mcFuzzTASOps = []OpKind{OpLoad, OpLoadExclusive, OpDropCopy, OpTestAndSet, OpLL}
+	mcFuzzOps    = []proto.OpKind{proto.OpLoad, proto.OpStore, proto.OpLoadExclusive, proto.OpDropCopy, proto.OpFetchAdd, proto.OpFetchStore, proto.OpFetchOr, proto.OpCAS, proto.OpLL, proto.OpSC}
+	mcFuzzTASOps = []proto.OpKind{proto.OpLoad, proto.OpLoadExclusive, proto.OpDropCopy, proto.OpTestAndSet, proto.OpLL}
 )
 
 // mcFresh is the value written by the k-th op of a fuzzed config. Fresh
@@ -227,7 +228,7 @@ func mcFuzzConfig(data []byte) (mcConfig, []byte) {
 		data = data[1:]
 		return int(b)
 	}
-	cfg := mcConfig{nodes: 2 + next()%2, policy: Policy(next() % 3), cas: CASVariant(next() % 3)}
+	cfg := mcConfig{nodes: 2 + next()%2, policy: proto.Policy(next() % 3), cas: proto.CASVariant(next() % 3)}
 	b := next()
 	cfg.resv, cfg.resvLimit = dir.ResvScheme(b%3), 1+b/3%2
 	share := next()
@@ -247,23 +248,23 @@ func mcFuzzConfig(data []byte) (mcConfig, []byte) {
 		for i := next() % (mcMaxOps + 1); i > 0; i-- {
 			op := mcOp{op: kinds[next()%len(kinds)]}
 			operand := next()
-			if op.op == OpSC && !linked {
+			if op.op == proto.OpSC && !linked {
 				// An SC needs its own LL: without one, a serial-scheme SC
 				// carries a guessed serial, and one after the node's own
 				// write is unpredictable on real processors.
-				op.op = OpLL
+				op.op = proto.OpLL
 			}
-			linked = op.op == OpLL || (linked && !op.op.Writes())
+			linked = op.op == proto.OpLL || (linked && !op.op.Writes())
 			switch op.op {
-			case OpStore, OpFetchStore:
+			case proto.OpStore, proto.OpFetchStore:
 				op.val = mcFresh(k)
-			case OpSC:
+			case proto.OpSC:
 				op.val, op.val2 = mcFresh(k), mcUseLLSerial
-			case OpFetchAdd:
+			case proto.OpFetchAdd:
 				op.val = 1
-			case OpFetchOr:
+			case proto.OpFetchOr:
 				op.val = 1 << (operand % 3)
-			case OpCAS:
+			case proto.OpCAS:
 				if e := operand % 11; e > 0 { // e == 10 expects a value no op writes
 					op.val = mcFresh(e - 1)
 				}
@@ -284,7 +285,7 @@ func mcFuzzSeed(cfg mcConfig) []byte {
 	kinds, family := mcFuzzOps, 0
 	for _, p := range cfg.progs {
 		for _, op := range p {
-			if op.op == OpTestAndSet {
+			if op.op == proto.OpTestAndSet {
 				kinds, family = mcFuzzTASOps, 1
 			}
 		}
@@ -304,17 +305,17 @@ func mcFuzzSeed(cfg mcConfig) []byte {
 		for _, op := range p {
 			operand := 0
 			switch op.op {
-			case OpFetchOr:
+			case proto.OpFetchOr:
 				for op.val > 1 {
 					op.val >>= 1
 					operand++
 				}
-			case OpCAS:
+			case proto.OpCAS:
 				if op.val != 0 {
 					operand = 10
 				}
 				for j, w := range all {
-					if w.op != OpCAS && w.op.Writes() && w.val == op.val {
+					if w.op != proto.OpCAS && w.op.Writes() && w.val == op.val {
 						operand = j + 1
 					}
 				}
@@ -337,23 +338,23 @@ func mcFuzzSeed(cfg mcConfig) []byte {
 // state must satisfy the checker's invariants, apart from the documented
 // read windows, and every quiescent end must pass CheckCoherence.
 func FuzzMCSchedule(f *testing.F) {
-	for _, pol := range []Policy{PolicyINV, PolicyUPD, PolicyUNC} {
+	for _, pol := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		for _, p := range mcPrimitives {
 			f.Add(mcFuzzSeed(mcTwoNode(pol, p.progs)))
 		}
 	}
-	for _, cas := range []CASVariant{CASDeny, CASShare} {
-		cfg := mcTwoNode(PolicyINV, mcProgs(mcSeq(mcStore(3)), mcSeq(mcCASOp(3, 7), mcLoad)))
+	for _, cas := range []proto.CASVariant{proto.CASDeny, proto.CASShare} {
+		cfg := mcTwoNode(proto.PolicyINV, mcProgs(mcSeq(mcStore(3)), mcSeq(mcCASOp(3, 7), mcLoad)))
 		cfg.cas = cas
 		f.Add(mcFuzzSeed(cfg))
 	}
 	for _, rs := range []dir.ResvScheme{dir.ResvLimited, dir.ResvSerial} {
-		cfg := mcTwoNode(PolicyUPD, mcProgs(mcSeq(mcLL, mcSCOp(5)), mcSeq(mcLL, mcSCOp(9))))
+		cfg := mcTwoNode(proto.PolicyUPD, mcProgs(mcSeq(mcLL, mcSCOp(5)), mcSeq(mcLL, mcSCOp(9))))
 		cfg.resv, cfg.resvLimit = rs, 1
 		f.Add(mcFuzzSeed(cfg))
 	}
-	f.Add(append(mcFuzzSeed(mcWindow(PolicyUPD, mcLoadEx)), 0, 2, 3, 0, 0))
-	f.Add(mcFuzzSeed(mcWindow(PolicyINV, mcLL, mcSCOp(9))))
+	f.Add(append(mcFuzzSeed(mcWindow(proto.PolicyUPD, mcLoadEx)), 0, 2, 3, 0, 0))
+	f.Add(mcFuzzSeed(mcWindow(proto.PolicyINV, mcLL, mcSCOp(9))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, sched := mcFuzzConfig(data)
 		r := newMCRun(&cfg)

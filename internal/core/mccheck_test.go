@@ -58,6 +58,7 @@ import (
 	"dsm/internal/cache"
 	"dsm/internal/dir"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -75,15 +76,15 @@ const mcUseLLSerial = ^arch.Word(0)
 
 // mcOp is one program step.
 type mcOp struct {
-	op        OpKind
+	op        proto.OpKind
 	val, val2 arch.Word
 }
 
 // mcConfig is one closed model-checking instance.
 type mcConfig struct {
 	nodes     int // 2 or 3; node 0 is the home
-	policy    Policy
-	cas       CASVariant
+	policy    proto.Policy
+	cas       proto.CASVariant
 	resv      dir.ResvScheme
 	resvLimit int
 	progs     [][]mcOp      // per-node programs, len == nodes, each <= mcMaxOps
@@ -220,7 +221,7 @@ func newMCRun(cfg *mcConfig) *mcRun {
 	r.sys.network = r
 	r.sys.SetPolicy(mcAddr, cfg.policy)
 	for _, n := range cfg.preShare {
-		r.sys.caches[n].Issue(Request{Op: OpLoad, Addr: mcAddr})
+		r.sys.caches[n].Issue(Request{Op: proto.OpLoad, Addr: mcAddr})
 		for {
 			for r.eng.Step() {
 			}
@@ -312,7 +313,7 @@ func (r *mcRun) exec(st mcStep) (v *mcViolation) {
 	case mcIssue:
 		op := r.cfg.progs[n][r.pc[n]]
 		r.pc[n]++
-		if op.op == OpSC && op.val2 == mcUseLLSerial {
+		if op.op == proto.OpSC && op.val2 == mcUseLLSerial {
 			op.val2 = r.llSerial[n]
 		}
 		r.req[n] = op
@@ -372,27 +373,27 @@ func (r *mcRun) authoritative() arch.Word {
 	}
 	w := r.sys.homes[0].mod.ReadWord(mcAddr)
 	for _, e := range r.q[0] {
-		if k := e.m.kind; e.toHome && (k == mWB || k == mWBRecall || k == mWBShare) {
+		if k := e.m.kind; e.toHome && (k == proto.KWB || k == proto.KWBRecall || k == proto.KWBShare) {
 			w = e.m.data[0]
 		}
 	}
 	return w
 }
 
-func mcReadOnly(op OpKind) bool {
-	return op == OpLoad || op == OpLoadExclusive || op == OpLL
+func mcReadOnly(op proto.OpKind) bool {
+	return op == proto.OpLoad || op == proto.OpLoadExclusive || op == proto.OpLL
 }
 
 // written is the value a write op that read old leaves in the word.
 func (op mcOp) written(old arch.Word) arch.Word {
 	switch op.op {
-	case OpFetchAdd:
+	case proto.OpFetchAdd:
 		return old + op.val
-	case OpFetchOr:
+	case proto.OpFetchOr:
 		return old | op.val
-	case OpTestAndSet:
+	case proto.OpTestAndSet:
 		return 1
-	case OpCAS:
+	case proto.OpCAS:
 		return op.val2
 	}
 	return op.val // store, fetch_and_store, store_conditional
@@ -410,7 +411,7 @@ func (op mcOp) written(old arch.Word) arch.Word {
 // before the writer's invalidations are in.
 func (r *mcRun) complete(n int, res Result, fail func(mcKind, bool, string, ...any)) {
 	op := r.req[n]
-	if op.op == OpDropCopy || (op.op == OpSC && !res.OK) {
+	if op.op == proto.OpDropCopy || (op.op == proto.OpSC && !res.OK) {
 		return // nothing observed
 	}
 	obs := r.version(res.Value)
@@ -420,10 +421,10 @@ func (r *mcRun) complete(n int, res Result, fail func(mcKind, bool, string, ...a
 	}
 	switch {
 	case mcReadOnly(op.op):
-		if op.op == OpLL {
+		if op.op == proto.OpLL {
 			r.llVer[n], r.llSerial[n] = obs, res.Serial
 		}
-	case op.op == OpCAS && !res.OK:
+	case op.op == proto.OpCAS && !res.OK:
 		if res.Value == op.val {
 			fail(mcCAS, false, "n%d CAS failed reading the expected value %d", n, op.val)
 		}
@@ -431,9 +432,9 @@ func (r *mcRun) complete(n int, res Result, fail func(mcKind, bool, string, ...a
 		old, nv := obs, op.written(res.Value)
 		obs = r.version(nv)
 		switch {
-		case op.op == OpCAS && res.Value != op.val:
+		case op.op == proto.OpCAS && res.Value != op.val:
 			fail(mcCAS, false, "n%d CAS succeeded over %d, expected %d", n, res.Value, op.val)
-		case op.op == OpSC && old != r.llVer[n]:
+		case op.op == proto.OpSC && old != r.llVer[n]:
 			fail(mcSC, false, "n%d SC succeeded over version %d, its LL observed version %d", n, old, r.llVer[n])
 		case nv == res.Value:
 			// The write left the word unchanged (test_and_set of a set word).
@@ -458,7 +459,7 @@ func (r *mcRun) complete(n int, res Result, fail func(mcKind, bool, string, ...a
 
 // queued reports whether a cache-bound message of one of kinds is queued
 // toward node n.
-func (r *mcRun) queued(n int, kinds ...msgKind) bool {
+func (r *mcRun) queued(n int, kinds ...proto.MsgKind) bool {
 	for _, e := range r.q[n] {
 		for _, k := range kinds {
 			if !e.toHome && e.m.kind == k {
@@ -469,8 +470,8 @@ func (r *mcRun) queued(n int, kinds ...msgKind) bool {
 	return false
 }
 
-func (r *mcRun) invalInFlight(n int) bool  { return r.queued(n, mInval) }
-func (r *mcRun) repairInFlight(n int) bool { return r.queued(n, mInval, mUpdate) }
+func (r *mcRun) invalInFlight(n int) bool  { return r.queued(n, proto.KInval) }
+func (r *mcRun) repairInFlight(n int) bool { return r.queued(n, proto.KInval, proto.KUpdate) }
 
 // checkGlobal checks single-writer (modulo in-flight invalidations) and
 // directory-cache agreement.

@@ -9,35 +9,9 @@ import (
 	"dsm/internal/sim"
 )
 
-// msgKind and its constants are the protocol vocabulary from
-// internal/proto; the m-prefixed aliases keep the controller code and
-// traces readable.
-type msgKind = proto.MsgKind
-
-const (
-	mCASHome   = proto.KCASHome
-	mWB        = proto.KWB
-	mDropS     = proto.KDropS
-	mUncOp     = proto.KUncOp
-	mUpdOp     = proto.KUpdOp
-	mDataS     = proto.KDataS
-	mDataE     = proto.KDataE
-	mNak       = proto.KNak
-	mCASFail   = proto.KCASFail
-	mSCFail    = proto.KSCFail
-	mUncReply  = proto.KUncReply
-	mUpdReply  = proto.KUpdReply
-	mInval     = proto.KInval
-	mCASFwd    = proto.KCASFwd
-	mWBRecall  = proto.KWBRecall
-	mWBShare   = proto.KWBShare
-	mRecallNak = proto.KRecallNak
-	mCASRel    = proto.KCASRel
-	mUpdate    = proto.KUpdate
-)
-
-// msg is one protocol message. A single struct covers all kinds; unused
-// fields are zero.
+// msg is one protocol message. A single struct covers all kinds (proto's
+// MsgKind, whose String names the message in traces); unused fields are
+// zero.
 //
 // Messages are recycled through the owning System's free list: newMsg
 // produces one, and the controller that consumes a message returns it with
@@ -46,24 +20,24 @@ const (
 // request across a recall). Every creation site fully overwrites the struct
 // (*m = msg{...}), so recycled messages carry no stale fields.
 type msg struct {
-	kind msgKind
+	kind proto.MsgKind
 	addr arch.Addr   // word address of the operation (block derived)
 	src  mesh.NodeID // sender
 	// Requester is the node whose processor issued the transaction this
 	// message belongs to (acks from third parties flow directly to it).
 	requester mesh.NodeID
 
-	op         OpKind // original operation (requests and replies)
+	op         proto.OpKind // original operation (requests and replies)
 	val, val2  arch.Word
 	data       arch.BlockData // block payload for data-bearing kinds
 	hasData    bool
-	acks       int       // mDataE/mUpdReply: acknowledgments to expect
+	acks       int       // KDataE/KUpdReply: acknowledgments to expect
 	ok         bool      // operation success (CAS/SC), or compare outcome
 	serial     arch.Word // LL serial number (serial reservation scheme)
 	hint       bool      // LL beyond-limit failure hint
-	updWord    arch.Word // mUpdate: new value of the word at addr
+	updWord    arch.Word // KUpdate: new value of the word at addr
 	chain      int       // serialized network messages so far (Table 1)
-	forwardVal arch.Word // mCASFwd/mRecallE carry the original operand
+	forwardVal arch.Word // KCASFwd/KRecallE carry the original operand
 
 	// Delayed-send routing: a controller that must respond one local step
 	// after receiving (modeling its occupancy) builds the reply immediately
@@ -104,13 +78,13 @@ func (s *System) freeMsg(m *msg) {
 func (m *msg) payloadBytes() int {
 	n := 8
 	switch m.kind {
-	case mCASHome, mUncOp, mUpdOp, mCASFwd:
+	case proto.KCASHome, proto.KUncOp, proto.KUpdOp, proto.KCASFwd:
 		n = 16 // two operands
 	}
 	if m.hasData {
 		n += arch.BlockBytes
 	}
-	if m.serial != 0 || m.kind == mUncReply || m.kind == mUpdReply {
+	if m.serial != 0 || m.kind == proto.KUncReply || m.kind == proto.KUpdReply {
 		n += 4
 	}
 	return n

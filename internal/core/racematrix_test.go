@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dsm/internal/arch"
+	"dsm/internal/proto"
 )
 
 // The race matrix: systematically sweep the relative issue timing of two
@@ -25,7 +26,7 @@ type raceCase struct {
 	validate func(t *testing.T, skew int, lr, rr Result, final arch.Word)
 }
 
-func runRace(t *testing.T, pol Policy, rc raceCase) {
+func runRace(t *testing.T, pol proto.Policy, rc raceCase) {
 	t.Helper()
 	for skew := 0; skew <= 80; skew += 5 {
 		h := newH(t)
@@ -48,7 +49,7 @@ func runRace(t *testing.T, pol Policy, rc raceCase) {
 			}
 		}
 		h.drain()
-		final := h.do(3, OpLoad, a).Value
+		final := h.do(3, proto.OpLoad, a).Value
 		h.drain()
 		rc.validate(t, skew, lr, rr, final)
 		h.sys.CheckCoherence()
@@ -59,9 +60,9 @@ func TestRaceMatrix(t *testing.T) {
 	cases := []raceCase{
 		{
 			name: "store-vs-store",
-			left: func(a arch.Addr) Request { return Request{Op: OpStore, Addr: a, Val: 1} },
+			left: func(a arch.Addr) Request { return Request{Op: proto.OpStore, Addr: a, Val: 1} },
 			right: func(a arch.Addr) Request {
-				return Request{Op: OpStore, Addr: a, Val: 2}
+				return Request{Op: proto.OpStore, Addr: a, Val: 2}
 			},
 			validate: func(t *testing.T, skew int, lr, rr Result, final arch.Word) {
 				if final != 1 && final != 2 {
@@ -71,9 +72,9 @@ func TestRaceMatrix(t *testing.T) {
 		},
 		{
 			name: "faa-vs-faa",
-			left: func(a arch.Addr) Request { return Request{Op: OpFetchAdd, Addr: a, Val: 1} },
+			left: func(a arch.Addr) Request { return Request{Op: proto.OpFetchAdd, Addr: a, Val: 1} },
 			right: func(a arch.Addr) Request {
-				return Request{Op: OpFetchAdd, Addr: a, Val: 1}
+				return Request{Op: proto.OpFetchAdd, Addr: a, Val: 1}
 			},
 			validate: func(t *testing.T, skew int, lr, rr Result, final arch.Word) {
 				if final != 2 {
@@ -87,10 +88,10 @@ func TestRaceMatrix(t *testing.T) {
 		{
 			name: "cas-vs-cas",
 			left: func(a arch.Addr) Request {
-				return Request{Op: OpCAS, Addr: a, Val: 0, Val2: 1}
+				return Request{Op: proto.OpCAS, Addr: a, Val: 0, Val2: 1}
 			},
 			right: func(a arch.Addr) Request {
-				return Request{Op: OpCAS, Addr: a, Val: 0, Val2: 2}
+				return Request{Op: proto.OpCAS, Addr: a, Val: 0, Val2: 2}
 			},
 			validate: func(t *testing.T, skew int, lr, rr Result, final arch.Word) {
 				if lr.OK == rr.OK {
@@ -108,11 +109,11 @@ func TestRaceMatrix(t *testing.T) {
 		{
 			name: "drop-vs-store",
 			prime: func(h *H, a arch.Addr) {
-				h.do(0, OpStore, a, 7) // node 0 holds exclusive dirty
+				h.do(0, proto.OpStore, a, 7) // node 0 holds exclusive dirty
 			},
-			left: func(a arch.Addr) Request { return Request{Op: OpDropCopy, Addr: a} },
+			left: func(a arch.Addr) Request { return Request{Op: proto.OpDropCopy, Addr: a} },
 			right: func(a arch.Addr) Request {
-				return Request{Op: OpStore, Addr: a, Val: 9}
+				return Request{Op: proto.OpStore, Addr: a, Val: 9}
 			},
 			validate: func(t *testing.T, skew int, lr, rr Result, final arch.Word) {
 				if final != 9 {
@@ -123,11 +124,11 @@ func TestRaceMatrix(t *testing.T) {
 		{
 			name: "faa-vs-drop",
 			prime: func(h *H, a arch.Addr) {
-				h.do(0, OpStore, a, 5)
+				h.do(0, proto.OpStore, a, 5)
 			},
-			left: func(a arch.Addr) Request { return Request{Op: OpDropCopy, Addr: a} },
+			left: func(a arch.Addr) Request { return Request{Op: proto.OpDropCopy, Addr: a} },
 			right: func(a arch.Addr) Request {
-				return Request{Op: OpFetchAdd, Addr: a, Val: 1}
+				return Request{Op: proto.OpFetchAdd, Addr: a, Val: 1}
 			},
 			validate: func(t *testing.T, skew int, lr, rr Result, final arch.Word) {
 				if rr.Value != 5 || final != 6 {
@@ -137,9 +138,9 @@ func TestRaceMatrix(t *testing.T) {
 		},
 		{
 			name: "loadex-vs-loadex",
-			left: func(a arch.Addr) Request { return Request{Op: OpLoadExclusive, Addr: a} },
+			left: func(a arch.Addr) Request { return Request{Op: proto.OpLoadExclusive, Addr: a} },
 			right: func(a arch.Addr) Request {
-				return Request{Op: OpLoadExclusive, Addr: a}
+				return Request{Op: proto.OpLoadExclusive, Addr: a}
 			},
 			validate: func(t *testing.T, skew int, lr, rr Result, final arch.Word) {
 				if final != 0 {
@@ -148,9 +149,9 @@ func TestRaceMatrix(t *testing.T) {
 			},
 		},
 	}
-	for _, pol := range []Policy{PolicyINV, PolicyUPD, PolicyUNC} {
+	for _, pol := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		for _, rc := range cases {
-			if pol != PolicyINV && (rc.name == "drop-vs-store" || rc.name == "faa-vs-drop" || rc.name == "loadex-vs-loadex") {
+			if pol != proto.PolicyINV && (rc.name == "drop-vs-store" || rc.name == "faa-vs-drop" || rc.name == "loadex-vs-loadex") {
 				// Drops and exclusivity are INV concepts; skip elsewhere.
 				continue
 			}
@@ -179,7 +180,7 @@ func TestRaceMatrix(t *testing.T) {
 //     stale. 11 mesh messages; the replayed store inherits the drop's
 //     1-hop chain (Chain 2).
 //   - Large skew: the recall beats the drop, the still-owner surrenders
-//     via mWBRecall, and the replay rides that return instead. 10 mesh
+//     via KWBRecall, and the replay rides that return instead. 10 mesh
 //     messages; the store sees the full 4-serialized-message remote-
 //     exclusive path (request, recall, data return, grant: Chain 4).
 //
@@ -208,16 +209,16 @@ func TestRaceMatrixRecallReplay(t *testing.T) {
 	sawReplay, sawNakCross := false, false
 	for skew := 0; skew <= 80; skew += 5 {
 		h := newH(t)
-		a := h.addrAtHome(3, 0) // home 3; owner 2; requester 0: all distinct
-		h.do(2, OpStore, a, 7)  // node 2 holds the block exclusive and dirty
+		a := h.addrAtHome(3, 0)      // home 3; owner 2; requester 0: all distinct
+		h.do(2, proto.OpStore, a, 7) // node 2 holds the block exclusive and dirty
 		var lr, rr Result
 		remaining := 2
 		h.eng.At(h.eng.Now(), func() {
-			h.sys.Cache(0).Issue(Request{Op: OpStore, Addr: a, Val: 9,
+			h.sys.Cache(0).Issue(Request{Op: proto.OpStore, Addr: a, Val: 9,
 				Done: func(r Result) { lr = r; remaining-- }})
 		})
 		h.eng.At(h.eng.Now()+sim0(skew), func() {
-			h.sys.Cache(2).Issue(Request{Op: OpDropCopy, Addr: a,
+			h.sys.Cache(2).Issue(Request{Op: proto.OpDropCopy, Addr: a,
 				Done: func(r Result) { rr = r; remaining-- }})
 		})
 		for remaining > 0 {
@@ -226,7 +227,7 @@ func TestRaceMatrixRecallReplay(t *testing.T) {
 			}
 		}
 		h.drain()
-		if final := h.do(1, OpLoad, a).Value; final != 9 {
+		if final := h.do(1, proto.OpLoad, a).Value; final != 9 {
 			t.Fatalf("skew %d: final %d, want 9 (store must survive the owner's drop)", skew, final)
 		}
 		h.drain()
@@ -261,7 +262,7 @@ func TestRaceMatrixRecallReplay(t *testing.T) {
 // the SC, and the final value must reflect exactly the operations that
 // succeeded.
 func TestRaceMatrixLLSCStore(t *testing.T) {
-	for _, pol := range []Policy{PolicyINV, PolicyUPD, PolicyUNC} {
+	for _, pol := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			for skew := 0; skew <= 120; skew += 5 {
@@ -271,16 +272,16 @@ func TestRaceMatrixLLSCStore(t *testing.T) {
 				var scOK bool
 				remaining := 2
 				h.eng.At(0, func() {
-					h.sys.Cache(0).Issue(Request{Op: OpLL, Addr: a,
+					h.sys.Cache(0).Issue(Request{Op: proto.OpLL, Addr: a,
 						Done: func(ll Result) {
 							h.sys.Cache(0).Issue(Request{
-								Op: OpSC, Addr: a, Val: 100, Val2: ll.Serial,
+								Op: proto.OpSC, Addr: a, Val: 100, Val2: ll.Serial,
 								Done: func(sc Result) { scOK = sc.OK; remaining-- },
 							})
 						}})
 				})
 				h.eng.At(sim0(skew), func() {
-					h.sys.Cache(1).Issue(Request{Op: OpStore, Addr: a, Val: 7,
+					h.sys.Cache(1).Issue(Request{Op: proto.OpStore, Addr: a, Val: 7,
 						Done: func(Result) { remaining-- }})
 				})
 				for remaining > 0 {
@@ -289,7 +290,7 @@ func TestRaceMatrixLLSCStore(t *testing.T) {
 					}
 				}
 				h.drain()
-				final := h.do(3, OpLoad, a).Value
+				final := h.do(3, proto.OpLoad, a).Value
 				// If the SC succeeded, it either preceded the store (final
 				// 7) or followed it entirely... it cannot follow: the
 				// store would have invalidated the reservation. So

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"dsm/internal/arch"
+	"dsm/internal/proto"
 )
 
 // refWord is a pure-Go reference model of one word's operation semantics
@@ -15,44 +16,44 @@ type refWord struct {
 	resv  bool
 }
 
-func (r *refWord) apply(op OpKind, val, val2 arch.Word) (arch.Word, bool) {
+func (r *refWord) apply(op proto.OpKind, val, val2 arch.Word) (arch.Word, bool) {
 	old := r.value
 	switch op {
-	case OpLoad, OpLoadExclusive:
+	case proto.OpLoad, proto.OpLoadExclusive:
 		return old, true
-	case OpDropCopy:
+	case proto.OpDropCopy:
 		return 0, true
-	case OpStore:
+	case proto.OpStore:
 		r.value = val
 		r.resv = false
 		return old, true
-	case OpFetchAdd:
+	case proto.OpFetchAdd:
 		r.value = old + val
 		r.resv = false
 		return old, true
-	case OpFetchStore:
+	case proto.OpFetchStore:
 		r.value = val
 		r.resv = false
 		return old, true
-	case OpFetchOr:
+	case proto.OpFetchOr:
 		r.value = old | val
 		r.resv = false
 		return old, true
-	case OpTestAndSet:
+	case proto.OpTestAndSet:
 		r.value = 1
 		r.resv = false
 		return old, true
-	case OpCAS:
+	case proto.OpCAS:
 		if old == val {
 			r.value = val2
 			r.resv = false
 			return old, true
 		}
 		return old, false
-	case OpLL:
+	case proto.OpLL:
 		r.resv = true
 		return old, true
-	case OpSC:
+	case proto.OpSC:
 		if r.resv {
 			r.value = val
 			r.resv = false
@@ -73,22 +74,22 @@ func decodeOps(raw []byte) []Request {
 		sel := int(raw[i])
 		val := arch.Word(raw[i+1])
 		val2 := arch.Word(raw[i+2])
-		var op OpKind
+		var op proto.OpKind
 		if pendingLL {
 			switch sel % 3 {
 			case 0:
-				op = OpLoad
+				op = proto.OpLoad
 			case 1:
-				op = OpSC
+				op = proto.OpSC
 				pendingLL = false
 			case 2:
-				op = OpLoad
+				op = proto.OpLoad
 			}
 		} else {
-			ops := []OpKind{OpLoad, OpStore, OpFetchAdd, OpFetchStore, OpFetchOr,
-				OpTestAndSet, OpCAS, OpLL, OpLoadExclusive, OpDropCopy, OpSC}
+			ops := []proto.OpKind{proto.OpLoad, proto.OpStore, proto.OpFetchAdd, proto.OpFetchStore, proto.OpFetchOr,
+				proto.OpTestAndSet, proto.OpCAS, proto.OpLL, proto.OpLoadExclusive, proto.OpDropCopy, proto.OpSC}
 			op = ops[sel%len(ops)]
-			if op == OpLL {
+			if op == proto.OpLL {
 				pendingLL = true
 			}
 		}
@@ -101,7 +102,7 @@ func decodeOps(raw []byte) []Request {
 // single processor against every policy and checks value and success
 // results against the reference model at every step.
 func TestPropertySingleProcSemantics(t *testing.T) {
-	for _, pol := range []Policy{PolicyINV, PolicyUPD, PolicyUNC} {
+	for _, pol := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			f := func(raw []byte) bool {
@@ -124,8 +125,8 @@ func TestPropertySingleProcSemantics(t *testing.T) {
 					}
 					// Value checks apply to value-returning operations.
 					switch req.Op {
-					case OpLoad, OpLoadExclusive, OpFetchAdd, OpFetchStore,
-						OpFetchOr, OpTestAndSet, OpLL:
+					case proto.OpLoad, proto.OpLoadExclusive, proto.OpFetchAdd, proto.OpFetchStore,
+						proto.OpFetchOr, proto.OpTestAndSet, proto.OpLL:
 						if got.Value != wantVal {
 							t.Logf("op %d (%v): value=%d want %d", i, req.Op, got.Value, wantVal)
 							return false
@@ -133,7 +134,7 @@ func TestPropertySingleProcSemantics(t *testing.T) {
 					}
 				}
 				h.drain()
-				final := h.do(3, OpLoad, a).Value
+				final := h.do(3, proto.OpLoad, a).Value
 				if final != ref.value {
 					t.Logf("final value %d, reference %d", final, ref.value)
 					return false
@@ -162,7 +163,7 @@ func TestPropertyCASVariantsSemanticsEquivalentSequentially(t *testing.T) {
 			ok  bool
 		}
 		var runs [3][]outcome
-		for vi, variant := range []CASVariant{CASPlain, CASDeny, CASShare} {
+		for vi, variant := range []proto.CASVariant{proto.CASPlain, proto.CASDeny, proto.CASShare} {
 			h := newH(t, func(c *Config) { c.CAS = variant })
 			a := h.addrAtHome(2, 0)
 			for _, req := range ops {

@@ -18,22 +18,22 @@ import (
 func TestOwnerRetriesWhileOwnWritebackInFlight(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
-	h.do(0, OpStore, a, 5)
+	h.do(0, proto.OpStore, a, 5)
 	// Drop and immediately re-store without draining: the directory still
 	// names node 0 the owner when the new request arrives, forcing the
 	// owner==requester NAK path; the retry succeeds once the write-back
 	// lands.
 	res := h.doAll(map[int]Request{
-		0: {Op: OpDropCopy, Addr: a},
+		0: {Op: proto.OpDropCopy, Addr: a},
 	})
 	_ = res
 	// Issue the store before the WB reaches home (no drain).
-	r := h.do(0, OpStore, a, 6)
+	r := h.do(0, proto.OpStore, a, 6)
 	if !r.OK {
 		t.Fatal("store after own drop failed")
 	}
 	h.drain()
-	if v := h.do(1, OpLoad, a); v.Value != 6 {
+	if v := h.do(1, proto.OpLoad, a); v.Value != 6 {
 		t.Fatalf("value = %d, want 6", v.Value)
 	}
 	if h.sys.Counters().Naks == 0 {
@@ -45,9 +45,9 @@ func TestOwnerRetriesWhileOwnWritebackInFlight(t *testing.T) {
 func TestOwnerReadRetriesWhileOwnWritebackInFlight(t *testing.T) {
 	h := newH(t)
 	a := h.addrAtHome(2, 0)
-	h.do(0, OpStore, a, 5)
-	h.doAll(map[int]Request{0: {Op: OpDropCopy, Addr: a}})
-	r := h.do(0, OpLoad, a)
+	h.do(0, proto.OpStore, a, 5)
+	h.doAll(map[int]Request{0: {Op: proto.OpDropCopy, Addr: a}})
+	r := h.do(0, proto.OpLoad, a)
 	if r.Value != 5 {
 		t.Fatalf("read after own drop = %d, want 5", r.Value)
 	}
@@ -60,13 +60,13 @@ func TestStaleRecallNakIgnored(t *testing.T) {
 	// home must ignore it.
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	h.do(0, OpStore, a, 3)
+	h.do(0, proto.OpStore, a, 3)
 	home := h.sys.Home(1)
 	h.eng.At(h.eng.Now(), func() {
-		h.sys.send(2, 1, &msg{kind: mRecallNak, addr: a, requester: 2}, true)
+		h.sys.send(2, 1, &msg{kind: proto.KRecallNak, addr: a, requester: 2}, true)
 	})
 	h.drain()
-	if v := h.do(2, OpLoad, a); v.Value != 3 {
+	if v := h.do(2, proto.OpLoad, a); v.Value != 3 {
 		t.Fatalf("value = %d", v.Value)
 	}
 	_ = home
@@ -74,15 +74,15 @@ func TestStaleRecallNakIgnored(t *testing.T) {
 }
 
 func TestStaleCASReleaseIgnored(t *testing.T) {
-	h := newH(t, func(c *Config) { c.CAS = CASDeny })
+	h := newH(t, func(c *Config) { c.CAS = proto.CASDeny })
 	a := h.addrAtHome(1, 0)
-	h.do(0, OpStore, a, 3)
+	h.do(0, proto.OpStore, a, 3)
 	h.eng.At(h.eng.Now(), func() {
-		h.sys.send(2, 1, &msg{kind: mCASRel, addr: a, requester: 2}, true)
+		h.sys.send(2, 1, &msg{kind: proto.KCASRel, addr: a, requester: 2}, true)
 	})
 	h.drain()
 	// The block must still be recallable and usable.
-	if r := h.do(2, OpFetchAdd, a, 1); r.Value != 3 {
+	if r := h.do(2, proto.OpFetchAdd, a, 1); r.Value != 3 {
 		t.Fatalf("FAA = %+v", r)
 	}
 	h.drain()
@@ -93,10 +93,10 @@ func TestStaleDropHintIgnored(t *testing.T) {
 	// A drop hint from a node the directory no longer lists is ignored.
 	h := newH(t)
 	a := h.addrAtHome(1, 0)
-	h.do(0, OpLoad, a)
-	h.do(2, OpStore, a, 9) // invalidates node 0; directory forgets it
+	h.do(0, proto.OpLoad, a)
+	h.do(2, proto.OpStore, a, 9) // invalidates node 0; directory forgets it
 	h.eng.At(h.eng.Now(), func() {
-		h.sys.send(0, 1, &msg{kind: mDropS, addr: a, requester: 0}, true)
+		h.sys.send(0, 1, &msg{kind: proto.KDropS, addr: a, requester: 0}, true)
 	})
 	h.drain()
 	e := h.sys.Home(1).Directory().Peek(a)
@@ -116,7 +116,7 @@ func TestAccessorsAndStrings(t *testing.T) {
 	}
 	done := false
 	h.eng.At(0, func() {
-		h.sys.Cache(0).Issue(Request{Op: OpLoad, Addr: h.addrAtHome(1, 0),
+		h.sys.Cache(0).Issue(Request{Op: proto.OpLoad, Addr: h.addrAtHome(1, 0),
 			Done: func(Result) { done = true }})
 		if h.sys.Cache(0).pending == nil {
 			t.Error("issued request not outstanding")
@@ -127,10 +127,10 @@ func TestAccessorsAndStrings(t *testing.T) {
 			t.Fatal("deadlock")
 		}
 	}
-	if proto.KRead.String() != "read" || msgKind(250).String() != "msg?" {
+	if proto.KRead.String() != "read" || proto.MsgKind(250).String() != "msg?" {
 		t.Fatal("msg kind names wrong")
 	}
-	if Policy(9).String() == "" || CASVariant(9).String() == "" || OpKind(200).String() == "" {
+	if proto.Policy(9).String() == "" || proto.CASVariant(9).String() == "" || proto.OpKind(200).String() == "" {
 		t.Fatal("fallback names empty")
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"dsm/internal/apps"
-	"dsm/internal/core"
 	"dsm/internal/exper"
 	"dsm/internal/locks"
+	"dsm/internal/proto"
 )
 
 // The core-level TestHotPathZeroAlloc pins the protocol/engine loop at zero
@@ -18,7 +18,7 @@ import (
 // benchPoint is an 8-proc contended counter under UNC/fetch_add, the
 // scale of serve's small miss-path simulations.
 func benchPoint() (exper.Bar, exper.RunOpts, apps.Pattern) {
-	bar := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
+	bar := exper.Bar{Policy: proto.PolicyUNC, Prim: locks.PrimFAP}
 	o := exper.RunOpts{Procs: 8, Rounds: 3}
 	pat := apps.Pattern{Contention: 8, Rounds: o.Rounds}
 	return bar, o, pat
@@ -63,8 +63,8 @@ func TestHotPathZeroAllocMachineSlot64(t *testing.T) {
 	o := exper.RunOpts{Procs: 64, Rounds: 2}
 	pat := apps.Pattern{Contention: 64, Rounds: o.Rounds}
 	for _, pt := range []exper.Point{
-		{App: exper.AppMSQueue, Bar: exper.Bar{Policy: core.PolicyUPD, Prim: locks.PrimLLSC}, Scale: o, Pattern: pat},
-		{App: exper.AppStack, Bar: exper.Bar{Policy: core.PolicyINV, Prim: locks.PrimCAS}, Scale: o, Pattern: pat},
+		{App: exper.AppMSQueue, Bar: exper.Bar{Policy: proto.PolicyUPD, Prim: locks.PrimLLSC}, Scale: o, Pattern: pat},
+		{App: exper.AppStack, Bar: exper.Bar{Policy: proto.PolicyINV, Prim: locks.PrimCAS}, Scale: o, Pattern: pat},
 	} {
 		t.Run(pt.App.Name(), func(t *testing.T) {
 			var s exper.MachineSlot

@@ -2,7 +2,6 @@ package exper
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"dsm/internal/apps"
@@ -10,6 +9,7 @@ import (
 	"dsm/internal/core"
 	"dsm/internal/locks"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 )
 
 // App identifies a workload: one row of the app table below.
@@ -34,7 +34,7 @@ const (
 
 // patternRun runs a pattern-driven app on m under one bar's policy and
 // options.
-type patternRun func(m *machine.Machine, policy core.Policy, opts locks.Options, pat apps.Pattern) apps.Result
+type patternRun func(m *machine.Machine, policy proto.Policy, opts locks.Options, pat apps.Pattern) apps.Result
 
 // appRow is one row of the app table: everything the experiment layer,
 // the HTTP spec and cmd/dsmsim know about a workload.
@@ -80,8 +80,8 @@ var appTable = [...]appRow{
 
 // noHistory adapts a workload that can record an operation history to a
 // run that records none.
-func noHistory(run func(*machine.Machine, core.Policy, locks.Options, apps.Pattern, *check.History) apps.Result) patternRun {
-	return func(m *machine.Machine, policy core.Policy, opts locks.Options, pat apps.Pattern) apps.Result {
+func noHistory(run func(*machine.Machine, proto.Policy, locks.Options, apps.Pattern, *check.History) apps.Result) patternRun {
+	return func(m *machine.Machine, policy proto.Policy, opts locks.Options, pat apps.Pattern) apps.Result {
 		return run(m, policy, opts, pat, nil)
 	}
 }
@@ -156,48 +156,68 @@ func ParseApp(s string) (App, error) {
 			return App(i), nil
 		}
 	}
-	return 0, fmt.Errorf("unknown app %q (want %s)", s, orList(AppNames()))
+	return 0, unknown("app", s, AppNames())
 }
 
-// The wire names of the coherence policies, primitive families and CAS
-// variants, indexed by value.
-var (
-	policyNames  = [...]string{core.PolicyINV: "INV", core.PolicyUPD: "UPD", core.PolicyUNC: "UNC"}
-	primNames    = [...]string{locks.PrimFAP: "FAP", locks.PrimCAS: "CAS", locks.PrimLLSC: "LLSC"}
-	variantNames = [...]string{core.CASPlain: "INV", core.CASDeny: "INVd", core.CASShare: "INVs"}
-)
+// enum is a coherence policy, primitive family or CAS variant: its values
+// run from 0 up to a count, and String returns each one's wire name, which
+// the enum's own package spells.
+type enum interface {
+	~uint8
+	String() string
+}
+
+// enumNames returns the wire names of an enum's n values in value order.
+func enumNames[T enum](n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = T(i).String()
+	}
+	return names
+}
 
 // PolicyNames returns the coherence policies' wire names in value order.
-func PolicyNames() []string { return slices.Clone(policyNames[:]) }
+func PolicyNames() []string { return enumNames[proto.Policy](proto.NumPolicies) }
 
 // PrimNames returns the primitive families' wire names in value order.
-func PrimNames() []string { return slices.Clone(primNames[:]) }
+func PrimNames() []string { return enumNames[locks.Prim](locks.NumPrims) }
 
 // VariantNames returns the CAS variants' wire names in value order.
-func VariantNames() []string { return slices.Clone(variantNames[:]) }
+func VariantNames() []string { return enumNames[proto.CASVariant](proto.NumCASVariants) }
 
 // ParsePolicy maps a wire policy name to the internal coherence policy.
-func ParsePolicy(s string) (core.Policy, error) {
-	return parseEnum[core.Policy]("policy", policyNames[:], s)
+func ParsePolicy(s string) (proto.Policy, error) {
+	for p := range proto.Policy(proto.NumPolicies) {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, unknown("policy", s, PolicyNames())
 }
 
 // ParsePrim maps a wire primitive name to the internal primitive family.
 func ParsePrim(s string) (locks.Prim, error) {
-	return parseEnum[locks.Prim]("primitive", primNames[:], s)
+	for p := range locks.Prim(locks.NumPrims) {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, unknown("primitive", s, PrimNames())
 }
 
 // ParseVariant maps a wire CAS-variant name to the internal variant.
-func ParseVariant(s string) (core.CASVariant, error) {
-	return parseEnum[core.CASVariant]("CAS variant", variantNames[:], s)
-}
-
-func parseEnum[T ~uint8](what string, names []string, s string) (T, error) {
-	for i, n := range names {
-		if n == s {
-			return T(i), nil
+func ParseVariant(s string) (proto.CASVariant, error) {
+	for v := range proto.CASVariant(proto.NumCASVariants) {
+		if v.String() == s {
+			return v, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown %s %q (want %s)", what, s, orList(names))
+	return 0, unknown("CAS variant", s, VariantNames())
+}
+
+// unknown is the error for a name s that spells no value of what.
+func unknown(what, s string, names []string) error {
+	return fmt.Errorf("unknown %s %q (want %s)", what, s, orList(names))
 }
 
 // orList renders names as "a, b, or c".
@@ -215,11 +235,19 @@ func WireName(b []byte) (string, bool) {
 			return appTable[i].name, true
 		}
 	}
-	for _, names := range [...][]string{policyNames[:], primNames[:], variantNames[:]} {
-		for _, n := range names {
-			if string(b) == n {
-				return n, true
-			}
+	for p := range proto.Policy(proto.NumPolicies) {
+		if n := p.String(); string(b) == n {
+			return n, true
+		}
+	}
+	for p := range locks.Prim(locks.NumPrims) {
+		if n := p.String(); string(b) == n {
+			return n, true
+		}
+	}
+	for v := range proto.CASVariant(proto.NumCASVariants) {
+		if n := v.String(); string(b) == n {
+			return n, true
 		}
 	}
 	return "", false

@@ -16,22 +16,18 @@ package exper
 
 import (
 	"dsm/internal/apps"
-	"dsm/internal/core"
 	"dsm/internal/locks"
+	"dsm/internal/proto"
 )
-
-// Pattern aliases the synthetic sharing pattern for brevity.
-type Pattern = apps.Pattern
 
 // Bar is one bar of the paper's figures 3-6: a primitive family under a
 // coherence policy with a choice of auxiliary instructions and CAS variant.
 type Bar struct {
-	Label   string
-	Policy  core.Policy
+	Policy  proto.Policy
 	Prim    locks.Prim
-	Variant core.CASVariant // INV-policy CAS implementation
-	LoadEx  bool            // pair compare_and_swap with load_exclusive
-	Drop    bool            // issue drop_copy after updates
+	Variant proto.CASVariant // INV-policy CAS implementation
+	LoadEx  bool             // pair compare_and_swap with load_exclusive
+	Drop    bool             // issue drop_copy after updates
 }
 
 // Opts converts the bar into algorithm options.
@@ -39,41 +35,48 @@ func (b Bar) Opts() locks.Options {
 	return locks.Options{Prim: b.Prim, UseLoadExclusive: b.LoadEx, Drop: b.Drop}
 }
 
+// Label names the bar as the figures do: the policy (for an INV
+// compare_and_swap bar, its CAS variant) and the primitive family, then
+// "+ldex" and "+drop" for the auxiliary instructions it uses.
+func (b Bar) Label() string {
+	name := b.Policy.String()
+	if b.Policy == proto.PolicyINV && b.Prim == locks.PrimCAS {
+		name = b.Variant.String()
+	}
+	name += " " + b.Prim.String()
+	if b.LoadEx {
+		name += "+ldex"
+	}
+	if b.Drop {
+		name += "+drop"
+	}
+	return name
+}
+
 // SyntheticBars returns the paper's 21 bars in figure order: UNC
 // (FAP/LLSC/CAS), INV without and with drop_copy (FAP, LLSC, and the four
 // CAS implementations INV, INVd, INVs, INV+load_exclusive), and UPD
 // without and with drop_copy (FAP/LLSC/CAS).
 func SyntheticBars() []Bar {
-	var bars []Bar
-	add := func(label string, p core.Policy, pr locks.Prim, v core.CASVariant, ldex, drop bool) {
-		bars = append(bars, Bar{Label: label, Policy: p, Prim: pr, Variant: v, LoadEx: ldex, Drop: drop})
+	bars := []Bar{
+		{Policy: proto.PolicyUNC, Prim: locks.PrimFAP},
+		{Policy: proto.PolicyUNC, Prim: locks.PrimLLSC},
+		{Policy: proto.PolicyUNC, Prim: locks.PrimCAS},
 	}
-	// UNC
-	add("UNC FAP", core.PolicyUNC, locks.PrimFAP, core.CASPlain, false, false)
-	add("UNC LLSC", core.PolicyUNC, locks.PrimLLSC, core.CASPlain, false, false)
-	add("UNC CAS", core.PolicyUNC, locks.PrimCAS, core.CASPlain, false, false)
-	// INV, without and with drop_copy
 	for _, drop := range []bool{false, true} {
-		suffix := ""
-		if drop {
-			suffix = "+drop"
-		}
-		add("INV FAP"+suffix, core.PolicyINV, locks.PrimFAP, core.CASPlain, false, drop)
-		add("INV LLSC"+suffix, core.PolicyINV, locks.PrimLLSC, core.CASPlain, false, drop)
-		add("INV CAS"+suffix, core.PolicyINV, locks.PrimCAS, core.CASPlain, false, drop)
-		add("INVd CAS"+suffix, core.PolicyINV, locks.PrimCAS, core.CASDeny, false, drop)
-		add("INVs CAS"+suffix, core.PolicyINV, locks.PrimCAS, core.CASShare, false, drop)
-		add("INV CAS+ldex"+suffix, core.PolicyINV, locks.PrimCAS, core.CASPlain, true, drop)
+		bars = append(bars,
+			Bar{Policy: proto.PolicyINV, Prim: locks.PrimFAP, Drop: drop},
+			Bar{Policy: proto.PolicyINV, Prim: locks.PrimLLSC, Drop: drop},
+			Bar{Policy: proto.PolicyINV, Prim: locks.PrimCAS, Drop: drop},
+			Bar{Policy: proto.PolicyINV, Prim: locks.PrimCAS, Variant: proto.CASDeny, Drop: drop},
+			Bar{Policy: proto.PolicyINV, Prim: locks.PrimCAS, Variant: proto.CASShare, Drop: drop},
+			Bar{Policy: proto.PolicyINV, Prim: locks.PrimCAS, LoadEx: true, Drop: drop})
 	}
-	// UPD, without and with drop_copy
 	for _, drop := range []bool{false, true} {
-		suffix := ""
-		if drop {
-			suffix = "+drop"
-		}
-		add("UPD FAP"+suffix, core.PolicyUPD, locks.PrimFAP, core.CASPlain, false, drop)
-		add("UPD LLSC"+suffix, core.PolicyUPD, locks.PrimLLSC, core.CASPlain, false, drop)
-		add("UPD CAS"+suffix, core.PolicyUPD, locks.PrimCAS, core.CASPlain, false, drop)
+		bars = append(bars,
+			Bar{Policy: proto.PolicyUPD, Prim: locks.PrimFAP, Drop: drop},
+			Bar{Policy: proto.PolicyUPD, Prim: locks.PrimLLSC, Drop: drop},
+			Bar{Policy: proto.PolicyUPD, Prim: locks.PrimCAS, Drop: drop})
 	}
 	return bars
 }
@@ -102,8 +105,8 @@ func Defaults() RunOpts {
 // Patterns returns the paper's ten sharing patterns: no contention with
 // average write runs of 1, 1.5, 2, 3, and 10, and contention levels 2, 4,
 // 8, 16, and 64 (clamped to the machine size).
-func Patterns(o RunOpts) []Pattern {
-	pats := []Pattern{
+func Patterns(o RunOpts) []apps.Pattern {
+	pats := []apps.Pattern{
 		{Contention: 1, WriteRun: 1, Rounds: o.Rounds},
 		{Contention: 1, WriteRun: 1.5, Rounds: o.Rounds},
 		{Contention: 1, WriteRun: 2, Rounds: o.Rounds},
@@ -119,7 +122,7 @@ func Patterns(o RunOpts) []Pattern {
 			continue
 		}
 		seen[c] = true
-		pats = append(pats, Pattern{Contention: c, Rounds: o.Rounds})
+		pats = append(pats, apps.Pattern{Contention: c, Rounds: o.Rounds})
 	}
 	return pats
 }

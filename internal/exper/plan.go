@@ -13,9 +13,9 @@ import (
 type Point struct {
 	App     App
 	Bar     Bar
-	Scale   RunOpts // Par is ignored; parallelism is a Plan property
-	Pattern Pattern // pattern-driven apps only
-	Seed    uint64  // 0 selects the per-app default seeds
+	Scale   RunOpts      // Par is ignored; parallelism is a Plan property
+	Pattern apps.Pattern // pattern-driven apps only
+	Seed    uint64       // 0 selects the per-app default seeds
 }
 
 // Result is what one point produces: the run's headline numbers, each

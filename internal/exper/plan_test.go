@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"testing"
 
-	"dsm/internal/core"
+	"dsm/internal/apps"
 	"dsm/internal/locks"
+	"dsm/internal/proto"
 )
 
 // TestRunParallelMatchesSerial is the layer's determinism contract: a plan's
@@ -21,7 +22,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	o := RunOpts{Procs: 8, Rounds: 2, TCSize: 8}
 	base := SyntheticPlan(AppCounter, o)
 	base.Points = append(base.Points,
-		Point{App: AppTClosure, Bar: Bar{Policy: core.PolicyINV, Prim: locks.PrimFAP}, Scale: o})
+		Point{App: AppTClosure, Bar: Bar{Policy: proto.PolicyINV, Prim: locks.PrimFAP}, Scale: o})
 	base.Collect = true
 
 	run := func(par int) []Result {
@@ -59,9 +60,9 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 func TestPointRunDeterministic(t *testing.T) {
 	p := Point{
 		App:     AppCounter,
-		Bar:     Bar{Policy: core.PolicyINV, Prim: locks.PrimCAS, LoadEx: true},
+		Bar:     Bar{Policy: proto.PolicyINV, Prim: locks.PrimCAS, LoadEx: true},
 		Scale:   RunOpts{Procs: 8, Rounds: 4},
-		Pattern: Pattern{Contention: 8, Rounds: 4},
+		Pattern: apps.Pattern{Contention: 8, Rounds: 4},
 	}
 	first := p.Run(false)
 	for i := 0; i < 3; i++ {
@@ -76,7 +77,7 @@ func TestPointRunDeterministic(t *testing.T) {
 func TestPointSeedSelectsRun(t *testing.T) {
 	p := Point{
 		App:   AppTClosure,
-		Bar:   Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP},
+		Bar:   Bar{Policy: proto.PolicyUNC, Prim: locks.PrimFAP},
 		Scale: RunOpts{Procs: 4, TCSize: 10},
 	}
 	def := p.Run(false)
@@ -101,8 +102,8 @@ func TestSyntheticPlanLayout(t *testing.T) {
 	for pi, pat := range pats {
 		for bi, bar := range bars {
 			p := pl.Points[pi*len(bars)+bi]
-			if p.App != AppTTS || p.Bar.Label != bar.Label || p.Pattern != pat {
-				t.Fatalf("point (%d,%d) = %+v, want bar %q pattern %v", pi, bi, p, bar.Label, pat)
+			if p.App != AppTTS || p.Bar != bar || p.Pattern != pat {
+				t.Fatalf("point (%d,%d) = %+v, want bar %q pattern %v", pi, bi, p, bar.Label(), pat)
 			}
 		}
 	}
@@ -133,15 +134,15 @@ func TestCollectToggle(t *testing.T) {
 func TestCollectedReportSurvivesPoolReuse(t *testing.T) {
 	o := RunOpts{Procs: 8, Rounds: 2}
 	hot := Point{
-		App: AppCounter, Bar: Bar{Policy: core.PolicyINV, Prim: locks.PrimFAP},
-		Scale: o, Pattern: Pattern{Contention: 8, Rounds: o.Rounds},
+		App: AppCounter, Bar: Bar{Policy: proto.PolicyINV, Prim: locks.PrimFAP},
+		Scale: o, Pattern: apps.Pattern{Contention: 8, Rounds: o.Rounds},
 	}
 	first := hot.Run(true)
 	total := first.Report.Contention.Total()
 	mean := first.Report.Contention.Mean()
 	// Reuse the machine for different runs that would clobber a live alias.
 	cold := hot
-	cold.Pattern = Pattern{Contention: 1, Rounds: o.Rounds}
+	cold.Pattern = apps.Pattern{Contention: 1, Rounds: o.Rounds}
 	for i := 0; i < 4; i++ {
 		cold.Run(false)
 	}
@@ -161,7 +162,7 @@ func TestWorkloadPlanParallelMatchesSerial(t *testing.T) {
 		for _, bar := range SyntheticBars() {
 			base.Points = append(base.Points, Point{
 				App: app, Bar: bar, Scale: o,
-				Pattern: Pattern{Contention: 4, Rounds: o.Rounds},
+				Pattern: apps.Pattern{Contention: 4, Rounds: o.Rounds},
 			})
 		}
 	}
@@ -202,5 +203,48 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseApp("nope"); err == nil {
 		t.Fatal("ParseApp accepted junk")
+	}
+
+	// Policies, primitive families and CAS variants: every value's String
+	// parses back to it, the *Names list is the Strings in value order, and
+	// WireName interns each one.
+	for _, c := range []struct {
+		what  string
+		n     int
+		name  func(i int) string
+		parse func(s string) (int, error)
+		names []string
+	}{
+		{"policy", proto.NumPolicies,
+			func(i int) string { return proto.Policy(i).String() },
+			func(s string) (int, error) { v, err := ParsePolicy(s); return int(v), err },
+			PolicyNames()},
+		{"primitive", locks.NumPrims,
+			func(i int) string { return locks.Prim(i).String() },
+			func(s string) (int, error) { v, err := ParsePrim(s); return int(v), err },
+			PrimNames()},
+		{"CAS variant", proto.NumCASVariants,
+			func(i int) string { return proto.CASVariant(i).String() },
+			func(s string) (int, error) { v, err := ParseVariant(s); return int(v), err },
+			VariantNames()},
+	} {
+		if len(c.names) != c.n {
+			t.Errorf("%s names %q, want %d", c.what, c.names, c.n)
+		}
+		for i := range c.n {
+			name := c.name(i)
+			if got, err := c.parse(name); err != nil || got != i {
+				t.Errorf("parse %s %q = %d, %v; want %d", c.what, name, got, err, i)
+			}
+			if i < len(c.names) && c.names[i] != name {
+				t.Errorf("%s names[%d] = %q, want %q", c.what, i, c.names[i], name)
+			}
+			if got, ok := WireName([]byte(name)); !ok || got != name {
+				t.Errorf("WireName(%q) = %q, %v", name, got, ok)
+			}
+		}
+		if _, err := c.parse("nope"); err == nil {
+			t.Errorf("parse %s accepted junk", c.what)
+		}
 	}
 }

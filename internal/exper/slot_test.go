@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"testing"
 
-	"dsm/internal/core"
+	"dsm/internal/apps"
 	"dsm/internal/locks"
+	"dsm/internal/proto"
 )
 
 // TestSweepPerWorkerMachineDeterminism pins the per-worker machine
@@ -21,7 +22,7 @@ func TestSweepPerWorkerMachineDeterminism(t *testing.T) {
 		for _, bar := range SyntheticBars()[:4] {
 			points = append(points, Point{
 				App: AppCounter, Bar: bar, Scale: o,
-				Pattern: Pattern{Contention: o.Procs, Rounds: o.Rounds},
+				Pattern: apps.Pattern{Contention: o.Procs, Rounds: o.Rounds},
 			})
 		}
 	}
@@ -55,7 +56,7 @@ func TestSweepPerWorkerMachineDeterminism(t *testing.T) {
 // machine for matching geometry (no rebuild per point) and rebuilds only
 // on a structural mismatch.
 func TestMachineSlotReusesResidentMachine(t *testing.T) {
-	bar := Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
+	bar := Bar{Policy: proto.PolicyUNC, Prim: locks.PrimFAP}
 	var s MachineSlot
 	m1 := s.Machine(MachineConfig(RunOpts{Procs: 8}, bar))
 	m2 := s.Machine(MachineConfig(RunOpts{Procs: 8}, bar))
@@ -77,9 +78,9 @@ func TestMachineSlotReusesResidentMachine(t *testing.T) {
 func TestRunSlotMatchesRun(t *testing.T) {
 	p := Point{
 		App:     AppCounter,
-		Bar:     Bar{Policy: core.PolicyINV, Prim: locks.PrimCAS},
+		Bar:     Bar{Policy: proto.PolicyINV, Prim: locks.PrimCAS},
 		Scale:   RunOpts{Procs: 8, Rounds: 3},
-		Pattern: Pattern{Contention: 8, Rounds: 3},
+		Pattern: apps.Pattern{Contention: 8, Rounds: 3},
 	}
 	want := p.Run(false)
 	var s MachineSlot

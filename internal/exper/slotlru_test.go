@@ -4,15 +4,17 @@ import (
 	"reflect"
 	"testing"
 
+	"dsm/internal/apps"
 	"dsm/internal/core"
 	"dsm/internal/exper"
 	"dsm/internal/locks"
+	"dsm/internal/proto"
 )
 
 // geometries returns n distinct machine configurations (distinct processor
 // counts, hence distinct mesh geometries).
 func geometries(n int) []core.Config {
-	bar := exper.Bar{Policy: core.PolicyINV, Prim: locks.PrimFAP}
+	bar := exper.Bar{Policy: proto.PolicyINV, Prim: locks.PrimFAP}
 	out := make([]core.Config, n)
 	for i := range out {
 		out[i] = exper.MachineConfig(exper.RunOpts{Procs: 1 << i}, bar)
@@ -98,7 +100,7 @@ func mixedGeometryPlan(par int) exper.Plan {
 			App:     exper.AppCounter,
 			Bar:     bar,
 			Scale:   exper.RunOpts{Procs: procs, Rounds: 2},
-			Pattern: exper.Pattern{Contention: 2, Rounds: 2},
+			Pattern: apps.Pattern{Contention: 2, Rounds: 2},
 		})
 	}
 	return exper.Plan{Points: pts, Par: par}

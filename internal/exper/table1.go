@@ -4,6 +4,7 @@ import (
 	"dsm/internal/arch"
 	"dsm/internal/core"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 )
 
 // Table1Row is one measured row of Table 1.
@@ -19,7 +20,7 @@ type Table1Row struct {
 // are fanned across par workers (see Sweep); par 0 means GOMAXPROCS.
 func Table1Par(par int) []Table1Row {
 	cfg := core.DefaultConfig()
-	measureStore := func(policy core.Policy, setup func(m *machine.Machine, a arch.Addr)) int {
+	measureStore := func(policy proto.Policy, setup func(m *machine.Machine, a arch.Addr)) int {
 		m := machine.New(cfg)
 		a := m.AllocSyncAt(9, policy) // remote home for nodes 0-2
 		if setup != nil {
@@ -28,7 +29,7 @@ func Table1Par(par int) []Table1Row {
 		chain := -1
 		progs := make([]func(*machine.Proc), m.Procs())
 		progs[0] = func(p *machine.Proc) {
-			chain = p.Do(core.Request{Op: core.OpStore, Addr: a, Val: 1}).Chain
+			chain = p.Do(core.Request{Op: proto.OpStore, Addr: a, Val: 1}).Chain
 		}
 		m.RunEach(progs)
 		return chain
@@ -39,38 +40,40 @@ func Table1Par(par int) []Table1Row {
 		m.RunEach(progs)
 	}
 
+	// A case is named by its policy and the situation, "where", it
+	// stores into.
 	cases := []struct {
-		name   string
+		where  string
 		paper  int
-		policy core.Policy
+		policy proto.Policy
 		setup  func(m *machine.Machine, a arch.Addr)
 	}{
-		{"UNC", 2, core.PolicyUNC, nil},
-		{"INV to cached exclusive", 0, core.PolicyINV,
+		{"", 2, proto.PolicyUNC, nil},
+		{" to cached exclusive", 0, proto.PolicyINV,
 			func(m *machine.Machine, a arch.Addr) {
 				runOn(m, 0, func(p *machine.Proc) { p.Store(a, 7) })
 			}},
-		{"INV to remote exclusive", 4, core.PolicyINV,
+		{" to remote exclusive", 4, proto.PolicyINV,
 			func(m *machine.Machine, a arch.Addr) {
 				runOn(m, 1, func(p *machine.Proc) { p.Store(a, 7) })
 			}},
-		{"INV to remote shared", 3, core.PolicyINV,
+		{" to remote shared", 3, proto.PolicyINV,
 			func(m *machine.Machine, a arch.Addr) {
 				runOn(m, 1, func(p *machine.Proc) { p.Load(a) })
 				runOn(m, 2, func(p *machine.Proc) { p.Load(a) })
 			}},
-		{"INV to uncached", 2, core.PolicyINV, nil},
-		{"UPD to cached", 3, core.PolicyUPD,
+		{" to uncached", 2, proto.PolicyINV, nil},
+		{" to cached", 3, proto.PolicyUPD,
 			func(m *machine.Machine, a arch.Addr) {
 				runOn(m, 1, func(p *machine.Proc) { p.Load(a) })
 			}},
-		{"UPD to uncached", 2, core.PolicyUPD, nil},
+		{" to uncached", 2, proto.PolicyUPD, nil},
 	}
 
 	rows := make([]Table1Row, len(cases))
 	Sweep(len(cases), par, func(i int) {
 		c := cases[i]
-		rows[i] = Table1Row{Case: c.name, Paper: c.paper, Got: measureStore(c.policy, c.setup)}
+		rows[i] = Table1Row{Case: c.policy.String() + c.where, Paper: c.paper, Got: measureStore(c.policy, c.setup)}
 	})
 	return rows
 }

@@ -23,7 +23,7 @@ func WriteSyntheticCSV(w io.Writer, name string, app exper.App, o exper.RunOpts)
 	fmt.Fprintln(w, "figure,bar,pattern,avg_cycles")
 	for pi, pat := range pats {
 		for bi, bar := range bars {
-			fmt.Fprintf(w, "%s,%q,%q,%.2f\n", name, bar.Label, pat.String(), grid[pi][bi])
+			fmt.Fprintf(w, "%s,%q,%q,%.2f\n", name, bar.Label(), pat.String(), grid[pi][bi])
 		}
 	}
 }
@@ -34,7 +34,7 @@ func WriteFig6CSV(w io.Writer, o exper.RunOpts) {
 	fmt.Fprintln(w, "app,bar,elapsed_cycles")
 	for bi, bar := range bars {
 		for ai, app := range realApps {
-			fmt.Fprintf(w, "%s,%q,%d\n", app, bar.Label, grid[bi][ai])
+			fmt.Fprintf(w, "%s,%q,%d\n", app, bar.Label(), grid[bi][ai])
 		}
 	}
 }

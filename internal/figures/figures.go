@@ -14,9 +14,10 @@ import (
 	"fmt"
 	"io"
 
-	"dsm/internal/core"
+	"dsm/internal/apps"
 	"dsm/internal/exper"
 	"dsm/internal/locks"
+	"dsm/internal/proto"
 	"dsm/internal/stats"
 )
 
@@ -40,7 +41,7 @@ func WriteTable1Par(w io.Writer, par int) {
 // pattern, returning average cycles per counter update indexed as
 // [pattern][bar]. The pattern x bar grid is one exper plan fanned across
 // o.Par workers; results land in plan order regardless of completion order.
-func SyntheticFigure(app exper.App, o exper.RunOpts) ([][]float64, []exper.Bar, []exper.Pattern) {
+func SyntheticFigure(app exper.App, o exper.RunOpts) ([][]float64, []exper.Bar, []apps.Pattern) {
 	bars := exper.SyntheticBars()
 	pats := exper.Patterns(o)
 	res := exper.Run(exper.SyntheticPlan(app, o))
@@ -65,7 +66,7 @@ func WriteSyntheticFigure(w io.Writer, title string, app exper.App, o exper.RunO
 	}
 	fmt.Fprintln(w)
 	for bi, bar := range bars {
-		fmt.Fprintf(w, "%-18s", bar.Label)
+		fmt.Fprintf(w, "%-18s", bar.Label())
 		for pi := range pats {
 			fmt.Fprintf(w, "%10.1f", grid[pi][bi])
 		}
@@ -93,9 +94,9 @@ func Fig5(w io.Writer, o exper.RunOpts) {
 // fig2Plan is the figure-2 grid: each real application under each policy,
 // app-major, with full reports collected (the histogram and write-run
 // numbers render from the report, not the machine).
-func fig2Plan(o exper.RunOpts) (exper.Plan, []exper.App, []core.Policy) {
+func fig2Plan(o exper.RunOpts) (exper.Plan, []exper.App, []proto.Policy) {
 	realApps := exper.RealApps()
-	pols := []core.Policy{core.PolicyINV, core.PolicyUNC, core.PolicyUPD}
+	pols := []proto.Policy{proto.PolicyINV, proto.PolicyUNC, proto.PolicyUPD}
 	pl := exper.Plan{Par: o.Par, Collect: true,
 		Points: make([]exper.Point, 0, len(realApps)*len(pols))}
 	for _, app := range realApps {
@@ -179,7 +180,7 @@ func Fig6(w io.Writer, o exper.RunOpts) {
 	}
 	fmt.Fprintln(w)
 	for bi, bar := range bars {
-		fmt.Fprintf(w, "%-18s", bar.Label)
+		fmt.Fprintf(w, "%-18s", bar.Label())
 		for ai := range realApps {
 			fmt.Fprintf(w, "%14d", grid[bi][ai])
 		}

@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"dsm/internal/apps"
-	"dsm/internal/core"
 	"dsm/internal/exper"
 	"dsm/internal/locks"
+	"dsm/internal/proto"
 )
 
 func TestTable1MatchesPaperExactly(t *testing.T) {
@@ -34,11 +34,11 @@ func TestSyntheticBarsMatchPaperCount(t *testing.T) {
 	if len(bars) != 21 {
 		t.Fatalf("bar count = %d, want 21 (3 UNC + 12 INV + 6 UPD)", len(bars))
 	}
-	counts := map[core.Policy]int{}
+	counts := map[proto.Policy]int{}
 	for _, b := range bars {
 		counts[b.Policy]++
 	}
-	if counts[core.PolicyUNC] != 3 || counts[core.PolicyINV] != 12 || counts[core.PolicyUPD] != 6 {
+	if counts[proto.PolicyUNC] != 3 || counts[proto.PolicyINV] != 12 || counts[proto.PolicyUPD] != 6 {
 		t.Fatalf("bar distribution = %v", counts)
 	}
 }
@@ -64,16 +64,16 @@ func TestPatternsMatchPaperGrid(t *testing.T) {
 // reduced configuration of the lock-free counter figure.
 func TestFig3Shapes(t *testing.T) {
 	o := exper.RunOpts{Procs: 16, Rounds: 8}
-	run := func(bar exper.Bar, pat exper.Pattern) float64 {
+	run := func(bar exper.Bar, pat apps.Pattern) float64 {
 		m := exper.NewMachine(o, bar)
 		return apps.CounterApp(m, bar.Policy, bar.Opts(), pat).AvgCycles
 	}
-	uncFAP := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
-	invFAP := exper.Bar{Policy: core.PolicyINV, Prim: locks.PrimFAP}
-	updFAP := exper.Bar{Policy: core.PolicyUPD, Prim: locks.PrimFAP}
+	uncFAP := exper.Bar{Policy: proto.PolicyUNC, Prim: locks.PrimFAP}
+	invFAP := exper.Bar{Policy: proto.PolicyINV, Prim: locks.PrimFAP}
+	updFAP := exper.Bar{Policy: proto.PolicyUPD, Prim: locks.PrimFAP}
 
 	// With contention, UNC fetch_and_add beats the INV and UPD versions.
-	hot := exper.Pattern{Contention: 16, Rounds: o.Rounds}
+	hot := apps.Pattern{Contention: 16, Rounds: o.Rounds}
 	unc, inv, upd := run(uncFAP, hot), run(invFAP, hot), run(updFAP, hot)
 	if unc >= inv {
 		t.Errorf("contention c=16: UNC FAA (%.0f) should beat INV FAA (%.0f)", unc, inv)
@@ -83,7 +83,7 @@ func TestFig3Shapes(t *testing.T) {
 	}
 
 	// With long write runs, INV wins: later updates in a run are hits.
-	longRun := exper.Pattern{Contention: 1, WriteRun: 10, Rounds: o.Rounds}
+	longRun := apps.Pattern{Contention: 1, WriteRun: 10, Rounds: o.Rounds}
 	unc, inv = run(uncFAP, longRun), run(invFAP, longRun)
 	if inv >= unc {
 		t.Errorf("a=10: INV FAA (%.0f) should beat UNC FAA (%.0f)", inv, unc)
@@ -91,8 +91,8 @@ func TestFig3Shapes(t *testing.T) {
 
 	// CAS under INV benefits from load_exclusive (fewer failed CASes /
 	// upgrade misses).
-	invCAS := exper.Bar{Policy: core.PolicyINV, Prim: locks.PrimCAS}
-	invCASldex := exper.Bar{Policy: core.PolicyINV, Prim: locks.PrimCAS, LoadEx: true}
+	invCAS := exper.Bar{Policy: proto.PolicyINV, Prim: locks.PrimCAS}
+	invCASldex := exper.Bar{Policy: proto.PolicyINV, Prim: locks.PrimCAS, LoadEx: true}
 	plain, ldex := run(invCAS, hot), run(invCASldex, hot)
 	if ldex > plain*1.1 {
 		t.Errorf("c=16: CAS+load_exclusive (%.0f) should not lose to plain CAS (%.0f)", ldex, plain)
@@ -101,13 +101,13 @@ func TestFig3Shapes(t *testing.T) {
 
 func TestFig3DropCopyHelpsSingleUpdateRuns(t *testing.T) {
 	o := exper.RunOpts{Procs: 16, Rounds: 12}
-	pat := exper.Pattern{Contention: 1, WriteRun: 1, Rounds: o.Rounds}
+	pat := apps.Pattern{Contention: 1, WriteRun: 1, Rounds: o.Rounds}
 	run := func(bar exper.Bar) float64 {
 		m := exper.NewMachine(o, bar)
 		return apps.CounterApp(m, bar.Policy, bar.Opts(), pat).AvgCycles
 	}
-	plain := run(exper.Bar{Policy: core.PolicyINV, Prim: locks.PrimFAP})
-	drop := run(exper.Bar{Policy: core.PolicyINV, Prim: locks.PrimFAP, Drop: true})
+	plain := run(exper.Bar{Policy: proto.PolicyINV, Prim: locks.PrimFAP})
+	drop := run(exper.Bar{Policy: proto.PolicyINV, Prim: locks.PrimFAP, Drop: true})
 	// With a=1 and no contention, drop_copy turns the 4-message
 	// remote-exclusive transfer into a 2-message fetch from memory. The
 	// drop itself costs the updater a little, but the next updater's
@@ -154,7 +154,7 @@ func TestFig6RunsAllApps(t *testing.T) {
 
 func TestRunRealTClosureUsesCounter(t *testing.T) {
 	o := exper.RunOpts{Procs: 4, TCSize: 8}
-	bar := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
+	bar := exper.Bar{Policy: proto.PolicyUNC, Prim: locks.PrimFAP}
 	m := exper.NewMachine(o, bar)
 	if res := (exper.Point{App: exper.AppTClosure, Bar: bar, Scale: o}).RunOn(m); res.Elapsed == 0 {
 		t.Fatal("no elapsed time")
@@ -170,7 +170,7 @@ func TestTCEfficiencyGrowsWithProblemSize(t *testing.T) {
 	// barrier-bound, so we verify the property that drives the paper's
 	// number: efficiency rises as per-phase work grows relative to the
 	// synchronization cost.
-	bar := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
+	bar := exper.Bar{Policy: proto.PolicyUNC, Prim: locks.PrimFAP}
 	small := exper.TCEfficiency(exper.RunOpts{Procs: 8, TCSize: 10}, bar)
 	large := exper.TCEfficiency(exper.RunOpts{Procs: 8, TCSize: 28}, bar)
 	if large <= small {

@@ -8,9 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	"dsm/internal/core"
 	"dsm/internal/exper"
 	"dsm/internal/locks"
+	"dsm/internal/proto"
 )
 
 // goldenOpts is the reduced scale the golden output is recorded at
@@ -25,7 +25,7 @@ func goldenOpts() exper.RunOpts {
 // regenerated and this renderer kept in step — a drift between the two
 // fails the comparison rather than hiding.
 func writeAll(w io.Writer, o exper.RunOpts) {
-	bar := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
+	bar := exper.Bar{Policy: proto.PolicyUNC, Prim: locks.PrimFAP}
 	fmt.Fprintf(w, "Transitive Closure parallel efficiency at p=%d, n=%d: %.1f%%\n",
 		o.Procs, o.TCSize, 100*exper.TCEfficiency(o, bar))
 	fmt.Fprintln(w)

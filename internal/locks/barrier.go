@@ -2,8 +2,8 @@ package locks
 
 import (
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -25,7 +25,7 @@ type CentralBarrier struct {
 
 // NewCentralBarrier allocates the barrier under the given policy for its
 // counter (the hot atomic word); the release flag is ordinary data.
-func NewCentralBarrier(m *machine.Machine, policy core.Policy, opts Options) *CentralBarrier {
+func NewCentralBarrier(m *machine.Machine, policy proto.Policy, opts Options) *CentralBarrier {
 	return &CentralBarrier{
 		count:   m.AllocSync(policy),
 		sense:   m.Alloc(4),

@@ -2,8 +2,8 @@ package locks
 
 import (
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 )
 
 // Counter is a lock-free shared counter, the paper's first synthetic
@@ -15,7 +15,7 @@ type Counter struct {
 }
 
 // NewCounter allocates a counter in its own block under the given policy.
-func NewCounter(m *machine.Machine, policy core.Policy, opts Options) *Counter {
+func NewCounter(m *machine.Machine, policy proto.Policy, opts Options) *Counter {
 	return &Counter{Addr: m.AllocSync(policy), Opts: opts}
 }
 

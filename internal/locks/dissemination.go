@@ -2,9 +2,9 @@ package locks
 
 import (
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 )
 
 // DisseminationBarrier is the dissemination barrier of Hensgen, Finkel &
@@ -37,7 +37,7 @@ func NewDisseminationBarrier(m *machine.Machine) *DisseminationBarrier {
 	for i := 0; i < n; i++ {
 		b.flags[i] = make([]arch.Addr, rounds)
 		for k := 0; k < rounds; k++ {
-			b.flags[i][k] = m.AllocSyncAt(mesh.NodeID(i), core.PolicyINV)
+			b.flags[i][k] = m.AllocSyncAt(mesh.NodeID(i), proto.PolicyINV)
 		}
 	}
 	return b

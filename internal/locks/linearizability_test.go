@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"dsm/internal/check"
-	"dsm/internal/core"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -43,7 +43,7 @@ func TestCounterLinearizable(t *testing.T) {
 							// operations, so they are kept out of the
 							// history there; increments (serialized at the
 							// home) are checked under every policy.
-							if pol != core.PolicyUPD {
+							if pol != proto.PolicyUPD {
 								h.Record(check.Op{
 									Proc: p.ID(), Invoke: invoke, Respond: p.Now(),
 									Kind: check.Read, Value: v,
@@ -86,7 +86,7 @@ func TestCounterLinearizableWithAuxiliaries(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const procs, iters = 8, 8
 			m := newM(procs)
-			c := NewCounter(m, core.PolicyINV, opts)
+			c := NewCounter(m, proto.PolicyINV, opts)
 			var h check.History
 			m.Run(func(p *machine.Proc) {
 				for i := 0; i < iters; i++ {

@@ -7,6 +7,7 @@ import (
 	"dsm/internal/core"
 	"dsm/internal/dir"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -28,8 +29,8 @@ func newM(procs int, mut ...func(*core.Config)) *machine.Machine {
 	return machine.New(cfg)
 }
 
-func allPolicies() []core.Policy {
-	return []core.Policy{core.PolicyINV, core.PolicyUPD, core.PolicyUNC}
+func allPolicies() []proto.Policy {
+	return []proto.Policy{proto.PolicyINV, proto.PolicyUPD, proto.PolicyUNC}
 }
 
 // ------------------------------------------------------------ counter ---
@@ -58,7 +59,7 @@ func TestCounterAllPrimsAllPolicies(t *testing.T) {
 
 func TestCounterWithLoadExclusive(t *testing.T) {
 	m := newM(4)
-	c := NewCounter(m, core.PolicyINV, Options{Prim: PrimCAS, UseLoadExclusive: true})
+	c := NewCounter(m, proto.PolicyINV, Options{Prim: PrimCAS, UseLoadExclusive: true})
 	m.Run(func(p *machine.Proc) {
 		for i := 0; i < 10; i++ {
 			c.Inc(p)
@@ -71,7 +72,7 @@ func TestCounterWithLoadExclusive(t *testing.T) {
 
 func TestCounterWithDropCopy(t *testing.T) {
 	m := newM(4)
-	c := NewCounter(m, core.PolicyINV, Options{Prim: PrimFAP, Drop: true})
+	c := NewCounter(m, proto.PolicyINV, Options{Prim: PrimFAP, Drop: true})
 	m.Run(func(p *machine.Proc) {
 		for i := 0; i < 5; i++ {
 			c.Inc(p)
@@ -85,7 +86,7 @@ func TestCounterWithDropCopy(t *testing.T) {
 
 func TestCounterIncReturnsOldValues(t *testing.T) {
 	m := newM(4)
-	c := NewCounter(m, core.PolicyUNC, Options{Prim: PrimFAP})
+	c := NewCounter(m, proto.PolicyUNC, Options{Prim: PrimFAP})
 	seen := make(map[arch.Word]bool)
 	m.Run(func(p *machine.Proc) {
 		for i := 0; i < 5; i++ {
@@ -105,7 +106,7 @@ func TestSwapAllPrims(t *testing.T) {
 		prim := prim
 		t.Run(prim.String(), func(t *testing.T) {
 			m := newM(4)
-			a := m.AllocSync(core.PolicyINV)
+			a := m.AllocSync(proto.PolicyINV)
 			opts := Options{Prim: prim}
 			// Each processor swaps in its id+1; every fetched value must
 			// be distinct (0 plus three of the four ids).
@@ -129,7 +130,7 @@ func TestSwapAllPrims(t *testing.T) {
 
 func TestCASPanicsForFAP(t *testing.T) {
 	m := newM(4)
-	a := m.AllocSync(core.PolicyINV)
+	a := m.AllocSync(proto.PolicyINV)
 	opts := Options{Prim: PrimFAP}
 	panicked := false
 	// Recover inside the program, so the run itself completes.
@@ -147,7 +148,7 @@ func TestCASPanicsForFAP(t *testing.T) {
 
 func TestSimulatedCASFailsOnMismatch(t *testing.T) {
 	m := newM(4)
-	a := m.AllocSync(core.PolicyINV)
+	a := m.AllocSync(proto.PolicyINV)
 	opts := Options{Prim: PrimLLSC}
 	m.RunEach([]func(*machine.Proc){
 		func(p *machine.Proc) {
@@ -183,7 +184,7 @@ func TestTTSMutualExclusion(t *testing.T) {
 
 func TestTTSWithDrop(t *testing.T) {
 	testLockMutualExclusion(t, func(m *machine.Machine) lock {
-		return NewTTSLock(m, core.PolicyINV, Options{Prim: PrimFAP, Drop: true})
+		return NewTTSLock(m, proto.PolicyINV, Options{Prim: PrimFAP, Drop: true})
 	})
 }
 
@@ -269,7 +270,7 @@ func TestMCSUncontendedAcquireReleaseIsCheap(t *testing.T) {
 	// An uncontended MCS acquire is one swap; release is one CAS. No
 	// spinning should occur.
 	m := newM(4)
-	l := NewMCSLock(m, core.PolicyINV, Options{Prim: PrimCAS})
+	l := NewMCSLock(m, proto.PolicyINV, Options{Prim: PrimCAS})
 	var cycles sim.Time
 	m.RunEach([]func(*machine.Proc){
 		func(p *machine.Proc) {
@@ -287,7 +288,7 @@ func TestMCSUncontendedAcquireReleaseIsCheap(t *testing.T) {
 
 func TestMCSBareSCReleaseWithSerialScheme(t *testing.T) {
 	m := newM(8, func(c *core.Config) { c.ResvScheme = dir.ResvSerial })
-	l := NewMCSLock(m, core.PolicyUNC, Options{Prim: PrimLLSC})
+	l := NewMCSLock(m, proto.PolicyUNC, Options{Prim: PrimLLSC})
 	l.BareSCRelease = true
 	shared := m.Alloc(4)
 	const iters = 6
@@ -331,7 +332,7 @@ func TestTreeBarrierFullMachine(t *testing.T) {
 	const procs = 64
 	m := newM(procs)
 	b := NewTreeBarrier(m)
-	a := m.AllocSync(core.PolicyUNC)
+	a := m.AllocSync(proto.PolicyUNC)
 	m.Run(func(p *machine.Proc) {
 		for r := 0; r < 3; r++ {
 			if p.ID() == 0 {

@@ -2,9 +2,9 @@ package locks
 
 import (
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 )
 
 // MCSLock is the queue-based spin lock of Mellor-Crummey & Scott: each
@@ -33,7 +33,7 @@ type MCSLock struct {
 
 // NewMCSLock allocates the lock's tail under the given policy and one
 // qnode per processor, homed at that processor for local spinning.
-func NewMCSLock(m *machine.Machine, policy core.Policy, opts Options) *MCSLock {
+func NewMCSLock(m *machine.Machine, policy proto.Policy, opts Options) *MCSLock {
 	l := &MCSLock{}
 	l.Init(m, policy, opts)
 	return l
@@ -44,7 +44,7 @@ func NewMCSLock(m *machine.Machine, policy core.Policy, opts Options) *MCSLock {
 // MCSLock value across runs on machines of the same processor count keeps
 // the per-run path free of heap allocation: the per-processor slices are
 // retained when their length already matches.
-func (l *MCSLock) Init(m *machine.Machine, policy core.Policy, opts Options) {
+func (l *MCSLock) Init(m *machine.Machine, policy proto.Policy, opts Options) {
 	procs := m.Procs()
 	l.Tail = m.AllocSync(policy)
 	l.Opts = opts
@@ -57,8 +57,8 @@ func (l *MCSLock) Init(m *machine.Machine, policy core.Policy, opts Options) {
 		clear(l.serial)
 	}
 	for i := 0; i < procs; i++ {
-		l.next[i] = m.AllocSyncAt(mesh.NodeID(i), core.PolicyINV)
-		l.locked[i] = m.AllocSyncAt(mesh.NodeID(i), core.PolicyINV)
+		l.next[i] = m.AllocSyncAt(mesh.NodeID(i), proto.PolicyINV)
+		l.locked[i] = m.AllocSyncAt(mesh.NodeID(i), proto.PolicyINV)
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 )
 
 // MSQueue is the Michael & Scott lock-free FIFO queue — by the same
@@ -58,7 +58,7 @@ func msID(w arch.Word) arch.Word { return w & (1<<msTagBits - 1) }
 // nodes (plus the dummy), reusing the node table's storage, so a workload
 // rerun on a reused machine allocates nothing. The caller acquires nodes
 // with AcquireNode; they are not recycled.
-func (q *MSQueue) Init(m *machine.Machine, policy core.Policy, capacity int, opts Options) {
+func (q *MSQueue) Init(m *machine.Machine, policy proto.Policy, capacity int, opts Options) {
 	if opts.Prim == PrimFAP {
 		panic("locks: the MS queue needs a universal primitive (CAS or LL/SC)")
 	}

@@ -28,17 +28,18 @@ const (
 	PrimCAS
 	// PrimLLSC: load_linked/store_conditional. Universal.
 	PrimLLSC
+
+	// NumPrims bounds arrays indexed by Prim.
+	NumPrims = 3
 )
 
-// String returns the label used in the paper's figures.
+var primNames = [NumPrims]string{PrimFAP: "FAP", PrimCAS: "CAS", PrimLLSC: "LLSC"}
+
+// String returns the family's name, used in the paper's figures and on
+// the wire.
 func (p Prim) String() string {
-	switch p {
-	case PrimFAP:
-		return "FAP"
-	case PrimCAS:
-		return "CAS"
-	case PrimLLSC:
-		return "LLSC"
+	if int(p) < len(primNames) {
+		return primNames[p]
 	}
 	return fmt.Sprintf("Prim(%d)", uint8(p))
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -27,7 +27,7 @@ type Queue struct {
 }
 
 // NewQueue allocates a queue with the given number of slots.
-func NewQueue(m *machine.Machine, policy core.Policy, slots int, opts Options) *Queue {
+func NewQueue(m *machine.Machine, policy proto.Policy, slots int, opts Options) *Queue {
 	if slots <= 0 {
 		panic("locks: queue needs at least one slot")
 	}

@@ -4,14 +4,14 @@ import (
 	"testing"
 
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
 func TestQueueSequentialFIFO(t *testing.T) {
 	m := newM(4)
-	q := NewQueue(m, core.PolicyUNC, 4, Options{Prim: PrimFAP})
+	q := NewQueue(m, proto.PolicyUNC, 4, Options{Prim: PrimFAP})
 	m.RunEach([]func(*machine.Proc){
 		func(p *machine.Proc) {
 			for v := arch.Word(1); v <= 3; v++ {
@@ -29,7 +29,7 @@ func TestQueueSequentialFIFO(t *testing.T) {
 
 func TestQueueWrapsAroundCapacity(t *testing.T) {
 	m := newM(4)
-	q := NewQueue(m, core.PolicyUNC, 2, Options{Prim: PrimFAP})
+	q := NewQueue(m, proto.PolicyUNC, 2, Options{Prim: PrimFAP})
 	m.RunEach([]func(*machine.Proc){
 		func(p *machine.Proc) {
 			for round := 0; round < 5; round++ {
@@ -53,7 +53,7 @@ func TestQueueProducersConsumersNoLossNoDup(t *testing.T) {
 		t.Run(prim.String(), func(t *testing.T) {
 			const procs, perProducer = 8, 6
 			m := newM(procs)
-			q := NewQueue(m, core.PolicyUNC, 4, Options{Prim: prim})
+			q := NewQueue(m, proto.PolicyUNC, 4, Options{Prim: prim})
 			got := make(map[arch.Word]int)
 			m.Run(func(p *machine.Proc) {
 				if p.ID()%2 == 0 {
@@ -91,7 +91,7 @@ func TestQueuePerProducerOrderPreserved(t *testing.T) {
 	// in increasing order.
 	const procs = 4
 	m := newM(procs)
-	q := NewQueue(m, core.PolicyUNC, 8, Options{Prim: PrimFAP})
+	q := NewQueue(m, proto.PolicyUNC, 8, Options{Prim: PrimFAP})
 	var consumed []arch.Word
 	m.Run(func(p *machine.Proc) {
 		if p.ID() == 0 {
@@ -122,7 +122,7 @@ func TestQueuePanicsOnZeroSlots(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewQueue(m, core.PolicyUNC, 0, Options{Prim: PrimFAP})
+	NewQueue(m, proto.PolicyUNC, 0, Options{Prim: PrimFAP})
 }
 
 func TestCentralBarrierSynchronizes(t *testing.T) {
@@ -131,7 +131,7 @@ func TestCentralBarrierSynchronizes(t *testing.T) {
 		t.Run(prim.String(), func(t *testing.T) {
 			const procs, rounds = 8, 4
 			m := newM(procs)
-			b := NewCentralBarrier(m, core.PolicyINV, Options{Prim: prim})
+			b := NewCentralBarrier(m, proto.PolicyINV, Options{Prim: prim})
 			phase := make([]int, procs)
 			m.Run(func(p *machine.Proc) {
 				for r := 0; r < rounds; r++ {
@@ -154,7 +154,7 @@ func TestCentralVsTreeBarrierScaling(t *testing.T) {
 	// barrier's hot counter and release flag cost more per episode.
 	const procs, rounds = 64, 4
 	mC := newM(procs)
-	central := NewCentralBarrier(mC, core.PolicyINV, Options{Prim: PrimFAP})
+	central := NewCentralBarrier(mC, proto.PolicyINV, Options{Prim: PrimFAP})
 	centralTime := mC.Run(func(p *machine.Proc) {
 		for r := 0; r < rounds; r++ {
 			central.Wait(p)

@@ -2,9 +2,9 @@ package locks
 
 import (
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -45,7 +45,7 @@ const rcuSlots = 2
 
 // NewRCU allocates the cell with snapshots of the given word count,
 // publishing version 0 in slot 0.
-func NewRCU(m *machine.Machine, policy core.Policy, words int, opts Options) *RCU {
+func NewRCU(m *machine.Machine, policy proto.Policy, words int, opts Options) *RCU {
 	if words < 1 || words > arch.WordsPerBlock {
 		panic("locks: RCU snapshot must fit one block")
 	}
@@ -59,7 +59,7 @@ func NewRCU(m *machine.Machine, policy core.Policy, words int, opts Options) *RC
 		Opts:      opts,
 	}
 	for i := range r.quiescent {
-		r.quiescent[i] = m.AllocSyncAt(mesh.NodeID(i), core.PolicyINV)
+		r.quiescent[i] = m.AllocSyncAt(mesh.NodeID(i), proto.PolicyINV)
 	}
 	for s := range r.slot {
 		r.slot[s] = m.Alloc(arch.BlockBytes)

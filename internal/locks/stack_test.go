@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 )
 
 // drain pops s until empty, returning the node ids in pop order.
@@ -25,7 +25,7 @@ func TestStackPushPopLIFO(t *testing.T) {
 		prim := prim
 		t.Run(prim.String(), func(t *testing.T) {
 			m := newM(4)
-			s := NewTreiberStack(m, core.PolicyINV, 8, Options{Prim: prim})
+			s := NewTreiberStack(m, proto.PolicyINV, 8, Options{Prim: prim})
 			m.RunEach([]func(*machine.Proc){
 				func(p *machine.Proc) {
 					for n := arch.Word(1); n <= 3; n++ {
@@ -55,7 +55,7 @@ func TestStackConcurrentPushersNoLoss(t *testing.T) {
 		t.Run(prim.String(), func(t *testing.T) {
 			const procs, each = 4, 4
 			m := newM(procs)
-			s := NewTreiberStack(m, core.PolicyINV, procs*each, Options{Prim: prim})
+			s := NewTreiberStack(m, proto.PolicyINV, procs*each, Options{Prim: prim})
 			m.Run(func(p *machine.Proc) {
 				for k := 0; k < each; k++ {
 					node := arch.Word(p.ID()*each + k + 1)
@@ -91,7 +91,7 @@ func TestStackConcurrentPushersNoLoss(t *testing.T) {
 func TestStackABAProblem(t *testing.T) {
 	stage := func(prim Prim) (popped arch.Word, topAfter arch.Word, stolen arch.Word) {
 		m := newM(4)
-		s := NewTreiberStack(m, core.PolicyINV, 4, Options{Prim: prim})
+		s := NewTreiberStack(m, proto.PolicyINV, 4, Options{Prim: prim})
 		s.Tagged = false
 		// Simulated-memory handshake flags between victim and adversary.
 		windowOpen := m.Alloc(4)

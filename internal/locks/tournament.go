@@ -2,9 +2,9 @@ package locks
 
 import (
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 )
 
 // TournamentBarrier is the tournament barrier of Hensgen, Finkel & Manber
@@ -43,10 +43,10 @@ func NewTournamentBarrier(m *machine.Machine) *TournamentBarrier {
 		b.arrive[i] = make([]arch.Addr, levels)
 		for k := 0; k < levels; k++ {
 			if i&(1<<k) == 0 && i|1<<k < n && i|1<<k != i {
-				b.arrive[i][k] = m.AllocSyncAt(mesh.NodeID(i), core.PolicyINV)
+				b.arrive[i][k] = m.AllocSyncAt(mesh.NodeID(i), proto.PolicyINV)
 			}
 		}
-		b.wake[i] = m.AllocSyncAt(mesh.NodeID(i), core.PolicyINV)
+		b.wake[i] = m.AllocSyncAt(mesh.NodeID(i), proto.PolicyINV)
 	}
 	return b
 }

@@ -2,9 +2,9 @@ package locks
 
 import (
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 )
 
 // arity of the arrival tree (the MCS barrier uses a 4-ary arrival tree and
@@ -37,10 +37,10 @@ func NewTreeBarrier(m *machine.Machine) *TreeBarrier {
 		b.arrive[i] = make([]arch.Addr, arrivalArity)
 		for k := 0; k < arrivalArity; k++ {
 			if arrivalArity*i+k+1 < n {
-				b.arrive[i][k] = m.AllocSyncAt(mesh.NodeID(i), core.PolicyINV)
+				b.arrive[i][k] = m.AllocSyncAt(mesh.NodeID(i), proto.PolicyINV)
 			}
 		}
-		b.wake[i] = m.AllocSyncAt(mesh.NodeID(i), core.PolicyINV)
+		b.wake[i] = m.AllocSyncAt(mesh.NodeID(i), proto.PolicyINV)
 	}
 	return b
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 )
 
 // TreiberStack is a Treiber lock-free stack whose nodes are recycled — the
@@ -44,7 +44,7 @@ type TreiberStack struct {
 
 // NewTreiberStack allocates a stack and nodes 1..capacity, with tagging on
 // for the CAS family.
-func NewTreiberStack(m *machine.Machine, policy core.Policy, capacity int, opts Options) *TreiberStack {
+func NewTreiberStack(m *machine.Machine, policy proto.Policy, capacity int, opts Options) *TreiberStack {
 	s := new(TreiberStack)
 	s.Init(m, policy, capacity, opts)
 	return s
@@ -53,7 +53,7 @@ func NewTreiberStack(m *machine.Machine, policy core.Policy, capacity int, opts 
 // Init (re)initializes s in place as NewTreiberStack builds a stack,
 // reusing the node table's storage, so a workload rerun on a reused
 // machine allocates nothing.
-func (s *TreiberStack) Init(m *machine.Machine, policy core.Policy, capacity int, opts Options) {
+func (s *TreiberStack) Init(m *machine.Machine, policy proto.Policy, capacity int, opts Options) {
 	if opts.Prim == PrimFAP {
 		panic("locks: the Treiber stack needs a universal primitive (CAS or LL/SC)")
 	}

@@ -2,8 +2,8 @@ package locks
 
 import (
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -21,7 +21,7 @@ type TTSLock struct {
 }
 
 // NewTTSLock allocates a lock in its own block under the given policy.
-func NewTTSLock(m *machine.Machine, policy core.Policy, opts Options) *TTSLock {
+func NewTTSLock(m *machine.Machine, policy proto.Policy, opts Options) *TTSLock {
 	return &TTSLock{
 		Addr:       m.AllocSync(policy),
 		Opts:       opts,

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -19,7 +19,7 @@ func TestMSQueueFIFO(t *testing.T) {
 		t.Run(prim.String(), func(t *testing.T) {
 			m := newM(4)
 			q := new(MSQueue)
-			q.Init(m, core.PolicyINV, 8, Options{Prim: prim})
+			q.Init(m, proto.PolicyINV, 8, Options{Prim: prim})
 			m.RunEach([]func(*machine.Proc){
 				func(p *machine.Proc) {
 					if _, ok := q.Dequeue(p); ok {
@@ -52,7 +52,7 @@ func TestMSQueueConcurrentNoLossNoDup(t *testing.T) {
 			const procs, each = 8, 6
 			m := newM(procs)
 			q := new(MSQueue)
-			q.Init(m, core.PolicyINV, procs*each, Options{Prim: prim})
+			q.Init(m, proto.PolicyINV, procs*each, Options{Prim: prim})
 			// Preassign node ranges so issue order is deterministic.
 			nodes := make([][]arch.Word, procs)
 			for i := range nodes {
@@ -111,7 +111,7 @@ func TestTreiberStackLIFO(t *testing.T) {
 		prim := prim
 		t.Run(prim.String(), func(t *testing.T) {
 			m := newM(4)
-			s := NewTreiberStack(m, core.PolicyINV, 4, Options{Prim: prim})
+			s := NewTreiberStack(m, proto.PolicyINV, 4, Options{Prim: prim})
 			m.RunEach([]func(*machine.Proc){
 				func(p *machine.Proc) {
 					if _, _, ok := s.Pop(p, nil); ok {
@@ -145,7 +145,7 @@ func TestTreiberStackConcurrentNoLoss(t *testing.T) {
 		t.Run(prim.String(), func(t *testing.T) {
 			const procs, each = 8, 4
 			m := newM(procs)
-			s := NewTreiberStack(m, core.PolicyINV, procs*each, Options{Prim: prim})
+			s := NewTreiberStack(m, proto.PolicyINV, procs*each, Options{Prim: prim})
 			m.Run(func(p *machine.Proc) {
 				i := p.ID()
 				for k := 0; k < each; k++ {
@@ -193,7 +193,7 @@ func TestTreiberStackConcurrentNoLoss(t *testing.T) {
 func TestTreiberTaggedDefeatsABA(t *testing.T) {
 	stage := func(prim Prim, tagged bool) (topID arch.Word) {
 		m := newM(4)
-		s := NewTreiberStack(m, core.PolicyINV, 4, Options{Prim: prim})
+		s := NewTreiberStack(m, proto.PolicyINV, 4, Options{Prim: prim})
 		s.Tagged = tagged
 		windowOpen := m.Alloc(4)
 		adversaryDone := m.Alloc(4)
@@ -251,7 +251,7 @@ func TestRCUReadersNeverTorn(t *testing.T) {
 		t.Run(prim.String(), func(t *testing.T) {
 			const procs = 4
 			m := newM(procs)
-			r := NewRCU(m, core.PolicyINV, 4, Options{Prim: prim})
+			r := NewRCU(m, proto.PolicyINV, 4, Options{Prim: prim})
 			isReader := func(i int) bool { return i != 0 }
 			done := m.Alloc(4)
 			var lastVersion [procs]arch.Word
@@ -289,7 +289,7 @@ func TestRCUReadersNeverTorn(t *testing.T) {
 // overwritten by the second update.
 func TestRCUSkipGraceTears(t *testing.T) {
 	m := newM(2)
-	r := NewRCU(m, core.PolicyINV, 4, Options{Prim: PrimCAS})
+	r := NewRCU(m, proto.PolicyINV, 4, Options{Prim: PrimCAS})
 	r.SkipGrace = true
 	windowOpen := m.Alloc(4)
 	writerDone := m.Alloc(4)

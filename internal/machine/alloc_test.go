@@ -7,6 +7,7 @@ import (
 	"dsm/internal/arch"
 	"dsm/internal/core"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -34,7 +35,7 @@ func TestHotPathZeroAllocDeferredCompute(t *testing.T) {
 		if !m.Reset(cfg) {
 			t.Fatal("Reset refused the machine's own config")
 		}
-		a = m.AllocSync(core.PolicyINV)
+		a = m.AllocSync(proto.PolicyINV)
 		m.Run(prog)
 	}
 	for i := 0; i < 3; i++ {
@@ -69,9 +70,9 @@ func TestHotPathZeroAllocSpin(t *testing.T) {
 			t.Fatal("Reset refused the machine's own config")
 		}
 		for i := range flags {
-			flags[i] = m.AllocSyncAt(mesh.NodeID(i), core.PolicyINV)
+			flags[i] = m.AllocSyncAt(mesh.NodeID(i), proto.PolicyINV)
 		}
-		count = m.AllocSync(core.PolicyINV)
+		count = m.AllocSync(proto.PolicyINV)
 		m.Run(prog)
 	}
 	for i := 0; i < 3; i++ {

@@ -9,7 +9,7 @@ import (
 	"weak"
 
 	"dsm/internal/arch"
-	"dsm/internal/core"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -30,7 +30,7 @@ func goroutinesSettle(baseline int) bool {
 func TestProgramPanicUnwindsEveryCoroutine(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	m := newSmall()
-	a := m.AllocSync(core.PolicyINV)
+	a := m.AllocSync(proto.PolicyINV)
 	boom := &struct{ msg string }{"proc 0 failed"}
 	unwound := 0
 	spin := func(p *Proc) {
@@ -66,7 +66,7 @@ func TestProgramPanicUnwindsEveryCoroutine(t *testing.T) {
 		t.Fatal("Reset refused the machine's own config")
 	}
 	count := func(m *Machine) (sim.Time, arch.Word) {
-		a := m.AllocSync(core.PolicyINV)
+		a := m.AllocSync(proto.PolicyINV)
 		elapsed := m.Run(func(p *Proc) { p.FetchAdd(a, 1) })
 		return elapsed, m.Peek(a)
 	}
@@ -93,7 +93,7 @@ func TestProgramPanicUnwindsEveryCoroutine(t *testing.T) {
 func TestPanicUnwindsSpinningCoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	m := newSmall()
-	flag := m.AllocSyncAt(1, core.PolicyINV)
+	flag := m.AllocSyncAt(1, proto.PolicyINV)
 	boom := &struct{ msg string }{"proc 0 failed"}
 	unwound := 0
 	spin := func(p *Proc) {
@@ -134,7 +134,7 @@ func TestPanicUnwindsSpinningCoroutines(t *testing.T) {
 	if !m.Reset(cfg) {
 		t.Fatal("Reset refused the machine's own config")
 	}
-	release := spinRelease(core.PolicyINV, 2)
+	release := spinRelease(proto.PolicyINV, 2)
 	checked := func(m *Machine, spin spinFunc, r *spinRecord) []func(*Proc) {
 		progs := release(m, spin, r)
 		for i, prog := range progs {
@@ -192,7 +192,7 @@ func TestDroppedMachinesReleaseCoroutines(t *testing.T) {
 	ms := make([]*Machine, 50)
 	for i := range ms {
 		ms[i] = newSmall()
-		a := ms[i].AllocSync(core.PolicyUNC)
+		a := ms[i].AllocSync(proto.PolicyUNC)
 		ms[i].Run(func(p *Proc) { p.FetchAdd(a, 1) })
 	}
 	if n := runtime.NumGoroutine(); n < baseline+len(ms)*4 {
@@ -211,7 +211,7 @@ func TestDroppedMachinesReleaseCoroutines(t *testing.T) {
 // while others still run or wait at a barrier.
 var reuseScenarios = []func(m *Machine) ([]func(*Proc), []arch.Addr){
 	func(m *Machine) ([]func(*Proc), []arch.Addr) { // counter rounds with barriers
-		a := m.AllocSync(core.PolicyINV)
+		a := m.AllocSync(proto.PolicyINV)
 		prog := func(p *Proc) {
 			for i := 0; i < 4; i++ {
 				p.FetchAdd(a, 1)
@@ -222,8 +222,8 @@ var reuseScenarios = []func(m *Machine) ([]func(*Proc), []arch.Addr){
 		return []func(*Proc){prog, prog, prog, prog}, []arch.Addr{a}
 	},
 	func(m *Machine) ([]func(*Proc), []arch.Addr) { // LL/SC on two procs, ending with a live reservation
-		a := m.AllocSync(core.PolicyUNC)
-		b := m.AllocSync(core.PolicyINV)
+		a := m.AllocSync(proto.PolicyUNC)
+		b := m.AllocSync(proto.PolicyINV)
 		prog := func(p *Proc) {
 			for n := 0; n < 3; {
 				v := p.LoadLinked(a)
@@ -237,7 +237,7 @@ var reuseScenarios = []func(m *Machine) ([]func(*Proc), []arch.Addr){
 		return []func(*Proc){prog, nil, prog, nil}, []arch.Addr{a, b}
 	},
 	func(m *Machine) ([]func(*Proc), []arch.Addr) { // SC before any LL, early exits around a barrier
-		a := m.AllocSync(core.PolicyINV)
+		a := m.AllocSync(proto.PolicyINV)
 		b := m.Alloc(4)
 		return []func(*Proc){
 			func(p *Proc) {
@@ -259,7 +259,7 @@ var reuseScenarios = []func(m *Machine) ([]func(*Proc), []arch.Addr){
 		}, []arch.Addr{a, b}
 	},
 	func(m *Machine) ([]func(*Proc), []arch.Addr) { // CAS contention, staggered
-		a := m.AllocSync(core.PolicyUPD)
+		a := m.AllocSync(proto.PolicyUPD)
 		prog := func(p *Proc) {
 			for i := 0; i < 3; i++ {
 				for {

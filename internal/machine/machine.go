@@ -35,6 +35,7 @@ import (
 	"dsm/internal/core"
 	"dsm/internal/dir"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -201,14 +202,14 @@ func (m *Machine) Alloc(size uint32) arch.Addr {
 // AllocSync reserves one word in its own block under the given coherence
 // policy and returns its address. Each call advances to a fresh block, so
 // distinct synchronization variables never exhibit false sharing.
-func (m *Machine) AllocSync(p core.Policy) arch.Addr {
+func (m *Machine) AllocSync(p proto.Policy) arch.Addr {
 	a := m.Alloc(arch.BlockBytes)
 	m.sys.SetPolicy(a, p)
 	return a
 }
 
 // AllocSyncAt is AllocSync with the block homed at a specific node.
-func (m *Machine) AllocSyncAt(home mesh.NodeID, p core.Policy) arch.Addr {
+func (m *Machine) AllocSyncAt(home mesh.NodeID, p proto.Policy) arch.Addr {
 	for mesh.NodeID(int(arch.BlockNumber(m.allocNext))%m.cfg.Nodes) != home {
 		m.allocNext += arch.BlockBytes
 	}

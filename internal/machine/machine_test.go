@@ -6,6 +6,7 @@ import (
 	"dsm/internal/arch"
 	"dsm/internal/core"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -36,7 +37,7 @@ func TestRunSingleStoreLoad(t *testing.T) {
 
 func TestRunAllProcessorsFetchAdd(t *testing.T) {
 	m := newSmall()
-	a := m.AllocSync(core.PolicyINV)
+	a := m.AllocSync(proto.PolicyINV)
 	elapsed := m.Run(func(p *Proc) {
 		p.FetchAdd(a, 1)
 	})
@@ -51,8 +52,8 @@ func TestRunAllProcessorsFetchAdd(t *testing.T) {
 func TestRunIsDeterministic(t *testing.T) {
 	run := func() sim.Time {
 		m := newSmall()
-		a := m.AllocSync(core.PolicyINV)
-		b := m.AllocSync(core.PolicyUNC)
+		a := m.AllocSync(proto.PolicyINV)
+		b := m.AllocSync(proto.PolicyUNC)
 		return m.Run(func(p *Proc) {
 			for i := 0; i < 20; i++ {
 				p.FetchAdd(a, 1)
@@ -105,7 +106,7 @@ func TestBarrierSynchronizesAllProcessors(t *testing.T) {
 
 func TestBarrierReusable(t *testing.T) {
 	m := newSmall()
-	a := m.AllocSync(core.PolicyUNC)
+	a := m.AllocSync(proto.PolicyUNC)
 	m.Run(func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			if p.ID() == i%4 {
@@ -154,11 +155,11 @@ func TestAllocBlockAlignedAndDisjoint(t *testing.T) {
 func TestAllocSyncAtPlacesHome(t *testing.T) {
 	m := newSmall()
 	for home := 0; home < 4; home++ {
-		a := m.AllocSyncAt(mesh.NodeID(home), core.PolicyUNC)
+		a := m.AllocSyncAt(mesh.NodeID(home), proto.PolicyUNC)
 		if got := m.System().HomeOf(a); int(got) != home {
 			t.Fatalf("AllocSyncAt(%d) homed at %d", home, got)
 		}
-		if m.System().PolicyOf(a) != core.PolicyUNC {
+		if m.System().PolicyOf(a) != proto.PolicyUNC {
 			t.Fatal("policy not applied")
 		}
 	}
@@ -187,7 +188,7 @@ func TestPeekSeesDirtyCacheData(t *testing.T) {
 
 func TestLLSCThroughProcAPI(t *testing.T) {
 	m := newSmall()
-	a := m.AllocSync(core.PolicyINV)
+	a := m.AllocSync(proto.PolicyINV)
 	var ok1, ok2 bool
 	m.RunEach([]func(*Proc){
 		func(p *Proc) {
@@ -215,7 +216,7 @@ func TestLLSCThroughProcAPI(t *testing.T) {
 
 func TestCASThroughProcAPI(t *testing.T) {
 	m := newSmall()
-	a := m.AllocSync(core.PolicyINV)
+	a := m.AllocSync(proto.PolicyINV)
 	var got [4]bool
 	m.Run(func(p *Proc) {
 		got[p.ID()] = p.CompareAndSwap(a, 0, arch.Word(p.ID()+1))
@@ -258,10 +259,10 @@ func TestSequentialRunsAccumulateTime(t *testing.T) {
 
 func TestDoExposesChain(t *testing.T) {
 	m := newSmall()
-	a := m.AllocSyncAt(1, core.PolicyUNC)
+	a := m.AllocSyncAt(1, proto.PolicyUNC)
 	m.RunEach([]func(*Proc){
 		func(p *Proc) {
-			r := p.Do(core.Request{Op: core.OpStore, Addr: a, Val: 3})
+			r := p.Do(core.Request{Op: proto.OpStore, Addr: a, Val: 3})
 			if r.Chain != 2 {
 				t.Errorf("UNC store chain = %d, want 2", r.Chain)
 			}

@@ -6,6 +6,7 @@ import (
 	"dsm/internal/arch"
 	"dsm/internal/core"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -401,7 +402,7 @@ func (p *Proc) Do(req core.Request) core.Result { return p.do(req) }
 
 // Load performs an ordinary load.
 func (p *Proc) Load(a arch.Addr) arch.Word {
-	return p.do(core.Request{Op: core.OpLoad, Addr: a}).Value
+	return p.do(core.Request{Op: proto.OpLoad, Addr: a}).Value
 }
 
 // SpinWhile spins on a until the loaded value v no longer satisfies
@@ -426,61 +427,61 @@ func (p *Proc) Load(a arch.Addr) arch.Word {
 func (p *Proc) SpinWhile(a arch.Addr, cmp Cmp, x arch.Word, gap sim.Time) arch.Word {
 	return p.await(action{
 		kind: actSpin,
-		req:  core.Request{Op: core.OpLoad, Addr: a, Done: p.spinDoneFn},
+		req:  core.Request{Op: proto.OpLoad, Addr: a, Done: p.spinDoneFn},
 		cmp:  cmp, x: x, gap: gap,
 	}).Value
 }
 
 // Store performs an ordinary store.
 func (p *Proc) Store(a arch.Addr, v arch.Word) {
-	p.do(core.Request{Op: core.OpStore, Addr: a, Val: v})
+	p.do(core.Request{Op: proto.OpStore, Addr: a, Val: v})
 }
 
 // LoadExclusive reads a word while acquiring exclusive access to its block
 // (the paper's auxiliary instruction; under INV it makes an immediately
 // following compare_and_swap a local hit).
 func (p *Proc) LoadExclusive(a arch.Addr) arch.Word {
-	return p.do(core.Request{Op: core.OpLoadExclusive, Addr: a}).Value
+	return p.do(core.Request{Op: proto.OpLoadExclusive, Addr: a}).Value
 }
 
 // DropCopy self-invalidates the block containing a (writing back dirty
 // data), reducing the serialized messages of a subsequent access by
 // another processor.
 func (p *Proc) DropCopy(a arch.Addr) {
-	p.do(core.Request{Op: core.OpDropCopy, Addr: a})
+	p.do(core.Request{Op: proto.OpDropCopy, Addr: a})
 }
 
 // FetchAdd atomically adds delta and returns the previous value.
 func (p *Proc) FetchAdd(a arch.Addr, delta arch.Word) arch.Word {
-	return p.do(core.Request{Op: core.OpFetchAdd, Addr: a, Val: delta}).Value
+	return p.do(core.Request{Op: proto.OpFetchAdd, Addr: a, Val: delta}).Value
 }
 
 // FetchStore atomically swaps in v and returns the previous value.
 func (p *Proc) FetchStore(a arch.Addr, v arch.Word) arch.Word {
-	return p.do(core.Request{Op: core.OpFetchStore, Addr: a, Val: v}).Value
+	return p.do(core.Request{Op: proto.OpFetchStore, Addr: a, Val: v}).Value
 }
 
 // TestAndSet atomically sets the word to 1 and returns the previous value.
 func (p *Proc) TestAndSet(a arch.Addr) arch.Word {
-	return p.do(core.Request{Op: core.OpTestAndSet, Addr: a}).Value
+	return p.do(core.Request{Op: proto.OpTestAndSet, Addr: a}).Value
 }
 
 // CompareAndSwap installs new if the word equals expect, reporting success.
 func (p *Proc) CompareAndSwap(a arch.Addr, expect, new arch.Word) bool {
-	return p.do(core.Request{Op: core.OpCAS, Addr: a, Val: expect, Val2: new}).OK
+	return p.do(core.Request{Op: proto.OpCAS, Addr: a, Val: expect, Val2: new}).OK
 }
 
 // LoadLinked reads a word and sets a reservation. Under the serial-number
 // scheme the returned serial is remembered for the next StoreConditional.
 func (p *Proc) LoadLinked(a arch.Addr) arch.Word {
-	r := p.do(core.Request{Op: core.OpLL, Addr: a})
+	r := p.do(core.Request{Op: proto.OpLL, Addr: a})
 	p.lastSerial = r.Serial
 	return r.Value
 }
 
 // LoadLinkedFull exposes the serial number along with the loaded value.
 func (p *Proc) LoadLinkedFull(a arch.Addr) core.Result {
-	r := p.do(core.Request{Op: core.OpLL, Addr: a})
+	r := p.do(core.Request{Op: proto.OpLL, Addr: a})
 	p.lastSerial = r.Serial
 	return r
 }
@@ -488,7 +489,7 @@ func (p *Proc) LoadLinkedFull(a arch.Addr) core.Result {
 // StoreConditional writes v if the reservation from the most recent
 // LoadLinked still holds, reporting success.
 func (p *Proc) StoreConditional(a arch.Addr, v arch.Word) bool {
-	return p.do(core.Request{Op: core.OpSC, Addr: a, Val: v, Val2: p.lastSerial}).OK
+	return p.do(core.Request{Op: proto.OpSC, Addr: a, Val: v, Val2: p.lastSerial}).OK
 }
 
 // StoreConditionalSerial is a bare store_conditional carrying an explicit
@@ -496,5 +497,5 @@ func (p *Proc) StoreConditional(a arch.Addr, v arch.Word) bool {
 // paper notes this saves a memory access in algorithms like the MCS lock
 // release.
 func (p *Proc) StoreConditionalSerial(a arch.Addr, v, serial arch.Word) bool {
-	return p.do(core.Request{Op: core.OpSC, Addr: a, Val: v, Val2: serial}).OK
+	return p.do(core.Request{Op: proto.OpSC, Addr: a, Val: v, Val2: serial}).OK
 }

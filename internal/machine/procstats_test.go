@@ -3,7 +3,7 @@ package machine
 import (
 	"testing"
 
-	"dsm/internal/core"
+	"dsm/internal/proto"
 )
 
 func TestProcStatsCountOps(t *testing.T) {
@@ -49,7 +49,7 @@ func TestProcStatsComputeAndBarrier(t *testing.T) {
 
 func TestProcStatsMemoryCyclesReflectLocality(t *testing.T) {
 	m := newSmall()
-	local := m.AllocSyncAt(0, core.PolicyINV)
+	local := m.AllocSyncAt(0, proto.PolicyINV)
 	m.RunEach([]func(*Proc){
 		func(p *Proc) {
 			for i := 0; i < 5; i++ {
@@ -60,7 +60,7 @@ func TestProcStatsMemoryCyclesReflectLocality(t *testing.T) {
 	})
 	localCycles := m.ProcStats(0).MemoryCycles
 	m2 := newSmall()
-	remoteAddr := m2.AllocSyncAt(3, core.PolicyUNC)
+	remoteAddr := m2.AllocSyncAt(3, proto.PolicyUNC)
 	m2.RunEach([]func(*Proc){
 		func(p *Proc) {
 			for i := 0; i < 5; i++ {

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"dsm/internal/arch"
-	"dsm/internal/core"
 	"dsm/internal/mesh"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -78,7 +78,7 @@ func (r *spinRecord) mark(p *Proc, v arch.Word) {
 // releases three spinners on one flag under policy; the spinners arrive
 // with staggered compute delays pending, then spin on a counter until all
 // have joined.
-func spinRelease(policy core.Policy, gap sim.Time) func(*Machine, spinFunc, *spinRecord) []func(*Proc) {
+func spinRelease(policy proto.Policy, gap sim.Time) func(*Machine, spinFunc, *spinRecord) []func(*Proc) {
 	return func(m *Machine, spin spinFunc, r *spinRecord) []func(*Proc) {
 		flag := m.AllocSyncAt(1, policy)
 		joined := m.AllocSyncAt(2, policy)
@@ -103,7 +103,7 @@ func spinRelease(policy core.Policy, gap sim.Time) func(*Machine, spinFunc, *spi
 // spin on it under policy until cmp(v, x) fails, x being the last value
 // written; processor 3 idles, its node a third home. A Less or NotEqual
 // spin wakes at every write and spins on until the last.
-func spinWrites(policy core.Policy, cmp Cmp, gap sim.Time, home int, delays []sim.Time) func(*Machine, spinFunc, *spinRecord) []func(*Proc) {
+func spinWrites(policy proto.Policy, cmp Cmp, gap sim.Time, home int, delays []sim.Time) func(*Machine, spinFunc, *spinRecord) []func(*Proc) {
 	return func(m *Machine, spin spinFunc, r *spinRecord) []func(*Proc) {
 		flag := m.AllocSyncAt(mesh.NodeID(home), policy)
 		last := arch.Word(len(delays))
@@ -135,25 +135,25 @@ var spinCases = []struct {
 	setup func(*Machine, spinFunc, *spinRecord) []func(*Proc)
 	parks bool // the engine spin must skip events
 }{
-	{"release-INV", spinRelease(core.PolicyINV, 2), true},
-	{"release-UPD", spinRelease(core.PolicyUPD, 2), true},
-	{"release-UNC", spinRelease(core.PolicyUNC, 2), false},
-	{"release-INV-gap0", spinRelease(core.PolicyINV, 0), true},
-	{"release-UNC-gap5", spinRelease(core.PolicyUNC, 5), false},
+	{"release-INV", spinRelease(proto.PolicyINV, 2), true},
+	{"release-UPD", spinRelease(proto.PolicyUPD, 2), true},
+	{"release-UNC", spinRelease(proto.PolicyUNC, 2), false},
+	{"release-INV-gap0", spinRelease(proto.PolicyINV, 0), true},
+	{"release-UNC-gap5", spinRelease(proto.PolicyUNC, 5), false},
 	// Woken by invalidations, by updates, and with the writer at the
 	// flag's home, so its invalidations and updates leave in one local
 	// controller step.
-	{"wake-inval", spinWrites(core.PolicyINV, Less, 2, 3, []sim.Time{90, 40, 7}), true},
-	{"wake-update", spinWrites(core.PolicyUPD, Less, 2, 3, []sim.Time{90, 40, 7}), true},
-	{"local-writer-INV-gap0", spinWrites(core.PolicyINV, NotEqual, 0, 0, []sim.Time{60, 13}), true},
-	{"local-writer-INV-gap2", spinWrites(core.PolicyINV, NotEqual, 2, 0, []sim.Time{60, 13}), true},
-	{"local-writer-UPD-gap0", spinWrites(core.PolicyUPD, Equal, 0, 0, []sim.Time{60, 13}), true},
-	{"local-writer-UPD-gap2", spinWrites(core.PolicyUPD, Equal, 2, 0, []sim.Time{60, 13}), true},
+	{"wake-inval", spinWrites(proto.PolicyINV, Less, 2, 3, []sim.Time{90, 40, 7}), true},
+	{"wake-update", spinWrites(proto.PolicyUPD, Less, 2, 3, []sim.Time{90, 40, 7}), true},
+	{"local-writer-INV-gap0", spinWrites(proto.PolicyINV, NotEqual, 0, 0, []sim.Time{60, 13}), true},
+	{"local-writer-INV-gap2", spinWrites(proto.PolicyINV, NotEqual, 2, 0, []sim.Time{60, 13}), true},
+	{"local-writer-UPD-gap0", spinWrites(proto.PolicyUPD, Equal, 0, 0, []sim.Time{60, 13}), true},
+	{"local-writer-UPD-gap2", spinWrites(proto.PolicyUPD, Equal, 2, 0, []sim.Time{60, 13}), true},
 	// Spins whose first load already fails the comparison, with and
 	// without a compute delay pending, between timed actions on a flag
 	// another processor keeps writing.
 	{"zero-iterations", func(m *Machine, spin spinFunc, r *spinRecord) []func(*Proc) {
-		a := m.AllocSyncAt(3, core.PolicyINV)
+		a := m.AllocSyncAt(3, proto.PolicyINV)
 		m.Poke(a, 4)
 		prog := func(p *Proc) {
 			r.mark(p, spin(p, a, Equal, 0, 2))
@@ -168,7 +168,7 @@ var spinCases = []struct {
 	// A handoff chain: each processor waits for the counter to reach its
 	// turn, random compute between, the rest idle at a barrier.
 	{"turns", func(m *Machine, spin spinFunc, r *spinRecord) []func(*Proc) {
-		turn := m.AllocSyncAt(0, core.PolicyUPD)
+		turn := m.AllocSyncAt(0, proto.PolicyUPD)
 		prog := func(p *Proc) {
 			for round := 0; round < 2; round++ {
 				p.Compute(sim.Time(p.Rand().Intn(9)))
@@ -245,7 +245,7 @@ func TestSpinWhileMatchesLoop(t *testing.T) {
 func TestSpinWakeTies(t *testing.T) {
 	cfg := newSmall().cfg
 	var ties uint64
-	for _, policy := range []core.Policy{core.PolicyINV, core.PolicyUPD} {
+	for _, policy := range []proto.Policy{proto.PolicyINV, proto.PolicyUPD} {
 		for _, gap := range []sim.Time{0, 2} {
 			for _, home := range []int{0, 1} {
 				for d := sim.Time(0); d < 6; d++ {
@@ -278,7 +278,7 @@ func FuzzSpinWhileMatchesLoop(f *testing.F) {
 		if len(delays) == 0 || len(delays) > 6 {
 			t.Skip()
 		}
-		pol := []core.Policy{core.PolicyINV, core.PolicyUPD}[policy%2]
+		pol := []proto.Policy{proto.PolicyINV, proto.PolicyUPD}[policy%2]
 		ds := make([]sim.Time, len(delays))
 		for i, d := range delays {
 			ds[i] = sim.Time(d)
@@ -292,7 +292,7 @@ func FuzzSpinWhileMatchesLoop(f *testing.F) {
 // engine nothing to run, and ends the run with the deadlock panic.
 func TestUnreleasedSpinDeadlocks(t *testing.T) {
 	m := newSmall()
-	flag := m.AllocSyncAt(2, core.PolicyINV)
+	flag := m.AllocSyncAt(2, proto.PolicyINV)
 	defer func() {
 		if r := recover(); fmt.Sprint(r) != "machine: deadlock with 1 processors unfinished" {
 			t.Fatalf("recovered %v, want the deadlock panic", r)

@@ -4,7 +4,7 @@ import (
 	"slices"
 	"testing"
 
-	"dsm/internal/core"
+	"dsm/internal/proto"
 	"dsm/internal/sim"
 )
 
@@ -20,7 +20,7 @@ func mark(p *Proc, now *[4][]sim.Time) { now[p.ID()] = append(now[p.ID()], p.Now
 
 var timingCases = []timingCase{
 	{"compute-load", func(m *Machine, now *[4][]sim.Time) []func(*Proc) {
-		a := m.AllocSync(core.PolicyINV)
+		a := m.AllocSync(proto.PolicyINV)
 		prog := func(p *Proc) {
 			for i := 0; i < 3; i++ {
 				p.Compute(sim.Time(10 + 3*p.ID() + i))
@@ -32,7 +32,7 @@ var timingCases = []timingCase{
 		return []func(*Proc){prog, prog, prog, prog}
 	}},
 	{"compute-compute", func(m *Machine, now *[4][]sim.Time) []func(*Proc) {
-		a := m.AllocSync(core.PolicyUPD)
+		a := m.AllocSync(proto.PolicyUPD)
 		prog := func(p *Proc) {
 			p.Compute(5)
 			mark(p, now)
@@ -45,7 +45,7 @@ var timingCases = []timingCase{
 		return []func(*Proc){prog, prog, prog, prog}
 	}},
 	{"compute-barrier", func(m *Machine, now *[4][]sim.Time) []func(*Proc) {
-		a := m.AllocSync(core.PolicyUNC)
+		a := m.AllocSync(proto.PolicyUNC)
 		prog := func(p *Proc) {
 			p.Compute(sim.Time(13 * p.ID()))
 			p.Barrier()
@@ -58,7 +58,7 @@ var timingCases = []timingCase{
 		return []func(*Proc){prog, prog, prog, prog}
 	}},
 	{"compute-return", func(m *Machine, now *[4][]sim.Time) []func(*Proc) {
-		a := m.AllocSync(core.PolicyINV)
+		a := m.AllocSync(proto.PolicyINV)
 		return []func(*Proc){
 			func(p *Proc) {
 				p.FetchAdd(a, 1)
@@ -83,7 +83,7 @@ var timingCases = []timingCase{
 		}
 	}},
 	{"compute-now", func(m *Machine, now *[4][]sim.Time) []func(*Proc) {
-		a := m.AllocSync(core.PolicyUPD)
+		a := m.AllocSync(proto.PolicyUPD)
 		prog := func(p *Proc) {
 			mark(p, now)
 			p.Compute(9)
@@ -98,7 +98,7 @@ var timingCases = []timingCase{
 	}},
 	{"compute-llsc", func(m *Machine, now *[4][]sim.Time) []func(*Proc) {
 		clearReservationsEvery(m, 60)
-		a := m.AllocSync(core.PolicyINV)
+		a := m.AllocSync(proto.PolicyINV)
 		prog := func(p *Proc) {
 			for n := 0; n < 3; {
 				p.Compute(sim.Time(1 + p.Rand().Intn(6)))
@@ -113,8 +113,8 @@ var timingCases = []timingCase{
 		return []func(*Proc){prog, prog, prog, prog}
 	}},
 	{"spin-release", func(m *Machine, now *[4][]sim.Time) []func(*Proc) {
-		flag := m.AllocSyncAt(1, core.PolicyINV)
-		joined := m.AllocSync(core.PolicyUPD)
+		flag := m.AllocSyncAt(1, proto.PolicyINV)
+		joined := m.AllocSync(proto.PolicyUPD)
 		writer := func(p *Proc) {
 			p.Compute(150)
 			p.Store(flag, 1)
@@ -280,7 +280,7 @@ func TestComputeTimingPinned(t *testing.T) {
 // event count and a peer's stats at the moment the panic surfaced.
 func heldPanic() (r any, at sim.Time, events uint64, peer ProcStats) {
 	m := newSmall()
-	a := m.AllocSync(core.PolicyINV)
+	a := m.AllocSync(proto.PolicyINV)
 	spin := func(p *Proc) {
 		for {
 			p.FetchAdd(a, 1)

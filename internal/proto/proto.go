@@ -32,15 +32,12 @@ const (
 	NumPolicies = 3
 )
 
-// String returns the name used in figures ("INV", "UPD", "UNC").
+var policyNames = [NumPolicies]string{PolicyINV: "INV", PolicyUPD: "UPD", PolicyUNC: "UNC"}
+
+// String returns the policy's name, used in figures and on the wire.
 func (p Policy) String() string {
-	switch p {
-	case PolicyINV:
-		return "INV"
-	case PolicyUPD:
-		return "UPD"
-	case PolicyUNC:
-		return "UNC"
+	if int(p) < len(policyNames) {
+		return policyNames[p]
 	}
 	return fmt.Sprintf("Policy(%d)", uint8(p))
 }
@@ -58,17 +55,17 @@ const (
 	// CASShare (INVs) compares at the home or owner; on failure the
 	// requester gets a read-only copy.
 	CASShare
+
+	// NumCASVariants bounds arrays indexed by CASVariant.
+	NumCASVariants = 3
 )
 
-// String returns the name used in figures.
+var variantNames = [NumCASVariants]string{CASPlain: "INV", CASDeny: "INVd", CASShare: "INVs"}
+
+// String returns the variant's name, used in figures and on the wire.
 func (v CASVariant) String() string {
-	switch v {
-	case CASPlain:
-		return "INV"
-	case CASDeny:
-		return "INVd"
-	case CASShare:
-		return "INVs"
+	if int(v) < len(variantNames) {
+		return variantNames[v]
 	}
 	return fmt.Sprintf("CASVariant(%d)", uint8(v))
 }

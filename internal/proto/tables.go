@@ -95,11 +95,9 @@ const (
 	// Incoming coherence traffic.
 	AInvalLine     // invalidate the copy (must not be exclusive)
 	AAckRequester  // acknowledge (Msg operand) to the message's requester
-	ASurrenderE    // recall-e at owner: reply wb-recall with data, invalidate
-	ASurrenderS    // recall-s at owner: reply wb-share with data, downgrade
+	ASurrenderE    // recall-e, or a forwarded CAS that matched: reply wb-recall with data, invalidate
+	ASurrenderS    // recall-s, or a forwarded INVs CAS that failed: reply wb-share with data, downgrade
 	ASendRecallNak // copy already gone: recall-nak to the home, immediately
-	ACASGive       // forwarded CAS matched: invalidate, reply wb-recall
-	ACASKeepShare  // forwarded INVs CAS failed: downgrade, reply wb-share
 	ACASDeny       // forwarded INVd CAS failed: cas-fail to requester, cas-rel to home
 	AApplyUpdate   // write the update's word into the present copy
 
@@ -122,7 +120,7 @@ const (
 	ACompleteReply   // track and complete with the reply's value/ok/serial/hint
 	AMaybeFinish     // deliver the stashed result once grant and acks are in
 
-	numCacheActs = 36
+	numCacheActs = 34
 )
 
 var cacheActNames = [numCacheActs]string{
@@ -133,8 +131,7 @@ var cacheActNames = [numCacheActs]string{
 	AEvictLine: "evict-line", ADropShared: "drop-shared",
 	AInvalLine: "inval-line", AAckRequester: "ack-requester",
 	ASurrenderE: "surrender-e", ASurrenderS: "surrender-s",
-	ASendRecallNak: "send-recall-nak", ACASGive: "cas-give",
-	ACASKeepShare: "cas-keep-share", ACASDeny: "cas-deny",
+	ASendRecallNak: "send-recall-nak", ACASDeny: "cas-deny",
 	AApplyUpdate: "apply-update", ACountNak: "count-nak", ARetry: "retry",
 	ABumpAck: "bump-ack", AMergeChain: "merge-chain", AGrant: "grant",
 	AFillShared: "fill-shared", AFillIfData: "fill-if-data",
@@ -423,8 +420,8 @@ func buildCacheRecv() {
 	}}
 	CacheRecv[KCASFwd] = RecvSpec{Prep: PrepPeek, Rules: []Rule{
 		{GNotOwned, []Act{act(ASendRecallNak)}},
-		{GCASMatch, []Act{act(ACASGive)}},
-		{GCASShare, []Act{act(ACASKeepShare)}},
+		{GCASMatch, []Act{act(ASurrenderE)}},
+		{GCASShare, []Act{act(ASurrenderS)}},
 		{GAlways, []Act{act(ACASDeny)}},
 	}}
 	CacheRecv[KUpdate] = RecvSpec{Prep: PrepPeek, Rules: []Rule{

@@ -7,6 +7,7 @@ import (
 
 	"dsm/internal/core"
 	"dsm/internal/machine"
+	"dsm/internal/proto"
 )
 
 func runSmall() *machine.Machine {
@@ -14,7 +15,7 @@ func runSmall() *machine.Machine {
 	cfg.Nodes = 4
 	cfg.Mesh.Width, cfg.Mesh.Height = 2, 2
 	m := machine.New(cfg)
-	a := m.AllocSync(core.PolicyINV)
+	a := m.AllocSync(proto.PolicyINV)
 	m.Run(func(p *machine.Proc) {
 		for i := 0; i < 3; i++ {
 			p.FetchAdd(a, 1)

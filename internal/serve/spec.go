@@ -37,7 +37,10 @@ import (
 	"math"
 	"strconv"
 
+	"dsm/internal/apps"
 	"dsm/internal/exper"
+	"dsm/internal/locks"
+	"dsm/internal/proto"
 )
 
 // Spec is one simulation request: which workload to run, on which
@@ -83,19 +86,19 @@ func (s Spec) Normalize() (Spec, error) {
 		return s, err
 	}
 	if s.Policy == "" {
-		s.Policy = "INV"
+		s.Policy = proto.PolicyINV.String()
 	}
 	if _, err := exper.ParsePolicy(s.Policy); err != nil {
 		return s, err
 	}
 	if s.Prim == "" {
-		s.Prim = "FAP"
+		s.Prim = locks.PrimFAP.String()
 	}
 	if _, err := exper.ParsePrim(s.Prim); err != nil {
 		return s, err
 	}
 	if s.Variant == "" {
-		s.Variant = "INV"
+		s.Variant = proto.CASPlain.String()
 	}
 	if _, err := exper.ParseVariant(s.Variant); err != nil {
 		return s, err
@@ -163,7 +166,7 @@ func (s Spec) Point() exper.Point {
 			Drop:    s.Drop,
 		},
 		Scale:   exper.RunOpts{Procs: s.Procs, Rounds: s.Rounds, TCSize: s.Size},
-		Pattern: exper.Pattern{Contention: s.Contention, WriteRun: s.WriteRun, Rounds: s.Rounds},
+		Pattern: apps.Pattern{Contention: s.Contention, WriteRun: s.WriteRun, Rounds: s.Rounds},
 		Seed:    s.Seed,
 	}
 }
